@@ -44,13 +44,14 @@ from .core import (
 )
 from .errors import (
     BadCorpusSource,
+    BadThreadCount,
     CorpusTooLarge,
     InstanceKindMismatch,
     InternalAuditError,
     TooLargeForOracle,
     UnknownClaim,
 )
-from .families import FamilySpec, generate, parse_family_spec
+from .families import FamilySpec, generate
 from .ops import corona, join, lexicographic
 
 GRAPH, PAIR, FAMILY = "graph", "pair", "family"
@@ -90,41 +91,33 @@ class _Toolkit:
     is_oracle = False
 
     def __init__(self) -> None:
-        self._gi: dict = {}
-        self._st: dict = {}
-        self._dom: dict = {}
-        self._star: dict = {}
-
-    @staticmethod
-    def _key(g: Graph):
-        return g.adj
+        self._gi: dict[Graph, int] = {}
+        self._st: dict[Graph, stability.StabilityCertificate] = {}
+        self._dom: dict[Graph, int] = {}
+        self._star: dict[Graph, int] = {}
 
     def gamma_i(self, g: Graph) -> int:
-        k = (g.order, self._key(g))
-        if k not in self._gi:
-            self._gi[k] = solver.gamma_i_value(g)
-        return self._gi[k]
+        if g not in self._gi:
+            self._gi[g] = solver.gamma_i_value(g)
+        return self._gi[g]
 
     def st_cert(self, g: Graph) -> stability.StabilityCertificate:
-        k = (g.order, self._key(g))
-        if k not in self._st:
-            self._st[k] = stability.stability(g)
-        return self._st[k]
+        if g not in self._st:
+            self._st[g] = stability.stability(g)
+        return self._st[g]
 
     def st_any(self, g: Graph) -> int:
         return self.st_cert(g).value
 
     def gamma(self, g: Graph) -> int:
-        k = (g.order, self._key(g))
-        if k not in self._dom:
-            self._dom[k] = solver.gamma_value(g)
-        return self._dom[k]
+        if g not in self._dom:
+            self._dom[g] = solver.gamma_value(g)
+        return self._dom[g]
 
     def max_star(self, g: Graph) -> int:
-        k = (g.order, self._key(g))
-        if k not in self._star:
-            self._star[k] = solver.max_induced_star(g)
-        return self._star[k]
+        if g not in self._star:
+            self._star[g] = solver.max_induced_star(g)
+        return self._star[g]
 
 
 def _brute_gamma(g: Graph) -> int:
@@ -168,20 +161,18 @@ class _OracleToolkit:
     is_oracle = True
 
     def __init__(self) -> None:
-        self._gi: dict = {}
-        self._st: dict = {}
+        self._gi: dict[Graph, int] = {}
+        self._st: dict[Graph, int] = {}
 
     def gamma_i(self, g: Graph) -> int:
-        k = (g.order, g.adj)
-        if k not in self._gi:
-            self._gi[k] = solver.oracle_gamma_i(g)
-        return self._gi[k]
+        if g not in self._gi:
+            self._gi[g] = solver.oracle_gamma_i(g)
+        return self._gi[g]
 
     def st_any(self, g: Graph) -> int:
-        k = (g.order, g.adj)
-        if k not in self._st:
-            self._st[k] = stability.oracle_stability(g)[0]
-        return self._st[k]
+        if g not in self._st:
+            self._st[g] = stability.oracle_stability(g)[0]
+        return self._st[g]
 
     def gamma(self, g: Graph) -> int:
         return _brute_gamma(g)
@@ -731,15 +722,6 @@ def _instance_text(kind: str, instance) -> str:
     return instance.to_text()
 
 
-def _instance_from_text(kind: str, text: str):
-    if kind == GRAPH:
-        return decode_graph6(text)
-    if kind == PAIR:
-        a, b = text.split(",")
-        return decode_graph6(a), decode_graph6(b)
-    return parse_family_spec(text)
-
-
 def _check_instance(claim: Claim, instance) -> None:
     kind = claim.instance_kind
     if kind == GRAPH and isinstance(instance, Graph):
@@ -828,14 +810,14 @@ class ExhaustiveCorpus:
     def describe(self) -> str:
         return f"all labeled graphs of order 1..{self.n_max}"
 
-    def instance_texts(self) -> Iterator[str]:
+    def instances(self) -> Iterator[tuple[str, Graph]]:
         if not 1 <= self.n_max <= MAX_ENUMERATION_ORDER:
             raise CorpusTooLarge(
                 f"exhaustive corpora support n_max <= {MAX_ENUMERATION_ORDER}"
             )
         for n in range(1, self.n_max + 1):
             for g in enumerate_labeled_graphs(n):
-                yield encode_graph6(g)
+                yield encode_graph6(g), g
 
 
 @dataclass(frozen=True)
@@ -864,8 +846,10 @@ class Graph6Corpus:
     def describe(self) -> str:
         return f"{self.label} ({len(self.graphs)} graphs)"
 
-    def instance_texts(self) -> Iterator[str]:
-        return iter(self.graphs)
+    def instances(self) -> Iterator[tuple[str, Graph]]:
+        """Each line as given (a ``>>graph6<<`` header or a long order prefix
+        stays in the report) with its decoded graph."""
+        return ((text, decode_graph6(text)) for text in self.graphs)
 
 
 @dataclass(frozen=True)
@@ -880,16 +864,15 @@ class PairCorpus:
     def describe(self) -> str:
         return f"ordered pairs over {self.base.describe()}"
 
-    def instance_texts(self) -> Iterator[str]:
-        texts = list(self.base.instance_texts())
-        for t in texts:
-            if decode_graph6(t).order > MAX_PAIR_OPERAND_ORDER:
-                raise CorpusTooLarge(
-                    f"pair corpora cap operands at order {MAX_PAIR_OPERAND_ORDER}"
-                )
-        for a in texts:
-            for b in texts:
-                yield f"{a},{b}"
+    def instances(self) -> Iterator[tuple[str, tuple[Graph, Graph]]]:
+        base = list(self.base.instances())
+        if any(g.order > MAX_PAIR_OPERAND_ORDER for _, g in base):
+            raise CorpusTooLarge(
+                f"pair corpora cap operands at order {MAX_PAIR_OPERAND_ORDER}"
+            )
+        for a, ga in base:
+            for b, gb in base:
+                yield f"{a},{b}", (ga, gb)
 
 
 @dataclass(frozen=True)
@@ -941,10 +924,12 @@ class FamilyCorpus:
     def describe(self) -> str:
         return f"{self.label} ({len(self.specs)} specs)"
 
-    def instance_texts(self) -> Iterator[str]:
-        return (spec.to_text() for spec in self.specs)
+    def instances(self) -> Iterator[tuple[str, FamilySpec]]:
+        return ((spec.to_text(), spec) for spec in self.specs)
 
 
+# Every corpus yields ``(text, instance)`` pairs from ``instances()``: the
+# text is the report's ``instance`` string, the instance is decoded once.
 Corpus = ExhaustiveCorpus | Graph6Corpus | PairCorpus | FamilyCorpus
 
 
@@ -981,11 +966,15 @@ def _claim_sort_key(cid: str) -> int:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
-        return max(1, threads)
+        if threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {threads}")
+        return threads
     env = os.environ.get("IDSTAB_THREADS", "").strip()
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdigit() or int(env) < 1:
+        raise BadThreadCount(f"IDSTAB_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _outcome_to_violation(outcome: ClaimOutcome) -> dict:
@@ -998,16 +987,15 @@ def _outcome_to_violation(outcome: ClaimOutcome) -> dict:
     }
 
 
-def _audit_chunk(args: tuple[tuple[str, ...], tuple[str, ...], str]):
-    claim_ids, texts, mode = args
+def _audit_chunk(args: tuple[list[str], Iterable[tuple[str, object]], str]):
+    claim_ids, items, mode = args
     claims = [get_claim(cid) for cid in claim_ids]
     kit = _Toolkit()
     counts = {cid: [0, 0, 0] for cid in claim_ids}  # holds, violated, inapplicable
     violations: list[tuple[str, dict]] = []
     oracle_stats = {"full": 0, "partial": 0, "unavailable": 0}
-    for text in texts:
+    for text, instance in items:
         for claim in claims:
-            instance = _instance_from_text(claim.instance_kind, text)
             outcome = _evaluate(claim, instance, text, mode, kit)
             if outcome.status == HOLDS:
                 counts[claim.id][0] += 1
@@ -1020,8 +1008,8 @@ def _audit_chunk(args: tuple[tuple[str, ...], tuple[str, ...], str]):
     return counts, violations, oracle_stats
 
 
-def _chunked(items: Iterable[str], size: int) -> Iterator[tuple[str, ...]]:
-    chunk: list[str] = []
+def _chunked(items: Iterable, size: int) -> Iterator[tuple]:
+    chunk: list = []
     for item in items:
         chunk.append(item)
         if len(chunk) == size:
@@ -1041,8 +1029,15 @@ def run_audit(
 
     Claims must match the corpus kind (graph claims need an exhaustive or
     graph6 corpus, C17-C22 need pairs, the family claims need a family grid).
-    ``threads`` defaults to ``IDSTAB_THREADS`` or the available parallelism;
-    results are identical for any worker count.
+    ``threads`` defaults to ``IDSTAB_THREADS`` or the available parallelism.
+    One worker audits the whole corpus in-process with one solver cache;
+    more workers audit chunks of 256 instances in a process pool.  Either
+    way the parts are folded into one report, identical for any worker
+    count.  Each violation's ``instance`` is the corpus line as given.
+
+    Raises ``ValueError`` for a ``threads`` or ``mode`` out of range and
+    ``BadThreadCount`` when ``IDSTAB_THREADS`` is set but is not a positive
+    integer.
     """
     ids = [get_claim(cid).id for cid in claim_ids]
     if not ids:
@@ -1059,37 +1054,24 @@ def run_audit(
             )
 
     threads = _resolve_threads(threads)
+    if threads == 1:
+        parts = [_audit_chunk((ids, corpus.instances(), mode))]
+    else:
+        jobs = ((ids, chunk, mode) for chunk in _chunked(corpus.instances(), 256))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(_audit_chunk, jobs))
+
     counts = {cid: [0, 0, 0] for cid in ids}
     violations: list[tuple[str, dict]] = []
     oracle_stats = {"full": 0, "partial": 0, "unavailable": 0}
-
-    if threads == 1:
-        kit = _Toolkit()
-        claims = [get_claim(cid) for cid in ids]
-        for text in corpus.instance_texts():
-            for claim in claims:
-                instance = _instance_from_text(claim.instance_kind, text)
-                outcome = _evaluate(claim, instance, text, mode, kit)
-                if outcome.status == HOLDS:
-                    counts[claim.id][0] += 1
-                elif outcome.status == VIOLATED:
-                    counts[claim.id][1] += 1
-                    violations.append((claim.id, _outcome_to_violation(outcome)))
-                    oracle_stats[outcome.oracle_check] += 1
-                else:
-                    counts[claim.id][2] += 1
-    else:
-        id_tuple = tuple(ids)
-        jobs = ((id_tuple, chunk, mode) for chunk in _chunked(corpus.instance_texts(), 256))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part_counts, part_violations, part_oracle in pool.map(_audit_chunk, jobs):
-                for cid, (h, v, i) in part_counts.items():
-                    counts[cid][0] += h
-                    counts[cid][1] += v
-                    counts[cid][2] += i
-                violations.extend(part_violations)
-                for key, val in part_oracle.items():
-                    oracle_stats[key] += val
+    for part_counts, part_violations, part_oracle in parts:
+        for cid, (h, v, i) in part_counts.items():
+            counts[cid][0] += h
+            counts[cid][1] += v
+            counts[cid][2] += i
+        violations.extend(part_violations)
+        for key, val in part_oracle.items():
+            oracle_stats[key] += val
 
     violations.sort(key=lambda item: (_claim_sort_key(item[0]), item[1]["instance"]))
 

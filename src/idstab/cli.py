@@ -39,34 +39,30 @@ def _read_text(source: str) -> str:
         raise IdstabError(f"cannot read {source}: {exc}") from None
 
 
-def _read_graphs(source: str, fmt: str) -> list[Graph]:
+def _read_graphs(source: str, fmt: str | None) -> list[Graph]:
+    """The graphs in *source*.  With no *fmt* the format is sniffed: an
+    edge-list header starts with a digit, which is never a valid graph6 byte.
+    """
     text = _read_text(source)
+    lines = [line for line in text.splitlines() if line.strip()]
+    if fmt is None:
+        fmt = "edgelist" if lines and lines[0].strip()[0].isdigit() else "graph6"
     if fmt == "edgelist":
         return [parse_edgelist(text)]
-    graphs = [decode_graph6(line) for line in text.splitlines() if line.strip()]
+    graphs = [decode_graph6(line) for line in lines]
     if not graphs:
         raise IdstabError(f"no graphs found in {source}")
     return graphs
 
 
 def _load_operand(token: str) -> Graph:
-    """An operand is a family spec if it parses as one, otherwise a file.
-
-    File format is sniffed: an edge-list header starts with a digit, which
-    is never a valid graph6 byte.
-    """
+    """An operand is a family spec if it parses as one, otherwise a file of
+    exactly one graph in either format."""
     try:
         return generate(parse_family_spec(token))
     except SpecInvalid:
         pass
-    text = _read_text(token)
-    first = next((line.strip() for line in text.splitlines() if line.strip()), "")
-    if not first:
-        raise IdstabError(f"no graph found in {token}")
-    fmt = "edgelist" if first[0].isdigit() else "graph6"
-    graphs = [parse_edgelist(text)] if fmt == "edgelist" else [
-        decode_graph6(line) for line in text.splitlines() if line.strip()
-    ]
+    graphs = _read_graphs(token, None)
     if len(graphs) != 1:
         raise IdstabError(f"{token} holds {len(graphs)} graphs; operands must hold exactly one")
     return graphs[0]

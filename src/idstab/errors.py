@@ -61,5 +61,9 @@ class BadCorpusSource(IdstabError):
     """The corpus cannot be read, is empty, or does not fit the claims."""
 
 
+class BadThreadCount(IdstabError):
+    """``IDSTAB_THREADS`` is set to something other than a positive integer."""
+
+
 class InternalAuditError(IdstabError):
     """A violated outcome failed oracle re-verification; the audit is aborted."""

@@ -71,27 +71,11 @@ def _subset_masks(n: int, k: int):
         yield mask
 
 
-def stability(g: Graph, direction: Direction | str = Direction.ANY) -> StabilityCertificate:
-    if g.order == 0:
-        raise EmptyGraph("stability of the null graph is undefined")
-    direction = Direction(direction)
-    closed = _closed_rows(g)
-    full = g.full_mask
-    base = _gamma_i_value_in(closed, full)
-    memo: dict[int, int] = {}
-    for k in range(1, g.order + 1):
-        for mask in _subset_masks(g.order, k):
-            val = memo.get(mask)
-            if val is None:
-                val = _gamma_i_value_in(closed, full & ~mask)
-                memo[mask] = val
-            if _matches(direction, base, val):
-                return StabilityCertificate(base, direction, k, VertexSet(mask), val)
-    return StabilityCertificate(base, direction, None, None, None)
-
-
-def stability_triple(g: Graph) -> StabilityTriple:
-    """All three directions from one scan; equal to three ``stability`` calls."""
+def _scan(
+    g: Graph, directions: tuple[Direction, ...]
+) -> dict[Direction, StabilityCertificate]:
+    """One removal scan serving every requested direction; it stops as soon
+    as each direction has its witness."""
     if g.order == 0:
         raise EmptyGraph("stability of the null graph is undefined")
     closed = _closed_rows(g)
@@ -101,19 +85,28 @@ def stability_triple(g: Graph) -> StabilityTriple:
     for k in range(1, g.order + 1):
         for mask in _subset_masks(g.order, k):
             val = _gamma_i_value_in(closed, full & ~mask)
-            for direction in Direction:
-                if direction not in found and _matches(direction, base, val):
+            for direction in directions:
+                # _matches first: hashing an Enum member runs Python code
+                if _matches(direction, base, val) and direction not in found:
                     found[direction] = StabilityCertificate(
                         base, direction, k, VertexSet(mask), val
                     )
-            if len(found) == 3:
-                break
-        if len(found) == 3:
-            break
-    for direction in Direction:
-        if direction not in found:
-            found[direction] = StabilityCertificate(base, direction, None, None, None)
-    return StabilityTriple(found[Direction.ANY], found[Direction.DECREASE], found[Direction.INCREASE])
+                    if len(found) == len(directions):
+                        return found
+    return {
+        d: found.get(d) or StabilityCertificate(base, d, None, None, None) for d in directions
+    }
+
+
+def stability(g: Graph, direction: Direction | str = Direction.ANY) -> StabilityCertificate:
+    direction = Direction(direction)
+    return _scan(g, (direction,))[direction]
+
+
+def stability_triple(g: Graph) -> StabilityTriple:
+    """All three directions from one scan; equal to three ``stability`` calls."""
+    found = _scan(g, tuple(Direction))
+    return StabilityTriple(*(found[d] for d in Direction))
 
 
 def oracle_stability(g: Graph) -> tuple[int, int, int | None]:

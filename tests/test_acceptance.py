@@ -143,10 +143,9 @@ def test_criterion_06_bound_audit():
     exact_kit, oracle_kit = _Toolkit(), _OracleToolkit()
     claims = [get_claim(cid) for cid in BOUND_CLAIMS]
     checked = 0
-    for idx, g6 in enumerate(corpus.instance_texts()):
+    for idx, (g6, g) in enumerate(corpus.instances()):
         if idx % 100:
             continue
-        g = decode_graph6(g6)
         for claim in claims:
             ev = claim.evaluate(g, exact_kit, "restricted")
             if not (ev.applicable and ev.holds):

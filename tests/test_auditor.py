@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from idstab import errors
+from idstab import auditor, errors
 from idstab.auditor import (
     CLAIM_IDS,
     ExhaustiveCorpus,
@@ -138,11 +138,39 @@ class TestRunAudit:
         assert report.violation_count > 0
 
     def test_deterministic_and_parallel_equal(self):
-        corpus = ExhaustiveCorpus(4)
-        a = run_audit(["C2", "C6", "C26"], corpus, threads=1)
-        b = run_audit(["C2", "C6", "C26"], corpus, threads=1)
-        c = run_audit(["C2", "C6", "C26"], corpus, threads=2)
-        assert a.to_json() == b.to_json() == c.to_json()
+        cases = [
+            (["C2", "C6", "C26"], ExhaustiveCorpus(4)),
+            (None, PairCorpus(ExhaustiveCorpus(2))),
+            (None, FamilyCorpus.default_grid(5)),
+            # a header line and a long order prefix must reach the report as given
+            (None, Graph6Corpus((">>graph6<<C^", "~??D~{"))),
+        ]
+        for claims, corpus in cases:
+            if claims is None:
+                claims = [c.id for c in claim_registry() if c.instance_kind == corpus.kind()]
+            a = run_audit(claims, corpus, threads=1)
+            b = run_audit(claims, corpus, threads=1)
+            c = run_audit(claims, corpus, threads=2)
+            assert a.to_json() == b.to_json() == c.to_json()
+            lines = {text for text, _ in corpus.instances()}
+            found = {v["instance"] for block in a.claims for v in block["violations"]}
+            assert found <= lines, corpus.describe()
+        assert found == {">>graph6<<C^", "~??D~{"}  # the last case: C8 and C9 fail there
+
+    def test_each_instance_decoded_once(self, monkeypatch):
+        texts = tuple(encode_graph6(g) for n in (1, 2, 3, 4) for g in enumerate_labeled_graphs(n))
+        calls = []
+        real = auditor.decode_graph6
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(auditor, "decode_graph6", counting)
+        claims = [c.id for c in claim_registry() if c.instance_kind == "graph"]
+        assert len(claims) == 14
+        run_audit(claims, Graph6Corpus(texts), threads=1)
+        assert len(calls) == len(texts)
 
     def test_threads_env_var(self, monkeypatch):
         monkeypatch.setenv("IDSTAB_THREADS", "2")
@@ -150,6 +178,17 @@ class TestRunAudit:
         monkeypatch.setenv("IDSTAB_THREADS", "1")
         b = run_audit(["C26"], ExhaustiveCorpus(3))
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_bad_threads_env_var(self, monkeypatch, value):
+        monkeypatch.setenv("IDSTAB_THREADS", value)
+        with pytest.raises(errors.BadThreadCount):
+            run_audit(["C26"], ExhaustiveCorpus(2))
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_bad_threads_argument(self, threads):
+        with pytest.raises(ValueError):
+            run_audit(["C26"], ExhaustiveCorpus(2), threads=threads)
 
     def test_report_schema(self, tmp_path):
         report = run_audit(["C18"], PairCorpus(ExhaustiveCorpus(2)), threads=1)

@@ -127,6 +127,13 @@ class TestOp:
         assert code == 0
         assert decode_graph6(out.strip()).edge_count == 6  # K4
 
+    @pytest.mark.parametrize("content", ["", "\n  \n", "A_\nBw\n"])
+    def test_operand_must_hold_one_graph(self, capsys, tmp_path, content):
+        f = tmp_path / "operand.g6"
+        f.write_text(content)
+        code, _, err = run(capsys, "op", "join", str(f), "path:2")
+        assert code == 2 and "error" in err
+
 
 class TestTable:
     def test_paths_table(self, capsys):
@@ -187,6 +194,12 @@ class TestAudit:
     def test_kind_mismatch_is_usage_error(self, capsys):
         code, _, err = run(capsys, "audit", "--claims", "C17", "--exhaustive-n", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("IDSTAB_THREADS", value)
+        code, _, err = run(capsys, "audit", "--claims", "C26", "--exhaustive-n", "2")
+        assert code == 2 and "IDSTAB_THREADS" in err
 
 
 def test_usage_error_exit_code():
