@@ -813,7 +813,7 @@ class ExhaustiveCorpus:
     def instances(self) -> Iterator[tuple[str, Graph]]:
         if not 1 <= self.n_max <= MAX_ENUMERATION_ORDER:
             raise CorpusTooLarge(
-                f"exhaustive corpora support n_max <= {MAX_ENUMERATION_ORDER}"
+                f"exhaustive corpora need 1 <= n_max <= {MAX_ENUMERATION_ORDER}, got {self.n_max}"
             )
         for n in range(1, self.n_max + 1):
             for g in enumerate_labeled_graphs(n):

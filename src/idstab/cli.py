@@ -131,6 +131,8 @@ def _cmd_op(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     kind = "path" if args.family == "paths" else "cycle"
     start = 2 if kind == "path" else 3
+    if args.max_n < start:
+        raise IdstabError(f"{args.family} start at n = {start}; --max-n {args.max_n} is below it")
     print("n\tst_id")
     for n in range(start, args.max_n + 1):
         spec = parse_family_spec(f"{kind}:{n}")

@@ -88,6 +88,37 @@ def _ids_min(closed: list[int], comp: int) -> int:
     return best
 
 
+def _ids_of_size(closed: list[int], universe: int, k: int, limit: int) -> list[int]:
+    """Up to ``limit`` independent dominating sets of size ``k`` within ``universe``.
+
+    ``k`` must be the minimum size.  The search is ``_ids_min``'s branching
+    rule, whose sibling bans find each set once, and its covering bound with
+    ``k`` as the bound, over the whole universe rather than one block.  All
+    of the sets are returned when there are at most ``limit``.
+    """
+    cap = _cover_cap(closed, universe)
+    found: list[int] = []
+
+    def rec(covered: int, excluded: int, chosen: int, size: int) -> None:
+        uncovered = universe & ~covered
+        if not uncovered:
+            found.append(chosen)
+            return
+        if size + -(-uncovered.bit_count() // cap) > k:
+            return
+        v = (uncovered & -uncovered).bit_length() - 1
+        cands = closed[v] & uncovered & ~excluded
+        ban = 0
+        while cands and len(found) < limit:
+            low = cands & -cands
+            cands ^= low
+            rec(covered | closed[low.bit_length() - 1], excluded | ban, chosen | low, size + 1)
+            ban |= low
+
+    rec(0, 0, 0, 0)
+    return found
+
+
 def _lexmin_ids(closed: list[int], comp: int, k: int) -> int:
     """Lexicographically first independent dominating set of size k on a block."""
     cap = _cover_cap(closed, comp)

@@ -217,6 +217,8 @@ class TestRunAudit:
     def test_corpus_caps(self):
         with pytest.raises(errors.CorpusTooLarge):
             run_audit(["C2"], ExhaustiveCorpus(8), threads=1)
+        with pytest.raises(errors.CorpusTooLarge, match=r"1 <= n_max <= 7, got 0"):
+            run_audit(["C2"], ExhaustiveCorpus(0), threads=1)
         with pytest.raises(errors.CorpusTooLarge):
             run_audit(["C17"], PairCorpus(ExhaustiveCorpus(5)), threads=1)
 

@@ -153,6 +153,18 @@ class TestTable:
         _, out2, _ = run(capsys, "table", "paths", "--max-n", "12")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "family,max_n", [("paths", "-3"), ("paths", "1"), ("cycles", "2"), ("cycles", "0")]
+    )
+    def test_max_n_below_first_order_is_usage_error(self, capsys, family, max_n):
+        code, out, err = run(capsys, "table", family, "--max-n", max_n)
+        assert code == 2 and out == ""
+        assert f"--max-n {max_n}" in err
+
+    def test_max_n_at_first_order(self, capsys):
+        assert run(capsys, "table", "paths", "--max-n", "2")[1] == "n\tst_id\n2\t2\n"
+        assert run(capsys, "table", "cycles", "--max-n", "3")[1] == "n\tst_id\n3\t3\n"
+
 
 class TestAudit:
     def test_violations_exit_1_and_report(self, capsys, tmp_path):
@@ -190,6 +202,12 @@ class TestAudit:
     def test_pairs_with_family_rejected(self, capsys):
         code, _, err = run(capsys, "audit", "--claims", "C23", "--family-max", "4", "--pairs")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-2", "8"])
+    def test_bad_exhaustive_order_names_range(self, capsys, value):
+        code, _, err = run(capsys, "audit", "--claims", "C26", "--exhaustive-n", value)
+        assert code == 2
+        assert f"1 <= n_max <= 7, got {value}" in err
 
     def test_kind_mismatch_is_usage_error(self, capsys):
         code, _, err = run(capsys, "audit", "--claims", "C17", "--exhaustive-n", "3")

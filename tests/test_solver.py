@@ -13,6 +13,8 @@ from idstab.families import (
 )
 from idstab.ops import disjoint_union
 from idstab.solver import (
+    _closed_rows,
+    _ids_of_size,
     alpha,
     alpha_value,
     enumerate_maximal_independent_sets,
@@ -183,6 +185,27 @@ class TestEnumerateMIS:
             ]
             assert sorted(s.mask for s in seen) == expected
             assert len({s.mask for s in seen}) == len(seen)  # no duplicates
+
+
+class TestMinimumIdsFamily:
+    def test_matches_subset_filter(self):
+        for g in all_graphs(5):
+            k = gamma_i_value(g)
+            found = _ids_of_size(_closed_rows(g), g.full_mask, k, 1 << g.order)
+            expected = [
+                m
+                for m in range(1 << g.order)
+                if m.bit_count() == k and classify_set(g, VertexSet(m)).maximal_independent
+            ]
+            assert sorted(found) == expected
+            assert len(set(found)) == len(found)  # no duplicates
+
+    def test_limit_keeps_a_prefix(self):
+        g = disjoint_union(path(2), disjoint_union(path(2), path(2)))  # 8 gamma_i-sets
+        closed = _closed_rows(g)
+        every = _ids_of_size(closed, g.full_mask, 3, 100)
+        assert len(every) == 8
+        assert _ids_of_size(closed, g.full_mask, 3, 5) == every[:5]
 
 
 class TestMaxInducedStar:

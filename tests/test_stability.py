@@ -1,17 +1,41 @@
+import importlib
+import random
+from itertools import combinations
+
 import pytest
 
 from idstab import VertexSet, delete_vertices, errors
-from idstab.families import book, complete, complete_bipartite, cycle, empty, path
+from idstab.codec import decode_graph6
+from idstab.families import (
+    book,
+    complete,
+    complete_bipartite,
+    cycle,
+    empty,
+    friendship,
+    path,
+)
 from idstab.ops import disjoint_union
 from idstab.solver import gamma_i_value
 from idstab.stability import (
     Direction,
+    StabilityCertificate,
+    _hitting_masks,
     oracle_stability,
     stability,
     stability_triple,
 )
 
 from conftest import all_graphs, random_graph
+
+# the package rebinds ``idstab.stability`` to the function
+stability_module = importlib.import_module("idstab.stability")
+
+_CHANGES = {
+    Direction.ANY: lambda base, val: val != base,
+    Direction.DECREASE: lambda base, val: val < base,
+    Direction.INCREASE: lambda base, val: val > base,
+}
 
 
 class TestStabilityExamples:
@@ -127,10 +151,36 @@ def _triple_values(g):
     )
 
 
+def _assert_agrees_with_oracle(g):
+    expected = oracle_stability(g)
+    assert _triple_values(g) == expected
+    assert tuple(stability(g, d).value for d in Direction) == expected
+
+
+def _unpruned_certificate(g, direction):
+    """Every k-subset in lexicographic order, nothing skipped."""
+    base = gamma_i_value(g)
+    for k in range(1, g.order + 1):
+        for combo in combinations(range(g.order), k):
+            sub, _ = delete_vertices(g, VertexSet.of(combo))
+            val = gamma_i_value(sub)
+            if _CHANGES[direction](base, val):
+                return StabilityCertificate(base, direction, k, VertexSet.of(combo), val)
+    return StabilityCertificate(base, direction, None, None, None)
+
+
+def _assert_seeded_certificates_unpruned():
+    rng = random.Random(0x5CA9)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(7, 11))
+        for direction in Direction:
+            assert stability(g, direction) == _unpruned_certificate(g, direction)
+
+
 class TestAgreementWithOracle:
     def test_exhaustive_order_4(self):
         for g in all_graphs(4):
-            assert _triple_values(g) == oracle_stability(g)
+            _assert_agrees_with_oracle(g)
 
     def test_random_up_to_order_8(self, rng):
         for _ in range(30):
@@ -140,7 +190,45 @@ class TestAgreementWithOracle:
     @pytest.mark.slow
     def test_exhaustive_order_6(self):
         for g in all_graphs(6):
-            assert _triple_values(g) == oracle_stability(g)
+            _assert_agrees_with_oracle(g)
+
+
+class TestPruningRules:
+    def test_seeded_certificates_match_unpruned_scan(self):
+        _assert_seeded_certificates_unpruned()
+
+    def test_partial_family_is_sound(self, monkeypatch):
+        # one known gamma_i-set prunes less but must skip nothing that matches
+        monkeypatch.setattr(stability_module, "GAMMA_I_FAMILY_CAP", 1)
+        _assert_seeded_certificates_unpruned()
+
+    def test_hitting_masks_filter_subset_order(self):
+        family = [0b000110, 0b101000, 0b010011]
+        meets = [0] * 6
+        for i, d in enumerate(family):
+            for v in VertexSet(d):
+                meets[v] |= 1 << i
+        for k in range(1, 7):
+            expected = [
+                m
+                for m in stability_module._subset_masks(6, k)
+                if all(m & d for d in family)
+            ]
+            assert list(_hitting_masks(6, k, meets)) == expected
+
+    def test_decrease_from_gamma_i_one_removes_everything(self):
+        for g in (complete(4), friendship(3), complete_bipartite(1, 5)):
+            cert = stability(g, Direction.DECREASE)
+            assert cert.base_gamma_i == 1
+            assert cert.value == g.order and cert.new_gamma_i == 0
+
+    def test_pinned_g24_increase(self):
+        # the full scan solves about 1.3M removals here; the witness is the one it returns
+        g = decode_graph6("W^h~JUyqmJ[b~ahPd]wMUMn_{JEd~QGb]GiPZc{UYAdi^Ep")
+        cert = stability(g, Direction.INCREASE)
+        assert cert.value == 9
+        assert cert.witness.members() == (0, 1, 2, 3, 5, 9, 10, 13, 18)
+        assert (cert.base_gamma_i, cert.new_gamma_i) == (3, 4)
 
 
 class TestInvariants:
