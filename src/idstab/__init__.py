@@ -43,6 +43,7 @@ from .core import (
 )
 from .families import FamilySpec, generate, parse_family_spec
 from .ops import cartesian, corona, disjoint_union, join, lexicographic
+from .oracles import oracle_gamma_i, oracle_stability
 from .solver import (
     GammaCertificate,
     alpha,
@@ -53,13 +54,11 @@ from .solver import (
     gamma_i_value,
     gamma_value,
     max_induced_star,
-    oracle_gamma_i,
 )
 from .stability import (
     Direction,
     StabilityCertificate,
     StabilityTriple,
-    oracle_stability,
     stability,
     stability_triple,
 )

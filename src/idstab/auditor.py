@@ -12,9 +12,10 @@ claim's ``restricted_note``) so a run can distinguish "false as stated"
 from "false in spirit".
 
 ``run_audit`` sweeps claims over a corpus.  Every violated outcome is
-re-verified with the subset-enumeration oracles; when an instance is too
-large for the full stability oracle the recorded gamma_i facts of the
-certificate are re-checked instead and the outcome is marked "partial".
+re-verified with the definition-direct oracles of ``oracles``; when an
+instance is too large for the full stability oracle the recorded gamma_i
+facts of the certificate are re-checked instead and the outcome is marked
+"partial".
 Any oracle disagreement aborts the audit with ``InternalAuditError``.
 Reports are deterministic: for a fixed corpus, claim set and mode the JSON
 text is byte-identical across runs and worker counts.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from . import solver, stability
+from . import oracles, solver, stability
 from .codec import decode_graph6, encode_graph6
 from .core import (
     Graph,
@@ -120,41 +121,6 @@ class _Toolkit:
         return self._star[g]
 
 
-def _brute_gamma(g: Graph) -> int:
-    """Minimum dominating set size by scanning all subsets (order <= 20)."""
-    if g.order > solver.ORACLE_MAX_ORDER:
-        raise TooLargeForOracle(f"domination oracle handles order <= {solver.ORACLE_MAX_ORDER}")
-    closed = [row | (1 << v) for v, row in enumerate(g.adj)]
-    full = g.full_mask
-    best = g.order
-    for mask in range(1, 1 << g.order):
-        if mask.bit_count() >= best:
-            continue
-        acc = 0
-        for v in iter_bits(mask):
-            acc |= closed[v]
-        if acc == full:
-            best = mask.bit_count()
-    return best
-
-
-def _brute_max_star(g: Graph) -> int:
-    """Largest induced star by scanning neighborhood subsets (order <= 20)."""
-    if g.order > solver.ORACLE_MAX_ORDER:
-        raise TooLargeForOracle(f"induced-star oracle handles order <= {solver.ORACLE_MAX_ORDER}")
-    best = 0
-    for v in range(g.order):
-        nb = g.adj[v]
-        sub = nb
-        while True:
-            if sub.bit_count() > best and all(g.adj[u] & sub == 0 for u in iter_bits(sub)):
-                best = sub.bit_count()
-            if sub == 0:
-                break
-            sub = (sub - 1) & nb
-    return best
-
-
 class _OracleToolkit:
     """The same evaluators, rebuilt on the definition-direct oracles."""
 
@@ -166,19 +132,19 @@ class _OracleToolkit:
 
     def gamma_i(self, g: Graph) -> int:
         if g not in self._gi:
-            self._gi[g] = solver.oracle_gamma_i(g)
+            self._gi[g] = oracles.oracle_gamma_i(g)
         return self._gi[g]
 
     def st_any(self, g: Graph) -> int:
         if g not in self._st:
-            self._st[g] = stability.oracle_stability(g)[0]
+            self._st[g] = oracles.oracle_stability(g)[0]
         return self._st[g]
 
     def gamma(self, g: Graph) -> int:
-        return _brute_gamma(g)
+        return oracles._brute_gamma(g)
 
     def max_star(self, g: Graph) -> int:
-        return _brute_max_star(g)
+        return oracles._brute_max_star(g)
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +728,8 @@ def _verify_violation(claim: Claim, instance, ev: _Eval, mode: str) -> str:
     checked = 0
     for g6, expected in (ev.cert or {}).get("gamma_i_checks", []):
         g = decode_graph6(g6)
-        if g.order <= solver.ORACLE_MAX_ORDER:
-            got = solver.oracle_gamma_i(g)
+        if g.order <= oracles.ORACLE_MAX_ORDER:
+            got = oracles.oracle_gamma_i(g)
             if got != expected:
                 raise InternalAuditError(
                     f"{claim.id} certificate failed oracle re-verification: "

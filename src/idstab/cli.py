@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import auditor, ops
 from .codec import decode_graph6, emit_edgelist, encode_graph6, parse_edgelist
-from .core import Graph
+from .core import MAX_ORDER, Graph
 from .errors import IdstabError, InternalAuditError, SpecInvalid
 from .families import generate, parse_family_spec
 from .solver import alpha, gamma, gamma_i
@@ -133,6 +133,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     start = 2 if kind == "path" else 3
     if args.max_n < start:
         raise IdstabError(f"{args.family} start at n = {start}; --max-n {args.max_n} is below it")
+    if args.max_n > MAX_ORDER:
+        raise IdstabError(f"--max-n {args.max_n} exceeds the {MAX_ORDER}-vertex cap")
     print("n\tst_id")
     for n in range(start, args.max_n + 1):
         spec = parse_family_spec(f"{kind}:{n}")

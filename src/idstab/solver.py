@@ -8,9 +8,9 @@ is banned in the later sibling branches, so no solution is visited twice.
 The prune is the standard covering bound: a new pick can dominate at most
 max-degree + 1 vertices.
 
-``oracle_gamma_i`` deliberately shares nothing with the branch-and-bound
-path except the ``Graph`` type and ``classify_set``: it filters all 2^n
-subsets, so disagreement between the two is always a bug worth keeping.
+``oracle_gamma_i`` and ``ORACLE_MAX_ORDER`` are re-exported from
+``oracles``, which shares no code with these searches beyond the ``Graph``
+type: disagreement between the two is always a bug worth keeping.
 
 Optimal witnesses are tie-broken to the lexicographically smallest set (by
 sorted member list), found by a second, ascending-member search once the
@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, VertexSet, classify_set, iter_bits
-from .errors import EmptyGraph, TooLargeForOracle
-
-ORACLE_MAX_ORDER = 20
+from .core import Graph, VertexSet, iter_bits
+from .errors import EmptyGraph
+from .oracles import ORACLE_MAX_ORDER, oracle_gamma_i  # re-exported
 
 
 @dataclass(frozen=True)
@@ -321,26 +320,6 @@ def alpha(g: Graph) -> GammaCertificate:
         value += k
         witness |= _lexmin_alpha(g.adj, comp, k)
     return GammaCertificate("independence", value, VertexSet(witness))
-
-
-def oracle_gamma_i(g: Graph) -> int:
-    """Independent domination number by filtering every subset.
-
-    Shares only ``Graph`` and ``classify_set`` with the branch-and-bound
-    solver, so it can referee it.  Guarded to 20 vertices.
-    """
-    if g.order == 0:
-        return 0
-    if g.order > ORACLE_MAX_ORDER:
-        raise TooLargeForOracle(f"oracle handles order <= {ORACLE_MAX_ORDER}, got {g.order}")
-    best = None
-    for mask in range(1 << g.order):
-        if best is not None and mask.bit_count() >= best:
-            continue
-        if classify_set(g, VertexSet(mask)).maximal_independent:
-            best = mask.bit_count()
-    assert best is not None
-    return best
 
 
 def enumerate_maximal_independent_sets(g: Graph):

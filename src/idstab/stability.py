@@ -9,6 +9,10 @@ which makes the "any" and "decrease" directions total; "increase" can be
 genuinely undefined (complete graphs) and is reported as such, never as a
 sentinel number.
 
+``oracle_stability`` and ``ORACLE_STABILITY_MAX_ORDER`` are re-exported from
+``oracles``: the referee reads every removal's gamma_i off a sieve over
+vertex masks and shares no code with this scan.
+
 Two rules let the scan skip subsets that cannot match.  Each skips only
 such subsets and keeps the order of the rest, so every witness is the one
 the full scan would return.
@@ -32,11 +36,11 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .core import Graph, VertexSet, delete_vertices, iter_bits
-from .errors import EmptyGraph, TooLargeForOracle
-from .solver import _closed_rows, _gamma_i_value_in, _ids_of_size, oracle_gamma_i
+from .core import Graph, VertexSet, iter_bits
+from .errors import EmptyGraph
+from .oracles import ORACLE_STABILITY_MAX_ORDER, oracle_stability  # re-exported
+from .solver import _closed_rows, _gamma_i_value_in, _ids_of_size
 
-ORACLE_STABILITY_MAX_ORDER = 12
 GAMMA_I_FAMILY_CAP = 4096  # gamma_i-sets kept for the transversal rule
 
 
@@ -164,34 +168,3 @@ def stability_triple(g: Graph) -> StabilityTriple:
     """All three directions from one scan; equal to three ``stability`` calls."""
     found = _scan(g, tuple(Direction))
     return StabilityTriple(*(found[d] for d in Direction))
-
-
-def oracle_stability(g: Graph) -> tuple[int, int, int | None]:
-    """(st_any, st_decrease, st_increase-or-None) by scanning every subset.
-
-    Every removal is evaluated with ``oracle_gamma_i`` on a freshly built
-    subgraph; nothing is pruned or shared with ``stability``.  Guarded to 12
-    vertices.
-    """
-    if g.order == 0:
-        raise EmptyGraph("stability of the null graph is undefined")
-    if g.order > ORACLE_STABILITY_MAX_ORDER:
-        raise TooLargeForOracle(
-            f"stability oracle handles order <= {ORACLE_STABILITY_MAX_ORDER}, got {g.order}"
-        )
-    base = oracle_gamma_i(g)
-    st_any: int | None = None
-    st_down: int | None = None
-    st_up: int | None = None
-    for mask in range(1, 1 << g.order):
-        sub, _ = delete_vertices(g, VertexSet(mask))
-        val = oracle_gamma_i(sub)
-        k = mask.bit_count()
-        if val != base and (st_any is None or k < st_any):
-            st_any = k
-        if val < base and (st_down is None or k < st_down):
-            st_down = k
-        if val > base and (st_up is None or k < st_up):
-            st_up = k
-    assert st_any is not None and st_down is not None
-    return st_any, st_down, st_up

@@ -161,6 +161,12 @@ class TestTable:
         assert code == 2 and out == ""
         assert f"--max-n {max_n}" in err
 
+    @pytest.mark.parametrize("family", ["paths", "cycles"])
+    def test_max_n_above_order_cap_is_usage_error(self, capsys, family):
+        code, out, err = run(capsys, "table", family, "--max-n", "66")
+        assert code == 2 and out == ""
+        assert "--max-n 66" in err
+
     def test_max_n_at_first_order(self, capsys):
         assert run(capsys, "table", "paths", "--max-n", "2")[1] == "n\tst_id\n2\t2\n"
         assert run(capsys, "table", "cycles", "--max-n", "3")[1] == "n\tst_id\n3\t3\n"
