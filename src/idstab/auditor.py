@@ -11,11 +11,12 @@ hypothesis of each claim; ``restricted`` adds documented guards (see each
 claim's ``restricted_note``) so a run can distinguish "false as stated"
 from "false in spirit".
 
-``run_audit`` sweeps claims over a corpus.  Every violated outcome is
-re-verified with the definition-direct oracles of ``oracles``; when an
-instance is too large for the full stability oracle the recorded gamma_i
-facts of the certificate are re-checked instead and the outcome is marked
-"partial".
+``run_audit`` sweeps claims over a corpus.  Each claim evaluator returns
+its two sides and a deferred certificate builder; the builder runs once,
+and only for a violated outcome.  Every violation is re-verified with the
+definition-direct oracles of ``oracles``; when an instance is too large for
+the full stability oracle the recorded gamma_i facts of the certificate are
+re-checked instead and the outcome is marked "partial".
 Any oracle disagreement aborts the audit with ``InternalAuditError``.
 Reports are deterministic: for a fixed corpus, claim set and mode the JSON
 text is byte-identical across runs and worker counts.
@@ -33,6 +34,7 @@ from typing import Callable, Iterable, Iterator
 from . import oracles, solver, stability
 from .codec import decode_graph6, encode_graph6
 from .core import (
+    MAX_ORDER,
     Graph,
     VertexSet,
     build_graph,
@@ -52,7 +54,7 @@ from .errors import (
     TooLargeForOracle,
     UnknownClaim,
 )
-from .families import FamilySpec, generate
+from .families import FamilySpec, family_order, generate
 from .ops import corona, join, lexicographic
 
 GRAPH, PAIR, FAMILY = "graph", "pair", "family"
@@ -89,8 +91,6 @@ class _Toolkit:
     C5 and C16 cheap over exhaustive corpora.
     """
 
-    is_oracle = False
-
     def __init__(self) -> None:
         self._gi: dict[Graph, int] = {}
         self._st: dict[Graph, stability.StabilityCertificate] = {}
@@ -124,8 +124,6 @@ class _Toolkit:
 class _OracleToolkit:
     """The same evaluators, rebuilt on the definition-direct oracles."""
 
-    is_oracle = True
-
     def __init__(self) -> None:
         self._gi: dict[Graph, int] = {}
         self._st: dict[Graph, int] = {}
@@ -158,7 +156,7 @@ class _Eval:
     holds: bool = True
     lhs: object = None
     rhs: object = None
-    cert: dict | None = None
+    cert: Callable[[], dict] | None = None  # builds the violation certificate
 
 
 _NA = _Eval(False)
@@ -168,7 +166,7 @@ def _is_isolate_free(g: Graph) -> bool:
     return g.order > 0 and all(g.adj)
 
 
-def _st_payload(kit, g: Graph, extra: dict | None = None) -> dict:
+def _st_payload(kit, g: Graph, **extra) -> dict:
     """Violation certificate for a stability fact: the removal witness plus
     gamma_i values an oracle can re-check even when the full stability oracle
     cannot run."""
@@ -183,12 +181,11 @@ def _st_payload(kit, g: Graph, extra: dict | None = None) -> dict:
             [encode_graph6(sub), c.new_gamma_i],
         ],
     }
-    if extra:
-        payload.update(extra)
+    payload.update(extra)
     return payload
 
 
-def _gi_payload(kit, g: Graph, label: str = "graph") -> dict:
+def _gi_payload(g: Graph, label: str = "graph") -> dict:
     cert = solver.gamma_i(g)
     return {
         f"{label}_gamma_i_witness": list(cert.witness.members()),
@@ -203,16 +200,13 @@ def _c1(spec: FamilySpec, kit, mode: str) -> _Eval:
     g = generate(spec)
     lhs = kit.gamma_i(g)
     rhs = (n + 2) // 3
-    cert = None if lhs == rhs or kit.is_oracle else _gi_payload(kit, g)
-    return _Eval(True, lhs == rhs, lhs, rhs, cert)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(g))
 
 
 def _c2(g: Graph, kit, mode: str) -> _Eval:
     lhs = kit.st_any(g)
     rhs = degree_stats(g).min_degree + 1
-    ok = lhs <= rhs
-    cert = None if ok or kit.is_oracle else _st_payload(kit, g)
-    return _Eval(True, ok, lhs, rhs, cert)
+    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g))
 
 
 def _c3(spec: FamilySpec, kit, mode: str) -> _Eval:
@@ -222,8 +216,7 @@ def _c3(spec: FamilySpec, kit, mode: str) -> _Eval:
     g = generate(spec)
     lhs = kit.st_any(g)
     rhs = 2 if n % 3 == 2 else 1
-    cert = None if lhs == rhs or kit.is_oracle else _st_payload(kit, g)
-    return _Eval(True, lhs == rhs, lhs, rhs, cert)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _st_payload(kit, g))
 
 
 def _c4(spec: FamilySpec, kit, mode: str) -> _Eval:
@@ -233,8 +226,7 @@ def _c4(spec: FamilySpec, kit, mode: str) -> _Eval:
     g = generate(spec)
     lhs = kit.st_any(g)
     rhs = {0: 3, 1: 1, 2: 2}[n % 3]
-    cert = None if lhs == rhs or kit.is_oracle else _st_payload(kit, g)
-    return _Eval(True, lhs == rhs, lhs, rhs, cert)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _st_payload(kit, g))
 
 
 def _c5(g: Graph, kit, mode: str) -> _Eval:
@@ -246,12 +238,12 @@ def _c5(g: Graph, kit, mode: str) -> _Eval:
         sub, _ = delete_vertices(g, VertexSet(1 << v))
         per_vertex.append(kit.st_any(sub))
     rhs = min(per_vertex) + 1
-    ok = lhs <= rhs
-    cert = None
-    if not ok and not kit.is_oracle:
+
+    def cert() -> dict:
         bad = per_vertex.index(min(per_vertex))
-        cert = _st_payload(kit, g, {"deleted_vertex": bad, "st_after_deletion": per_vertex[bad]})
-    return _Eval(True, ok, lhs, rhs, cert)
+        return _st_payload(kit, g, deleted_vertex=bad, st_after_deletion=per_vertex[bad])
+
+    return _Eval(True, lhs <= rhs, lhs, rhs, cert)
 
 
 def _c6(g: Graph, kit, mode: str) -> _Eval:
@@ -259,9 +251,7 @@ def _c6(g: Graph, kit, mode: str) -> _Eval:
         return _NA
     lhs = kit.st_any(g)
     rhs = g.order - 1
-    ok = lhs <= rhs
-    cert = None if ok or kit.is_oracle else _st_payload(kit, g)
-    return _Eval(True, ok, lhs, rhs, cert)
+    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g))
 
 
 def _c7(g: Graph, kit, mode: str) -> _Eval:
@@ -272,9 +262,7 @@ def _c7(g: Graph, kit, mode: str) -> _Eval:
         return _NA
     lhs = kit.st_any(g)
     rhs = g.order - t
-    ok = lhs <= rhs
-    cert = None if ok or kit.is_oracle else _st_payload(kit, g, {"induced_star": t})
-    return _Eval(True, ok, lhs, rhs, cert)
+    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g, induced_star=t))
 
 
 def _c8(g: Graph, kit, mode: str) -> _Eval:
@@ -282,9 +270,7 @@ def _c8(g: Graph, kit, mode: str) -> _Eval:
         return _NA
     lhs = kit.st_any(g)
     rhs = g.order - degree_stats(g).max_degree
-    ok = lhs <= rhs
-    cert = None if ok or kit.is_oracle else _st_payload(kit, g)
-    return _Eval(True, ok, lhs, rhs, cert)
+    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g))
 
 
 def _c9(g: Graph, kit, mode: str) -> _Eval:
@@ -293,10 +279,9 @@ def _c9(g: Graph, kit, mode: str) -> _Eval:
     if mode == RESTRICTED and not _is_isolate_free(g):
         return _NA
     lhs = kit.st_any(g)
-    rhs = g.order + 1 - 2 * kit.gamma_i(g)
-    ok = lhs <= rhs
-    cert = None if ok or kit.is_oracle else _st_payload(kit, g, {"gamma_i": kit.gamma_i(g)})
-    return _Eval(True, ok, lhs, rhs, cert)
+    gi = kit.gamma_i(g)
+    rhs = g.order + 1 - 2 * gi
+    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g, gamma_i=gi))
 
 
 def _c10(g: Graph, kit, mode: str) -> _Eval:
@@ -307,12 +292,13 @@ def _c10(g: Graph, kit, mode: str) -> _Eval:
     if kit.st_any(g) != g.order - 1:
         return _NA
     lhs = kit.gamma_i(g)
-    ok = lhs == 1
-    cert = None
-    if not ok and not kit.is_oracle:
-        cert = _st_payload(kit, g)
-        cert["gamma_i_checks"].append([encode_graph6(g), lhs])
-    return _Eval(True, ok, lhs, 1, cert)
+
+    def cert() -> dict:
+        payload = _st_payload(kit, g)
+        payload["gamma_i_checks"].append([encode_graph6(g), lhs])
+        return payload
+
+    return _Eval(True, lhs == 1, lhs, 1, cert)
 
 
 def _c11(g: Graph, kit, mode: str) -> _Eval:
@@ -322,8 +308,7 @@ def _c11(g: Graph, kit, mode: str) -> _Eval:
     lhs = kit.st_any(g)
     ok = lhs * gi <= g.order
     rhs = g.order / gi
-    cert = None if ok or kit.is_oracle else _st_payload(kit, g, {"gamma_i": gi})
-    return _Eval(True, ok, lhs, rhs, cert)
+    return _Eval(True, ok, lhs, rhs, lambda: _st_payload(kit, g, gamma_i=gi))
 
 
 def _c12(g: Graph, kit, mode: str) -> _Eval:
@@ -332,12 +317,7 @@ def _c12(g: Graph, kit, mode: str) -> _Eval:
     dom = kit.gamma(g)
     lhs = kit.gamma_i(g)
     rhs = g.order + 2 - dom - -(-g.order // dom)
-    ok = lhs <= rhs
-    cert = None
-    if not ok and not kit.is_oracle:
-        cert = _gi_payload(kit, g)
-        cert["gamma"] = dom
-    return _Eval(True, ok, lhs, rhs, cert)
+    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: {**_gi_payload(g), "gamma": dom})
 
 
 def _c13(g: Graph, kit, mode: str) -> _Eval:
@@ -346,10 +326,9 @@ def _c13(g: Graph, kit, mode: str) -> _Eval:
     lhs = kit.gamma(g)
     ok = 2 * lhs <= g.order
     rhs = g.order / 2
-    cert = None
-    if not ok and not kit.is_oracle:
-        cert = {"gamma_witness": list(solver.gamma(g).witness.members())}
-    return _Eval(True, ok, lhs, rhs, cert)
+    return _Eval(
+        True, ok, lhs, rhs, lambda: {"gamma_witness": list(solver.gamma(g).witness.members())}
+    )
 
 
 def _c14(g: Graph, kit, mode: str) -> _Eval:
@@ -361,10 +340,9 @@ def _c14(g: Graph, kit, mode: str) -> _Eval:
     st = kit.st_any(g)
     lo, hi = g.order - gi, g.order - 2
     ok = not (lo <= st <= hi)
-    cert = None
-    if not ok and not kit.is_oracle:
-        cert = _st_payload(kit, g, {"gamma_i": gi, "matched_k": g.order - st})
-    return _Eval(True, ok, st, [lo, hi], cert)
+    return _Eval(
+        True, ok, st, [lo, hi], lambda: _st_payload(kit, g, gamma_i=gi, matched_k=g.order - st)
+    )
 
 
 def _c15(g: Graph, kit, mode: str) -> _Eval:
@@ -374,9 +352,7 @@ def _c15(g: Graph, kit, mode: str) -> _Eval:
     lhs = kit.st_any(g)
     d = degree_stats(g).min_degree
     rhs = min(d + 1, g.order - d - 1)
-    ok = lhs <= rhs
-    cert = None if ok or kit.is_oracle else _st_payload(kit, g, {"gamma_i": gi})
-    return _Eval(True, ok, lhs, rhs, cert)
+    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g, gamma_i=gi))
 
 
 def _c16(g: Graph, kit, mode: str) -> _Eval:
@@ -389,14 +365,14 @@ def _c16(g: Graph, kit, mode: str) -> _Eval:
         rhs = g.order + 1
     else:
         rhs = g.order if g.order % 2 == 0 else g.order - 1
-    ok = lhs <= rhs
-    cert = None
-    if not ok and not kit.is_oracle:
-        cert = _st_payload(kit, g)
-        cocert = _st_payload(kit, cg)
-        cert["complement_st_witness"] = cocert["st_witness"]
-        cert["gamma_i_checks"] += cocert["gamma_i_checks"]
-    return _Eval(True, ok, lhs, rhs, cert)
+
+    def cert() -> dict:
+        payload, copayload = _st_payload(kit, g), _st_payload(kit, cg)
+        payload["complement_st_witness"] = copayload["st_witness"]
+        payload["gamma_i_checks"] += copayload["gamma_i_checks"]
+        return payload
+
+    return _Eval(True, lhs <= rhs, lhs, rhs, cert)
 
 
 def _pair_na(g1: Graph, g2: Graph) -> bool:
@@ -410,8 +386,7 @@ def _c17(pair, kit, mode: str) -> _Eval:
     j = join(g1, g2)
     lhs = kit.gamma_i(j)
     rhs = min(kit.gamma_i(g1), kit.gamma_i(g2))
-    cert = None if lhs == rhs or kit.is_oracle else _gi_payload(kit, j, "join")
-    return _Eval(True, lhs == rhs, lhs, rhs, cert)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(j, "join"))
 
 
 def _c18(pair, kit, mode: str) -> _Eval:
@@ -421,8 +396,7 @@ def _c18(pair, kit, mode: str) -> _Eval:
     j = join(g1, g2)
     lhs = kit.st_any(j)
     rhs = min(kit.st_any(g1), kit.st_any(g2))
-    cert = None if lhs == rhs or kit.is_oracle else _st_payload(kit, j)
-    return _Eval(True, lhs == rhs, lhs, rhs, cert)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _st_payload(kit, j))
 
 
 def _c19(pair, kit, mode: str) -> _Eval:
@@ -432,8 +406,7 @@ def _c19(pair, kit, mode: str) -> _Eval:
     prod = lexicographic(g1, g2)
     lhs = kit.gamma_i(prod)
     rhs = kit.gamma_i(g1) * kit.gamma_i(g2)
-    cert = None if lhs == rhs or kit.is_oracle else _gi_payload(kit, prod, "product")
-    return _Eval(True, lhs == rhs, lhs, rhs, cert)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(prod, "product"))
 
 
 def _c20(pair, kit, mode: str) -> _Eval:
@@ -443,8 +416,7 @@ def _c20(pair, kit, mode: str) -> _Eval:
     prod = lexicographic(g1, g2)
     lhs = kit.st_any(prod)
     rhs = min(kit.st_any(g1), kit.st_any(g2))
-    cert = None if lhs == rhs or kit.is_oracle else _st_payload(kit, prod)
-    return _Eval(True, lhs == rhs, lhs, rhs, cert)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _st_payload(kit, prod))
 
 
 def _c21(pair, kit, mode: str) -> _Eval:
@@ -454,8 +426,7 @@ def _c21(pair, kit, mode: str) -> _Eval:
     prod = corona(g1, g2)
     lhs = kit.gamma_i(prod)
     rhs = g1.order * kit.gamma_i(g2)
-    cert = None if lhs == rhs or kit.is_oracle else _gi_payload(kit, prod, "corona")
-    return _Eval(True, lhs == rhs, lhs, rhs, cert)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(prod, "corona"))
 
 
 def _c22(pair, kit, mode: str) -> _Eval:
@@ -464,8 +435,7 @@ def _c22(pair, kit, mode: str) -> _Eval:
         return _NA
     prod = corona(g1, g2)
     lhs = kit.st_any(prod)
-    cert = None if lhs == 1 or kit.is_oracle else _st_payload(kit, prod)
-    return _Eval(True, lhs == 1, lhs, 1, cert)
+    return _Eval(True, lhs == 1, lhs, 1, lambda: _st_payload(kit, prod))
 
 
 def _c23(spec: FamilySpec, kit, mode: str) -> _Eval:
@@ -479,8 +449,7 @@ def _c23(spec: FamilySpec, kit, mode: str) -> _Eval:
         return _NA
     g = generate(spec)
     lhs = kit.st_any(g)
-    cert = None if lhs == 1 or kit.is_oracle else _st_payload(kit, g)
-    return _Eval(True, lhs == 1, lhs, 1, cert)
+    return _Eval(True, lhs == 1, lhs, 1, lambda: _st_payload(kit, g))
 
 
 def _c24(spec: FamilySpec, kit, mode: str) -> _Eval:
@@ -496,8 +465,7 @@ def _c24(spec: FamilySpec, kit, mode: str) -> _Eval:
         return _NA
     g = generate(spec)
     lhs = kit.gamma_i(g)
-    cert = None if lhs == rhs or kit.is_oracle else _gi_payload(kit, g)
-    return _Eval(True, lhs == rhs, lhs, rhs, cert)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(g))
 
 
 def _c25(spec: FamilySpec, kit, mode: str) -> _Eval:
@@ -512,18 +480,14 @@ def _c25(spec: FamilySpec, kit, mode: str) -> _Eval:
         return _NA
     g = generate(spec)
     lhs = kit.st_any(g)
-    cert = None if lhs == rhs or kit.is_oracle else _st_payload(kit, g)
-    return _Eval(True, lhs == rhs, lhs, rhs, cert)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _st_payload(kit, g))
 
 
 def _c26(g: Graph, kit, mode: str) -> _Eval:
     st = kit.st_any(g)
     complete = g.is_complete()
     ok = (st == g.order) == complete
-    cert = None
-    if not ok and not kit.is_oracle:
-        cert = _st_payload(kit, g, {"complete": complete})
-    return _Eval(True, ok, st, g.order, cert)
+    return _Eval(True, ok, st, g.order, lambda: _st_payload(kit, g, complete=complete))
 
 
 @dataclass(frozen=True)
@@ -704,7 +668,7 @@ def _check_instance(claim: Claim, instance) -> None:
     raise InstanceKindMismatch(f"claim {claim.id} expects a {kind} instance")
 
 
-def _verify_violation(claim: Claim, instance, ev: _Eval, mode: str) -> str:
+def _verify_violation(claim: Claim, instance, ev: _Eval, cert: dict, mode: str) -> str:
     """Re-check a violation with the oracles; raise if they disagree."""
     try:
         oracle_ev = claim.evaluate(instance, _OracleToolkit(), mode)
@@ -726,7 +690,7 @@ def _verify_violation(claim: Claim, instance, ev: _Eval, mode: str) -> str:
             )
         return "full"
     checked = 0
-    for g6, expected in (ev.cert or {}).get("gamma_i_checks", []):
+    for g6, expected in cert.get("gamma_i_checks", []):
         g = decode_graph6(g6)
         if g.order <= oracles.ORACLE_MAX_ORDER:
             got = oracles.oracle_gamma_i(g)
@@ -745,8 +709,9 @@ def _evaluate(claim: Claim, instance, text: str, mode: str, kit: _Toolkit) -> Cl
         return ClaimOutcome(claim.id, text, INAPPLICABLE)
     if ev.holds:
         return ClaimOutcome(claim.id, text, HOLDS, ev.lhs, ev.rhs)
-    oracle = _verify_violation(claim, instance, ev, mode)
-    return ClaimOutcome(claim.id, text, VIOLATED, ev.lhs, ev.rhs, ev.cert, oracle)
+    cert = ev.cert()
+    oracle = _verify_violation(claim, instance, ev, cert, mode)
+    return ClaimOutcome(claim.id, text, VIOLATED, ev.lhs, ev.rhs, cert, oracle)
 
 
 def evaluate_claim(claim_id: str, instance, mode: str = STRICT) -> ClaimOutcome:
@@ -851,38 +816,25 @@ class FamilyCorpus:
     @classmethod
     def default_grid(cls, max_param: int) -> "FamilyCorpus":
         """Paths, cycles, stars, double stars, K_{m,n}, flowers and books with
-        every parameter up to ``max_param`` (order-capped)."""
-        if max_param < 1:
-            raise BadCorpusSource("family grids need max_param >= 1")
-        specs: list[FamilySpec] = []
-        specs += [FamilySpec("path", (n,)) for n in range(1, max_param + 1)]
-        specs += [FamilySpec("cycle", (n,)) for n in range(3, max_param + 1)]
-        specs += [FamilySpec("star", (m,)) for m in range(1, max_param + 1)]
-        specs += [
-            FamilySpec("double_star", (a, b))
-            for a in range(1, max_param + 1)
-            for b in range(a, max_param + 1)
-            if a + b + 2 <= 64
-        ]
-        specs += [
-            FamilySpec("complete_bipartite", (m, n))
-            for n in range(1, max_param + 1)
-            for m in range(n, max_param + 1)
-            if m + n <= 64
-        ]
-        specs += [
-            FamilySpec("friendship", (n,))
-            for n in range(1, max_param + 1)
-            if 2 * n + 1 <= 64
-        ]
-        specs += [
-            FamilySpec("gen_friendship", (q, n))
-            for q in range(3, max_param + 1)
-            for n in range(1, max_param + 1)
-            if n * (q - 1) + 1 <= 64
-        ]
-        specs += [FamilySpec("book", (n,)) for n in range(2, max_param + 1) if 2 * n + 2 <= 64]
-        return cls(tuple(specs), label=f"family grid up to parameter {max_param}")
+        every parameter up to ``max_param`` (1..64), keeping the specs of
+        order at most ``MAX_ORDER``."""
+        if not 1 <= max_param <= MAX_ORDER:
+            raise BadCorpusSource(
+                f"family grids need 1 <= max_param <= {MAX_ORDER}, got {max_param}"
+            )
+        top = max_param + 1
+        candidates = [("path", (n,)) for n in range(1, top)]
+        candidates += [("cycle", (n,)) for n in range(3, top)]
+        candidates += [("star", (m,)) for m in range(1, top)]
+        candidates += [("double_star", (a, b)) for a in range(1, top) for b in range(a, top)]
+        candidates += [("complete_bipartite", (m, n)) for n in range(1, top) for m in range(n, top)]
+        candidates += [("friendship", (n,)) for n in range(1, top)]
+        candidates += [("gen_friendship", (q, n)) for q in range(3, top) for n in range(1, top)]
+        candidates += [("book", (n,)) for n in range(2, top)]
+        specs = tuple(
+            FamilySpec(kind, p) for kind, p in candidates if family_order(kind, p) <= MAX_ORDER
+        )
+        return cls(specs, label=f"family grid up to parameter {max_param}")
 
     def kind(self) -> str:
         return FAMILY
@@ -938,7 +890,7 @@ def _resolve_threads(threads: int | None) -> int:
     env = os.environ.get("IDSTAB_THREADS", "").strip()
     if not env:
         return os.cpu_count() or 1
-    if not env.isdigit() or int(env) < 1:
+    if not (env.isascii() and env.isdigit()) or int(env) < 1:
         raise BadThreadCount(f"IDSTAB_THREADS must be a positive integer, got {env!r}")
     return int(env)
 

@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = audit.add_mutually_exclusive_group(required=True)
     source.add_argument("--exhaustive-n", type=int, help="all labeled graphs of order 1..K")
     source.add_argument("--corpus", help="graph6 file")
-    source.add_argument("--family-max", type=int, help="family parameter grid up to N")
+    source.add_argument("--family-max", type=int, help="family parameter grid up to N (1..64)")
     audit.add_argument("--pairs", action="store_true", help="audit ordered pairs over the corpus")
     audit.add_argument("--mode", choices=("strict", "restricted"), default="strict")
     audit.add_argument("--report", help="write the JSON report here")

@@ -50,6 +50,26 @@ _PARAM_COUNT = {
 KINDS = tuple(_PARAM_COUNT)
 
 
+def family_order(kind: str, p: tuple[int, ...]) -> int:
+    """The order a long-named kind builds from ``p``, known before a
+    ``FamilySpec`` (which rejects orders above ``MAX_ORDER``) is built."""
+    if kind in ("empty", "complete", "path", "cycle"):
+        return p[0]
+    if kind == "star":
+        return p[0] + 1
+    if kind == "double_star":
+        return p[0] + p[1] + 2
+    if kind == "complete_bipartite":
+        return p[0] + p[1]
+    if kind == "friendship":
+        return 2 * p[0] + 1
+    if kind == "gen_friendship":
+        return p[1] * (p[0] - 1) + 1
+    if kind == "book":
+        return 2 * p[0] + 2
+    return 10  # petersen
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family kind plus the integers that kind requires."""
@@ -96,22 +116,7 @@ class FamilySpec:
             raise OrderTooLarge(f"{self.to_text()} has order {self.order()} (cap {MAX_ORDER})")
 
     def order(self) -> int:
-        kind, p = self.kind, self.params
-        if kind in ("empty", "complete", "path", "cycle"):
-            return p[0]
-        if kind == "star":
-            return p[0] + 1
-        if kind == "double_star":
-            return p[0] + p[1] + 2
-        if kind == "complete_bipartite":
-            return p[0] + p[1]
-        if kind == "friendship":
-            return 2 * p[0] + 1
-        if kind == "gen_friendship":
-            return p[1] * (p[0] - 1) + 1
-        if kind == "book":
-            return 2 * p[0] + 2
-        return 10  # petersen
+        return family_order(self.kind, self.params)
 
     def to_text(self) -> str:
         name = _SHORT.get(self.kind, self.kind)

@@ -13,21 +13,21 @@ sentinel number.
 ``oracles``: the referee reads every removal's gamma_i off a sieve over
 vertex masks and shares no code with this scan.
 
-Two rules let the scan skip subsets that cannot match.  Each skips only
-such subsets and keeps the order of the rest, so every witness is the one
-the full scan would return.
+Two rules let the scan skip subsets that cannot match.  Each applies from
+k = 1 in its own direction, skips only such subsets and keeps the order of
+the rest, so every witness is the one the full scan would return.
 
-* Transversal rule, used once "increase" is the only direction still open.
-  Let D be a gamma_i-set of G (a minimum independent dominating set).  If S
-  misses D, then D is still independent in G - S and still dominates
-  V - S, so gamma_i(G - S) <= |D| = gamma_i(G).  Only an S that meets every
+* Transversal rule, for "increase".  Let D be a gamma_i-set of G (a
+  minimum independent dominating set).  If S misses D, then D is still
+  independent in G - S and still dominates V - S, so
+  gamma_i(G - S) <= |D| = gamma_i(G).  Only an S that meets every
   gamma_i-set can raise gamma_i, and the scan visits only those k-subsets.
   The family of gamma_i-sets is capped at ``GAMMA_I_FAMILY_CAP`` masks, so
   memory stays bounded.  A partial family is still sound: a subset is
   skipped only when it misses a gamma_i-set that is actually known.
-* Decrease rule, used once "decrease" is the only direction still open and
-  gamma_i(G) = 1.  Every graph with a vertex has gamma_i >= 1, so only the
-  null graph G - V has a smaller gamma_i, and the scan jumps to k = n.
+* Decrease rule, for "decrease" when gamma_i(G) = 1.  Every graph with a
+  vertex has gamma_i >= 1, so only the null graph G - V has a smaller
+  gamma_i, and the scan starts at k = n.
 """
 
 from __future__ import annotations
@@ -76,14 +76,6 @@ class StabilityTriple:
     increase: StabilityCertificate
 
 
-def _matches(direction: Direction, base: int, val: int) -> bool:
-    if direction is Direction.ANY:
-        return val != base
-    if direction is Direction.DECREASE:
-        return val < base
-    return val > base
-
-
 def _subset_masks(n: int, k: int):
     for combo in combinations(range(n), k):
         mask = 0
@@ -117,54 +109,38 @@ def _hitting_masks(n: int, k: int, meets: list[int]):
     return rec(0, k, reach[0], 0)
 
 
-def _scan(
-    g: Graph, directions: tuple[Direction, ...]
-) -> dict[Direction, StabilityCertificate]:
-    """One removal scan serving every requested direction; it stops as soon
-    as each direction has its witness.  The rules of the module docstring
-    apply from the first size k at which one direction is left open."""
+def _scan(g: Graph, direction: Direction) -> StabilityCertificate:
+    """The removal scan for one direction, with that direction's rule from
+    the module docstring; it returns at the first match."""
     if g.order == 0:
         raise EmptyGraph("stability of the null graph is undefined")
     n = g.order
     closed = _closed_rows(g)
     full = g.full_mask
     base = _gamma_i_value_in(closed, full)
-    found: dict[Direction, StabilityCertificate] = {}
+    first = n if direction is Direction.DECREASE and base == 1 else 1
     meets: list[int] | None = None
-    for k in range(1, n + 1):
-        pending = [d for d in directions if d not in found]
-        if pending == [Direction.INCREASE]:
-            if meets is None:
-                meets = [0] * n
-                for i, ids in enumerate(_ids_of_size(closed, full, base, GAMMA_I_FAMILY_CAP)):
-                    for v in iter_bits(ids):
-                        meets[v] |= 1 << i
-            masks = _hitting_masks(n, k, meets)
-        elif pending == [Direction.DECREASE] and base == 1 and k < n:
-            continue
-        else:
-            masks = _subset_masks(n, k)
+    if direction is Direction.INCREASE:
+        matches = base.__lt__  # val > base
+        meets = [0] * n
+        for i, ids in enumerate(_ids_of_size(closed, full, base, GAMMA_I_FAMILY_CAP)):
+            for v in iter_bits(ids):
+                meets[v] |= 1 << i
+    else:
+        matches = base.__gt__ if direction is Direction.DECREASE else base.__ne__
+    for k in range(first, n + 1):
+        masks = _subset_masks(n, k) if meets is None else _hitting_masks(n, k, meets)
         for mask in masks:
             val = _gamma_i_value_in(closed, full & ~mask)
-            for direction in directions:
-                # _matches first: hashing an Enum member runs Python code
-                if _matches(direction, base, val) and direction not in found:
-                    found[direction] = StabilityCertificate(
-                        base, direction, k, VertexSet(mask), val
-                    )
-                    if len(found) == len(directions):
-                        return found
-    return {
-        d: found.get(d) or StabilityCertificate(base, d, None, None, None) for d in directions
-    }
+            if matches(val):
+                return StabilityCertificate(base, direction, k, VertexSet(mask), val)
+    return StabilityCertificate(base, direction, None, None, None)
 
 
 def stability(g: Graph, direction: Direction | str = Direction.ANY) -> StabilityCertificate:
-    direction = Direction(direction)
-    return _scan(g, (direction,))[direction]
+    return _scan(g, Direction(direction))
 
 
 def stability_triple(g: Graph) -> StabilityTriple:
-    """All three directions from one scan; equal to three ``stability`` calls."""
-    found = _scan(g, tuple(Direction))
-    return StabilityTriple(*(found[d] for d in Direction))
+    """All three directions, one scan each; equal to three ``stability`` calls."""
+    return StabilityTriple(*(_scan(g, d) for d in Direction))

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -16,8 +18,9 @@ from idstab.auditor import (
     get_claim,
     run_audit,
 )
-from idstab.codec import encode_graph6
+from idstab.codec import decode_graph6, encode_graph6
 from idstab.families import FamilySpec, complete, cycle, empty, path
+from idstab.oracles import oracle_gamma_i
 from idstab.ops import disjoint_union
 
 
@@ -179,7 +182,7 @@ class TestRunAudit:
         b = run_audit(["C26"], ExhaustiveCorpus(3))
         assert a.to_json() == b.to_json()
 
-    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "²"])
     def test_bad_threads_env_var(self, monkeypatch, value):
         monkeypatch.setenv("IDSTAB_THREADS", value)
         with pytest.raises(errors.BadThreadCount):
@@ -294,3 +297,142 @@ def test_default_family_grid_shape():
     assert all(spec.order() <= 64 for spec in grid.specs)
     with pytest.raises(errors.BadCorpusSource):
         FamilyCorpus.default_grid(0)
+
+
+def test_default_family_grid_at_order_cap():
+    specs = FamilyCorpus.default_grid(64).specs
+    texts = {spec.to_text() for spec in specs}
+    assert "path:64" in texts and "star:63" in texts and "star:64" not in texts
+    assert max(spec.order() for spec in specs) == 64
+    for bad in (0, 65):
+        with pytest.raises(errors.BadCorpusSource, match=rf"1 <= max_param <= 64, got {bad}"):
+            FamilyCorpus.default_grid(bad)
+
+
+_ST_KEYS = ["st_witness", "base_gamma_i", "new_gamma_i", "gamma_i_checks"]
+_PAYLOAD_KEYS = {
+    "C1": ["graph_gamma_i_witness", "gamma_i_checks"],
+    "C2": _ST_KEYS,
+    "C3": _ST_KEYS,
+    "C4": _ST_KEYS,
+    "C5": _ST_KEYS + ["deleted_vertex", "st_after_deletion"],
+    "C6": _ST_KEYS,
+    "C7": _ST_KEYS + ["induced_star"],
+    "C8": _ST_KEYS,
+    "C9": _ST_KEYS + ["gamma_i"],
+    "C10": _ST_KEYS,
+    "C11": _ST_KEYS + ["gamma_i"],
+    "C12": ["graph_gamma_i_witness", "gamma_i_checks", "gamma"],
+    "C13": ["gamma_witness"],
+    "C14": _ST_KEYS + ["gamma_i", "matched_k"],
+    "C15": _ST_KEYS + ["gamma_i"],
+    "C16": _ST_KEYS + ["complement_st_witness"],
+    "C17": ["join_gamma_i_witness", "gamma_i_checks"],
+    "C18": _ST_KEYS,
+    "C19": ["product_gamma_i_witness", "gamma_i_checks"],
+    "C20": _ST_KEYS,
+    "C21": ["corona_gamma_i_witness", "gamma_i_checks"],
+    "C22": _ST_KEYS,
+    "C23": _ST_KEYS,
+    "C24": ["graph_gamma_i_witness", "gamma_i_checks"],
+    "C25": _ST_KEYS,
+    "C26": _ST_KEYS + ["complete"],
+}
+
+
+class TestCertificateBuilders:
+    def test_every_builder_runs_and_checks_out(self):
+        # most claims never fail on a small corpus, so call the builders on holding outcomes too
+        base = [g for _, g in ExhaustiveCorpus(3).instances()]
+        instances = {
+            "graph": [g for _, g in ExhaustiveCorpus(5).instances()],
+            "pair": [(a, b) for a in base for b in base],
+            "family": [s for s in FamilyCorpus.default_grid(16).specs if s.order() <= 16],
+        }
+        kit = _Toolkit()
+        oracle: dict[str, int] = {}
+        for claim in claim_registry():
+            built = 0
+            for instance in instances[claim.instance_kind]:
+                ev = claim.evaluate(instance, kit, "strict")
+                if not ev.applicable:
+                    continue
+                cert = ev.cert()
+                assert list(cert) == _PAYLOAD_KEYS[claim.id], claim.id
+                for g6, value in cert.get("gamma_i_checks", []):
+                    if g6 not in oracle:
+                        oracle[g6] = oracle_gamma_i(decode_graph6(g6))
+                    assert oracle[g6] == value, (claim.id, instance, g6)
+                built += 1
+            assert built > 0, claim.id
+
+    def test_builders_run_once_per_violation(self, monkeypatch):
+        calls = []
+
+        def counted(claim):
+            def evaluate(instance, kit, mode):
+                ev = claim.evaluate(instance, kit, mode)
+                if ev.cert is not None:
+                    build = ev.cert
+                    ev.cert = lambda: calls.append(claim.id) or build()
+                return ev
+
+            return dataclasses.replace(claim, evaluate=evaluate)
+
+        registry = {cid: counted(claim) for cid, claim in auditor._REGISTRY.items()}
+        monkeypatch.setattr(auditor, "_REGISTRY", registry)
+        for corpus in (ExhaustiveCorpus(4), PairCorpus(ExhaustiveCorpus(2))):
+            calls.clear()
+            claims = [c.id for c in claim_registry() if c.instance_kind == corpus.kind()]
+            report = run_audit(claims, corpus, threads=1)
+            assert report.violation_count > 0
+            assert sorted(calls) == sorted(
+                b["claim"] for b in report.claims for _ in b["violations"]
+            )
+
+
+# sha256 of run_audit(<every claim of the corpus kind>, corpus, mode, threads=1).to_json()
+_REPORT_DIGESTS = [
+    (
+        lambda: ExhaustiveCorpus(5),
+        "strict",
+        "812a55206a5e98e68f2c79c0260de670cf4915a6e3eea15bd13b8313eabb3670",
+    ),
+    (
+        lambda: ExhaustiveCorpus(5),
+        "restricted",
+        "135ec6a913bf92330e1789d6786cc48559b1a500017c8bb7070003a216e093cf",
+    ),
+    (
+        lambda: PairCorpus(ExhaustiveCorpus(3)),
+        "strict",
+        "4619fc852ef27d9a0db9ea51db3f5fe6d0233b2fb32f89eb88d3f37228c0571d",
+    ),
+    (
+        lambda: PairCorpus(ExhaustiveCorpus(3)),
+        "restricted",
+        "dd7ef8db5ef2da64e3ab747226646b7f5738421998ea4cc5119ab469116d6aa6",
+    ),
+    (
+        lambda: FamilyCorpus.default_grid(9),
+        "strict",
+        "8f54403339ce19634cda89d9263e70bd605e974889128c02fd5744af612883cd",
+    ),
+    (
+        lambda: FamilyCorpus.default_grid(9),
+        "restricted",
+        "b90321841dd9b36c32477909c4e75205bb1bb4a5f6ab9e7fe747a6e1747368c4",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make_corpus,mode,digest",
+    _REPORT_DIGESTS,
+    ids=[f"{kind}-{mode}" for kind in ("n5", "pairs3", "grid9") for mode in ("strict", "restricted")],
+)
+def test_pinned_report_digest(make_corpus, mode, digest):
+    corpus = make_corpus()
+    claims = [c.id for c in claim_registry() if c.instance_kind == corpus.kind()]
+    report = run_audit(claims, corpus, mode, threads=1)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

@@ -209,6 +209,16 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--claims", "C23", "--family-max", "4", "--pairs")
         assert code == 2
 
+    def test_family_max_at_order_cap(self, capsys):
+        code, out, _ = run(capsys, "audit", "--claims", "C1", "--family-max", "64")
+        assert code == 0 and "violations: 0" in out
+
+    @pytest.mark.parametrize("value", ["0", "65"])
+    def test_bad_family_max_names_range(self, capsys, value):
+        code, out, err = run(capsys, "audit", "--claims", "C1", "--family-max", value)
+        assert code == 2 and out == ""
+        assert f"1 <= max_param <= 64, got {value}" in err
+
     @pytest.mark.parametrize("value", ["0", "-2", "8"])
     def test_bad_exhaustive_order_names_range(self, capsys, value):
         code, _, err = run(capsys, "audit", "--claims", "C26", "--exhaustive-n", value)
@@ -219,7 +229,7 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--claims", "C17", "--exhaustive-n", "3")
         assert code == 2
 
-    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "²"])
     def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("IDSTAB_THREADS", value)
         code, _, err = run(capsys, "audit", "--claims", "C26", "--exhaustive-n", "2")
