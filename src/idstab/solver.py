@@ -5,8 +5,16 @@ for the domination-flavored invariants follows one rule: pick the
 lowest-indexed vertex that is not yet dominated and try, in ascending order,
 every eligible vertex of its closed neighborhood; a vertex tried at a node
 is banned in the later sibling branches, so no solution is visited twice.
-The prune is the standard covering bound: a new pick can dominate at most
-max-degree + 1 vertices.
+Two lower bounds prune a node.  The covering bound: a new pick dominates at
+most max-degree + 1 vertices.  The packing bound (``_packing``): undominated
+vertices whose possible dominators are pairwise disjoint each need a pick of
+their own.  Both lexmin witness passes apply both bounds at every node.
+``_ids_min`` and ``_ids_of_size`` add the packing bound only when their
+block (for ``_ids_of_size``, the whole universe) has more than twice as many
+vertices as its largest closed neighborhood, that is when the covering bound
+at the root is 3 or more; on denser blocks the covering bound prunes well
+and the packing walk costs more than it saves.  ``_dom_min`` uses the
+covering bound alone.
 
 ``oracle_gamma_i`` and ``ORACLE_MAX_ORDER`` are re-exported from
 ``oracles``, which shares no code with these searches beyond the ``Graph``
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, VertexSet, iter_bits
+from .core import MAX_ORDER, Graph, VertexSet, iter_bits
 from .errors import EmptyGraph
 from .oracles import ORACLE_MAX_ORDER, oracle_gamma_i  # re-exported
 
@@ -61,10 +69,41 @@ def _cover_cap(closed: list[int], comp: int) -> int:
     return max((closed[v] & comp).bit_count() for v in iter_bits(comp))
 
 
+# more picks than any graph of order <= MAX_ORDER holds, so every bound check prunes
+_INFEASIBLE = MAX_ORDER + 1
+
+
+def _packing(closed: list[int], uncovered: int, cands: int) -> int:
+    """A lower bound on the picks from ``cands`` that dominate ``uncovered``.
+
+    Walks the uncovered vertices in ascending order and counts each vertex u
+    whose dominator set ``closed[u] & cands`` is disjoint from the sets
+    counted so far.  No single pick dominates two counted vertices, so a
+    completion needs at least that many more picks (the packing bound
+    rho <= gamma of Meir and Moon).  If some dominator set is empty, no
+    completion exists at all, and the result is ``_INFEASIBLE``.  For gamma_i
+    the later picks must be uncovered, because they must stay independent
+    of the chosen ones, so the callers pass uncovered candidates.
+    """
+    used = 0
+    count = 0
+    while uncovered:
+        low = uncovered & -uncovered
+        uncovered ^= low
+        dom = closed[low.bit_length() - 1] & cands
+        if not dom:
+            return _INFEASIBLE
+        if not dom & used:
+            used |= dom
+            count += 1
+    return count
+
+
 def _ids_min(closed: list[int], comp: int) -> int:
     """Minimum independent dominating set size on one connected block."""
     cap = _cover_cap(closed, comp)
     best = comp.bit_count() + 1
+    pack = comp.bit_count() > 2 * cap
 
     def rec(covered: int, excluded: int, size: int) -> None:
         nonlocal best
@@ -73,6 +112,8 @@ def _ids_min(closed: list[int], comp: int) -> int:
             best = size
             return
         if size + -(-uncovered.bit_count() // cap) >= best:
+            return
+        if pack and size + _packing(closed, uncovered, uncovered & ~excluded) >= best:
             return
         v = (uncovered & -uncovered).bit_length() - 1
         cands = closed[v] & uncovered & ~excluded
@@ -91,11 +132,12 @@ def _ids_of_size(closed: list[int], universe: int, k: int, limit: int) -> list[i
     """Up to ``limit`` independent dominating sets of size ``k`` within ``universe``.
 
     ``k`` must be the minimum size.  The search is ``_ids_min``'s branching
-    rule, whose sibling bans find each set once, and its covering bound with
-    ``k`` as the bound, over the whole universe rather than one block.  All
-    of the sets are returned when there are at most ``limit``.
+    rule, whose sibling bans find each set once, and its bounds and gate
+    with ``k`` as the bound, over the whole universe rather than one block.
+    All of the sets are returned when there are at most ``limit``.
     """
     cap = _cover_cap(closed, universe)
+    pack = universe.bit_count() > 2 * cap
     found: list[int] = []
 
     def rec(covered: int, excluded: int, chosen: int, size: int) -> None:
@@ -104,6 +146,8 @@ def _ids_of_size(closed: list[int], universe: int, k: int, limit: int) -> list[i
             found.append(chosen)
             return
         if size + -(-uncovered.bit_count() // cap) > k:
+            return
+        if pack and size + _packing(closed, uncovered, uncovered & ~excluded) > k:
             return
         v = (uncovered & -uncovered).bit_length() - 1
         cands = closed[v] & uncovered & ~excluded
@@ -129,12 +173,8 @@ def _lexmin_ids(closed: list[int], comp: int, k: int) -> int:
         if size == k or size + -(-uncovered.bit_count() // cap) > k:
             return None
         cands = uncovered & floor
-        m = uncovered
-        while m:  # every uncovered vertex needs a possible future dominator
-            low = m & -m
-            m ^= low
-            if not closed[low.bit_length() - 1] & cands:
-                return None
+        if size + _packing(closed, uncovered, cands) > k:
+            return None
         while cands:
             low = cands & -cands
             cands ^= low
@@ -191,14 +231,9 @@ def _lexmin_dom(closed: list[int], comp: int, k: int) -> int:
             return chosen
         if size == k or size + -(-und.bit_count() // cap) > k:
             return None
-        future = comp & floor
-        m = und
-        while m:
-            low = m & -m
-            m ^= low
-            if not closed[low.bit_length() - 1] & future:
-                return None
-        cands = future
+        cands = comp & floor
+        if size + _packing(closed, und, cands) > k:
+            return None
         while cands:
             low = cands & -cands
             cands ^= low

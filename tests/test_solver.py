@@ -1,6 +1,9 @@
+import random
+from itertools import combinations
+
 import pytest
 
-from idstab import VertexSet, classify_set, errors
+from idstab import VertexSet, classify_set, errors, solver
 from idstab.families import (
     book,
     complete,
@@ -13,8 +16,16 @@ from idstab.families import (
 )
 from idstab.ops import disjoint_union
 from idstab.solver import (
+    _INFEASIBLE,
     _closed_rows,
+    _cover_cap,
+    _dom_min,
+    _ids_min,
     _ids_of_size,
+    _lexmin_dom,
+    _lexmin_ids,
+    _packing,
+    _split_components,
     alpha,
     alpha_value,
     enumerate_maximal_independent_sets,
@@ -244,3 +255,239 @@ def test_gamma_i_matches_test_local_filter(rng):
     for _ in range(25):
         g = random_graph(rng, rng.randint(1, 8))
         assert gamma_i_value(g) == brute_gamma_i(g)
+
+
+# The gamma_i and witness searches as they were before the packing bound, pruned by
+# the covering bound alone: the referees of TestPackingBound.
+
+FAMILY_LIMIT = 64
+
+
+def _ref_ids_min(closed, comp):
+    cap = _cover_cap(closed, comp)
+    best = comp.bit_count() + 1
+
+    def rec(covered, excluded, size):
+        nonlocal best
+        uncovered = comp & ~covered
+        if not uncovered:
+            best = size
+            return
+        if size + -(-uncovered.bit_count() // cap) >= best:
+            return
+        v = (uncovered & -uncovered).bit_length() - 1
+        cands = closed[v] & uncovered & ~excluded
+        ban = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            rec(covered | (closed[low.bit_length() - 1] & comp), excluded | ban, size + 1)
+            ban |= low
+
+    rec(0, 0, 0)
+    return best
+
+
+def _ref_ids_of_size(closed, universe, k, limit):
+    cap = _cover_cap(closed, universe)
+    found = []
+
+    def rec(covered, excluded, chosen, size):
+        uncovered = universe & ~covered
+        if not uncovered:
+            found.append(chosen)
+            return
+        if size + -(-uncovered.bit_count() // cap) > k:
+            return
+        v = (uncovered & -uncovered).bit_length() - 1
+        cands = closed[v] & uncovered & ~excluded
+        ban = 0
+        while cands and len(found) < limit:
+            low = cands & -cands
+            cands ^= low
+            rec(covered | closed[low.bit_length() - 1], excluded | ban, chosen | low, size + 1)
+            ban |= low
+
+    rec(0, 0, 0, 0)
+    return found
+
+
+def _ref_lexmin_ids(closed, comp, k):
+    cap = _cover_cap(closed, comp)
+
+    def rec(covered, chosen, floor, size):
+        uncovered = comp & ~covered
+        if not uncovered:
+            return chosen
+        if size == k or size + -(-uncovered.bit_count() // cap) > k:
+            return None
+        cands = uncovered & floor
+        m = uncovered
+        while m:
+            low = m & -m
+            m ^= low
+            if not closed[low.bit_length() - 1] & cands:
+                return None
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            u = low.bit_length() - 1
+            got = rec(covered | (closed[u] & comp), chosen | low, -1 << (u + 1), size + 1)
+            if got is not None:
+                return got
+        return None
+
+    return rec(0, 0, -1, 0)
+
+
+def _ref_lexmin_dom(closed, comp, k):
+    cap = _cover_cap(closed, comp)
+
+    def rec(dominated, chosen, floor, size):
+        und = comp & ~dominated
+        if not und:
+            return chosen
+        if size == k or size + -(-und.bit_count() // cap) > k:
+            return None
+        future = comp & floor
+        m = und
+        while m:
+            low = m & -m
+            m ^= low
+            if not closed[low.bit_length() - 1] & future:
+                return None
+        cands = future
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            u = low.bit_length() - 1
+            if closed[u] & und:
+                got = rec(dominated | (closed[u] & comp), chosen | low, -1 << (u + 1), size + 1)
+                if got is not None:
+                    return got
+        return None
+
+    return rec(0, 0, -1, 0)
+
+
+def _ref_gamma_i(g):
+    """``_new_gamma_i``'s tuple by the pre-change searches: gamma_i twice (as
+    gamma_i_value and as gamma_i computes it), the witness and the gamma_i-sets."""
+    closed = _closed_rows(g)
+    value = witness = 0
+    for comp in _split_components(closed, g.full_mask):
+        k = _ref_ids_min(closed, comp)
+        value += k
+        witness |= _ref_lexmin_ids(closed, comp, k)
+    return value, value, witness, _ref_ids_of_size(closed, g.full_mask, value, FAMILY_LIMIT)
+
+
+def _new_gamma_i(g):
+    cert = gamma_i(g)
+    sets = _ids_of_size(_closed_rows(g), g.full_mask, cert.value, FAMILY_LIMIT)
+    return gamma_i_value(g), cert.value, cert.witness.mask, sets
+
+
+def _ref_gamma(g):
+    closed = _closed_rows(g)
+    value = witness = 0
+    for comp in _split_components(closed, g.full_mask):
+        k = _dom_min(closed, comp)  # unchanged by the packing bound
+        value += k
+        witness |= _ref_lexmin_dom(closed, comp, k)
+    return value, witness
+
+
+def _new_gamma(g):
+    cert = gamma(g)
+    return cert.value, cert.witness.mask
+
+
+def _sparse_graphs():
+    """Seeded G(16..44, 0.05..0.15), paths, cycles and disjoint unions.
+
+    The random graphs stop at average degree 3: above it the pre-change
+    searches take seconds on a single graph.
+    """
+    rng = random.Random(0x9AC)
+    graphs = [
+        random_graph(rng, n, p)
+        for n in range(16, 45, 4)
+        for p in (0.05, 0.1, 0.15)
+        if (n - 1) * p <= 3
+    ]
+    graphs += [path(n) for n in (7, 13, 24, 45)] + [cycle(n) for n in (7, 12, 25, 44)]
+    graphs.append(disjoint_union(path(11), cycle(9)))
+    graphs.append(disjoint_union(graphs[0], path(14)))
+    graphs.append(disjoint_union(cycle(17), disjoint_union(empty(2), graphs[2])))
+    return graphs
+
+
+def _fewest_dominators(closed, uncovered, members):
+    """The fewest of ``members`` whose closed neighborhoods cover ``uncovered``, or None."""
+    for k in range(len(members) + 1):
+        for combo in combinations(members, k):
+            reach = 0
+            for v in combo:
+                reach |= closed[v]
+            if not uncovered & ~reach:
+                return k
+    return None
+
+
+class TestPackingBound:
+    def test_is_a_lower_bound_on_every_completion(self):
+        rng = random.Random(0x9AC8)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 8))
+            closed = _closed_rows(g)
+            uncovered = rng.getrandbits(g.order)
+            cands = rng.getrandbits(g.order)
+            need = _fewest_dominators(closed, uncovered, [v for v in range(g.order) if cands >> v & 1])
+            got = _packing(closed, uncovered, cands)
+            if need is None:
+                assert got == _INFEASIBLE
+            else:
+                assert got <= need
+
+    def test_counts_disjoint_dominator_sets(self):
+        g = path(7)  # N[0], N[3] and N[6] are pairwise disjoint
+        closed = _closed_rows(g)
+        assert _packing(closed, g.full_mask, g.full_mask) == 3
+        assert _packing(closed, 0b1, 0b1000) == _INFEASIBLE  # nothing in cands dominates 0
+
+    def test_exhaustive_order_6_matches_pre_change_searches(self):
+        # per block, as gamma_i, gamma_i_value and gamma sum them
+        for g in all_graphs(6):
+            closed = _closed_rows(g)
+            value = 0
+            for comp in _split_components(closed, g.full_mask):
+                k = _ids_min(closed, comp)
+                assert k == _ref_ids_min(closed, comp), g
+                assert _lexmin_ids(closed, comp, k) == _ref_lexmin_ids(closed, comp, k), g
+                value += k
+                k = _dom_min(closed, comp)
+                assert _lexmin_dom(closed, comp, k) == _ref_lexmin_dom(closed, comp, k), g
+            got = _ids_of_size(closed, g.full_mask, value, FAMILY_LIMIT)
+            assert got == _ref_ids_of_size(closed, g.full_mask, value, FAMILY_LIMIT), g
+
+    def test_seeded_sparse_matches_pre_change_searches(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _packing(*args)
+
+        monkeypatch.setattr(solver, "_packing", counted)
+        reached = {"_ids_min": 0, "_ids_of_size": 0}
+        for g in _sparse_graphs():
+            del calls[:]
+            k = gamma_i_value(g)
+            reached["_ids_min"] += len(calls)
+            del calls[:]
+            _ids_of_size(_closed_rows(g), g.full_mask, k, FAMILY_LIMIT)
+            reached["_ids_of_size"] += len(calls)
+            assert _new_gamma_i(g) == _ref_gamma_i(g), g
+            if g.order <= 30:  # the pre-change gamma witness pass is slow on larger sparse graphs
+                assert _new_gamma(g) == _ref_gamma(g), g
+        assert all(reached.values()), reached
