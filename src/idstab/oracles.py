@@ -47,40 +47,23 @@ def _guard(g: Graph, cap: int, what: str) -> None:
 
 
 def oracle_gamma_i(g: Graph) -> int:
-    """Independent domination number: the number of isolated vertices plus
-    the size of the first subset of the other vertices, in order of size,
-    that completes them to an independent dominating set.
-
-    Every isolated vertex is in every independent dominating set: nothing
-    else dominates it, and it is adjacent to nothing, so it never breaks
-    independence.  A set I + T, with I the isolates and T among the other
-    vertices, is therefore independent and dominating exactly when T is,
-    in G - I; so gamma_i(G) = |I| + gamma_i(G - I), and only the other
-    vertices are enumerated.  The null graph gets 0 so vertex-removal scans
-    stay total.  Guarded to 20 vertices."""
+    """Independent domination number: the size of the first subset, in order
+    of size, that is independent and dominating.  The null graph gets 0 so
+    vertex-removal scans stay total.  Guarded to 20 vertices."""
     if g.order == 0:
         return 0
     _guard(g, ORACLE_MAX_ORDER, "independent domination")
     closed = _closed(g)
     full = g.full_mask
-    isolates = 0
-    rest = []
-    for v, row in enumerate(g.adj):
-        if row:
-            rest.append(v)
-        else:
-            isolates |= 1 << v
-    if not rest:
-        return g.order
-    for k in range(1, len(rest) + 1):
-        for combo in combinations(rest, k):
-            mask = isolates
-            reach = isolates
+    for k in range(1, g.order + 1):
+        for combo in combinations(range(g.order), k):
+            mask = 0
+            reach = 0
             for v in combo:
                 mask |= 1 << v
                 reach |= closed[v]
             if reach == full and all(g.adj[v] & mask == 0 for v in combo):
-                return isolates.bit_count() + k
+                return k
     raise AssertionError("every graph has a maximal independent set")
 
 

@@ -9,12 +9,11 @@ Two lower bounds prune a node.  The covering bound: a new pick dominates at
 most max-degree + 1 vertices.  The packing bound (``_packing``): undominated
 vertices whose possible dominators are pairwise disjoint each need a pick of
 their own.  Both lexmin witness passes apply both bounds at every node.
-``_ids_min`` and ``_ids_of_size`` add the packing bound only when their
-block (for ``_ids_of_size``, the whole universe) has more than twice as many
-vertices as its largest closed neighborhood, that is when the covering bound
-at the root is 3 or more; on denser blocks the covering bound prunes well
-and the packing walk costs more than it saves.  ``_dom_min`` uses the
-covering bound alone.
+``_ids_min`` adds the packing bound only when its block has more than twice
+as many vertices as its largest closed neighborhood, that is when the
+covering bound at the root is 3 or more; on denser blocks the covering bound
+prunes well and the packing walk costs more than it saves.  ``_ids_of_size``
+and ``_dom_min`` use the covering bound alone.
 
 ``oracle_gamma_i`` and ``ORACLE_MAX_ORDER`` are re-exported from
 ``oracles``, which shares no code with these searches beyond the ``Graph``
@@ -132,12 +131,11 @@ def _ids_of_size(closed: list[int], universe: int, k: int, limit: int) -> list[i
     """Up to ``limit`` independent dominating sets of size ``k`` within ``universe``.
 
     ``k`` must be the minimum size.  The search is ``_ids_min``'s branching
-    rule, whose sibling bans find each set once, and its bounds and gate
-    with ``k`` as the bound, over the whole universe rather than one block.
-    All of the sets are returned when there are at most ``limit``.
+    rule, whose sibling bans find each set once, and its covering bound with
+    ``k`` as the bound, over the whole universe rather than one block.  All
+    of the sets are returned when there are at most ``limit``.
     """
     cap = _cover_cap(closed, universe)
-    pack = universe.bit_count() > 2 * cap
     found: list[int] = []
 
     def rec(covered: int, excluded: int, chosen: int, size: int) -> None:
@@ -146,8 +144,6 @@ def _ids_of_size(closed: list[int], universe: int, k: int, limit: int) -> list[i
             found.append(chosen)
             return
         if size + -(-uncovered.bit_count() // cap) > k:
-            return
-        if pack and size + _packing(closed, uncovered, uncovered & ~excluded) > k:
             return
         v = (uncovered & -uncovered).bit_length() - 1
         cands = closed[v] & uncovered & ~excluded

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from idstab import VertexSet, build_graph, classify_set, delete_vertices, errors, oracles
-from idstab.families import complete, complete_bipartite, empty, star
+from idstab import VertexSet, classify_set, delete_vertices, errors, oracles
+from idstab.families import complete, complete_bipartite, empty
 from idstab.ops import corona, disjoint_union
 from idstab.oracles import _brute_gamma, _brute_max_star, oracle_gamma_i, oracle_stability
 
@@ -95,47 +95,6 @@ class TestGammaIFilter:
     def test_edge_graphs(self, name):
         g = EDGE_GRAPHS[name]
         assert oracle_gamma_i(g) == _filter_gamma_i(g)
-
-
-def _with_isolates(rng, n, lone):
-    """A seeded G(n, p) in which ``lone`` random vertices lose every edge."""
-    g = random_graph(rng, n)
-    cut = set(rng.sample(range(n), lone))
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if g.adj[i] >> j & 1 and i not in cut and j not in cut
-    ]
-    return build_graph(n, edges)
-
-
-class TestForcedIsolates:
-    @pytest.mark.parametrize("k", [1, 2, 5, 12])
-    def test_empty(self, k):
-        assert oracle_gamma_i(empty(k)) == _filter_gamma_i(empty(k)) == k
-
-    def test_triangle_plus_isolates(self):
-        g = disjoint_union(complete(3), empty(5))
-        assert oracle_gamma_i(g) == _filter_gamma_i(g) == 6
-
-    @pytest.mark.parametrize("k", [2, 7, 11])
-    def test_star_minus_centre(self, k):
-        g, _ = delete_vertices(star(k), VertexSet.of([0]))
-        assert oracle_gamma_i(g) == _filter_gamma_i(g) == k
-
-    def test_seeded_graphs_with_isolates(self):
-        rng = random.Random(0x150)
-        for n in range(4, 14):
-            for lone in (1, 2, n // 2):
-                g = _with_isolates(rng, n, lone)
-                assert oracle_gamma_i(g) == _filter_gamma_i(g), g
-
-    def test_order_20(self):
-        # every vertex is forced, so no subset is enumerated
-        assert oracle_gamma_i(empty(20)) == 20
-        g, _ = delete_vertices(star(20), VertexSet.of([0]))
-        assert oracle_gamma_i(g) == 20
 
 
 @pytest.mark.parametrize("oracle", [_brute_gamma, _brute_max_star])

@@ -20,7 +20,6 @@ from idstab.solver import (
     _closed_rows,
     _cover_cap,
     _dom_min,
-    _ids_min,
     _ids_of_size,
     _lexmin_dom,
     _lexmin_ids,
@@ -260,9 +259,6 @@ def test_gamma_i_matches_test_local_filter(rng):
 # The gamma_i and witness searches as they were before the packing bound, pruned by
 # the covering bound alone: the referees of TestPackingBound.
 
-FAMILY_LIMIT = 64
-
-
 def _ref_ids_min(closed, comp):
     cap = _cover_cap(closed, comp)
     best = comp.bit_count() + 1
@@ -286,30 +282,6 @@ def _ref_ids_min(closed, comp):
 
     rec(0, 0, 0)
     return best
-
-
-def _ref_ids_of_size(closed, universe, k, limit):
-    cap = _cover_cap(closed, universe)
-    found = []
-
-    def rec(covered, excluded, chosen, size):
-        uncovered = universe & ~covered
-        if not uncovered:
-            found.append(chosen)
-            return
-        if size + -(-uncovered.bit_count() // cap) > k:
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        cands = closed[v] & uncovered & ~excluded
-        ban = 0
-        while cands and len(found) < limit:
-            low = cands & -cands
-            cands ^= low
-            rec(covered | closed[low.bit_length() - 1], excluded | ban, chosen | low, size + 1)
-            ban |= low
-
-    rec(0, 0, 0, 0)
-    return found
 
 
 def _ref_lexmin_ids(closed, comp, k):
@@ -372,20 +344,19 @@ def _ref_lexmin_dom(closed, comp, k):
 
 def _ref_gamma_i(g):
     """``_new_gamma_i``'s tuple by the pre-change searches: gamma_i twice (as
-    gamma_i_value and as gamma_i computes it), the witness and the gamma_i-sets."""
+    gamma_i_value and as gamma_i computes it) and the witness."""
     closed = _closed_rows(g)
     value = witness = 0
     for comp in _split_components(closed, g.full_mask):
         k = _ref_ids_min(closed, comp)
         value += k
         witness |= _ref_lexmin_ids(closed, comp, k)
-    return value, value, witness, _ref_ids_of_size(closed, g.full_mask, value, FAMILY_LIMIT)
+    return value, value, witness
 
 
 def _new_gamma_i(g):
     cert = gamma_i(g)
-    sets = _ids_of_size(_closed_rows(g), g.full_mask, cert.value, FAMILY_LIMIT)
-    return gamma_i_value(g), cert.value, cert.witness.mask, sets
+    return gamma_i_value(g), cert.value, cert.witness.mask
 
 
 def _ref_gamma(g):
@@ -456,20 +427,15 @@ class TestPackingBound:
         assert _packing(closed, g.full_mask, g.full_mask) == 3
         assert _packing(closed, 0b1, 0b1000) == _INFEASIBLE  # nothing in cands dominates 0
 
-    def test_exhaustive_order_6_matches_pre_change_searches(self):
-        # per block, as gamma_i, gamma_i_value and gamma sum them
+    def test_exhaustive_order_6_matches_pre_change_witnesses(self):
+        # no block of order <= 6 opens _ids_min's gate, so only the witness passes change here
         for g in all_graphs(6):
             closed = _closed_rows(g)
-            value = 0
             for comp in _split_components(closed, g.full_mask):
-                k = _ids_min(closed, comp)
-                assert k == _ref_ids_min(closed, comp), g
+                k = _ref_ids_min(closed, comp)
                 assert _lexmin_ids(closed, comp, k) == _ref_lexmin_ids(closed, comp, k), g
-                value += k
                 k = _dom_min(closed, comp)
                 assert _lexmin_dom(closed, comp, k) == _ref_lexmin_dom(closed, comp, k), g
-            got = _ids_of_size(closed, g.full_mask, value, FAMILY_LIMIT)
-            assert got == _ref_ids_of_size(closed, g.full_mask, value, FAMILY_LIMIT), g
 
     def test_seeded_sparse_matches_pre_change_searches(self, monkeypatch):
         calls = []
@@ -479,15 +445,12 @@ class TestPackingBound:
             return _packing(*args)
 
         monkeypatch.setattr(solver, "_packing", counted)
-        reached = {"_ids_min": 0, "_ids_of_size": 0}
+        reached = 0  # packing walks made by _ids_min, which runs alone in gamma_i_value
         for g in _sparse_graphs():
             del calls[:]
-            k = gamma_i_value(g)
-            reached["_ids_min"] += len(calls)
-            del calls[:]
-            _ids_of_size(_closed_rows(g), g.full_mask, k, FAMILY_LIMIT)
-            reached["_ids_of_size"] += len(calls)
+            gamma_i_value(g)
+            reached += len(calls)
             assert _new_gamma_i(g) == _ref_gamma_i(g), g
             if g.order <= 30:  # the pre-change gamma witness pass is slow on larger sparse graphs
                 assert _new_gamma(g) == _ref_gamma(g), g
-        assert all(reached.values()), reached
+        assert reached
