@@ -9,7 +9,7 @@ every operation that returns a ``Graph`` re-asserts them for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyGraph, LoopEdge, OrderTooLarge, VertexNotInSet, VertexOutOfRange
 
@@ -220,10 +220,12 @@ def complement(g: Graph) -> Graph:
     return Graph(g.order, rows)
 
 
-def components(g: Graph) -> list[VertexSet]:
-    """Connected components, ordered by their smallest member."""
-    out: list[VertexSet] = []
-    unseen = g.full_mask
+def component_masks(rows: Sequence[int], universe: int) -> list[int]:
+    """Connected components of the subgraph induced on ``universe``, as masks
+    ordered by their smallest member.  ``rows[v]`` is the open or the closed
+    neighborhood of v; either gives the same components."""
+    comps = []
+    unseen = universe
     while unseen:
         comp = 0
         frontier = unseen & -unseen
@@ -231,11 +233,16 @@ def components(g: Graph) -> list[VertexSet]:
             comp |= frontier
             grow = 0
             for v in iter_bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & ~comp
-        out.append(VertexSet(comp))
+                grow |= rows[v]
+            frontier = grow & universe & ~comp
+        comps.append(comp)
         unseen &= ~comp
-    return out
+    return comps
+
+
+def components(g: Graph) -> list[VertexSet]:
+    """Connected components, ordered by their smallest member."""
+    return [VertexSet(comp) for comp in component_masks(g.adj, g.full_mask)]
 
 
 def classify_set(g: Graph, s: VertexSet) -> SetClassification:

@@ -1,19 +1,30 @@
 """Exact solvers for the independence and domination invariants.
 
-The main solvers are branch-and-bound searches over bit masks.  Branching
-for the domination-flavored invariants follows one rule: pick the
-lowest-indexed vertex that is not yet dominated and try, in ascending order,
-every eligible vertex of its closed neighborhood; a vertex tried at a node
-is banned in the later sibling branches, so no solution is visited twice.
-Two lower bounds prune a node.  The covering bound: a new pick dominates at
-most max-degree + 1 vertices.  The packing bound (``_packing``): undominated
+The main solvers are branch-and-bound searches over bit masks.  gamma_i and
+gamma are one search: the fewest picks whose closed neighborhoods cover a
+block, where gamma_i's picks must also stay independent.  Branching follows
+one rule: pick the lowest-indexed vertex that is not yet dominated and try,
+in ascending order, every eligible vertex of its closed neighborhood (for
+gamma_i only undominated ones, for gamma any); a vertex tried at a node is
+banned in the later sibling branches, so no solution is visited twice.  Two
+lower bounds prune a node.  The covering bound: a new pick dominates at most
+max-degree + 1 vertices.  The packing bound (``_packing``): undominated
 vertices whose possible dominators are pairwise disjoint each need a pick of
-their own.  Both lexmin witness passes apply both bounds at every node.
-``_ids_min`` adds the packing bound only when its block has more than twice
-as many vertices as its largest closed neighborhood, that is when the
-covering bound at the root is 3 or more; on denser blocks the covering bound
-prunes well and the packing walk costs more than it saves.  ``_ids_of_size``
-and ``_dom_min`` use the covering bound alone.
+their own.
+
+There are three searches:
+
+* ``_cover_min``, the value of gamma_i or gamma on one connected block.  It
+  adds the packing bound only when its block has more than twice as many
+  vertices as its largest closed neighborhood, that is when the covering
+  bound at the root is 3 or more; on denser blocks the covering bound
+  prunes well and the packing walk costs more than it saves.
+* ``_lexmin_cover``, the lexmin witness pass once the value is known.  It
+  applies both bounds at every node.
+* ``_independent_dominating_sets``, a walk over the maximal independent
+  sets with at most k members, pruned by the covering bound alone.  It
+  serves ``_ids_of_size`` (k = gamma_i) and
+  ``enumerate_maximal_independent_sets`` (k = n, where nothing is pruned).
 
 ``oracle_gamma_i`` and ``ORACLE_MAX_ORDER`` are re-exported from
 ``oracles``, which shares no code with these searches beyond the ``Graph``
@@ -27,8 +38,9 @@ optimal value is known.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .core import MAX_ORDER, Graph, VertexSet, iter_bits
+from .core import MAX_ORDER, Graph, VertexSet, component_masks, iter_bits
 from .errors import EmptyGraph
 from .oracles import ORACLE_MAX_ORDER, oracle_gamma_i  # re-exported
 
@@ -44,23 +56,6 @@ class GammaCertificate:
 
 def _closed_rows(g: Graph) -> list[int]:
     return [row | (1 << v) for v, row in enumerate(g.adj)]
-
-
-def _split_components(closed: list[int], universe: int) -> list[int]:
-    comps = []
-    unseen = universe
-    while unseen:
-        comp = 0
-        frontier = unseen & -unseen
-        while frontier:
-            comp |= frontier
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= closed[v]
-            frontier = grow & universe & ~comp
-        comps.append(comp)
-        unseen &= ~comp
-    return comps
 
 
 def _cover_cap(closed: list[int], comp: int) -> int:
@@ -98,11 +93,20 @@ def _packing(closed: list[int], uncovered: int, cands: int) -> int:
     return count
 
 
-def _ids_min(closed: list[int], comp: int) -> int:
-    """Minimum independent dominating set size on one connected block."""
+def _cover_min(closed: list[int], comp: int, independent: bool) -> int:
+    """The fewest picks that dominate one connected block: gamma_i of the
+    block when ``independent``, gamma otherwise.
+
+    gamma_i draws its picks from the undominated vertices, which keeps them
+    independent of the chosen ones; gamma draws them from the whole block.
+    Either way a completion of a node picks only from its pool (the drawable
+    vertices not banned there), and no earlier pick dominates an undominated
+    vertex, so the packing bound over the pool is sound for both.
+    """
     cap = _cover_cap(closed, comp)
-    best = comp.bit_count() + 1
-    pack = comp.bit_count() > 2 * cap
+    best = comp.bit_count()  # no block needs more picks than it has vertices
+    pack = best > 2 * cap
+    keep = 0 if independent else comp
 
     def rec(covered: int, excluded: int, size: int) -> None:
         nonlocal best
@@ -112,10 +116,11 @@ def _ids_min(closed: list[int], comp: int) -> int:
             return
         if size + -(-uncovered.bit_count() // cap) >= best:
             return
-        if pack and size + _packing(closed, uncovered, uncovered & ~excluded) >= best:
+        pool = (uncovered | keep) & ~excluded
+        if pack and size + _packing(closed, uncovered, pool) >= best:
             return
         v = (uncovered & -uncovered).bit_length() - 1
-        cands = closed[v] & uncovered & ~excluded
+        cands = closed[v] & pool
         ban = 0
         while cands:
             low = cands & -cands
@@ -127,40 +132,17 @@ def _ids_min(closed: list[int], comp: int) -> int:
     return best
 
 
-def _ids_of_size(closed: list[int], universe: int, k: int, limit: int) -> list[int]:
-    """Up to ``limit`` independent dominating sets of size ``k`` within ``universe``.
+def _lexmin_cover(closed: list[int], comp: int, k: int, independent: bool) -> int:
+    """Lexicographically first set of k picks that dominates one block, drawn
+    as in ``_cover_min``; k must be the block's minimum.
 
-    ``k`` must be the minimum size.  The search is ``_ids_min``'s branching
-    rule, whose sibling bans find each set once, and its covering bound with
-    ``k`` as the bound, over the whole universe rather than one block.  All
-    of the sets are returned when there are at most ``limit``.
+    Members are tried in ascending order; a candidate must dominate at least
+    one currently-undominated vertex, which every member of a minimum
+    dominating set does at its insertion point (and every gamma_i candidate
+    does, being undominated itself).
     """
-    cap = _cover_cap(closed, universe)
-    found: list[int] = []
-
-    def rec(covered: int, excluded: int, chosen: int, size: int) -> None:
-        uncovered = universe & ~covered
-        if not uncovered:
-            found.append(chosen)
-            return
-        if size + -(-uncovered.bit_count() // cap) > k:
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        cands = closed[v] & uncovered & ~excluded
-        ban = 0
-        while cands and len(found) < limit:
-            low = cands & -cands
-            cands ^= low
-            rec(covered | closed[low.bit_length() - 1], excluded | ban, chosen | low, size + 1)
-            ban |= low
-
-    rec(0, 0, 0, 0)
-    return found
-
-
-def _lexmin_ids(closed: list[int], comp: int, k: int) -> int:
-    """Lexicographically first independent dominating set of size k on a block."""
     cap = _cover_cap(closed, comp)
+    keep = 0 if independent else comp
 
     def rec(covered: int, chosen: int, floor: int, size: int) -> int | None:
         uncovered = comp & ~covered
@@ -168,74 +150,15 @@ def _lexmin_ids(closed: list[int], comp: int, k: int) -> int:
             return chosen
         if size == k or size + -(-uncovered.bit_count() // cap) > k:
             return None
-        cands = uncovered & floor
+        cands = (uncovered | keep) & floor
         if size + _packing(closed, uncovered, cands) > k:
             return None
         while cands:
             low = cands & -cands
             cands ^= low
             u = low.bit_length() - 1
-            got = rec(covered | (closed[u] & comp), chosen | low, -1 << (u + 1), size + 1)
-            if got is not None:
-                return got
-        return None
-
-    found = rec(0, 0, -1, 0)
-    assert found is not None, "no independent dominating set of the optimal size"
-    return found
-
-
-def _dom_min(closed: list[int], comp: int) -> int:
-    """Minimum dominating set size on one connected block."""
-    cap = _cover_cap(closed, comp)
-    best = comp.bit_count()  # the whole block dominates itself
-
-    def rec(dominated: int, excluded: int, size: int) -> None:
-        nonlocal best
-        und = comp & ~dominated
-        if not und:
-            if size < best:
-                best = size
-            return
-        if size + -(-und.bit_count() // cap) >= best:
-            return
-        v = (und & -und).bit_length() - 1
-        cands = closed[v] & comp & ~excluded
-        ban = 0
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            rec(dominated | (closed[low.bit_length() - 1] & comp), excluded | ban, size + 1)
-            ban |= low
-
-    rec(0, 0, 0)
-    return best
-
-
-def _lexmin_dom(closed: list[int], comp: int, k: int) -> int:
-    """Lexicographically first dominating set of size k on a block.
-
-    Members are tried in ascending order; a candidate must dominate at least
-    one currently-undominated vertex, which every member of a minimum
-    dominating set does at its insertion point.
-    """
-    cap = _cover_cap(closed, comp)
-
-    def rec(dominated: int, chosen: int, floor: int, size: int) -> int | None:
-        und = comp & ~dominated
-        if not und:
-            return chosen
-        if size == k or size + -(-und.bit_count() // cap) > k:
-            return None
-        cands = comp & floor
-        if size + _packing(closed, und, cands) > k:
-            return None
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            u = low.bit_length() - 1
-            if closed[u] & und:
-                got = rec(dominated | (closed[u] & comp), chosen | low, -1 << (u + 1), size + 1)
+            if closed[u] & uncovered:
+                got = rec(covered | (closed[u] & comp), chosen | low, -1 << (u + 1), size + 1)
                 if got is not None:
                     return got
         return None
@@ -243,6 +166,46 @@ def _lexmin_dom(closed: list[int], comp: int, k: int) -> int:
     found = rec(0, 0, -1, 0)
     assert found is not None, "no dominating set of the optimal size"
     return found
+
+
+def _independent_dominating_sets(closed: list[int], universe: int, k: int):
+    """Yield as masks, in one fixed depth-first order, the independent
+    dominating sets of the subgraph on ``universe`` with at most k members.
+
+    The branching rule is ``_cover_min``'s for gamma_i, over the whole
+    universe rather than one block, with the covering bound against k.  With
+    k = |universe| the bound never prunes, since a node's picks plus its
+    undominated vertices number at most |universe|.
+    """
+    cap = _cover_cap(closed, universe)
+
+    def rec(covered: int, excluded: int, chosen: int, size: int):
+        uncovered = universe & ~covered
+        if not uncovered:
+            yield chosen
+            return
+        if size + -(-uncovered.bit_count() // cap) > k:
+            return
+        v = (uncovered & -uncovered).bit_length() - 1
+        cands = closed[v] & uncovered & ~excluded
+        ban = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            u = low.bit_length() - 1
+            yield from rec(covered | closed[u], excluded | ban, chosen | low, size + 1)
+            ban |= low
+
+    return rec(0, 0, 0, 0)
+
+
+def _ids_of_size(closed: list[int], universe: int, k: int, limit: int) -> list[int]:
+    """Up to ``limit`` independent dominating sets of size ``k`` within
+    ``universe``, the first ones of the walk.  ``k`` must be the minimum size,
+    so the walk yields no smaller set.  All of the sets are returned when
+    there are at most ``limit``.
+    """
+    return list(islice(_independent_dominating_sets(closed, universe, k), limit))
 
 
 def _alpha_max(open_rows: tuple[int, ...], free0: int) -> int:
@@ -287,7 +250,18 @@ def _lexmin_alpha(open_rows: tuple[int, ...], free0: int, k: int) -> int:
 
 
 def _gamma_i_value_in(closed: list[int], universe: int) -> int:
-    return sum(_ids_min(closed, comp) for comp in _split_components(closed, universe))
+    return sum(_cover_min(closed, comp, True) for comp in component_masks(closed, universe))
+
+
+def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertificate:
+    closed = _closed_rows(g)
+    value = 0
+    witness = 0
+    for comp in component_masks(closed, g.full_mask):
+        k = _cover_min(closed, comp, independent)
+        value += k
+        witness |= _lexmin_cover(closed, comp, k, independent)
+    return GammaCertificate(kind, value, VertexSet(witness))
 
 
 def gamma_i_value(g: Graph) -> int:
@@ -301,52 +275,36 @@ def gamma_i(g: Graph) -> GammaCertificate:
     Decomposes over connected components; the null graph gets value 0 with an
     empty witness so vertex-removal scans stay total.
     """
-    closed = _closed_rows(g)
-    value = 0
-    witness = 0
-    for comp in _split_components(closed, g.full_mask):
-        k = _ids_min(closed, comp)
-        value += k
-        witness |= _lexmin_ids(closed, comp, k)
-    return GammaCertificate("independent_domination", value, VertexSet(witness))
+    return _cover_certificate(g, "independent_domination", True)
 
 
 def gamma_value(g: Graph) -> int:
     if g.order == 0:
         raise EmptyGraph("domination number of the null graph is undefined")
     closed = _closed_rows(g)
-    return sum(_dom_min(closed, comp) for comp in _split_components(closed, g.full_mask))
+    return sum(_cover_min(closed, comp, False) for comp in component_masks(closed, g.full_mask))
 
 
 def gamma(g: Graph) -> GammaCertificate:
     """Minimum dominating set with the lexicographically first witness."""
     if g.order == 0:
         raise EmptyGraph("domination number of the null graph is undefined")
-    closed = _closed_rows(g)
-    value = 0
-    witness = 0
-    for comp in _split_components(closed, g.full_mask):
-        k = _dom_min(closed, comp)
-        value += k
-        witness |= _lexmin_dom(closed, comp, k)
-    return GammaCertificate("domination", value, VertexSet(witness))
+    return _cover_certificate(g, "domination", False)
 
 
 def alpha_value(g: Graph) -> int:
     if g.order == 0:
         raise EmptyGraph("independence number of the null graph is undefined")
-    closed = _closed_rows(g)
-    return sum(_alpha_max(g.adj, comp) for comp in _split_components(closed, g.full_mask))
+    return sum(_alpha_max(g.adj, comp) for comp in component_masks(g.adj, g.full_mask))
 
 
 def alpha(g: Graph) -> GammaCertificate:
     """Maximum independent set with the lexicographically first witness."""
     if g.order == 0:
         raise EmptyGraph("independence number of the null graph is undefined")
-    closed = _closed_rows(g)
     value = 0
     witness = 0
-    for comp in _split_components(closed, g.full_mask):
+    for comp in component_masks(g.adj, g.full_mask):
         k = _alpha_max(g.adj, comp)
         value += k
         witness |= _lexmin_alpha(g.adj, comp, k)
@@ -357,24 +315,8 @@ def enumerate_maximal_independent_sets(g: Graph):
     """Yield every maximal independent set exactly once, in a fixed DFS order."""
     if g.order == 0:
         raise EmptyGraph("the null graph has no vertex sets to enumerate")
-    closed = _closed_rows(g)
-    full = g.full_mask
-
-    def rec(covered: int, excluded: int, chosen: int):
-        uncovered = full & ~covered
-        if not uncovered:
-            yield VertexSet(chosen)
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        cands = closed[v] & uncovered & ~excluded
-        ban = 0
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            yield from rec(covered | closed[low.bit_length() - 1], excluded | ban, chosen | low)
-            ban |= low
-
-    yield from rec(0, 0, 0)
+    for mask in _independent_dominating_sets(_closed_rows(g), g.full_mask, g.order):
+        yield VertexSet(mask)
 
 
 def max_induced_star(g: Graph) -> int:

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from idstab import VertexSet, classify_set, errors, solver
+from idstab import VertexSet, build_graph, classify_set, errors, solver
+from idstab.core import component_masks
 from idstab.families import (
     book,
     complete,
@@ -15,16 +16,14 @@ from idstab.families import (
     star,
 )
 from idstab.ops import disjoint_union
+from idstab.oracles import _brute_gamma
 from idstab.solver import (
     _INFEASIBLE,
     _closed_rows,
     _cover_cap,
-    _dom_min,
     _ids_of_size,
-    _lexmin_dom,
-    _lexmin_ids,
+    _lexmin_cover,
     _packing,
-    _split_components,
     alpha,
     alpha_value,
     enumerate_maximal_independent_sets,
@@ -209,6 +208,8 @@ class TestMinimumIdsFamily:
             ]
             assert sorted(found) == expected
             assert len(set(found)) == len(found)  # no duplicates
+            walk = [s.mask for s in enumerate_maximal_independent_sets(g) if len(s) == k]
+            assert found == walk  # both callers of the shared walk see one order
 
     def test_limit_keeps_a_prefix(self):
         g = disjoint_union(path(2), disjoint_union(path(2), path(2)))  # 8 gamma_i-sets
@@ -256,8 +257,8 @@ def test_gamma_i_matches_test_local_filter(rng):
         assert gamma_i_value(g) == brute_gamma_i(g)
 
 
-# The gamma_i and witness searches as they were before the packing bound, pruned by
-# the covering bound alone: the referees of TestPackingBound.
+# The gamma_i, gamma and witness searches as they were before the packing bound,
+# pruned by the covering bound alone: the referees of TestPackingBound.
 
 def _ref_ids_min(closed, comp):
     cap = _cover_cap(closed, comp)
@@ -278,6 +279,32 @@ def _ref_ids_min(closed, comp):
             low = cands & -cands
             cands ^= low
             rec(covered | (closed[low.bit_length() - 1] & comp), excluded | ban, size + 1)
+            ban |= low
+
+    rec(0, 0, 0)
+    return best
+
+
+def _ref_dom_min(closed, comp):
+    cap = _cover_cap(closed, comp)
+    best = comp.bit_count()
+
+    def rec(dominated, excluded, size):
+        nonlocal best
+        und = comp & ~dominated
+        if not und:
+            if size < best:
+                best = size
+            return
+        if size + -(-und.bit_count() // cap) >= best:
+            return
+        v = (und & -und).bit_length() - 1
+        cands = closed[v] & comp & ~excluded
+        ban = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            rec(dominated | (closed[low.bit_length() - 1] & comp), excluded | ban, size + 1)
             ban |= low
 
     rec(0, 0, 0)
@@ -347,7 +374,7 @@ def _ref_gamma_i(g):
     gamma_i_value and as gamma_i computes it) and the witness."""
     closed = _closed_rows(g)
     value = witness = 0
-    for comp in _split_components(closed, g.full_mask):
+    for comp in component_masks(closed, g.full_mask):
         k = _ref_ids_min(closed, comp)
         value += k
         witness |= _ref_lexmin_ids(closed, comp, k)
@@ -362,8 +389,8 @@ def _new_gamma_i(g):
 def _ref_gamma(g):
     closed = _closed_rows(g)
     value = witness = 0
-    for comp in _split_components(closed, g.full_mask):
-        k = _dom_min(closed, comp)  # unchanged by the packing bound
+    for comp in component_masks(closed, g.full_mask):
+        k = _ref_dom_min(closed, comp)
         value += k
         witness |= _ref_lexmin_dom(closed, comp, k)
     return value, witness
@@ -428,14 +455,14 @@ class TestPackingBound:
         assert _packing(closed, 0b1, 0b1000) == _INFEASIBLE  # nothing in cands dominates 0
 
     def test_exhaustive_order_6_matches_pre_change_witnesses(self):
-        # no block of order <= 6 opens _ids_min's gate, so only the witness passes change here
+        # no block of order <= 6 opens _cover_min's gate, so only the witness passes change here
         for g in all_graphs(6):
             closed = _closed_rows(g)
-            for comp in _split_components(closed, g.full_mask):
+            for comp in component_masks(closed, g.full_mask):
                 k = _ref_ids_min(closed, comp)
-                assert _lexmin_ids(closed, comp, k) == _ref_lexmin_ids(closed, comp, k), g
-                k = _dom_min(closed, comp)
-                assert _lexmin_dom(closed, comp, k) == _ref_lexmin_dom(closed, comp, k), g
+                assert _lexmin_cover(closed, comp, k, True) == _ref_lexmin_ids(closed, comp, k), g
+                k = _ref_dom_min(closed, comp)
+                assert _lexmin_cover(closed, comp, k, False) == _ref_lexmin_dom(closed, comp, k), g
 
     def test_seeded_sparse_matches_pre_change_searches(self, monkeypatch):
         calls = []
@@ -445,12 +472,45 @@ class TestPackingBound:
             return _packing(*args)
 
         monkeypatch.setattr(solver, "_packing", counted)
-        reached = 0  # packing walks made by _ids_min, which runs alone in gamma_i_value
+        # packing walks made by the value search, which runs alone in gamma_i_value and gamma_value
+        reached_gamma_i = reached_gamma = 0
         for g in _sparse_graphs():
             del calls[:]
             gamma_i_value(g)
-            reached += len(calls)
+            reached_gamma_i += len(calls)
+            del calls[:]
+            gamma_value(g)
+            reached_gamma += len(calls)
             assert _new_gamma_i(g) == _ref_gamma_i(g), g
-            if g.order <= 30:  # the pre-change gamma witness pass is slow on larger sparse graphs
+            if g.order <= 30:  # the pre-change gamma searches are slow on larger sparse graphs
                 assert _new_gamma(g) == _ref_gamma(g), g
-        assert reached
+        assert reached_gamma_i and reached_gamma
+
+    def test_gamma_above_the_gate_matches_brute_force(self):
+        rng = random.Random(0x9AC9)
+        graphs = [path(n) for n in (10, 13, 16)] + [cycle(n) for n in (11, 14)]
+        for n in (10, 12, 14, 16):  # random trees of max degree 3: each vertex joins an earlier one
+            degree = [0] * n
+            edges = []
+            for v in range(1, n):
+                u = rng.choice([w for w in range(v) if degree[w] < 3])
+                degree[u] += 1
+                degree[v] += 1
+                edges.append((u, v))
+            graphs.append(build_graph(n, edges))
+        for m in (4, 4, 5, 5):  # caterpillars, spine of m with two leaves each, labels shuffled:
+            label = list(range(3 * m))  # gamma = m < gamma_i, so a gamma-set has adjacent picks
+            rng.shuffle(label)
+            edges = [(label[s], label[s + 1]) for s in range(m - 1)]
+            edges += [(label[s], label[m + 2 * s + i]) for s in range(m) for i in (0, 1)]
+            graphs.append(build_graph(3 * m, edges))
+        for g in graphs:
+            closed = _closed_rows(g)
+            (comp,) = component_masks(closed, g.full_mask)
+            assert comp.bit_count() > 2 * _cover_cap(closed, comp), g  # the packing gate is open
+            value = _brute_gamma(g)
+            assert gamma_value(g) == value, g
+            assert _new_gamma(g) == _ref_gamma(g), g
+            cert = gamma(g)
+            assert cert.value == value == len(cert.witness), g
+            assert classify_set(g, cert.witness).dominating, g
