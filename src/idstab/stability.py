@@ -1,33 +1,61 @@
 """Vertex-removal stability of the independent domination number.
 
 ``stability(g, direction)`` finds the smallest set of vertices whose removal
-changes (or specifically decreases / increases) gamma_i.  The search scans
-k = 1, 2, ... and, within each k, the k-subsets in lexicographic order, so
-the witness is canonical: the lexicographically first subset at the minimal
-size.  Removing all n vertices is admitted (gamma_i of the null graph is 0),
-which makes the "any" and "decrease" directions total; "increase" can be
-genuinely undefined (complete graphs) and is reported as such, never as a
-sentinel number.
+changes (or specifically decreases / increases) gamma_i.  The witness is
+canonical: the lexicographically first set (by sorted member list) at the
+minimal size.  Removing all n vertices is admitted (gamma_i of the null
+graph is 0), which makes the "any" and "decrease" directions total;
+"increase" can be genuinely undefined (complete graphs) and is reported as
+such, never as a sentinel number.
 
 ``oracle_stability`` and ``ORACLE_STABILITY_MAX_ORDER`` are re-exported from
 ``oracles``: the referee reads every removal's gamma_i off a sieve over
-vertex masks and shares no code with this scan.
+vertex masks and shares no code with this module.
 
-Two rules let the scan skip subsets that cannot match.  Each applies from
-k = 1 in its own direction, skips only such subsets and keeps the order of
-the rest, so every witness is the one the full scan would return.
+The "any" and "increase" directions scan k = 1, 2, ... and, within each k,
+the k-subsets in lexicographic order, solving gamma_i(G - S) for each; the
+first match is the witness.  The decrease direction scans k = 1 the same
+way and finds larger witnesses with the left-out search.
 
 * Transversal rule, for "increase".  Let D be a gamma_i-set of G (a
   minimum independent dominating set).  If S misses D, then D is still
   independent in G - S and still dominates V - S, so
   gamma_i(G - S) <= |D| = gamma_i(G).  Only an S that meets every
-  gamma_i-set can raise gamma_i, and the scan visits only those k-subsets.
+  gamma_i-set can raise gamma_i, and the scan visits only those k-subsets,
+  in their order, so the witness is the one the full scan would return.
   The family of gamma_i-sets is capped at ``GAMMA_I_FAMILY_CAP`` masks, so
   memory stays bounded.  A partial family is still sound: a subset is
   skipped only when it misses a gamma_i-set that is actually known.
-* Decrease rule, for "decrease" when gamma_i(G) = 1.  Every graph with a
-  vertex has gamma_i >= 1, so only the null graph G - V has a smaller
-  gamma_i, and the scan starts at k = n.
+* Left-out search, for "decrease".  Let b = gamma_i(G).  Then
+  gamma_i(G - S) < b exactly when some independent D within V - S, with
+  |D| <= b - 1, dominates V - S: such a D is an independent dominating set
+  of G - S, and a gamma_i-set of G - S is such a D.  Every such S contains
+  V - N[D], and V - N[D] is itself such an S for D, so a minimum witness is
+  exactly V - N[D] for its D, and st_down is the fewest vertices left
+  undominated by an independent D of at most b - 1 picks.  With b = 1 there
+  are no picks, and the only witness is S = V.
+
+  The search branches on the lowest vertex u that is neither dominated nor
+  left out (the open vertices).  One branch leaves u out: u joins S, and
+  N[u] is banned from later picks, since a pick there would dominate u.
+  The others pick each undominated, unbanned vertex of N[u] in ascending
+  order and ban it in the later siblings, so no D is reached twice; picks
+  are undominated, so D stays independent.  With ``left`` picks to go and
+  the pool of undominated, unbanned vertices, two bounds count the open
+  vertices every completion leaves out.  Covering: a pick dominates at most
+  cap = max |N[v]| vertices, so at least |open| - left * cap.  Packing:
+  every later pick comes from the pool, so an open vertex with no
+  dominator in the pool is left out (f of them), and open vertices whose
+  dominator sets in the pool are pairwise disjoint need a pick each (c of
+  them), so at least f + max(0, c - left).
+
+  Along a branch, vertices join S in ascending order and every vertex
+  below u is settled, so all leaves under a node agree with S below u.
+  Leaves under the left-out branch hold u and the others' do not, so that
+  branch goes first, and a node whose S below u already loses to the best
+  leaf is cut.  The search runs for k = 2, 3, ... and keeps the
+  lexicographically first leaf with at most k left out; the first k that
+  has one is st_down, since no smaller k had any.
 """
 
 from __future__ import annotations
@@ -39,7 +67,7 @@ from itertools import combinations
 from .core import Graph, VertexSet, iter_bits
 from .errors import EmptyGraph
 from .oracles import ORACLE_STABILITY_MAX_ORDER, oracle_stability  # re-exported
-from .solver import _closed_rows, _gamma_i_value_in, _ids_of_size
+from .solver import _closed_rows, _cover_cap, _gamma_i_value_in, _ids_of_size
 
 GAMMA_I_FAMILY_CAP = 4096  # gamma_i-sets kept for the transversal rule
 
@@ -109,16 +137,97 @@ def _hitting_masks(n: int, k: int, meets: list[int]):
     return rec(0, k, reach[0], 0)
 
 
+def _forced_out(closed: list[int], opened: int, pool: int, left: int) -> int:
+    """The packing bound: how many of the ``opened`` vertices every completion
+    must leave out, when at most ``left`` more picks come from ``pool``.
+
+    The walk is ``solver._packing``'s, except that a vertex with no dominator
+    in the pool counts as left out instead of ending the search.
+    """
+    forced = count = used = 0
+    while opened:
+        low = opened & -opened
+        opened ^= low
+        dom = closed[low.bit_length() - 1] & pool
+        if not dom:
+            forced += 1
+        elif not dom & used:
+            used |= dom
+            count += 1
+    return forced + max(0, count - left)
+
+
+def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
+    """The lexicographically first set V - N[D] with at most k members, over
+    the independent sets D of at most ``picks`` vertices; 0 when there is
+    none.  k must not exceed the smallest such set, so every set found has
+    exactly k members.
+
+    Branching, bounds and the lexicographic cut are those of the module
+    docstring.
+    """
+    cap = _cover_cap(closed, full)
+    found = 0  # the lexmin set so far; a set found is never empty (k >= 1)
+
+    def rec(covered: int, out: int, banned: int, left: int) -> None:
+        nonlocal found
+        opened = full & ~(covered | out)  # neither dominated nor left out
+        if not opened or not left:
+            out |= opened
+            if out.bit_count() <= k and (not found or (out ^ found) & -(out ^ found) & out):
+                found = out
+            return
+        low = opened & -opened
+        diff = (out ^ found) & (low - 1)
+        if found and (out == found or diff & -diff & found):
+            return  # every set below agrees with ``out`` under u, so none beats ``found``
+        size = out.bit_count()
+        if size + max(0, opened.bit_count() - left * cap) > k:
+            return
+        pool = full & ~(covered | banned)
+        if size + _forced_out(closed, opened, pool, left) > k:
+            return
+        u = low.bit_length() - 1
+        rec(covered, out | low, banned | closed[u], left)
+        cands = closed[u] & pool
+        ban = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            rec(covered | closed[low.bit_length() - 1], out, banned | ban, left - 1)
+            ban |= low
+
+    rec(0, 0, 0, picks)
+    return found
+
+
+def _decrease(closed: list[int], full: int, base: int) -> StabilityCertificate:
+    """The decrease certificate: the single removals in order, as the scan
+    visits k = 1, then the left-out search for k = 2, 3, ..."""
+    for v in range(full.bit_length()):
+        val = _gamma_i_value_in(closed, full & ~(1 << v))
+        if val < base:
+            return StabilityCertificate(base, Direction.DECREASE, 1, VertexSet(1 << v), val)
+    k, out = 1, 0
+    while not out:  # found by k = n at the latest: D empty leaves S = V
+        k += 1
+        out = _lexmin_left_out(closed, full, base - 1, k)
+    new = _gamma_i_value_in(closed, full & ~out)
+    return StabilityCertificate(base, Direction.DECREASE, k, VertexSet(out), new)
+
+
 def _scan(g: Graph, direction: Direction) -> StabilityCertificate:
-    """The removal scan for one direction, with that direction's rule from
-    the module docstring; it returns at the first match."""
+    """One direction's certificate.  "any" and "increase" run the removal
+    scan, with the transversal rule for "increase", and return at the first
+    match."""
     if g.order == 0:
         raise EmptyGraph("stability of the null graph is undefined")
     n = g.order
     closed = _closed_rows(g)
     full = g.full_mask
     base = _gamma_i_value_in(closed, full)
-    first = n if direction is Direction.DECREASE and base == 1 else 1
+    if direction is Direction.DECREASE:
+        return _decrease(closed, full, base)
     meets: list[int] | None = None
     if direction is Direction.INCREASE:
         matches = base.__lt__  # val > base
@@ -127,8 +236,8 @@ def _scan(g: Graph, direction: Direction) -> StabilityCertificate:
             for v in iter_bits(ids):
                 meets[v] |= 1 << i
     else:
-        matches = base.__gt__ if direction is Direction.DECREASE else base.__ne__
-    for k in range(first, n + 1):
+        matches = base.__ne__
+    for k in range(1, n + 1):
         masks = _subset_masks(n, k) if meets is None else _hitting_masks(n, k, meets)
         for mask in masks:
             val = _gamma_i_value_in(closed, full & ~mask)
@@ -142,5 +251,5 @@ def stability(g: Graph, direction: Direction | str = Direction.ANY) -> Stability
 
 
 def stability_triple(g: Graph) -> StabilityTriple:
-    """All three directions, one scan each; equal to three ``stability`` calls."""
+    """All three directions; equal to three ``stability`` calls."""
     return StabilityTriple(*(_scan(g, d) for d in Direction))

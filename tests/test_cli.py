@@ -90,6 +90,18 @@ class TestStability:
         code, out, _ = run(capsys, "stability", "--in", str(f), "--witness")
         assert code == 0 and out == "2\t2,3\t4->3\n"
 
+    def test_decrease_witness_golden(self, capsys, tmp_path):
+        # friendship F3 (gamma_i = 1), a dense G(15) with st_down = 5, a sparse G(24, 0.2)
+        f = tmp_path / "down.g6"
+        f.write_text(
+            "F{eCG\n"
+            "NihwuR\\H~|Cy]SgVsOw\n"
+            "W_KOWG@C_?G_@`??OAOA_FHgH_y??_@P?E@??B??m?G@YK_\n"
+        )
+        code, out, _ = run(capsys, "stability", "--in", str(f), "--direction", "down", "--witness")
+        assert code == 0
+        assert out == "7\t0,1,2,3,4,5,6\t1->0\n5\t0,3,6,7,8\t2->1\n2\t0,2\t6->5\n"
+
 
 class TestOp:
     def test_lex_of_specs(self, capsys):

@@ -16,11 +16,14 @@ from idstab.families import (
     path,
 )
 from idstab.ops import disjoint_union
-from idstab.solver import gamma_i_value
+from idstab.solver import _closed_rows, _gamma_i_value_in, gamma_i_value
 from idstab.stability import (
     Direction,
     StabilityCertificate,
+    _forced_out,
     _hitting_masks,
+    _lexmin_left_out,
+    _subset_masks,
     oracle_stability,
     stability,
     stability_triple,
@@ -229,6 +232,76 @@ class TestPruningRules:
         assert cert.value == 9
         assert cert.witness.members() == (0, 1, 2, 3, 5, 9, 10, 13, 18)
         assert (cert.base_gamma_i, cert.new_gamma_i) == (3, 4)
+
+
+def _scan_decrease(g):
+    """The plain decrease scan: every k-subset in lexicographic order, each
+    removal solved, nothing skipped."""
+    closed = _closed_rows(g)
+    full = g.full_mask
+    base = _gamma_i_value_in(closed, full)
+    for k in range(1, g.order + 1):
+        for mask in _subset_masks(g.order, k):
+            val = _gamma_i_value_in(closed, full & ~mask)
+            if val < base:
+                return StabilityCertificate(base, Direction.DECREASE, k, VertexSet(mask), val)
+    raise AssertionError("removing every vertex always decreases gamma_i")
+
+
+class TestDecreaseSearch:
+    """The left-out search gives the plain scan's certificate: value, witness
+    and new gamma_i."""
+
+    @pytest.mark.slow
+    def test_exhaustive_order_6(self):
+        for g in all_graphs(6):
+            assert stability(g, Direction.DECREASE) == _scan_decrease(g)
+
+    def test_seeded_order_7_to_13(self):
+        rng = random.Random(0xDEC5)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(7, 13))
+            assert stability(g, Direction.DECREASE) == _scan_decrease(g)
+
+    @pytest.mark.parametrize(
+        "n,p,seed",
+        [(30, 0.1, 0), (30, 0.1, 1), (30, 0.1, 2), (40, 0.1, 0), (40, 0.1, 1), (40, 0.1, 2), (24, 0.2, 1)],
+    )
+    def test_seeded_sparse(self, n, p, seed):
+        g = random_graph(random.Random(seed), n, p)
+        assert stability(g, Direction.DECREASE) == _scan_decrease(g)
+
+    def test_cycle_8_adjacent_pair(self):
+        g = cycle(8)
+        cert = StabilityCertificate(3, Direction.DECREASE, 2, VertexSet.of([0, 1]), 2)
+        assert stability(g, Direction.DECREASE) == cert
+        closed = _closed_rows(g)
+        # two picks leave at least two vertices of C8 undominated; D = {3, 6} leaves {0, 1}
+        assert _lexmin_left_out(closed, g.full_mask, 2, 1) == 0
+        assert _lexmin_left_out(closed, g.full_mask, 2, 2) == 0b11
+
+    def test_left_out_branch_bans_its_neighbourhood(self, monkeypatch):
+        # the packing walk runs once per node that passes the covering bound;
+        # without the ban on N[u], picks may dominate a left-out u, and this
+        # graph takes 320 such nodes instead of 90
+        walks = []
+
+        def counting(*args):
+            walks.append(args)
+            return _forced_out(*args)
+
+        monkeypatch.setattr(stability_module, "_forced_out", counting)
+        stability(random_graph(random.Random(1), 24, 0.2), Direction.DECREASE)
+        assert len(walks) <= 90
+
+    def test_forced_out_bound(self):
+        closed = _closed_rows(path(5))
+        # no dominator of 0 or 4 is left in the pool
+        assert _forced_out(closed, 0b10001, 0, 2) == 2
+        # 0 and 4 have the disjoint dominator sets {1} and {3}, and one pick is left
+        assert _forced_out(closed, 0b10001, 0b01010, 1) == 1
+        # 4 has no dominator; 0 and 2 share their only one, 1
+        assert _forced_out(closed, 0b10101, 0b00010, 1) == 1
 
 
 class TestInvariants:
