@@ -98,27 +98,31 @@ class _Toolkit:
         self._star: dict[Graph, int] = {}
 
     def gamma_i(self, g: Graph) -> int:
-        if g not in self._gi:
-            self._gi[g] = solver.gamma_i_value(g)
-        return self._gi[g]
+        got = self._gi.get(g)
+        if got is None:
+            got = self._gi[g] = solver.gamma_i_value(g)
+        return got
 
     def st_cert(self, g: Graph) -> stability.StabilityCertificate:
-        if g not in self._st:
-            self._st[g] = stability.stability(g)
-        return self._st[g]
+        got = self._st.get(g)
+        if got is None:
+            got = self._st[g] = stability.stability(g)
+        return got
 
     def st_any(self, g: Graph) -> int:
         return self.st_cert(g).value
 
     def gamma(self, g: Graph) -> int:
-        if g not in self._dom:
-            self._dom[g] = solver.gamma_value(g)
-        return self._dom[g]
+        got = self._dom.get(g)
+        if got is None:
+            got = self._dom[g] = solver.gamma_value(g)
+        return got
 
     def max_star(self, g: Graph) -> int:
-        if g not in self._star:
-            self._star[g] = solver.max_induced_star(g)
-        return self._star[g]
+        got = self._star.get(g)
+        if got is None:
+            got = self._star[g] = solver.max_induced_star(g)
+        return got
 
 
 class _OracleToolkit:

@@ -66,11 +66,15 @@ def decode_graph6(text: str) -> Graph:
     pad = need * 6 - nbits
     if pad and bits & ((1 << pad) - 1):
         raise MalformedGraph6("nonzero padding bits")
-    edges = []
-    for idx, (i, j) in enumerate(upper_triangle_pairs(n)):
-        if (bits >> (need * 6 - 1 - idx)) & 1:
-            edges.append((i, j))
-    return build_graph(n, edges)
+    rows = [0] * n
+    pos = need * 6  # pair (i, j) is bit pos - 1 as the loops reach it
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if bits >> pos & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
 
 
 def parse_edgelist(text: str) -> Graph:

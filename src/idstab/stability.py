@@ -14,8 +14,9 @@ vertex masks and shares no code with this module.
 
 The "any" and "increase" directions scan k = 1, 2, ... and, within each k,
 the k-subsets in lexicographic order, solving gamma_i(G - S) for each; the
-first match is the witness.  The decrease direction scans k = 1 the same
-way and finds larger witnesses with the left-out search.
+first match is the witness.  The decrease direction answers S = V at once
+when gamma_i = 1 (see below), scans k = 1 the same way otherwise, and finds
+larger witnesses with the left-out search.
 
 * Transversal rule, for "increase".  Let D be a gamma_i-set of G (a
   minimum independent dominating set).  If S misses D, then D is still
@@ -203,7 +204,10 @@ def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
 
 def _decrease(closed: list[int], full: int, base: int) -> StabilityCertificate:
     """The decrease certificate: the single removals in order, as the scan
-    visits k = 1, then the left-out search for k = 2, 3, ..."""
+    visits k = 1, then the left-out search for k = 2, 3, ...  With b = 1
+    the only witness is S = V (module docstring), so it is returned at once."""
+    if base == 1:
+        return StabilityCertificate(base, Direction.DECREASE, full.bit_count(), VertexSet(full), 0)
     for v in range(full.bit_length()):
         val = _gamma_i_value_in(closed, full & ~(1 << v))
         if val < base:

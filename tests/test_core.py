@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,12 +68,16 @@ class TestBuildGraph:
             build_graph(3, [(0, 3)])
 
     def test_invalid_rows_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(2, (0b10, 0b00))  # asymmetric
-        with pytest.raises(ValueError):
-            Graph(2, (0b01, 0b10))  # loops
-        with pytest.raises(ValueError):
-            Graph(1, (0b10,))  # stray bit
+        with pytest.raises(ValueError, match=r"^asymmetric edge 0-1$"):
+            Graph(2, (0b10, 0b00))
+        with pytest.raises(ValueError, match=r"^asymmetric edge 2-0$"):
+            Graph(3, (0b010, 0b001, 0b001))
+        with pytest.raises(ValueError, match=r"^loop at vertex 0$"):
+            Graph(2, (0b01, 0b10))
+        with pytest.raises(ValueError, match=r"^row 0 has bits beyond vertex 0$"):
+            Graph(1, (0b10,))
+        with pytest.raises(ValueError, match=r"^row 1 has bits beyond vertex 1$"):
+            Graph(2, (0b10, 0b111))  # a stray bit is reported before a loop
 
     @given(edge_lists())
     @settings(max_examples=120, deadline=None)
@@ -188,6 +194,37 @@ class TestDeleteVertices:
             mask = rng.randrange(1 << g.order)
             sub, _ = delete_vertices(g, VertexSet(mask))
             assert sub.order == g.order - mask.bit_count()
+
+
+def _relabel_per_bit(g, mask):
+    """``delete_vertices`` as it was: each kept row rebuilt one kept vertex at a time."""
+    keep = [v for v in range(g.order) if not mask >> v & 1]
+    rows = []
+    for old in keep:
+        row = g.adj[old]
+        m = 0
+        for new, src in enumerate(keep):
+            m |= ((row >> src) & 1) << new
+        rows.append(m)
+    return Graph(len(keep), tuple(rows)), {old: new for new, old in enumerate(keep)}
+
+
+class TestDeleteVerticesByShifting:
+    def test_every_removal_order_5(self):
+        for g in all_graphs(5):
+            for mask in range(1 << g.order):
+                assert delete_vertices(g, VertexSet(mask)) == _relabel_per_bit(g, mask), (g, mask)
+
+    def test_seeded_up_to_order_64(self):
+        rng = random.Random(0xDE1E)
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(2, 64))
+            mask = rng.getrandbits(g.order)
+            assert delete_vertices(g, VertexSet(mask)) == _relabel_per_bit(g, mask)
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, 64, p)
+            for mask in (3 << 62, rng.getrandbits(62) | 3 << 62, 1 << 62, 1 << 63, 1, g.full_mask):
+                assert delete_vertices(g, VertexSet(mask)) == _relabel_per_bit(g, mask)
 
 
 class TestComplement:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from idstab.codec import decode_graph6, emit_edgelist, encode_graph6, parse_edge
 from idstab.core import build_graph, upper_triangle_pairs
 from idstab.families import book, complete, empty, friendship, path, petersen, star
 
-from conftest import all_graphs
+from conftest import all_graphs, random_graph
 
 
 class TestGraph6:
@@ -71,6 +73,41 @@ class TestGraph6:
         edges = [p for p in pairs if data.draw(st.booleans())]
         g = build_graph(n, edges)
         assert decode_graph6(encode_graph6(g)) == g
+
+
+def _decode_by_edges(text):
+    """``decode_graph6`` as it ended before: the payload bits as an edge list
+    through ``build_graph``.  Valid input only."""
+    if text[0] == "~":
+        n = ((ord(text[1]) - 63) << 12) | ((ord(text[2]) - 63) << 6) | (ord(text[3]) - 63)
+        body = text[4:]
+    else:
+        n = ord(text[0]) - 63
+        body = text[1:]
+    need = len(body)
+    bits = 0
+    for ch in body:
+        bits = (bits << 6) | (ord(ch) - 63)
+    edges = []
+    for idx, (i, j) in enumerate(upper_triangle_pairs(n)):
+        if (bits >> (need * 6 - 1 - idx)) & 1:
+            edges.append((i, j))
+    return build_graph(n, edges)
+
+
+class TestDirectDecode:
+    def test_every_graph_of_order_6(self):
+        for g in [empty(0)] + list(all_graphs(6)):
+            text = encode_graph6(g)
+            assert decode_graph6(text) == _decode_by_edges(text) == g
+
+    def test_multibyte_and_random_orders(self):
+        rng = random.Random(0x96)
+        graphs = [random_graph(rng, n, p) for n in (63, 64) for p in (0.05, 0.5, 0.95)]
+        graphs += [random_graph(rng, rng.randint(7, 62)) for _ in range(30)]
+        for g in graphs:
+            text = encode_graph6(g)
+            assert decode_graph6(text) == _decode_by_edges(text) == g
 
 
 class TestEdgeList:

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -15,12 +16,13 @@ from idstab.families import (
     petersen,
     star,
 )
-from idstab.ops import disjoint_union
+from idstab.ops import disjoint_union, join, lexicographic
 from idstab.oracles import _brute_gamma
 from idstab.solver import (
     _INFEASIBLE,
     _closed_rows,
     _cover_cap,
+    _cover_min,
     _ids_of_size,
     _lexmin_cover,
     _packing,
@@ -135,9 +137,10 @@ class TestOracleGammaI:
 
 
 class TestSolverOracleAgreement:
-    def test_exhaustive_order_5(self):
-        for g in all_graphs(5):
-            assert gamma_i_value(g) == oracle_gamma_i(g)
+    def test_exhaustive_order_6(self):
+        for g in all_graphs(6):
+            assert gamma_i_value(g) == oracle_gamma_i(g), g
+            assert gamma_value(g) == _brute_gamma(g), g
 
     def test_random_order_12(self, rng):
         for _ in range(50):
@@ -514,3 +517,62 @@ class TestPackingBound:
             cert = gamma(g)
             assert cert.value == value == len(cert.witness), g
             assert classify_set(g, cert.witness).dominating, g
+
+
+def _search_calls(fn, *args):
+    """``fn(*args)`` and the number of calls it made to solver's nested ``rec`` searches."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" and code.co_filename == solver.__file__:
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def _dominated_blocks(g):
+    closed = _closed_rows(g)
+    return [c for c in component_masks(closed, g.full_mask) if _cover_cap(closed, c) == c.bit_count()]
+
+
+class TestDominatingVertexExit:
+    def test_no_search_on_a_block_with_a_dominating_vertex(self):
+        blocks = 0
+        for g in all_graphs(5):
+            closed = _closed_rows(g)
+            for comp in _dominated_blocks(g):
+                blocks += 1
+                assert _search_calls(_cover_min, closed, comp, True) == (1, 0), g
+                assert _search_calls(_cover_min, closed, comp, False) == (1, 0), g
+        assert blocks
+        closed = _closed_rows(cycle(6))  # no dominating vertex: the search runs
+        assert _search_calls(_cover_min, closed, 0b111111, True)[1] > 0
+
+    def test_seeded_dense_joins_and_products(self):
+        rng = random.Random(0xD0E1)
+        graphs = [random_graph(rng, rng.randint(7, 20), rng.choice((0.5, 0.7, 0.9))) for _ in range(30)]
+        graphs += [join(complete(1), cycle(n)) for n in range(3, 12)]  # wheels
+        graphs += [join(complete(1), random_graph(rng, rng.randint(6, 16), 0.5)) for _ in range(8)]
+        graphs += [join(random_graph(rng, 5), random_graph(rng, rng.randint(3, 12))) for _ in range(8)]
+        graphs += [
+            lexicographic(star(3), complete(4)),
+            lexicographic(complete(3), star(4)),
+            lexicographic(path(3), join(complete(1), path(4))),
+            lexicographic(complete(2), random_graph(rng, 8, 0.5)),
+            lexicographic(random_graph(rng, 4, 0.5), complete(4)),
+        ]
+        fired = 0
+        for g in graphs:
+            fired += len(_dominated_blocks(g))
+            assert gamma_i_value(g) == oracle_gamma_i(g), g
+            assert gamma_value(g) == _brute_gamma(g), g
+            assert _new_gamma_i(g) == _ref_gamma_i(g), g
+            assert _new_gamma(g) == _ref_gamma(g), g
+        assert fired >= 20

@@ -14,6 +14,7 @@ from idstab.families import (
     empty,
     friendship,
     path,
+    star,
 )
 from idstab.ops import disjoint_union
 from idstab.solver import _closed_rows, _gamma_i_value_in, gamma_i_value
@@ -248,6 +249,24 @@ def _scan_decrease(g):
     raise AssertionError("removing every vertex always decreases gamma_i")
 
 
+def _searched_decrease(g):
+    """The single removals, then the left-out search for k = 2, 3, ..., as
+    ``stability`` finds a decrease witness when gamma_i is not 1."""
+    closed = _closed_rows(g)
+    full = g.full_mask
+    base = _gamma_i_value_in(closed, full)
+    for v in range(g.order):
+        val = _gamma_i_value_in(closed, full & ~(1 << v))
+        if val < base:
+            return StabilityCertificate(base, Direction.DECREASE, 1, VertexSet(1 << v), val)
+    for k in range(2, g.order + 1):
+        out = _lexmin_left_out(closed, full, base - 1, k)
+        if out:
+            new = _gamma_i_value_in(closed, full & ~out)
+            return StabilityCertificate(base, Direction.DECREASE, k, VertexSet(out), new)
+    raise AssertionError("removing every vertex always decreases gamma_i")
+
+
 class TestDecreaseSearch:
     """The left-out search gives the plain scan's certificate: value, witness
     and new gamma_i."""
@@ -293,6 +312,28 @@ class TestDecreaseSearch:
         monkeypatch.setattr(stability_module, "_forced_out", counting)
         stability(random_graph(random.Random(1), 24, 0.2), Direction.DECREASE)
         assert len(walks) <= 90
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete(1), complete(20), star(30), friendship(6)],
+        ids=["K1", "K20", "star30", "friendship6"],
+    )
+    def test_gamma_i_one_answers_at_once(self, g, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _lexmin_left_out(*args)
+
+        monkeypatch.setattr(stability_module, "_lexmin_left_out", counting)
+        cert = stability(g, Direction.DECREASE)
+        assert not calls
+        expected = StabilityCertificate(1, Direction.DECREASE, g.order, VertexSet(g.full_mask), 0)
+        assert cert == expected
+        if g.order <= 13:
+            assert _scan_decrease(g) == expected
+        else:  # the plain scan visits all 2^n - 1 removals here; the searched one has no shortcut
+            assert _searched_decrease(g) == expected
 
     def test_forced_out_bound(self):
         closed = _closed_rows(path(5))
