@@ -6,6 +6,13 @@ Nordhaus-Gaddum pair, and identities for the join, lexicographic product
 and corona.  Each claim applies to one instance kind: a single graph, an
 ordered pair of graphs, or a family spec.
 
+A claim is declared once, where it is evaluated: the ``_claim`` decorator
+gives its evaluator an id, an instance kind, a statement and an optional
+restricted note, and registers it in declaration order.  Most evaluators
+check one of two shapes through a helper: ``_st_claim`` compares st_id of a
+graph with a bound or a value, and ``_gi_claim`` compares gamma_i of a graph
+with a value; each helper also builds the matching certificate.
+
 Two evaluation modes exist.  ``strict`` applies exactly the stated
 hypothesis of each claim; ``restricted`` adds documented guards (see each
 claim's ``restricted_note``) so a run can distinguish "false as stated"
@@ -28,6 +35,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import eq, le
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -88,40 +96,42 @@ class _Toolkit:
 
     Values are cached per graph for the lifetime of one audit run (or one
     worker), which is what makes complement- and deletion-heavy claims like
-    C5 and C16 cheap over exhaustive corpora.
+    C5 and C16 cheap over exhaustive corpora.  The caches are keyed by
+    ``g.adj``, which alone names the graph (``Graph`` validates
+    ``len(adj) == order``) and skips the dataclass ``__hash__`` and ``__eq__``.
     """
 
     def __init__(self) -> None:
-        self._gi: dict[Graph, int] = {}
-        self._st: dict[Graph, stability.StabilityCertificate] = {}
-        self._dom: dict[Graph, int] = {}
-        self._star: dict[Graph, int] = {}
+        self._gi: dict[tuple[int, ...], int] = {}
+        self._st: dict[tuple[int, ...], stability.StabilityCertificate] = {}
+        self._dom: dict[tuple[int, ...], int] = {}
+        self._star: dict[tuple[int, ...], int] = {}
 
     def gamma_i(self, g: Graph) -> int:
-        got = self._gi.get(g)
+        got = self._gi.get(g.adj)
         if got is None:
-            got = self._gi[g] = solver.gamma_i_value(g)
+            got = self._gi[g.adj] = solver.gamma_i_value(g)
         return got
 
     def st_cert(self, g: Graph) -> stability.StabilityCertificate:
-        got = self._st.get(g)
+        got = self._st.get(g.adj)
         if got is None:
-            got = self._st[g] = stability.stability(g)
+            got = self._st[g.adj] = stability.stability(g)
         return got
 
     def st_any(self, g: Graph) -> int:
         return self.st_cert(g).value
 
     def gamma(self, g: Graph) -> int:
-        got = self._dom.get(g)
+        got = self._dom.get(g.adj)
         if got is None:
-            got = self._dom[g] = solver.gamma_value(g)
+            got = self._dom[g.adj] = solver.gamma_value(g)
         return got
 
     def max_star(self, g: Graph) -> int:
-        got = self._star.get(g)
+        got = self._star.get(g.adj)
         if got is None:
-            got = self._star[g] = solver.max_induced_star(g)
+            got = self._star[g.adj] = solver.max_induced_star(g)
         return got
 
 
@@ -129,18 +139,20 @@ class _OracleToolkit:
     """The same evaluators, rebuilt on the definition-direct oracles."""
 
     def __init__(self) -> None:
-        self._gi: dict[Graph, int] = {}
-        self._st: dict[Graph, int] = {}
+        self._gi: dict[tuple[int, ...], int] = {}
+        self._st: dict[tuple[int, ...], int] = {}
 
     def gamma_i(self, g: Graph) -> int:
-        if g not in self._gi:
-            self._gi[g] = oracles.oracle_gamma_i(g)
-        return self._gi[g]
+        got = self._gi.get(g.adj)
+        if got is None:
+            got = self._gi[g.adj] = oracles.oracle_gamma_i(g)
+        return got
 
     def st_any(self, g: Graph) -> int:
-        if g not in self._st:
-            self._st[g] = oracles.oracle_stability(g)[0]
-        return self._st[g]
+        got = self._st.get(g.adj)
+        if got is None:
+            got = self._st[g.adj] = oracles.oracle_stability(g)[0]
+        return got
 
     def gamma(self, g: Graph) -> int:
         return oracles._brute_gamma(g)
@@ -150,7 +162,7 @@ class _OracleToolkit:
 
 
 # ---------------------------------------------------------------------------
-# Claim evaluators.
+# Claims, each declared by ``_claim`` on its evaluator.
 # ---------------------------------------------------------------------------
 
 
@@ -164,6 +176,31 @@ class _Eval:
 
 
 _NA = _Eval(False)
+
+
+@dataclass(frozen=True)
+class Claim:
+    id: str
+    statement: str
+    instance_kind: str
+    evaluate: Callable
+    restricted_note: str = ""
+
+
+_REGISTRY: dict[str, Claim] = {}
+
+
+def _claim(cid: str, kind: str, statement: str, restricted_note: str = ""):
+    """Register the decorated evaluator as claim ``cid``, in declaration order.
+
+    An evaluator takes ``(instance, kit, mode)`` and returns an ``_Eval``.
+    """
+
+    def register(evaluate: Callable) -> Callable:
+        _REGISTRY[cid] = Claim(cid, statement, kind, evaluate, restricted_note)
+        return evaluate
+
+    return register
 
 
 def _is_isolate_free(g: Graph) -> bool:
@@ -197,42 +234,50 @@ def _gi_payload(g: Graph, label: str = "graph") -> dict:
     }
 
 
+def _st_claim(kit, g: Graph, holds: Callable[[int, int], bool], rhs: int, **extra) -> _Eval:
+    """The st shape: ``holds(st_id(g), rhs)``, with ``le`` for a bound and
+    ``eq`` for a value; ``extra`` goes into the certificate."""
+    lhs = kit.st_any(g)
+    return _Eval(True, holds(lhs, rhs), lhs, rhs, lambda: _st_payload(kit, g, **extra))
+
+
+def _gi_claim(kit, g: Graph, rhs: int, label: str = "graph") -> _Eval:
+    """The gamma_i shape: gamma_i(g) == rhs."""
+    lhs = kit.gamma_i(g)
+    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(g, label))
+
+
+def _pair_na(g1: Graph, g2: Graph) -> bool:
+    return g1.order == 0 or g2.order == 0
+
+
+@_claim("C1", FAMILY, "gamma_i(P_n) = gamma_i(C_n) = floor((n+2)/3)")
 def _c1(spec: FamilySpec, kit, mode: str) -> _Eval:
     if spec.kind not in ("path", "cycle"):
         return _NA
-    n = spec.params[0]
-    g = generate(spec)
-    lhs = kit.gamma_i(g)
-    rhs = (n + 2) // 3
-    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(g))
+    return _gi_claim(kit, generate(spec), (spec.params[0] + 2) // 3)
 
 
+@_claim("C2", GRAPH, "st_id(G) <= delta(G) + 1 for every graph G")
 def _c2(g: Graph, kit, mode: str) -> _Eval:
-    lhs = kit.st_any(g)
-    rhs = degree_stats(g).min_degree + 1
-    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g))
+    return _st_claim(kit, g, le, degree_stats(g).min_degree + 1)
 
 
+@_claim("C3", FAMILY, "st_id(P_n) = 2 when n = 2 (mod 3), else 1")
 def _c3(spec: FamilySpec, kit, mode: str) -> _Eval:
     if spec.kind != "path":
         return _NA
-    n = spec.params[0]
-    g = generate(spec)
-    lhs = kit.st_any(g)
-    rhs = 2 if n % 3 == 2 else 1
-    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _st_payload(kit, g))
+    return _st_claim(kit, generate(spec), eq, 2 if spec.params[0] % 3 == 2 else 1)
 
 
+@_claim("C4", FAMILY, "st_id(C_n) = 3 / 2 / 1 when n = 0 / 2 / 1 (mod 3)")
 def _c4(spec: FamilySpec, kit, mode: str) -> _Eval:
     if spec.kind != "cycle":
         return _NA
-    n = spec.params[0]
-    g = generate(spec)
-    lhs = kit.st_any(g)
-    rhs = {0: 3, 1: 1, 2: 2}[n % 3]
-    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _st_payload(kit, g))
+    return _st_claim(kit, generate(spec), eq, (3, 1, 2)[spec.params[0] % 3])
 
 
+@_claim("C5", GRAPH, "st_id(G) <= st_id(G - v) + 1 for every vertex v")
 def _c5(g: Graph, kit, mode: str) -> _Eval:
     if g.order < 2:
         return _NA
@@ -250,48 +295,51 @@ def _c5(g: Graph, kit, mode: str) -> _Eval:
     return _Eval(True, lhs <= rhs, lhs, rhs, cert)
 
 
+@_claim("C6", GRAPH, "st_id(G) <= n - 1 for non-complete G of order n >= 2")
 def _c6(g: Graph, kit, mode: str) -> _Eval:
     if g.order < 2 or g.is_complete():
         return _NA
-    lhs = kit.st_any(g)
-    rhs = g.order - 1
-    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g))
+    return _st_claim(kit, g, le, g.order - 1)
 
 
+@_claim(
+    "C7",
+    GRAPH,
+    "st_id(G) <= n - t for non-complete G of order n >= 2 with an induced star"
+    " K_{1,t}, t >= 3 (checked at the largest such t)",
+)
 def _c7(g: Graph, kit, mode: str) -> _Eval:
     if g.order < 2 or g.is_complete():
         return _NA
     t = kit.max_star(g)
     if t < 3:
         return _NA
-    lhs = kit.st_any(g)
-    rhs = g.order - t
-    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g, induced_star=t))
+    return _st_claim(kit, g, le, g.order - t, induced_star=t)
 
 
+@_claim("C8", GRAPH, "st_id(G) <= n - Delta(G) for non-complete G of order n >= 2")
 def _c8(g: Graph, kit, mode: str) -> _Eval:
     if g.order < 2 or g.is_complete():
         return _NA
-    lhs = kit.st_any(g)
-    rhs = g.order - degree_stats(g).max_degree
-    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g))
+    return _st_claim(kit, g, le, g.order - degree_stats(g).max_degree)
 
 
+@_claim("C9", GRAPH, "st_id(G) <= n + 1 - 2 gamma_i(G)", "adds: G is isolate-free")
 def _c9(g: Graph, kit, mode: str) -> _Eval:
-    if g.order == 0:
+    if g.order == 0 or (mode == RESTRICTED and not _is_isolate_free(g)):
         return _NA
-    if mode == RESTRICTED and not _is_isolate_free(g):
-        return _NA
-    lhs = kit.st_any(g)
     gi = kit.gamma_i(g)
-    rhs = g.order + 1 - 2 * gi
-    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g, gamma_i=gi))
+    return _st_claim(kit, g, le, g.order + 1 - 2 * gi, gamma_i=gi)
 
 
+@_claim(
+    "C10",
+    GRAPH,
+    "if st_id(G) = n - 1 for G of order n >= 2 then gamma_i(G) = 1",
+    "adds: G is isolate-free",
+)
 def _c10(g: Graph, kit, mode: str) -> _Eval:
-    if g.order < 2:
-        return _NA
-    if mode == RESTRICTED and not _is_isolate_free(g):
+    if g.order < 2 or (mode == RESTRICTED and not _is_isolate_free(g)):
         return _NA
     if kit.st_any(g) != g.order - 1:
         return _NA
@@ -305,16 +353,17 @@ def _c10(g: Graph, kit, mode: str) -> _Eval:
     return _Eval(True, lhs == 1, lhs, 1, cert)
 
 
+@_claim("C11", GRAPH, "st_id(G) <= n / gamma_i(G) when gamma_i(G) >= 2")
 def _c11(g: Graph, kit, mode: str) -> _Eval:
     gi = kit.gamma_i(g)
     if gi < 2:
         return _NA
     lhs = kit.st_any(g)
     ok = lhs * gi <= g.order
-    rhs = g.order / gi
-    return _Eval(True, ok, lhs, rhs, lambda: _st_payload(kit, g, gamma_i=gi))
+    return _Eval(True, ok, lhs, g.order / gi, lambda: _st_payload(kit, g, gamma_i=gi))
 
 
+@_claim("C12", GRAPH, "gamma_i(G) <= n + 2 - gamma(G) - ceil(n / gamma(G)) for isolate-free G")
 def _c12(g: Graph, kit, mode: str) -> _Eval:
     if not _is_isolate_free(g):
         return _NA
@@ -324,6 +373,7 @@ def _c12(g: Graph, kit, mode: str) -> _Eval:
     return _Eval(True, lhs <= rhs, lhs, rhs, lambda: {**_gi_payload(g), "gamma": dom})
 
 
+@_claim("C13", GRAPH, "gamma(G) <= n / 2 for connected G of order n >= 2")
 def _c13(g: Graph, kit, mode: str) -> _Eval:
     if g.order < 2 or len(components(g)) != 1:
         return _NA
@@ -335,6 +385,12 @@ def _c13(g: Graph, kit, mode: str) -> _Eval:
     )
 
 
+@_claim(
+    "C14",
+    GRAPH,
+    "no isolate-free G with gamma_i(G) >= 2 has st_id(G) = n - k for any"
+    " 2 <= k <= gamma_i(G)",
+)
 def _c14(g: Graph, kit, mode: str) -> _Eval:
     if not _is_isolate_free(g):
         return _NA
@@ -349,16 +405,21 @@ def _c14(g: Graph, kit, mode: str) -> _Eval:
     )
 
 
+@_claim("C15", GRAPH, "st_id(G) <= min(delta(G) + 1, n - delta(G) - 1) when gamma_i(G) >= 2")
 def _c15(g: Graph, kit, mode: str) -> _Eval:
     gi = kit.gamma_i(g)
     if gi < 2:
         return _NA
-    lhs = kit.st_any(g)
     d = degree_stats(g).min_degree
-    rhs = min(d + 1, g.order - d - 1)
-    return _Eval(True, lhs <= rhs, lhs, rhs, lambda: _st_payload(kit, g, gamma_i=gi))
+    return _st_claim(kit, g, le, min(d + 1, g.order - d - 1), gamma_i=gi)
 
 
+@_claim(
+    "C16",
+    GRAPH,
+    "st_id(G) + st_id(complement(G)) <= n + 1 if gamma_i of either is 1,"
+    " else <= n (n even) or n - 1 (n odd)",
+)
 def _c16(g: Graph, kit, mode: str) -> _Eval:
     if g.order == 0:
         return _NA
@@ -379,69 +440,60 @@ def _c16(g: Graph, kit, mode: str) -> _Eval:
     return _Eval(True, lhs <= rhs, lhs, rhs, cert)
 
 
-def _pair_na(g1: Graph, g2: Graph) -> bool:
-    return g1.order == 0 or g2.order == 0
-
-
+@_claim("C17", PAIR, "gamma_i(G1 + G2) = min(gamma_i(G1), gamma_i(G2)) for nonempty operands")
 def _c17(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
     if _pair_na(g1, g2):
         return _NA
-    j = join(g1, g2)
-    lhs = kit.gamma_i(j)
-    rhs = min(kit.gamma_i(g1), kit.gamma_i(g2))
-    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(j, "join"))
+    return _gi_claim(kit, join(g1, g2), min(kit.gamma_i(g1), kit.gamma_i(g2)), "join")
 
 
+@_claim("C18", PAIR, "st_id(G1 + G2) = min(st_id(G1), st_id(G2)) for nonempty operands")
 def _c18(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
     if _pair_na(g1, g2):
         return _NA
-    j = join(g1, g2)
-    lhs = kit.st_any(j)
-    rhs = min(kit.st_any(g1), kit.st_any(g2))
-    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _st_payload(kit, j))
+    return _st_claim(kit, join(g1, g2), eq, min(kit.st_any(g1), kit.st_any(g2)))
 
 
+@_claim("C19", PAIR, "gamma_i(G[H]) = gamma_i(G) * gamma_i(H)")
 def _c19(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
     if _pair_na(g1, g2):
         return _NA
-    prod = lexicographic(g1, g2)
-    lhs = kit.gamma_i(prod)
-    rhs = kit.gamma_i(g1) * kit.gamma_i(g2)
-    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(prod, "product"))
+    return _gi_claim(kit, lexicographic(g1, g2), kit.gamma_i(g1) * kit.gamma_i(g2), "product")
 
 
+@_claim("C20", PAIR, "st_id(G[H]) = min(st_id(G), st_id(H))")
 def _c20(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
     if _pair_na(g1, g2):
         return _NA
-    prod = lexicographic(g1, g2)
-    lhs = kit.st_any(prod)
-    rhs = min(kit.st_any(g1), kit.st_any(g2))
-    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _st_payload(kit, prod))
+    return _st_claim(kit, lexicographic(g1, g2), eq, min(kit.st_any(g1), kit.st_any(g2)))
 
 
+@_claim("C21", PAIR, "gamma_i(G o H) = |V(G)| * gamma_i(H) (corona)")
 def _c21(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
     if _pair_na(g1, g2):
         return _NA
-    prod = corona(g1, g2)
-    lhs = kit.gamma_i(prod)
-    rhs = g1.order * kit.gamma_i(g2)
-    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(prod, "corona"))
+    return _gi_claim(kit, corona(g1, g2), g1.order * kit.gamma_i(g2), "corona")
 
 
+@_claim("C22", PAIR, "st_id(G o H) = 1 (corona)")
 def _c22(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
     if _pair_na(g1, g2):
         return _NA
-    prod = corona(g1, g2)
-    lhs = kit.st_any(prod)
-    return _Eval(True, lhs == 1, lhs, 1, lambda: _st_payload(kit, prod))
+    return _st_claim(kit, corona(g1, g2), eq, 1)
 
 
+@_claim(
+    "C23",
+    FAMILY,
+    "st_id = 1 for stars, double stars, and K_{m,n} with m >= n >= 2",
+    "adds: stars need at least 2 leaves",
+)
 def _c23(spec: FamilySpec, kit, mode: str) -> _Eval:
     if spec.kind == "star":
         if mode == RESTRICTED and spec.params[0] < 2:
@@ -451,11 +503,14 @@ def _c23(spec: FamilySpec, kit, mode: str) -> _Eval:
             return _NA
     elif spec.kind != "double_star":
         return _NA
-    g = generate(spec)
-    lhs = kit.st_any(g)
-    return _Eval(True, lhs == 1, lhs, 1, lambda: _st_payload(kit, g))
+    return _st_claim(kit, generate(spec), eq, 1)
 
 
+@_claim(
+    "C24",
+    FAMILY,
+    "gamma_i(F_n) = 1; gamma_i(F_{q,n}) = n + 1 for q in {4,5,6}; gamma_i(B_n) = n",
+)
 def _c24(spec: FamilySpec, kit, mode: str) -> _Eval:
     if spec.kind == "friendship":
         rhs = 1
@@ -467,156 +522,34 @@ def _c24(spec: FamilySpec, kit, mode: str) -> _Eval:
         rhs = spec.params[0]
     else:
         return _NA
-    g = generate(spec)
-    lhs = kit.gamma_i(g)
-    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(g))
+    return _gi_claim(kit, generate(spec), rhs)
 
 
+@_claim(
+    "C25",
+    FAMILY,
+    "st_id(F_n) = 1; st_id(F_{q,n}) = 1 for q >= 3; st_id(B_n) = 2",
+    "adds: at least 2 petals",
+)
 def _c25(spec: FamilySpec, kit, mode: str) -> _Eval:
     if spec.kind in ("friendship", "gen_friendship"):
-        copies = spec.params[-1]
-        if mode == RESTRICTED and copies < 2:
+        if mode == RESTRICTED and spec.params[-1] < 2:
             return _NA
         rhs = 1
     elif spec.kind == "book":
         rhs = 2
     else:
         return _NA
-    g = generate(spec)
-    lhs = kit.st_any(g)
-    return _Eval(True, lhs == rhs, lhs, rhs, lambda: _st_payload(kit, g))
+    return _st_claim(kit, generate(spec), eq, rhs)
 
 
+@_claim("C26", GRAPH, "st_id(G) = n exactly when G is complete")
 def _c26(g: Graph, kit, mode: str) -> _Eval:
     st = kit.st_any(g)
     complete = g.is_complete()
     ok = (st == g.order) == complete
     return _Eval(True, ok, st, g.order, lambda: _st_payload(kit, g, complete=complete))
 
-
-@dataclass(frozen=True)
-class Claim:
-    id: str
-    statement: str
-    instance_kind: str
-    relation: str
-    evaluate: Callable
-    restricted_note: str = ""
-
-
-_CLAIM_DEFS = [
-    ("C1", "gamma_i(P_n) = gamma_i(C_n) = floor((n+2)/3)", FAMILY, "equality", _c1, ""),
-    ("C2", "st_id(G) <= delta(G) + 1 for every graph G", GRAPH, "<=", _c2, ""),
-    ("C3", "st_id(P_n) = 2 when n = 2 (mod 3), else 1", FAMILY, "equality", _c3, ""),
-    ("C4", "st_id(C_n) = 3 / 2 / 1 when n = 0 / 2 / 1 (mod 3)", FAMILY, "equality", _c4, ""),
-    ("C5", "st_id(G) <= st_id(G - v) + 1 for every vertex v", GRAPH, "<=", _c5, ""),
-    ("C6", "st_id(G) <= n - 1 for non-complete G of order n >= 2", GRAPH, "<=", _c6, ""),
-    (
-        "C7",
-        "st_id(G) <= n - t for non-complete G of order n >= 2 with an induced star"
-        " K_{1,t}, t >= 3 (checked at the largest such t)",
-        GRAPH,
-        "<=",
-        _c7,
-        "",
-    ),
-    ("C8", "st_id(G) <= n - Delta(G) for non-complete G of order n >= 2", GRAPH, "<=", _c8, ""),
-    ("C9", "st_id(G) <= n + 1 - 2 gamma_i(G)", GRAPH, "<=", _c9, "adds: G is isolate-free"),
-    (
-        "C10",
-        "if st_id(G) = n - 1 for G of order n >= 2 then gamma_i(G) = 1",
-        GRAPH,
-        "equality",
-        _c10,
-        "adds: G is isolate-free",
-    ),
-    ("C11", "st_id(G) <= n / gamma_i(G) when gamma_i(G) >= 2", GRAPH, "<=", _c11, ""),
-    (
-        "C12",
-        "gamma_i(G) <= n + 2 - gamma(G) - ceil(n / gamma(G)) for isolate-free G",
-        GRAPH,
-        "<=",
-        _c12,
-        "",
-    ),
-    ("C13", "gamma(G) <= n / 2 for connected G of order n >= 2", GRAPH, "<=", _c13, ""),
-    (
-        "C14",
-        "no isolate-free G with gamma_i(G) >= 2 has st_id(G) = n - k for any"
-        " 2 <= k <= gamma_i(G)",
-        GRAPH,
-        "nonexistence",
-        _c14,
-        "",
-    ),
-    (
-        "C15",
-        "st_id(G) <= min(delta(G) + 1, n - delta(G) - 1) when gamma_i(G) >= 2",
-        GRAPH,
-        "<=",
-        _c15,
-        "",
-    ),
-    (
-        "C16",
-        "st_id(G) + st_id(complement(G)) <= n + 1 if gamma_i of either is 1,"
-        " else <= n (n even) or n - 1 (n odd)",
-        GRAPH,
-        "<=",
-        _c16,
-        "",
-    ),
-    (
-        "C17",
-        "gamma_i(G1 + G2) = min(gamma_i(G1), gamma_i(G2)) for nonempty operands",
-        PAIR,
-        "equality",
-        _c17,
-        "",
-    ),
-    (
-        "C18",
-        "st_id(G1 + G2) = min(st_id(G1), st_id(G2)) for nonempty operands",
-        PAIR,
-        "equality",
-        _c18,
-        "",
-    ),
-    ("C19", "gamma_i(G[H]) = gamma_i(G) * gamma_i(H)", PAIR, "equality", _c19, ""),
-    ("C20", "st_id(G[H]) = min(st_id(G), st_id(H))", PAIR, "equality", _c20, ""),
-    ("C21", "gamma_i(G o H) = |V(G)| * gamma_i(H) (corona)", PAIR, "equality", _c21, ""),
-    ("C22", "st_id(G o H) = 1 (corona)", PAIR, "equality", _c22, ""),
-    (
-        "C23",
-        "st_id = 1 for stars, double stars, and K_{m,n} with m >= n >= 2",
-        FAMILY,
-        "equality",
-        _c23,
-        "adds: stars need at least 2 leaves",
-    ),
-    (
-        "C24",
-        "gamma_i(F_n) = 1; gamma_i(F_{q,n}) = n + 1 for q in {4,5,6}; gamma_i(B_n) = n",
-        FAMILY,
-        "equality",
-        _c24,
-        "",
-    ),
-    (
-        "C25",
-        "st_id(F_n) = 1; st_id(F_{q,n}) = 1 for q >= 3; st_id(B_n) = 2",
-        FAMILY,
-        "equality",
-        _c25,
-        "adds: at least 2 petals",
-    ),
-    ("C26", "st_id(G) = n exactly when G is complete", GRAPH, "iff", _c26, ""),
-]
-
-_REGISTRY: dict[str, Claim] = {
-    cid: Claim(cid, stmt, kind, rel, fn, note)
-    for cid, stmt, kind, rel, fn, note in _CLAIM_DEFS
-}
 
 CLAIM_IDS: tuple[str, ...] = tuple(_REGISTRY)
 

@@ -12,7 +12,7 @@ max-degree + 1 vertices.  The packing bound (``_packing``): undominated
 vertices whose possible dominators are pairwise disjoint each need a pick of
 their own.
 
-There are three searches:
+There are four searches:
 
 * ``_cover_min``, the value of gamma_i or gamma on one connected block.  It
   returns 1 without searching when one vertex's closed neighborhood is the
@@ -30,14 +30,19 @@ There are three searches:
   sets with at most k members, pruned by the covering bound alone.  It
   serves ``_ids_of_size`` (k = gamma_i) and
   ``enumerate_maximal_independent_sets`` (k = n, where nothing is pruned).
+* ``_alpha_max``, the independence search, one pass for ``alpha``,
+  ``alpha_value`` and ``max_induced_star``: it takes the lowest free vertex
+  before it leaves that vertex out, so the first maximum set it keeps is
+  the lexicographically first one.
 
 ``oracle_gamma_i`` and ``ORACLE_MAX_ORDER`` are re-exported from
 ``oracles``, which shares no code with these searches beyond the ``Graph``
 type: disagreement between the two is always a bug worth keeping.
 
 Optimal witnesses are tie-broken to the lexicographically smallest set (by
-sorted member list), found by a second, ascending-member search once the
-optimal value is known.
+sorted member list).  For gamma_i and gamma a second, ascending-member
+search finds it once the optimal value is known; alpha's comes out of its
+one search.
 """
 
 from __future__ import annotations
@@ -230,43 +235,35 @@ def _ids_of_size(closed: list[int], universe: int, k: int, limit: int) -> list[i
 
 
 def _alpha_max(open_rows: tuple[int, ...], free0: int) -> int:
-    """Maximum independent set size within the vertex mask ``free0``."""
-    best = 0
+    """The lexicographically first maximum independent set within the vertex
+    mask ``free0``, as a mask; its size is the independence number there.
 
-    def rec(free: int, size: int) -> None:
-        nonlocal best
+    Each node takes the lowest free vertex v, first into the set and then
+    left out.  Two leaves of the same size first differ at some node: both
+    hold the same members below its v, and only the earlier leaf holds v.
+    So leaves of one size come in lexicographic order of their sorted member
+    lists.  The bound prunes a node only when it cannot beat the best size
+    so far.  So until a set of size |M| is found, where M is the
+    lexicographically first maximum set, no node on the path to M is pruned
+    and no earlier leaf has size |M|: the first set of that size found is M,
+    and keeping the set at each strict improvement keeps M.
+    """
+    best = 0
+    found = 0
+
+    def rec(free: int, chosen: int, size: int) -> None:
+        nonlocal best, found
         if size + free.bit_count() <= best:
             return
         if not free:
-            best = size
+            best, found = size, chosen
             return
         low = free & -free
         v = low.bit_length() - 1
-        rec(free & ~(open_rows[v] | low), size + 1)
-        rec(free ^ low, size)
+        rec(free & ~(open_rows[v] | low), chosen | low, size + 1)
+        rec(free ^ low, chosen, size)
 
-    rec(free0, 0)
-    return best
-
-
-def _lexmin_alpha(open_rows: tuple[int, ...], free0: int, k: int) -> int:
-    def rec(free: int, chosen: int, size: int) -> int | None:
-        if size == k:
-            return chosen
-        if size + free.bit_count() < k:
-            return None
-        m = free
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            got = rec(free & ~(open_rows[u] | low) & (-1 << (u + 1)), chosen | low, size + 1)
-            if got is not None:
-                return got
-        return None
-
-    found = rec(free0, 0, 0)
-    assert found is not None
+    rec(free0, 0, 0)
     return found
 
 
@@ -317,22 +314,17 @@ def gamma(g: Graph) -> GammaCertificate:
 
 
 def alpha_value(g: Graph) -> int:
-    if g.order == 0:
-        raise EmptyGraph("independence number of the null graph is undefined")
-    return sum(_alpha_max(g.adj, comp) for comp in component_masks(g.adj, g.full_mask))
+    return alpha(g).value
 
 
 def alpha(g: Graph) -> GammaCertificate:
     """Maximum independent set with the lexicographically first witness."""
     if g.order == 0:
         raise EmptyGraph("independence number of the null graph is undefined")
-    value = 0
     witness = 0
     for comp in component_masks(g.adj, g.full_mask):
-        k = _alpha_max(g.adj, comp)
-        value += k
-        witness |= _lexmin_alpha(g.adj, comp, k)
-    return GammaCertificate("independence", value, VertexSet(witness))
+        witness |= _alpha_max(g.adj, comp)
+    return GammaCertificate("independence", witness.bit_count(), VertexSet(witness))
 
 
 def enumerate_maximal_independent_sets(g: Graph):
@@ -352,7 +344,7 @@ def max_induced_star(g: Graph) -> int:
     for v in range(g.order):
         nb = g.adj[v]
         if nb.bit_count() > best:
-            t = _alpha_max(g.adj, nb)
+            t = _alpha_max(g.adj, nb).bit_count()
             if t > best:
                 best = t
     return best

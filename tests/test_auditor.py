@@ -19,7 +19,7 @@ from idstab.auditor import (
     run_audit,
 )
 from idstab.codec import decode_graph6, encode_graph6
-from idstab.families import FamilySpec, complete, cycle, empty, path
+from idstab.families import FamilySpec, complete, cycle, empty, path, star
 from idstab.oracles import oracle_gamma_i
 from idstab.ops import disjoint_union
 
@@ -37,6 +37,46 @@ class TestRegistry:
 
     def test_case_insensitive_lookup(self):
         assert get_claim("c7").id == "C7"
+
+
+class _ReadsBelow(_Toolkit):
+    """st_id and gamma_i read as -order, below every right-hand side."""
+
+    def st_any(self, g):
+        return -g.order
+
+    def gamma_i(self, g):
+        return -g.order
+
+
+class TestRelations:
+    # no pinned report holds an equality claim that fails from below, so check that side here
+    EQUALITIES = ["C1", "C3", "C4", "C17", "C18", "C19", "C20", "C21", "C22", "C23", "C24", "C25"]
+    BOUNDS = ["C2", "C6", "C7", "C8", "C9"]
+
+    def test_equalities_fail_and_bounds_hold_from_below(self):
+        instances = {
+            "graph": [star(3), cycle(5)],
+            "pair": [(path(2), path(3)), (cycle(3), empty(2))],
+            "family": [
+                FamilySpec(kind, params)
+                for kind, params in [
+                    ("path", (5,)),
+                    ("cycle", (5,)),
+                    ("star", (3,)),
+                    ("friendship", (2,)),
+                    ("gen_friendship", (4, 2)),
+                    ("book", (3,)),
+                ]
+            ],
+        }
+        kit = _ReadsBelow()
+        for cid in self.EQUALITIES + self.BOUNDS:
+            claim = get_claim(cid)
+            outcomes = [claim.evaluate(x, kit, "strict") for x in instances[claim.instance_kind]]
+            applicable = [ev.holds for ev in outcomes if ev.applicable]
+            assert applicable, cid
+            assert set(applicable) == {cid in self.BOUNDS}, cid
 
 
 class TestEnumeration:

@@ -116,6 +116,19 @@ class TestAlpha:
             assert cert.value == brute_alpha(g)
             assert classify_set(g, cert.witness).independent
 
+    def test_witness_is_lexicographically_first(self):
+        # a subset filter: the smallest sorted member list among the maximum independent sets
+        rng = random.Random(0xA1F)
+        graphs = list(all_graphs(5)) + [random_graph(rng, rng.randint(7, 12)) for _ in range(60)]
+        for g in graphs:
+            value = brute_alpha(g)
+            first = min(
+                VertexSet(mask).members()
+                for mask in range(1 << g.order)
+                if mask.bit_count() == value and classify_set(g, VertexSet(mask)).independent
+            )
+            assert alpha(g).witness.members() == first, (g.order, g.adj)
+
     def test_null_rejected(self):
         with pytest.raises(errors.EmptyGraph):
             alpha(empty(0))
