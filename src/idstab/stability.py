@@ -12,11 +12,12 @@ such, never as a sentinel number.
 ``oracles``: the referee reads every removal's gamma_i off a sieve over
 vertex masks and shares no code with this module.
 
-The "any" and "increase" directions scan k = 1, 2, ... and, within each k,
-the k-subsets in lexicographic order, solving gamma_i(G - S) for each; the
-first match is the witness.  The decrease direction answers S = V at once
-when gamma_i = 1 (see below), scans k = 1 the same way otherwise, and finds
-larger witnesses with the left-out search.
+The increase direction scans k = 1, 2, ... and, within each k, the k-subsets
+in lexicographic order, solving gamma_i(G - S) for each; the first match is
+the witness.  The decrease direction answers S = V at once when gamma_i = 1
+(see below), scans k = 1 the same way otherwise, and finds larger witnesses
+with the left-out search.  The any direction scans k = 1 and then takes the
+first of the two directed answers (min rule).
 
 * Transversal rule, for "increase".  Let D be a gamma_i-set of G (a
   minimum independent dominating set).  If S misses D, then D is still
@@ -57,13 +58,19 @@ larger witnesses with the left-out search.
   leaf is cut.  The search runs for k = 2, 3, ... and keeps the
   lexicographically first leaf with at most k left out; the first k that
   has one is st_down, since no smaller k had any.
+* Min rule, for "any".  S changes gamma_i exactly when it lowers or raises
+  it, so st_any = min(st_down, st_up), and the witness is the first of the
+  directed witnesses of that size.  When no single removal changes gamma_i,
+  the decrease search gives its witness W, and the increase scan runs from
+  k = 2 and stops at size |W| at the first set not before W (W itself
+  lowers gamma_i, so it cannot raise it).  An increase witness found before
+  that is the answer; otherwise W is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 from .core import Graph, VertexSet, iter_bits
 from .errors import EmptyGraph
@@ -105,17 +112,9 @@ class StabilityTriple:
     increase: StabilityCertificate
 
 
-def _subset_masks(n: int, k: int):
-    for combo in combinations(range(n), k):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        yield mask
-
-
 def _hitting_masks(n: int, k: int, meets: list[int]):
     """The k-subsets of range(n) that meet every set of a family, as masks in
-    the order of ``_subset_masks``.
+    lexicographic order of their sorted member lists.
 
     ``meets[v]`` has bit i set when vertex v lies in the family's i-th set.
     A branch stops as soon as some unmet set has no member left to pick.
@@ -202,58 +201,56 @@ def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
     return found
 
 
-def _decrease(closed: list[int], full: int, base: int) -> StabilityCertificate:
-    """The decrease certificate: the single removals in order, as the scan
-    visits k = 1, then the left-out search for k = 2, 3, ...  With b = 1
-    the only witness is S = V (module docstring), so it is returned at once."""
-    if base == 1:
-        return StabilityCertificate(base, Direction.DECREASE, full.bit_count(), VertexSet(full), 0)
-    for v in range(full.bit_length()):
-        val = _gamma_i_value_in(closed, full & ~(1 << v))
-        if val < base:
-            return StabilityCertificate(base, Direction.DECREASE, 1, VertexSet(1 << v), val)
-    k, out = 1, 0
-    while not out:  # found by k = n at the latest: D empty leaves S = V
-        k += 1
-        out = _lexmin_left_out(closed, full, base - 1, k)
-    new = _gamma_i_value_in(closed, full & ~out)
-    return StabilityCertificate(base, Direction.DECREASE, k, VertexSet(out), new)
-
-
-def _scan(g: Graph, direction: Direction) -> StabilityCertificate:
-    """One direction's certificate.  "any" and "increase" run the removal
-    scan, with the transversal rule for "increase", and return at the first
-    match."""
-    if g.order == 0:
-        raise EmptyGraph("stability of the null graph is undefined")
-    n = g.order
-    closed = _closed_rows(g)
-    full = g.full_mask
-    base = _gamma_i_value_in(closed, full)
-    if direction is Direction.DECREASE:
-        return _decrease(closed, full, base)
-    meets: list[int] | None = None
-    if direction is Direction.INCREASE:
-        matches = base.__lt__  # val > base
-        meets = [0] * n
-        for i, ids in enumerate(_ids_of_size(closed, full, base, GAMMA_I_FAMILY_CAP)):
-            for v in iter_bits(ids):
-                meets[v] |= 1 << i
-    else:
-        matches = base.__ne__
-    for k in range(1, n + 1):
-        masks = _subset_masks(n, k) if meets is None else _hitting_masks(n, k, meets)
-        for mask in masks:
+def _increase_scan(closed: list[int], full: int, base: int, first: int, stop: int):
+    """The increase scan from k = ``first``: the first set that meets every
+    known gamma_i-set and raises gamma_i, as (mask, gamma_i), or None.  A
+    nonzero ``stop`` ends the scan at its size, at the first set not before it."""
+    n = full.bit_length()
+    meets = [0] * n
+    for i, ids in enumerate(_ids_of_size(closed, full, base, GAMMA_I_FAMILY_CAP)):
+        for v in iter_bits(ids):
+            meets[v] |= 1 << i
+    last = stop.bit_count() if stop else n
+    for k in range(first, last + 1):
+        for mask in _hitting_masks(n, k, meets):
+            diff = mask ^ stop
+            if k == last and not diff & -diff & mask:
+                return None  # ``mask`` is ``stop`` or comes after it
             val = _gamma_i_value_in(closed, full & ~mask)
-            if matches(val):
-                return StabilityCertificate(base, direction, k, VertexSet(mask), val)
-    return StabilityCertificate(base, direction, None, None, None)
+            if val > base:
+                return mask, val
+    return None
 
 
 def stability(g: Graph, direction: Direction | str = Direction.ANY) -> StabilityCertificate:
-    return _scan(g, Direction(direction))
+    direction = Direction(direction)
+    if g.order == 0:
+        raise EmptyGraph("stability of the null graph is undefined")
+    closed = _closed_rows(g)
+    full = g.full_mask
+    base = _gamma_i_value_in(closed, full)
+    if direction is Direction.INCREASE:
+        found = _increase_scan(closed, full, base, 1, 0)
+    elif direction is Direction.DECREASE and base == 1:
+        found = full, 0  # the only witness (module docstring)
+    else:
+        matches = base.__gt__ if direction is Direction.DECREASE else base.__ne__
+        for v in range(g.order):
+            val = _gamma_i_value_in(closed, full & ~(1 << v))
+            if matches(val):
+                return StabilityCertificate(base, direction, 1, VertexSet(1 << v), val)
+        k, out = 1, 0 if base > 1 else full  # b = 1: S = V, as for "decrease"
+        while not out:  # found by k = n at the latest: D empty leaves S = V
+            k += 1
+            out = _lexmin_left_out(closed, full, base - 1, k)
+        found = _increase_scan(closed, full, base, 2, out) if direction is Direction.ANY else None
+        found = found or (out, _gamma_i_value_in(closed, full & ~out))
+    if found is None:
+        return StabilityCertificate(base, direction, None, None, None)
+    mask, val = found
+    return StabilityCertificate(base, direction, mask.bit_count(), VertexSet(mask), val)
 
 
 def stability_triple(g: Graph) -> StabilityTriple:
     """All three directions; equal to three ``stability`` calls."""
-    return StabilityTriple(*(_scan(g, d) for d in Direction))
+    return StabilityTriple(*(stability(g, d) for d in Direction))

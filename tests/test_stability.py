@@ -24,7 +24,6 @@ from idstab.stability import (
     _forced_out,
     _hitting_masks,
     _lexmin_left_out,
-    _subset_masks,
     oracle_stability,
     stability,
     stability_triple,
@@ -40,6 +39,27 @@ _CHANGES = {
     Direction.DECREASE: lambda base, val: val < base,
     Direction.INCREASE: lambda base, val: val > base,
 }
+
+
+def _subset_masks(n, k):
+    """The k-subsets of range(n) as masks, in lexicographic order."""
+    for combo in combinations(range(n), k):
+        yield sum(1 << v for v in combo)
+
+
+def _plain_scan(g, direction):
+    """The plain removal scan: every k-subset in lexicographic order, each
+    removal solved, nothing skipped."""
+    closed = _closed_rows(g)
+    full = g.full_mask
+    base = _gamma_i_value_in(closed, full)
+    changes = _CHANGES[direction]
+    for k in range(1, g.order + 1):
+        for mask in _subset_masks(g.order, k):
+            val = _gamma_i_value_in(closed, full & ~mask)
+            if changes(base, val):
+                return StabilityCertificate(base, direction, k, VertexSet(mask), val)
+    return StabilityCertificate(base, direction, None, None, None)
 
 
 class TestStabilityExamples:
@@ -197,6 +217,65 @@ class TestAgreementWithOracle:
             _assert_agrees_with_oracle(g)
 
 
+class TestMinRule:
+    """"any" is the first directed witness at the smaller size, with the plain
+    scan's certificate: value, witness and new gamma_i."""
+
+    @pytest.mark.slow
+    def test_exhaustive_order_6(self):
+        # where st_down == st_up >= 2 the first witness wins; some ties go each way
+        raised_first = set()
+        for g in all_graphs(6):
+            cert = stability(g)
+            assert cert == _plain_scan(g, Direction.ANY)
+            if cert.value >= 2:
+                down, up = (stability(g, d).value for d in (Direction.DECREASE, Direction.INCREASE))
+                if down == up:
+                    raised_first.add(cert.new_gamma_i > cert.base_gamma_i)
+        assert raised_first == {False, True}
+
+    def test_seeded_order_7_to_14(self):
+        rng = random.Random(0xA41)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(7, 14))
+            assert stability(g) == _plain_scan(g, Direction.ANY)
+
+    @pytest.mark.parametrize(
+        "text,down,up,first",
+        [
+            # P5 as 4-1-2-3-0: the decrease witness {0, 3} comes before {1, 3}
+            ("DLO", (0, 3), (1, 3), Direction.DECREASE),
+            # P5 as 4-0-2-1-3: the increase witness {0, 1} comes before {0, 4}
+            ("DY_", (0, 4), (0, 1), Direction.INCREASE),
+        ],
+        ids=["decrease-first", "increase-first"],
+    )
+    def test_tie_goes_to_the_first_witness(self, text, down, up, first):
+        g = decode_graph6(text)
+        directed = {d: stability(g, d) for d in (Direction.DECREASE, Direction.INCREASE)}
+        assert [(c.value, c.witness.members()) for c in directed.values()] == [(2, down), (2, up)]
+        winner = directed[first]
+        expected = StabilityCertificate(2, Direction.ANY, 2, winner.witness, winner.new_gamma_i)
+        assert stability(g) == expected
+
+    def test_book_10_stops_at_the_decrease_witness(self, monkeypatch):
+        # st_down = 2 and st_up = 11: unbounded, the increase scan takes about a
+        # minute here; bounded, it stops at once, since the first 2-set that
+        # meets every gamma_i-set is the decrease witness {2, 3} itself
+        solves = []
+
+        def counting(closed, universe):
+            solves.append(universe)
+            return _gamma_i_value_in(closed, universe)
+
+        monkeypatch.setattr(stability_module, "_gamma_i_value_in", counting)
+        g = book(10)
+        cert = stability(g)
+        assert (cert.value, cert.witness.members(), cert.new_gamma_i) == (2, (2, 3), 9)
+        # gamma_i of G, the n single removals, and the witness's new gamma_i
+        assert len(solves) <= g.order + 4
+
+
 class TestPruningRules:
     def test_seeded_certificates_match_unpruned_scan(self):
         _assert_seeded_certificates_unpruned()
@@ -213,11 +292,7 @@ class TestPruningRules:
             for v in VertexSet(d):
                 meets[v] |= 1 << i
         for k in range(1, 7):
-            expected = [
-                m
-                for m in stability_module._subset_masks(6, k)
-                if all(m & d for d in family)
-            ]
+            expected = [m for m in _subset_masks(6, k) if all(m & d for d in family)]
             assert list(_hitting_masks(6, k, meets)) == expected
 
     def test_decrease_from_gamma_i_one_removes_everything(self):
@@ -233,20 +308,6 @@ class TestPruningRules:
         assert cert.value == 9
         assert cert.witness.members() == (0, 1, 2, 3, 5, 9, 10, 13, 18)
         assert (cert.base_gamma_i, cert.new_gamma_i) == (3, 4)
-
-
-def _scan_decrease(g):
-    """The plain decrease scan: every k-subset in lexicographic order, each
-    removal solved, nothing skipped."""
-    closed = _closed_rows(g)
-    full = g.full_mask
-    base = _gamma_i_value_in(closed, full)
-    for k in range(1, g.order + 1):
-        for mask in _subset_masks(g.order, k):
-            val = _gamma_i_value_in(closed, full & ~mask)
-            if val < base:
-                return StabilityCertificate(base, Direction.DECREASE, k, VertexSet(mask), val)
-    raise AssertionError("removing every vertex always decreases gamma_i")
 
 
 def _searched_decrease(g):
@@ -274,13 +335,13 @@ class TestDecreaseSearch:
     @pytest.mark.slow
     def test_exhaustive_order_6(self):
         for g in all_graphs(6):
-            assert stability(g, Direction.DECREASE) == _scan_decrease(g)
+            assert stability(g, Direction.DECREASE) == _plain_scan(g, Direction.DECREASE)
 
     def test_seeded_order_7_to_13(self):
         rng = random.Random(0xDEC5)
         for _ in range(300):
             g = random_graph(rng, rng.randint(7, 13))
-            assert stability(g, Direction.DECREASE) == _scan_decrease(g)
+            assert stability(g, Direction.DECREASE) == _plain_scan(g, Direction.DECREASE)
 
     @pytest.mark.parametrize(
         "n,p,seed",
@@ -288,7 +349,7 @@ class TestDecreaseSearch:
     )
     def test_seeded_sparse(self, n, p, seed):
         g = random_graph(random.Random(seed), n, p)
-        assert stability(g, Direction.DECREASE) == _scan_decrease(g)
+        assert stability(g, Direction.DECREASE) == _plain_scan(g, Direction.DECREASE)
 
     def test_cycle_8_adjacent_pair(self):
         g = cycle(8)
@@ -331,7 +392,7 @@ class TestDecreaseSearch:
         expected = StabilityCertificate(1, Direction.DECREASE, g.order, VertexSet(g.full_mask), 0)
         assert cert == expected
         if g.order <= 13:
-            assert _scan_decrease(g) == expected
+            assert _plain_scan(g, Direction.DECREASE) == expected
         else:  # the plain scan visits all 2^n - 1 removals here; the searched one has no shortcut
             assert _searched_decrease(g) == expected
 
