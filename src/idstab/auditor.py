@@ -25,6 +25,9 @@ definition-direct oracles of ``oracles``; when an instance is too large for
 the full stability oracle the recorded gamma_i facts of the certificate are
 re-checked instead and the outcome is marked "partial".
 Any oracle disagreement aborts the audit with ``InternalAuditError``.
+Solver values are memoised per graph by one helper, ``_memo``; each cache is
+emptied when it reaches ``_MEMO_CAP`` (2^16) entries, so an audit's memory
+stays bounded however large its corpus.
 Reports are deterministic: for a fixed corpus, claim set and mode the JSON
 text is byte-identical across runs and worker counts.
 """
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import eq, le
@@ -91,12 +95,27 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 
 
+_MEMO_CAP = 1 << 16
+
+
+def _memo(cache: dict, g: Graph, compute: Callable[[Graph], object]):
+    """``cache[g.adj]``, computed as ``compute(g)`` on a miss; a full cache
+    (``_MEMO_CAP`` entries) is emptied before the miss is stored."""
+    got = cache.get(g.adj)
+    if got is None:
+        if len(cache) >= _MEMO_CAP:
+            cache.clear()
+        got = cache[g.adj] = compute(g)
+    return got
+
+
 class _Toolkit:
     """Invariant evaluators backed by the branch-and-bound solvers.
 
     Values are cached per graph for the lifetime of one audit run (or one
     worker), which is what makes complement- and deletion-heavy claims like
-    C5 and C16 cheap over exhaustive corpora.  The caches are keyed by
+    C5 and C16 cheap over exhaustive corpora.  Every cache goes through
+    ``_memo``, so it holds at most ``_MEMO_CAP`` entries and is keyed by
     ``g.adj``, which alone names the graph (``Graph`` validates
     ``len(adj) == order``) and skips the dataclass ``__hash__`` and ``__eq__``.
     """
@@ -108,31 +127,19 @@ class _Toolkit:
         self._star: dict[tuple[int, ...], int] = {}
 
     def gamma_i(self, g: Graph) -> int:
-        got = self._gi.get(g.adj)
-        if got is None:
-            got = self._gi[g.adj] = solver.gamma_i_value(g)
-        return got
+        return _memo(self._gi, g, solver.gamma_i_value)
 
     def st_cert(self, g: Graph) -> stability.StabilityCertificate:
-        got = self._st.get(g.adj)
-        if got is None:
-            got = self._st[g.adj] = stability.stability(g)
-        return got
+        return _memo(self._st, g, stability.stability)
 
     def st_any(self, g: Graph) -> int:
         return self.st_cert(g).value
 
     def gamma(self, g: Graph) -> int:
-        got = self._dom.get(g.adj)
-        if got is None:
-            got = self._dom[g.adj] = solver.gamma_value(g)
-        return got
+        return _memo(self._dom, g, solver.gamma_value)
 
     def max_star(self, g: Graph) -> int:
-        got = self._star.get(g.adj)
-        if got is None:
-            got = self._star[g.adj] = solver.max_induced_star(g)
-        return got
+        return _memo(self._star, g, solver.max_induced_star)
 
 
 class _OracleToolkit:
@@ -143,16 +150,10 @@ class _OracleToolkit:
         self._st: dict[tuple[int, ...], int] = {}
 
     def gamma_i(self, g: Graph) -> int:
-        got = self._gi.get(g.adj)
-        if got is None:
-            got = self._gi[g.adj] = oracles.oracle_gamma_i(g)
-        return got
+        return _memo(self._gi, g, oracles.oracle_gamma_i)
 
     def st_any(self, g: Graph) -> int:
-        got = self._st.get(g.adj)
-        if got is None:
-            got = self._st[g.adj] = oracles.oracle_stability(g)[0]
-        return got
+        return _memo(self._st, g, lambda h: oracles.oracle_stability(h)[0])
 
     def gamma(self, g: Graph) -> int:
         return oracles._brute_gamma(g)
@@ -640,6 +641,11 @@ def _verify_violation(claim: Claim, instance, ev: _Eval, cert: dict, mode: str) 
     return "partial" if checked else "unavailable"
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in (STRICT, RESTRICTED):
+        raise ValueError(f"mode must be {STRICT!r} or {RESTRICTED!r}")
+
+
 def _evaluate(claim: Claim, instance, text: str, mode: str, kit: _Toolkit) -> ClaimOutcome:
     ev = claim.evaluate(instance, kit, mode)
     if not ev.applicable:
@@ -655,8 +661,7 @@ def evaluate_claim(claim_id: str, instance, mode: str = STRICT) -> ClaimOutcome:
     """Evaluate one claim on one instance; violations come back oracle-checked."""
     claim = get_claim(claim_id)
     _check_instance(claim, instance)
-    if mode not in (STRICT, RESTRICTED):
-        raise ValueError(f"mode must be {STRICT!r} or {RESTRICTED!r}")
+    _check_mode(mode)
     text = _instance_text(claim.instance_kind, instance)
     return _evaluate(claim, instance, text, mode, _Toolkit())
 
@@ -688,6 +693,15 @@ class ExhaustiveCorpus:
                 yield encode_graph6(g), g
 
 
+def _graph6_lines(text: str, source: str) -> tuple[str, ...]:
+    """The stripped, non-blank lines of the graph6 file *source*, read as
+    *text*; ``BadCorpusSource`` if there are none."""
+    lines = tuple(ln.strip() for ln in text.splitlines() if ln.strip())
+    if not lines:
+        raise BadCorpusSource(f"{source} holds no graphs")
+    return lines
+
+
 @dataclass(frozen=True)
 class Graph6Corpus:
     """Graphs supplied as graph6 lines (for externally generated corpora)."""
@@ -701,9 +715,7 @@ class Graph6Corpus:
             text = Path(path).read_text()
         except OSError as exc:
             raise BadCorpusSource(f"cannot read corpus {path}: {exc}") from None
-        lines = tuple(ln.strip() for ln in text.splitlines() if ln.strip())
-        if not lines:
-            raise BadCorpusSource(f"corpus {path} holds no graphs")
+        lines = _graph6_lines(text, f"corpus {path}")
         for ln in lines:
             decode_graph6(ln)  # fail fast on malformed input
         return cls(lines, label=f"graph6 file {path}")
@@ -832,35 +844,29 @@ def _resolve_threads(threads: int | None) -> int:
     return int(env)
 
 
-def _outcome_to_violation(outcome: ClaimOutcome) -> dict:
-    return {
-        "instance": outcome.instance,
-        "lhs": outcome.lhs_value,
-        "rhs": outcome.rhs_value,
-        "witness": outcome.certificate,
-        "oracle": outcome.oracle_check,
-    }
-
-
 def _audit_chunk(args: tuple[list[str], Iterable[tuple[str, object]], str]):
+    """The violations in ``items`` and a tally of ``(claim id, status)`` per
+    evaluation and of each violation's oracle check."""
     claim_ids, items, mode = args
     claims = [get_claim(cid) for cid in claim_ids]
     kit = _Toolkit()
-    counts = {cid: [0, 0, 0] for cid in claim_ids}  # holds, violated, inapplicable
+    tally: Counter = Counter()
     violations: list[tuple[str, dict]] = []
-    oracle_stats = {"full": 0, "partial": 0, "unavailable": 0}
     for text, instance in items:
         for claim in claims:
             outcome = _evaluate(claim, instance, text, mode, kit)
-            if outcome.status == HOLDS:
-                counts[claim.id][0] += 1
-            elif outcome.status == VIOLATED:
-                counts[claim.id][1] += 1
-                violations.append((claim.id, _outcome_to_violation(outcome)))
-                oracle_stats[outcome.oracle_check] += 1
-            else:
-                counts[claim.id][2] += 1
-    return counts, violations, oracle_stats
+            tally[claim.id, outcome.status] += 1
+            if outcome.status == VIOLATED:
+                tally[outcome.oracle_check] += 1
+                violation = {
+                    "instance": outcome.instance,
+                    "lhs": outcome.lhs_value,
+                    "rhs": outcome.rhs_value,
+                    "witness": outcome.certificate,
+                    "oracle": outcome.oracle_check,
+                }
+                violations.append((claim.id, violation))
+    return tally, violations
 
 
 def _chunked(items: Iterable, size: int) -> Iterator[tuple]:
@@ -898,14 +904,13 @@ def run_audit(
     if not ids:
         raise BadCorpusSource("no claims requested")
     ids = sorted(dict.fromkeys(ids), key=_claim_sort_key)
-    if mode not in (STRICT, RESTRICTED):
-        raise ValueError(f"mode must be {STRICT!r} or {RESTRICTED!r}")
+    _check_mode(mode)
+    claims = [get_claim(cid) for cid in ids]
     kind = corpus.kind()
-    for cid in ids:
-        claim = get_claim(cid)
+    for claim in claims:
         if claim.instance_kind != kind:
             raise BadCorpusSource(
-                f"claim {cid} needs a {claim.instance_kind} corpus, got a {kind} corpus"
+                f"claim {claim.id} needs a {claim.instance_kind} corpus, got a {kind} corpus"
             )
 
     threads = _resolve_threads(threads)
@@ -916,39 +921,26 @@ def run_audit(
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_audit_chunk, jobs))
 
-    counts = {cid: [0, 0, 0] for cid in ids}
+    tally: Counter = Counter()
     violations: list[tuple[str, dict]] = []
-    oracle_stats = {"full": 0, "partial": 0, "unavailable": 0}
-    for part_counts, part_violations, part_oracle in parts:
-        for cid, (h, v, i) in part_counts.items():
-            counts[cid][0] += h
-            counts[cid][1] += v
-            counts[cid][2] += i
+    for part_tally, part_violations in parts:
+        tally.update(part_tally)
         violations.extend(part_violations)
-        for key, val in part_oracle.items():
-            oracle_stats[key] += val
-
     violations.sort(key=lambda item: (_claim_sort_key(item[0]), item[1]["instance"]))
 
-    blocks = []
-    for cid in ids:
-        claim = get_claim(cid)
-        h, v, i = counts[cid]
-        blocks.append(
-            {
-                "claim": cid,
-                "statement": claim.statement,
-                "restricted_note": claim.restricted_note,
-                "counts": {HOLDS: h, VIOLATED: v, INAPPLICABLE: i},
-                "violations": [viol for c, viol in violations if c == cid],
-            }
-        )
-
+    blocks = [
+        {
+            "claim": claim.id,
+            "statement": claim.statement,
+            "restricted_note": claim.restricted_note,
+            "counts": {s: tally[claim.id, s] for s in (HOLDS, VIOLATED, INAPPLICABLE)},
+            "violations": [viol for cid, viol in violations if cid == claim.id],
+        }
+        for claim in claims
+    ]
     stats = {
-        "instances": sum(counts[ids[0]]),
-        "evaluations": sum(sum(counts[cid]) for cid in ids),
-        "oracle_full": oracle_stats["full"],
-        "oracle_partial": oracle_stats["partial"],
-        "oracle_unavailable": oracle_stats["unavailable"],
+        "instances": sum(blocks[0]["counts"].values()),
+        "evaluations": sum(sum(block["counts"].values()) for block in blocks),
+        **{f"oracle_{check}": tally[check] for check in ("full", "partial", "unavailable")},
     }
     return AuditReport(mode=mode, corpus=corpus.describe(), claims=blocks, stats=stats)

@@ -44,15 +44,11 @@ def _read_graphs(source: str, fmt: str | None) -> list[Graph]:
     edge-list header starts with a digit, which is never a valid graph6 byte.
     """
     text = _read_text(source)
-    lines = [line for line in text.splitlines() if line.strip()]
     if fmt is None:
-        fmt = "edgelist" if lines and lines[0].strip()[0].isdigit() else "graph6"
+        fmt = "edgelist" if text.lstrip()[:1].isdigit() else "graph6"
     if fmt == "edgelist":
         return [parse_edgelist(text)]
-    graphs = [decode_graph6(line) for line in lines]
-    if not graphs:
-        raise IdstabError(f"no graphs found in {source}")
-    return graphs
+    return [decode_graph6(line) for line in auditor._graph6_lines(text, source)]
 
 
 def _load_operand(token: str) -> Graph:

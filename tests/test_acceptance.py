@@ -132,6 +132,7 @@ def test_criterion_05_solver_oracle_equivalence():
 BOUND_CLAIMS = ["C2", "C5", "C6", "C7", "C8", "C10", "C11", "C13", "C15", "C16"]
 
 
+@pytest.mark.slow
 def test_criterion_06_bound_audit():
     t0 = time.perf_counter()
     corpus = ExhaustiveCorpus(6)
@@ -194,6 +195,7 @@ def test_criterion_08_identity_audit():
     _stamp("8 identity-audit", t0, 600)
 
 
+@pytest.mark.slow
 def test_criterion_09_totality_and_complete_iff():
     t0 = time.perf_counter()
     for g in all_graphs(6):

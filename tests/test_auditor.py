@@ -307,6 +307,24 @@ class TestRunAudit:
         assert all(b["counts"]["violated"] == 0 for b in restricted.claims)
 
 
+class TestMemoBound:
+    def test_capped_memo_writes_the_same_report(self, monkeypatch):
+        claims = [c.id for c in claim_registry() if c.instance_kind == "graph"]
+        expected = run_audit(claims, ExhaustiveCorpus(4), threads=1).to_json()
+        sizes = []
+        real = auditor._memo
+
+        def watched(cache, g, compute):
+            got = real(cache, g, compute)
+            sizes.append(len(cache))
+            return got
+
+        monkeypatch.setattr(auditor, "_MEMO_CAP", 4)
+        monkeypatch.setattr(auditor, "_memo", watched)
+        assert run_audit(claims, ExhaustiveCorpus(4), threads=1).to_json() == expected
+        assert max(sizes) == 4
+
+
 class TestOracleAbort:
     def test_mismatch_aborts(self, monkeypatch):
         # a solver that lies about gamma_i of joins must be caught by the oracle
@@ -466,6 +484,11 @@ _REPORT_DIGESTS = [
 ]
 
 
+# the C22 corona of C? and Bw has order 16, past the stability oracle, so its
+# violation is checked "partial"; no other pinned report reaches that path
+_PARTIAL_ORACLE_DIGEST = "e543e3892179ca7f998d6198aeeb56414be3a9eaca1658191466c16ba2dbe3ef"
+
+
 @pytest.mark.parametrize(
     "make_corpus,mode,digest",
     _REPORT_DIGESTS,
@@ -476,3 +499,12 @@ def test_pinned_report_digest(make_corpus, mode, digest):
     claims = [c.id for c in claim_registry() if c.instance_kind == corpus.kind()]
     report = run_audit(claims, corpus, mode, threads=1)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pinned_partial_oracle_digest(threads):
+    claims = [c.id for c in claim_registry() if c.instance_kind == "pair"]
+    report = run_audit(claims, PairCorpus(Graph6Corpus(("C?", "Bw"))), threads=threads)
+    oracle = {k: v for k, v in report.stats.items() if k.startswith("oracle_")}
+    assert oracle == {"oracle_full": 8, "oracle_partial": 1, "oracle_unavailable": 0}
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == _PARTIAL_ORACLE_DIGEST

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -63,6 +64,12 @@ class TestInvariants:
         code, _, err = run(capsys, "gamma-i", "--in", "/nonexistent.g6")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [[], ["--in", "-"]])
+    def test_stdin_skips_blank_lines_and_header(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n>>graph6<<FhCGG\n\n"))  # P7
+        code, out, _ = run(capsys, "gamma-i", *argv, "--witness")
+        assert code == 0 and out == "3\t0,2,5\n"
+
 
 class TestStability:
     def test_value(self, capsys, tmp_path):
@@ -88,6 +95,13 @@ class TestStability:
         f = tmp_path / "b4.g6"
         f.write_text(encode_graph6(book(4)) + "\n")
         code, out, _ = run(capsys, "stability", "--in", str(f), "--witness")
+        assert code == 0 and out == "2\t2,3\t4->3\n"
+
+    def test_stdin(self, capsys, monkeypatch):
+        from idstab.codec import encode_graph6
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(encode_graph6(book(4)) + "\n"))
+        code, out, _ = run(capsys, "stability", "--in", "-", "--witness")
         assert code == 0 and out == "2\t2,3\t4->3\n"
 
     def test_decrease_witness_golden(self, capsys, tmp_path):
@@ -203,6 +217,33 @@ class TestAudit:
         doc = json.loads(report.read_text())
         assert doc["schema_version"] == 1
         assert doc["claims"][0]["counts"]["violated"] == 6
+
+    def test_corpus_file_lines_reach_report_as_given(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("\n>>graph6<<C^\n\n  Bw  \n\n")  # the diamond, then K3
+        report = tmp_path / "report.json"
+        argv = ["audit", "--corpus", str(corpus), "--report", str(report)]
+        code, out, _ = run(capsys, *argv, "--claims", "C8,C9")
+        assert code == 1 and "violated @ >>graph6<<C^:" in out
+        doc = json.loads(report.read_text())
+        assert doc["stats"]["instances"] == 2
+        found = {b["claim"]: [v["instance"] for v in b["violations"]] for b in doc["claims"]}
+        assert found == {"C8": [">>graph6<<C^"], "C9": ["Bw"]}
+
+        code, _, _ = run(capsys, *argv, "--claims", "C18", "--pairs")
+        assert code == 1
+        lines = (">>graph6<<C^", "Bw")
+        doc = json.loads(report.read_text())
+        found = [v["instance"] for v in doc["claims"][0]["violations"]]
+        assert found == [f"{a},{b}" for a in lines for b in lines]  # C18 fails on every pair
+
+    @pytest.mark.parametrize("content", [None, "", "\n  \n"])
+    def test_unreadable_or_empty_corpus_is_usage_error(self, capsys, tmp_path, content):
+        corpus = tmp_path / "corpus.g6"
+        if content is not None:
+            corpus.write_text(content)
+        code, out, err = run(capsys, "audit", "--claims", "C2", "--corpus", str(corpus))
+        assert code == 2 and out == "" and str(corpus) in err
 
     def test_clean_audit_exits_0(self, capsys):
         code, out, _ = run(capsys, "audit", "--claims", "C3,C4", "--family-max", "10")

@@ -172,6 +172,7 @@ class TestDominationChain:
             g2 = random_graph(rng, rng.randint(1, 6))
             assert gamma_i_value(disjoint_union(g1, g2)) == gamma_i_value(g1) + gamma_i_value(g2)
 
+    @pytest.mark.slow
     def test_single_deletion_lower_bound(self):
         # gamma_i(G - v) >= gamma_i(G) - 1 for every vertex of every small graph
         from idstab import delete_vertices
