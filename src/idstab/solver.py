@@ -2,15 +2,18 @@
 
 The main solvers are branch-and-bound searches over bit masks.  gamma_i and
 gamma are one search: the fewest picks whose closed neighborhoods cover a
-block, where gamma_i's picks must also stay independent.  Branching follows
-one rule: pick the lowest-indexed vertex that is not yet dominated and try,
-in ascending order, every eligible vertex of its closed neighborhood (for
-gamma_i only undominated ones, for gamma any); a vertex tried at a node is
-banned in the later sibling branches, so no solution is visited twice.  Two
-lower bounds prune a node.  The covering bound: a new pick dominates at most
-max-degree + 1 vertices.  The packing bound (``_packing``): undominated
-vertices whose possible dominators are pairwise disjoint each need a pick of
-their own.
+block, where gamma_i's picks must also stay independent.  The value search
+and the walk over independent dominating sets branch by one rule: pick a
+vertex that is not yet dominated and try, in ascending order, every
+eligible vertex of its closed neighborhood (for gamma_i only undominated
+ones, for gamma any); a vertex tried at a node is banned in the later
+sibling branches, so no solution is visited twice.  Every solution
+dominates the chosen vertex, so any undominated vertex will do: the lowest
+one, except where the packing walk has just met them all, and then one
+with the fewest eligible dominators.  Two lower bounds prune a node.  The
+covering bound: a new pick dominates at most max-degree + 1 vertices.  The
+packing bound (``_packing``): undominated vertices whose possible
+dominators are pairwise disjoint each need a pick of their own.
 
 There are four searches:
 
@@ -23,9 +26,12 @@ There are four searches:
   adds the packing bound only when its block has more than twice as many
   vertices as its largest closed neighborhood, that is when the covering
   bound at the root is 3 or more; on denser blocks the covering bound
-  prunes well and the packing walk costs more than it saves.
+  prunes well and the packing walk costs more than it saves.  Above that
+  gate it branches on the tightest undominated vertex.
 * ``_lexmin_cover``, the lexmin witness pass once the value is known.  It
-  applies both bounds at every node.
+  tries members in ascending order, applies both bounds at every node, and
+  tries no member above the lowest top of the undominated vertices'
+  dominator sets.
 * ``_independent_dominating_sets``, a walk over the maximal independent
   sets with at most k members, pruned by the covering bound alone.  It
   serves ``_ids_of_size`` (k = gamma_i) and
@@ -85,8 +91,9 @@ def _cover_cap(closed: list[int], comp: int) -> int:
 _INFEASIBLE = MAX_ORDER + 1
 
 
-def _packing(closed: list[int], uncovered: int, cands: int) -> int:
-    """A lower bound on the picks from ``cands`` that dominate ``uncovered``.
+def _packing(closed: list[int], uncovered: int, cands: int) -> tuple[int, int, int]:
+    """A lower bound on the picks from ``cands`` that dominate ``uncovered``,
+    plus two facts about the dominator sets its walk meets.
 
     Walks the uncovered vertices in ascending order and counts each vertex u
     whose dominator set ``closed[u] & cands`` is disjoint from the sets
@@ -96,19 +103,35 @@ def _packing(closed: list[int], uncovered: int, cands: int) -> int:
     completion exists at all, and the result is ``_INFEASIBLE``.  For gamma_i
     the later picks must be uncovered, because they must stay independent
     of the chosen ones, so the callers pass uncovered candidates.
+
+    Returns ``(bound, smallest, lim)``: ``smallest`` is a dominator set of
+    fewest members over the uncovered vertices (the first one met among
+    equals), and ``lim`` is the least ``bit_length`` of those sets, one more
+    than their lowest top member.  On the infeasible path both are 0, the
+    empty set and its length.
     """
     used = 0
     count = 0
+    smallest = cands
+    fewest = cands.bit_count()
+    lim = cands.bit_length()
     while uncovered:
         low = uncovered & -uncovered
         uncovered ^= low
         dom = closed[low.bit_length() - 1] & cands
         if not dom:
-            return _INFEASIBLE
+            return _INFEASIBLE, 0, 0
         if not dom & used:
             used |= dom
             count += 1
-    return count
+        size = dom.bit_count()
+        if size < fewest:
+            fewest = size
+            smallest = dom
+        top = dom.bit_length()
+        if top < lim:
+            lim = top
+    return count, smallest, lim
 
 
 def _cover_min(closed: list[int], comp: int, independent: bool) -> int:
@@ -120,6 +143,19 @@ def _cover_min(closed: list[int], comp: int, independent: bool) -> int:
     Either way a completion of a node picks only from its pool (the drawable
     vertices not banned there), and no earlier pick dominates an undominated
     vertex, so the packing bound over the pool is sound for both.
+
+    Branching: a node takes one undominated vertex u and tries each member
+    of its dominator set ``closed[u] & pool`` in ascending order, banning it
+    in the later siblings.  Every completion dominates u, so it holds some
+    member of that set; it is met below the sibling of its lowest such
+    member, and below no other, since the earlier siblings' picks are not in
+    it and the later siblings ban that member.  So every choice of u keeps
+    the search complete and free of repeats, and the value is the same.
+    Below the packing gate u is the lowest undominated vertex.  Above it
+    ``_packing`` has already walked every undominated vertex, and u is one
+    with the smallest dominator set, which gives the node the fewest
+    children.  On the pinned ``gamma-i-sparse`` graphs this cut the value
+    search's nodes from 20,991 to 12,538.
 
     Dominating-vertex exit: when the largest closed neighborhood inside the
     block (``cap``) has as many vertices as the block, some v has
@@ -143,10 +179,12 @@ def _cover_min(closed: list[int], comp: int, independent: bool) -> int:
         if size + -(-uncovered.bit_count() // cap) >= best:
             return
         pool = (uncovered | keep) & ~excluded
-        if pack and size + _packing(closed, uncovered, pool) >= best:
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        cands = closed[v] & pool
+        if pack:
+            bound, cands, _ = _packing(closed, uncovered, pool)
+            if size + bound >= best:
+                return
+        else:
+            cands = closed[(uncovered & -uncovered).bit_length() - 1] & pool
         ban = 0
         while cands:
             low = cands & -cands
@@ -166,6 +204,15 @@ def _lexmin_cover(closed: list[int], comp: int, k: int, independent: bool) -> in
     one currently-undominated vertex, which every member of a minimum
     dominating set does at its insertion point (and every gamma_i candidate
     does, being undominated itself).
+
+    Next-pick cut: picks ascend, so the picks a completion still adds all lie
+    in ``cands`` and the next one is the lowest of them.  Each undominated w
+    needs one of them in its dominator set ``closed[w] & cands``, so the
+    next pick is at most that set's top member, for every w, and so below
+    the ``lim`` that ``_packing`` returns.  A candidate at or above ``lim``
+    starts no completion; dropping it loses no set, so the first set found
+    is still the lexicographically first.  On the pinned ``gamma-i-sparse``
+    graphs this cut the pass's nodes from 116,094 to 25,848.
     """
     cap = _cover_cap(closed, comp)
     keep = 0 if independent else comp
@@ -177,8 +224,10 @@ def _lexmin_cover(closed: list[int], comp: int, k: int, independent: bool) -> in
         if size == k or size + -(-uncovered.bit_count() // cap) > k:
             return None
         cands = (uncovered | keep) & floor
-        if size + _packing(closed, uncovered, cands) > k:
+        bound, _, lim = _packing(closed, uncovered, cands)
+        if size + bound > k:
             return None
+        cands &= (1 << lim) - 1
         while cands:
             low = cands & -cands
             cands ^= low
@@ -198,7 +247,8 @@ def _independent_dominating_sets(closed: list[int], universe: int, k: int):
     """Yield as masks, in one fixed depth-first order, the independent
     dominating sets of the subgraph on ``universe`` with at most k members.
 
-    The branching rule is ``_cover_min``'s for gamma_i, over the whole
+    The branching rule is ``_cover_min``'s for gamma_i below its packing
+    gate, always on the lowest undominated vertex, over the whole
     universe rather than one block, with the covering bound against k.  With
     k = |universe| the bound never prunes, since a node's picks plus its
     undominated vertices number at most |universe|.

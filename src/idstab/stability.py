@@ -141,8 +141,8 @@ def _forced_out(closed: list[int], opened: int, pool: int, left: int) -> int:
     """The packing bound: how many of the ``opened`` vertices every completion
     must leave out, when at most ``left`` more picks come from ``pool``.
 
-    The walk is ``solver._packing``'s, except that a vertex with no dominator
-    in the pool counts as left out instead of ending the search.
+    The count is the bound of ``solver._packing``, except that a vertex with
+    no dominator in the pool counts as left out instead of ending the search.
     """
     forced = count = used = 0
     while opened:
