@@ -2,48 +2,45 @@
 
 The main solvers are branch-and-bound searches over bit masks.  gamma_i and
 gamma are one search: the fewest picks whose closed neighborhoods cover a
-block, where gamma_i's picks must also stay independent.  The value search
-and the walk over independent dominating sets branch by one rule: pick a
-vertex that is not yet dominated and try, in ascending order, every
-eligible vertex of its closed neighborhood (for gamma_i only undominated
-ones, for gamma any); a vertex tried at a node is banned in the later
-sibling branches, so no solution is visited twice.  Every solution
-dominates the chosen vertex, so any undominated vertex will do: the lowest
-one, except where the packing walk has just met them all, and then one
-with the fewest eligible dominators.  Two lower bounds prune a node.  The
-covering bound: a new pick dominates at most max-degree + 1 vertices.  The
-packing bound (``_packing``): undominated vertices whose possible
-dominators are pairwise disjoint each need a pick of their own.
+block, where gamma_i's picks must also stay independent: they are drawn
+from the vertices not yet dominated (gamma draws from all).  Two lower
+bounds prune a node.  The covering bound: a new pick dominates at most
+max-degree + 1 vertices.  The packing bound (``_packing``): undominated
+vertices whose possible dominators are pairwise disjoint each need a pick
+of their own.
 
-There are four searches:
+There are three searches:
 
 * ``_cover_min``, the value of gamma_i or gamma on one connected block.  It
-  returns 1 without searching when one vertex's closed neighborhood is the
-  whole block: that vertex alone is an independent dominating set, and a
-  nonempty block needs at least one pick.  This follows from the
-  definitions, not from a claim of the audited catalog.  In an audit of the
-  small labeled graphs more than half of the blocks end here.  The search
-  adds the packing bound only when its block has more than twice as many
-  vertices as its largest closed neighborhood, that is when the covering
-  bound at the root is 3 or more; on denser blocks the covering bound
-  prunes well and the packing walk costs more than it saves.  Above that
-  gate it branches on the tightest undominated vertex.
-* ``_lexmin_cover``, the lexmin witness pass once the value is known.  It
-  tries members in ascending order, applies both bounds at every node, and
-  tries no member above the lowest top of the undominated vertices'
-  dominator sets.
-* ``_independent_dominating_sets``, a walk over the maximal independent
-  sets with at most k members, pruned by the covering bound alone.  It
-  serves ``_ids_of_size`` (k = gamma_i) and
-  ``enumerate_maximal_independent_sets`` (k = n, where nothing is pruned).
+  picks a vertex that is not yet dominated and tries, in ascending order,
+  every eligible vertex of its closed neighborhood; a vertex tried at a
+  node is banned in the later sibling branches, so no solution is visited
+  twice.  It returns 1 without searching when one vertex's closed
+  neighborhood is the whole block: that vertex alone is an independent
+  dominating set, and a nonempty block needs at least one pick.  This
+  follows from the definitions, not from a claim of the audited catalog.
+  In an audit of the small labeled graphs more than half of the blocks end
+  here.  The search adds the packing bound only when its block has more
+  than twice as many vertices as its largest closed neighborhood, that is
+  when the covering bound at the root is 3 or more; on denser blocks the
+  covering bound prunes well and the packing walk costs more than it
+  saves.  Above that gate it branches on the tightest undominated vertex.
+* ``_covers``, a walk in lexicographic order over the sets of at most k
+  picks that dominate a vertex set.  It adds members in ascending order,
+  applies both bounds at every node, and tries no member above the lowest
+  top of the undominated vertices' dominator sets.  Its first set, with k
+  the block's value, is the lexmin gamma_i or gamma witness; with k =
+  gamma_i over the whole graph it walks the gamma_i-sets for
+  ``stability``'s transversal rule; with k = n and picks kept independent
+  it is ``enumerate_maximal_independent_sets``.
 * ``_alpha_max``, the independence search, one pass for ``alpha``,
   ``alpha_value`` and ``max_induced_star``: it takes the lowest free vertex
   before it leaves that vertex out, so the first maximum set it keeps is
   the lexicographically first one.
 
-``oracle_gamma_i`` and ``ORACLE_MAX_ORDER`` are re-exported from
-``oracles``, which shares no code with these searches beyond the ``Graph``
-type: disagreement between the two is always a bug worth keeping.
+``oracle_gamma_i`` is re-exported from ``oracles``, which shares no code
+with these searches beyond the ``Graph`` type: disagreement between the two
+is always a bug worth keeping.
 
 Optimal witnesses are tie-broken to the lexicographically smallest set (by
 sorted member list).  For gamma_i and gamma a second, ascending-member
@@ -54,11 +51,10 @@ one search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .core import MAX_ORDER, Graph, VertexSet, component_masks
 from .errors import EmptyGraph
-from .oracles import ORACLE_MAX_ORDER, oracle_gamma_i  # re-exported
+from .oracles import oracle_gamma_i  # re-exported; perfbench/spans.py wraps it here
 
 
 @dataclass(frozen=True)
@@ -196,92 +192,53 @@ def _cover_min(closed: list[int], comp: int, independent: bool) -> int:
     return best
 
 
-def _lexmin_cover(closed: list[int], comp: int, k: int, independent: bool) -> int:
-    """Lexicographically first set of k picks that dominates one block, drawn
-    as in ``_cover_min``; k must be the block's minimum.
+def _covers(closed: list[int], universe: int, k: int, independent: bool):
+    """Yield as masks, in lexicographic order of their sorted member lists,
+    the sets of at most k picks that dominate ``universe``, drawn as in
+    ``_cover_min``: every independent dominating set of at most k members
+    when ``independent``, and with k at gamma's minimum every minimum
+    dominating set otherwise.
 
-    Members are tried in ascending order; a candidate must dominate at least
-    one currently-undominated vertex, which every member of a minimum
-    dominating set does at its insertion point (and every gamma_i candidate
-    does, being undominated itself).
+    A node's picks ascend, and its children try the candidates above its
+    last pick in ascending order, so the walk meets sets in lexicographic
+    order; a set that dominates ``universe`` ends its branch.  A candidate
+    must dominate at least one currently-undominated vertex.  Every gamma_i
+    candidate does, being undominated itself; for gamma with k at its
+    minimum each member of a minimum dominating set has a private neighbour,
+    so it dominates a new vertex when it is picked.  No proper prefix of
+    such a set dominates ``universe``, since the set is minimal.  The
+    covering and packing bounds prune a node that needs more than k picks.
 
     Next-pick cut: picks ascend, so the picks a completion still adds all lie
     in ``cands`` and the next one is the lowest of them.  Each undominated w
     needs one of them in its dominator set ``closed[w] & cands``, so the
     next pick is at most that set's top member, for every w, and so below
-    the ``lim`` that ``_packing`` returns.  A candidate at or above ``lim``
-    starts no completion; dropping it loses no set, so the first set found
-    is still the lexicographically first.  On the pinned ``gamma-i-sparse``
-    graphs this cut the pass's nodes from 116,094 to 25,848.
-    """
-    cap = _cover_cap(closed, comp)
-    keep = 0 if independent else comp
-
-    def rec(covered: int, chosen: int, floor: int, size: int) -> int | None:
-        uncovered = comp & ~covered
-        if not uncovered:
-            return chosen
-        if size == k or size + -(-uncovered.bit_count() // cap) > k:
-            return None
-        cands = (uncovered | keep) & floor
-        bound, _, lim = _packing(closed, uncovered, cands)
-        if size + bound > k:
-            return None
-        cands &= (1 << lim) - 1
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            u = low.bit_length() - 1
-            if closed[u] & uncovered:
-                got = rec(covered | (closed[u] & comp), chosen | low, -1 << (u + 1), size + 1)
-                if got is not None:
-                    return got
-        return None
-
-    found = rec(0, 0, -1, 0)
-    assert found is not None, "no dominating set of the optimal size"
-    return found
-
-
-def _independent_dominating_sets(closed: list[int], universe: int, k: int):
-    """Yield as masks, in one fixed depth-first order, the independent
-    dominating sets of the subgraph on ``universe`` with at most k members.
-
-    The branching rule is ``_cover_min``'s for gamma_i below its packing
-    gate, always on the lowest undominated vertex, over the whole
-    universe rather than one block, with the covering bound against k.  With
-    k = |universe| the bound never prunes, since a node's picks plus its
-    undominated vertices number at most |universe|.
+    the ``lim`` that ``_packing`` returns.  The bounds and the cut drop only
+    nodes and candidates that have no completion, so the walk still reaches
+    every set named above.  On the pinned ``gamma-i-sparse`` graphs the cut
+    took the witness pass's nodes from 116,094 to 25,848.
     """
     cap = _cover_cap(closed, universe)
-
-    def rec(covered: int, excluded: int, chosen: int, size: int):
+    keep = 0 if independent else universe
+    stack = [(0, 0, -1, 0)]  # covered, chosen, floor (the bits above the last pick), size
+    while stack:
+        covered, chosen, floor, size = stack.pop()
         uncovered = universe & ~covered
         if not uncovered:
             yield chosen
-            return
-        if size + -(-uncovered.bit_count() // cap) > k:
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        cands = closed[v] & uncovered & ~excluded
-        ban = 0
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            u = low.bit_length() - 1
-            yield from rec(covered | closed[u], excluded | ban, chosen | low, size + 1)
-            ban |= low
-
-    return rec(0, 0, 0, 0)
-
-
-def _ids_of_size(closed: list[int], universe: int, k: int, limit: int) -> list[int]:
-    """Up to ``limit`` independent dominating sets of size ``k`` within
-    ``universe``, the first ones of the walk.  ``k`` must be the minimum size,
-    so the walk yields no smaller set.  All of the sets are returned when
-    there are at most ``limit``.
-    """
-    return list(islice(_independent_dominating_sets(closed, universe, k), limit))
+            continue
+        if size == k or size + -(-uncovered.bit_count() // cap) > k:
+            continue
+        cands = (uncovered | keep) & floor
+        bound, _, lim = _packing(closed, uncovered, cands)
+        if size + bound > k:
+            continue
+        cands &= (1 << lim) - 1
+        while cands:  # push the highest first, so the lowest pops first
+            u = cands.bit_length() - 1
+            cands ^= 1 << u
+            if closed[u] & uncovered:
+                stack.append((covered | (closed[u] & universe), chosen | 1 << u, -1 << (u + 1), size + 1))
 
 
 def _alpha_max(open_rows: tuple[int, ...], free0: int) -> int:
@@ -331,7 +288,9 @@ def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertifica
     for comp in component_masks(closed, g.full_mask):
         k = _cover_min(closed, comp, independent)
         value += k
-        witness |= _lexmin_cover(closed, comp, k, independent)
+        found = next(_covers(closed, comp, k, independent), None)
+        assert found is not None, "no dominating set of the optimal size"
+        witness |= found
     return GammaCertificate(kind, value, VertexSet(witness))
 
 
@@ -378,10 +337,11 @@ def alpha(g: Graph) -> GammaCertificate:
 
 
 def enumerate_maximal_independent_sets(g: Graph):
-    """Yield every maximal independent set exactly once, in a fixed DFS order."""
+    """Yield every maximal independent set exactly once, in lexicographic
+    order of the sorted member lists."""
     if g.order == 0:
         raise EmptyGraph("the null graph has no vertex sets to enumerate")
-    for mask in _independent_dominating_sets(_closed_rows(g), g.full_mask, g.order):
+    for mask in _covers(_closed_rows(g), g.full_mask, g.order, True):
         yield VertexSet(mask)
 
 

@@ -8,9 +8,9 @@ graph is 0), which makes the "any" and "decrease" directions total;
 "increase" can be genuinely undefined (complete graphs) and is reported as
 such, never as a sentinel number.
 
-``oracle_stability`` and ``ORACLE_STABILITY_MAX_ORDER`` are re-exported from
-``oracles``: the referee reads every removal's gamma_i off a sieve over
-vertex masks and shares no code with this module.
+``oracle_stability`` is re-exported from ``oracles``: the referee reads
+every removal's gamma_i off a sieve over vertex masks and shares no code
+with this module.
 
 The increase direction scans k = 1, 2, ... and, within each k, the k-subsets
 in lexicographic order, solving gamma_i(G - S) for each; the first match is
@@ -25,9 +25,10 @@ first of the two directed answers (min rule).
   gamma_i(G - S) <= |D| = gamma_i(G).  Only an S that meets every
   gamma_i-set can raise gamma_i, and the scan visits only those k-subsets,
   in their order, so the witness is the one the full scan would return.
-  The family of gamma_i-sets is capped at ``GAMMA_I_FAMILY_CAP`` masks, so
-  memory stays bounded.  A partial family is still sound: a subset is
-  skipped only when it misses a gamma_i-set that is actually known.
+  The family kept is the lexicographically first ``GAMMA_I_FAMILY_CAP``
+  gamma_i-sets (``solver._covers``), so memory stays bounded.  A partial
+  family is still sound: a subset is skipped only when it misses a
+  gamma_i-set that is actually known.
 * Left-out search, for "decrease".  Let b = gamma_i(G).  Then
   gamma_i(G - S) < b exactly when some independent D within V - S, with
   |D| <= b - 1, dominates V - S: such a D is an independent dominating set
@@ -71,11 +72,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .core import Graph, VertexSet, iter_bits
 from .errors import EmptyGraph
-from .oracles import ORACLE_STABILITY_MAX_ORDER, oracle_stability  # re-exported
-from .solver import _closed_rows, _cover_cap, _gamma_i_value_in, _ids_of_size
+from .oracles import oracle_stability  # re-exported; perfbench/spans.py wraps it here
+from .solver import _closed_rows, _cover_cap, _covers, _gamma_i_value_in
 
 GAMMA_I_FAMILY_CAP = 4096  # gamma_i-sets kept for the transversal rule
 
@@ -207,7 +209,7 @@ def _increase_scan(closed: list[int], full: int, base: int, first: int, stop: in
     nonzero ``stop`` ends the scan at its size, at the first set not before it."""
     n = full.bit_length()
     meets = [0] * n
-    for i, ids in enumerate(_ids_of_size(closed, full, base, GAMMA_I_FAMILY_CAP)):
+    for i, ids in enumerate(islice(_covers(closed, full, base, True), GAMMA_I_FAMILY_CAP)):
         for v in iter_bits(ids):
             meets[v] |= 1 << i
     last = stop.bit_count() if stop else n

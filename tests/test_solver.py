@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -23,8 +23,7 @@ from idstab.solver import (
     _closed_rows,
     _cover_cap,
     _cover_min,
-    _ids_of_size,
-    _lexmin_cover,
+    _covers,
     _packing,
     alpha,
     alpha_value,
@@ -195,7 +194,7 @@ class TestEnumerateMIS:
 
     def test_p3(self):
         out = [s.members() for s in enumerate_maximal_independent_sets(path(3))]
-        assert sorted(out) == [(0, 2), (1,)]
+        assert out == [(0, 2), (1,)]
 
     def test_null_rejected(self):
         with pytest.raises(errors.EmptyGraph):
@@ -212,28 +211,49 @@ class TestEnumerateMIS:
             assert sorted(s.mask for s in seen) == expected
             assert len({s.mask for s in seen}) == len(seen)  # no duplicates
 
+    def test_lexicographic_order(self):
+        for g in all_graphs(5):
+            out = [s.members() for s in enumerate_maximal_independent_sets(g)]
+            assert out == sorted(out), g
+
+
+def _ids_by_filter(g, k):
+    """The independent dominating sets of k vertices, as masks in
+    lexicographic order of their sorted member lists, by a filter over every
+    k-subset."""
+    found = []
+    for combo in combinations(range(g.order), k):
+        mask = reach = 0
+        for v in combo:
+            mask |= 1 << v
+            reach |= g.adj[v] | 1 << v
+        if reach == g.full_mask and not any(g.adj[v] & mask for v in combo):
+            found.append(mask)
+    return found
+
 
 class TestMinimumIdsFamily:
     def test_matches_subset_filter(self):
-        for g in all_graphs(5):
+        # the family walk gains the packing bound and the next-pick cut, so
+        # it is checked on every graph of order <= 6 and on seeded ones above
+        rng = random.Random(0x1D5F)
+        seeded = [random_graph(rng, rng.randint(7, 14)) for _ in range(100)]
+        for g in list(all_graphs(6)) + seeded:
             k = gamma_i_value(g)
-            found = _ids_of_size(_closed_rows(g), g.full_mask, k, 1 << g.order)
-            expected = [
-                m
-                for m in range(1 << g.order)
-                if m.bit_count() == k and classify_set(g, VertexSet(m)).maximal_independent
-            ]
-            assert sorted(found) == expected
-            assert len(set(found)) == len(found)  # no duplicates
-            walk = [s.mask for s in enumerate_maximal_independent_sets(g) if len(s) == k]
-            assert found == walk  # both callers of the shared walk see one order
+            found = list(_covers(_closed_rows(g), g.full_mask, k, True))
+            assert found == _ids_by_filter(g, k), g
+            if g.order <= 5:
+                walk = [s.mask for s in enumerate_maximal_independent_sets(g) if len(s) == k]
+                assert found == walk, g  # both callers of the shared walk see one order
 
     def test_limit_keeps_a_prefix(self):
         g = disjoint_union(path(2), disjoint_union(path(2), path(2)))  # 8 gamma_i-sets
         closed = _closed_rows(g)
-        every = _ids_of_size(closed, g.full_mask, 3, 100)
+        every = list(_covers(closed, g.full_mask, 3, True))
         assert len(every) == 8
-        assert _ids_of_size(closed, g.full_mask, 3, 5) == every[:5]
+        # a capped family is the lexicographically first gamma_i-sets
+        first = [VertexSet(m).members() for m in islice(_covers(closed, g.full_mask, 3, True), 5)]
+        assert first == [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4)]
 
 
 class TestMaxInducedStar:
@@ -494,9 +514,9 @@ class TestPackingBound:
             closed = _closed_rows(g)
             for comp in component_masks(closed, g.full_mask):
                 k = _ref_ids_min(closed, comp)
-                assert _lexmin_cover(closed, comp, k, True) == _ref_lexmin_ids(closed, comp, k), g
+                assert next(_covers(closed, comp, k, True)) == _ref_lexmin_ids(closed, comp, k), g
                 k = _ref_dom_min(closed, comp)
-                assert _lexmin_cover(closed, comp, k, False) == _ref_lexmin_dom(closed, comp, k), g
+                assert next(_covers(closed, comp, k, False)) == _ref_lexmin_dom(closed, comp, k), g
 
     def test_seeded_sparse_matches_pre_change_searches(self, monkeypatch):
         calls = []
@@ -553,13 +573,18 @@ class TestPackingBound:
 
 
 def _search_calls(fn, *args):
-    """``fn(*args)`` and the number of calls it made to solver's nested ``rec`` searches."""
+    """``fn(*args)`` and the search nodes it visited: the calls to solver's
+    nested ``rec`` searches plus the nodes ``_covers`` popped off its stack."""
     calls = 0
 
     def profiler(frame, event, arg):
         nonlocal calls
         code = frame.f_code
-        if event == "call" and code.co_name == "rec" and code.co_filename == solver.__file__:
+        if code.co_filename != solver.__file__:
+            return
+        if event == "call" and code.co_name == "rec":
+            calls += 1
+        elif event == "c_call" and code.co_name == "_covers" and arg.__name__ == "pop":
             calls += 1
 
     sys.setprofile(profiler)
