@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import auditor, ops
 from .codec import decode_graph6, emit_edgelist, encode_graph6, parse_edgelist
-from .core import MAX_ORDER, Graph
+from .core import MAX_ORDER, Graph, complement
 from .errors import IdstabError, InternalAuditError, SpecInvalid
-from .families import generate, parse_family_spec
+from .families import cycle, generate, parse_family_spec, path
 from .solver import alpha, gamma, gamma_i
 from .stability import Direction, stability
 
@@ -113,8 +113,6 @@ def _cmd_op(args: argparse.Namespace) -> int:
     if args.operation == "complement":
         if args.g2 is not None:
             raise IdstabError("complement takes a single operand")
-        from .core import complement
-
         _emit_graph(complement(g1), args.format)
         return 0
     if args.g2 is None:
@@ -125,16 +123,14 @@ def _cmd_op(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    kind = "path" if args.family == "paths" else "cycle"
-    start = 2 if kind == "path" else 3
+    build, start = (path, 2) if args.family == "paths" else (cycle, 3)
     if args.max_n < start:
         raise IdstabError(f"{args.family} start at n = {start}; --max-n {args.max_n} is below it")
     if args.max_n > MAX_ORDER:
         raise IdstabError(f"--max-n {args.max_n} exceeds the {MAX_ORDER}-vertex cap")
     print("n\tst_id")
     for n in range(start, args.max_n + 1):
-        spec = parse_family_spec(f"{kind}:{n}")
-        print(f"{n}\t{stability(generate(spec)).value}")
+        print(f"{n}\t{stability(build(n)).value}")
     return 0
 
 

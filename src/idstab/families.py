@@ -1,5 +1,8 @@
 """Deterministic constructors for the named graph families.
 
+Each kind is declared once, where its graph is built, by ``_kind``; its
+public constructor (``path``, ..., ``petersen``) builds a checked ``FamilySpec``.
+
 Canonical labelings (frozen so certificates are reproducible):
 
 * path / cycle: consecutive labels 0, 1, ..., n-1
@@ -19,55 +22,48 @@ Canonical labelings (frozen so certificates are reproducible):
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .core import MAX_ORDER, Graph, build_graph
 from .errors import OrderTooLarge, SpecInvalid
 from .ops import cartesian
 
-_SHORT = {
-    "double_star": "dstar",
-    "complete_bipartite": "kbip",
-    "friendship": "friend",
-    "gen_friendship": "gfriend",
-}
-_LONG = {short: long for long, short in _SHORT.items()}
 
-_PARAM_COUNT = {
-    "empty": 1,
-    "complete": 1,
-    "path": 1,
-    "cycle": 1,
-    "star": 1,
-    "double_star": 2,
-    "complete_bipartite": 2,
-    "friendship": 1,
-    "gen_friendship": 2,
-    "book": 1,
-    "petersen": 0,
-}
+class _Kind(NamedTuple):
+    short: str
+    least: tuple[int, ...]  # its length is the arity
+    need: str
+    order: Callable[..., int]
+    build: Callable[..., Graph]
 
-KINDS = tuple(_PARAM_COUNT)
+
+_KINDS: dict[str, _Kind] = {}
+_LONG: dict[str, str] = {}  # long and short names to the long name
+
+
+def _kind(name: str, short: str, least: tuple[int, ...], need: str, order: Callable[..., int]):
+    """Register the builder as family ``name``; bind its name to the checked constructor."""
+
+    def register(build: Callable[..., Graph]) -> Callable[..., Graph]:
+        _KINDS[name] = _Kind(short, least, need, order, build)
+        _LONG[name] = _LONG[short] = name
+        signature = inspect.signature(build)
+
+        @functools.wraps(build)
+        def checked(*args, **kwargs) -> Graph:
+            return generate(FamilySpec(name, signature.bind(*args, **kwargs).args))
+
+        return checked
+
+    return register
 
 
 def family_order(kind: str, p: tuple[int, ...]) -> int:
-    """The order a long-named kind builds from ``p``, known before a
-    ``FamilySpec`` (which rejects orders above ``MAX_ORDER``) is built."""
-    if kind in ("empty", "complete", "path", "cycle"):
-        return p[0]
-    if kind == "star":
-        return p[0] + 1
-    if kind == "double_star":
-        return p[0] + p[1] + 2
-    if kind == "complete_bipartite":
-        return p[0] + p[1]
-    if kind == "friendship":
-        return 2 * p[0] + 1
-    if kind == "gen_friendship":
-        return p[1] * (p[0] - 1) + 1
-    if kind == "book":
-        return 2 * p[0] + 2
-    return 10  # petersen
+    """The order a long-named ``kind`` builds from ``p``, known before it is built."""
+    return _KINDS[kind].order(*p)
 
 
 @dataclass(frozen=True)
@@ -81,37 +77,13 @@ class FamilySpec:
         kind = _LONG.get(self.kind, self.kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", tuple(self.params))
-        if kind not in _PARAM_COUNT:
+        if kind not in _KINDS:
             raise SpecInvalid(f"unknown family kind {self.kind!r}")
-        if len(self.params) != _PARAM_COUNT[kind]:
-            raise SpecInvalid(
-                f"{kind} takes {_PARAM_COUNT[kind]} parameter(s), got {len(self.params)}"
-            )
-        self._validate()
-
-    def _validate(self) -> None:
-        kind, p = self.kind, self.params
-        bad = None
-        if kind in ("empty", "complete") and p[0] < 0:
-            bad = "order must be >= 0"
-        elif kind == "path" and p[0] < 1:
-            bad = "path needs n >= 1"
-        elif kind == "cycle" and p[0] < 3:
-            bad = "cycle needs n >= 3"
-        elif kind == "star" and p[0] < 1:
-            bad = "star needs at least one leaf"
-        elif kind == "double_star" and min(p) < 1:
-            bad = "double star needs a, b >= 1"
-        elif kind == "complete_bipartite" and min(p) < 1:
-            bad = "complete bipartite needs m, n >= 1"
-        elif kind == "friendship" and p[0] < 1:
-            bad = "friendship needs n >= 1"
-        elif kind == "gen_friendship" and (p[0] < 3 or p[1] < 1):
-            bad = "generalized friendship needs q >= 3 and n >= 1"
-        elif kind == "book" and p[0] < 2:
-            bad = "book needs n >= 2"
-        if bad:
-            raise SpecInvalid(f"{self.to_text()}: {bad}")
+        least = _KINDS[kind].least
+        if len(self.params) != len(least):
+            raise SpecInvalid(f"{kind} takes {len(least)} parameter(s), got {len(self.params)}")
+        if any(x < low for x, low in zip(self.params, least)):
+            raise SpecInvalid(f"{self.to_text()}: {_KINDS[kind].need}")
         if self.order() > MAX_ORDER:
             raise OrderTooLarge(f"{self.to_text()} has order {self.order()} (cap {MAX_ORDER})")
 
@@ -119,17 +91,15 @@ class FamilySpec:
         return family_order(self.kind, self.params)
 
     def to_text(self) -> str:
-        name = _SHORT.get(self.kind, self.kind)
-        if not self.params:
-            return name
-        return f"{name}:{','.join(str(x) for x in self.params)}"
+        short = _KINDS[self.kind].short
+        return f"{short}:{','.join(str(x) for x in self.params)}" if self.params else short
 
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the one-line syntax: ``path:7``, ``gfriend:4,2``, ``petersen``."""
     head, sep, tail = text.strip().partition(":")
     name = head.strip().lower()
-    if name not in _PARAM_COUNT and name not in _LONG:
+    if name not in _LONG:
         raise SpecInvalid(f"unknown family kind {head!r}")
     if not sep:
         return FamilySpec(name, ())
@@ -142,87 +112,73 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph a spec describes, with the canonical labeling."""
-    kind, p = spec.kind, spec.params
-    if kind == "empty":
-        return build_graph(p[0], [])
-    if kind == "complete":
-        n = p[0]
-        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if kind == "path":
-        return build_graph(p[0], [(i, i + 1) for i in range(p[0] - 1)])
-    if kind == "cycle":
-        n = p[0]
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "star":
-        return build_graph(p[0] + 1, [(0, leaf) for leaf in range(1, p[0] + 1)])
-    if kind == "double_star":
-        a, b = p
-        edges = [(0, 1)]
-        edges += [(0, leaf) for leaf in range(2, a + 2)]
-        edges += [(1, leaf) for leaf in range(a + 2, a + b + 2)]
-        return build_graph(a + b + 2, edges)
-    if kind == "complete_bipartite":
-        m, n = p
-        return build_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-    if kind == "friendship":
-        return generate(FamilySpec("gen_friendship", (3, p[0])))
-    if kind == "gen_friendship":
-        q, n = p
-        edges = []
-        for i in range(n):
-            petal = list(range((q - 1) * i + 1, (q - 1) * (i + 1) + 1))
-            edges.append((0, petal[0]))
-            edges += list(zip(petal, petal[1:]))
-            edges.append((petal[-1], 0))
-        return build_graph(n * (q - 1) + 1, edges)
-    if kind == "book":
-        return cartesian(generate(FamilySpec("star", (p[0],))), generate(FamilySpec("path", (2,))))
-    # petersen
+    return _KINDS[spec.kind].build(*spec.params)
+
+
+@_kind("empty", "empty", (0,), "order must be >= 0", lambda n: n)
+def empty(n: int) -> Graph:
+    return build_graph(n, [])
+
+
+@_kind("complete", "complete", (0,), "order must be >= 0", lambda n: n)
+def complete(n: int) -> Graph:
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+@_kind("path", "path", (1,), "path needs n >= 1", lambda n: n)
+def path(n: int) -> Graph:
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@_kind("cycle", "cycle", (3,), "cycle needs n >= 3", lambda n: n)
+def cycle(n: int) -> Graph:
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@_kind("star", "star", (1,), "star needs at least one leaf", lambda m: m + 1)
+def star(leaves: int) -> Graph:
+    return build_graph(leaves + 1, [(0, leaf) for leaf in range(1, leaves + 1)])
+
+
+@_kind("double_star", "dstar", (1, 1), "double star needs a, b >= 1", lambda a, b: a + b + 2)
+def double_star(a: int, b: int) -> Graph:
+    edges = [(0, 1)]
+    edges += [(0, leaf) for leaf in range(2, a + 2)]
+    edges += [(1, leaf) for leaf in range(a + 2, a + b + 2)]
+    return build_graph(a + b + 2, edges)
+
+
+@_kind("complete_bipartite", "kbip", (1, 1), "complete bipartite needs m, n >= 1",
+       lambda m, n: m + n)
+def complete_bipartite(m: int, n: int) -> Graph:
+    return build_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+
+
+@_kind("friendship", "friend", (1,), "friendship needs n >= 1", lambda n: 2 * n + 1)
+def friendship(n: int) -> Graph:
+    return gen_friendship(3, n)
+
+
+@_kind("gen_friendship", "gfriend", (3, 1), "generalized friendship needs q >= 3 and n >= 1",
+       lambda q, n: n * (q - 1) + 1)
+def gen_friendship(q: int, n: int) -> Graph:
+    edges = []
+    for i in range(n):
+        petal = list(range((q - 1) * i + 1, (q - 1) * (i + 1) + 1))
+        edges.append((0, petal[0]))
+        edges += list(zip(petal, petal[1:]))
+        edges.append((petal[-1], 0))
+    return build_graph(n * (q - 1) + 1, edges)
+
+
+@_kind("book", "book", (2,), "book needs n >= 2", lambda n: 2 * n + 2)
+def book(n: int) -> Graph:
+    return cartesian(star(n), path(2))
+
+
+@_kind("petersen", "petersen", (), "", lambda: 10)
+def petersen() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return build_graph(10, edges)
-
-
-def path(n: int) -> Graph:
-    return generate(FamilySpec("path", (n,)))
-
-
-def cycle(n: int) -> Graph:
-    return generate(FamilySpec("cycle", (n,)))
-
-
-def empty(n: int) -> Graph:
-    return generate(FamilySpec("empty", (n,)))
-
-
-def complete(n: int) -> Graph:
-    return generate(FamilySpec("complete", (n,)))
-
-
-def star(leaves: int) -> Graph:
-    return generate(FamilySpec("star", (leaves,)))
-
-
-def double_star(a: int, b: int) -> Graph:
-    return generate(FamilySpec("double_star", (a, b)))
-
-
-def complete_bipartite(m: int, n: int) -> Graph:
-    return generate(FamilySpec("complete_bipartite", (m, n)))
-
-
-def friendship(n: int) -> Graph:
-    return generate(FamilySpec("friendship", (n,)))
-
-
-def gen_friendship(q: int, n: int) -> Graph:
-    return generate(FamilySpec("gen_friendship", (q, n)))
-
-
-def book(n: int) -> Graph:
-    return generate(FamilySpec("book", (n,)))
-
-
-def petersen() -> Graph:
-    return generate(FamilySpec("petersen", ()))

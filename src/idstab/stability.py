@@ -14,10 +14,10 @@ with this module.
 
 The increase direction scans k = 1, 2, ... and, within each k, the k-subsets
 in lexicographic order, solving gamma_i(G - S) for each; the first match is
-the witness.  The decrease direction answers S = V at once when gamma_i = 1
-(see below), scans k = 1 the same way otherwise, and finds larger witnesses
-with the left-out search.  The any direction scans k = 1 and then takes the
-first of the two directed answers (min rule).
+the witness.  The decrease direction scans k = 1 the same way and finds
+larger witnesses with the left-out search; when gamma_i = 1 it skips that
+search, since then S = V is the only witness (see below).  The any direction
+scans k = 1 and then takes the first of the two directed answers (min rule).
 
 * Transversal rule, for "increase".  Let D be a gamma_i-set of G (a
   minimum independent dominating set).  If S misses D, then D is still
@@ -233,15 +233,13 @@ def stability(g: Graph, direction: Direction | str = Direction.ANY) -> Stability
     base = _gamma_i_value_in(closed, full)
     if direction is Direction.INCREASE:
         found = _increase_scan(closed, full, base, 1, 0)
-    elif direction is Direction.DECREASE and base == 1:
-        found = full, 0  # the only witness (module docstring)
     else:
         matches = base.__gt__ if direction is Direction.DECREASE else base.__ne__
         for v in range(g.order):
             val = _gamma_i_value_in(closed, full & ~(1 << v))
             if matches(val):
                 return StabilityCertificate(base, direction, 1, VertexSet(1 << v), val)
-        k, out = 1, 0 if base > 1 else full  # b = 1: S = V, as for "decrease"
+        k, out = 1, 0 if base > 1 else full  # b = 1: no picks, so S = V
         while not out:  # found by k = n at the latest: D empty leaves S = V
             k += 1
             out = _lexmin_left_out(closed, full, base - 1, k)

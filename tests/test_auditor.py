@@ -357,6 +357,17 @@ def test_default_family_grid_shape():
         FamilyCorpus.default_grid(0)
 
 
+def test_default_family_grid_pinned():
+    # the count and the sha256 of every spec's text, in grid order
+    specs = FamilyCorpus.default_grid(64).specs
+    text = "\n".join(spec.to_text() for spec in specs)
+    assert len(specs) == 2445
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "331e30a107bce16ee0abf5175e6725d317b0d91a410d471d93071ee114c4c23b"
+    )
+
+
 def test_default_family_grid_at_order_cap():
     specs = FamilyCorpus.default_grid(64).specs
     texts = {spec.to_text() for spec in specs}

@@ -1,6 +1,9 @@
+import inspect
+import itertools
+
 import pytest
 
-from idstab import FamilySpec, errors, generate, parse_family_spec
+from idstab import FamilySpec, errors, families, generate, parse_family_spec
 from idstab.core import iter_bits
 from idstab.families import (
     book,
@@ -139,3 +142,65 @@ def test_complete_and_empty():
     assert complete(0).order == 0
     assert complete(4).edge_count == 6
     assert generate(FamilySpec("empty", (5,))).edge_count == 0
+
+
+# (kind, short name, least parameters, the message for a parameter below them)
+KIND_CASES = [
+    ("empty", "empty", (0,), "order must be >= 0"),
+    ("complete", "complete", (0,), "order must be >= 0"),
+    ("path", "path", (1,), "path needs n >= 1"),
+    ("cycle", "cycle", (3,), "cycle needs n >= 3"),
+    ("star", "star", (1,), "star needs at least one leaf"),
+    ("double_star", "dstar", (1, 1), "double star needs a, b >= 1"),
+    ("complete_bipartite", "kbip", (1, 1), "complete bipartite needs m, n >= 1"),
+    ("friendship", "friend", (1,), "friendship needs n >= 1"),
+    ("gen_friendship", "gfriend", (3, 1), "generalized friendship needs q >= 3 and n >= 1"),
+    ("book", "book", (2,), "book needs n >= 2"),
+    ("petersen", "petersen", (), None),
+]
+
+
+def _text(name, params):
+    return f"{name}:{','.join(str(x) for x in params)}" if params else name
+
+
+def _raises(error, message, make):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind, short, least, need", KIND_CASES, ids=[c[0] for c in KIND_CASES])
+def test_every_registered_kind(kind, short, least, need):
+    build = getattr(families, kind)
+    for params in itertools.product(*(range(low, low + 3) for low in least)):
+        spec = FamilySpec(kind, params)
+        assert spec.to_text() == _text(short, params)
+        for name in (kind, short):
+            again = parse_family_spec(_text(name, params))
+            assert again == spec and again.to_text() == spec.to_text()
+        g = generate(spec)
+        assert spec.order() == g.order == families.family_order(kind, params)
+        assert build(*params) == g
+    for i in range(len(least)):
+        low = least[:i] + (least[i] - 1,) + least[i + 1 :]
+        message = f"{_text(short, low)}: {need}"
+        _raises(errors.SpecInvalid, message, lambda: parse_family_spec(_text(kind, low)))
+        _raises(errors.SpecInvalid, message, lambda: FamilySpec(short, low))
+        _raises(errors.SpecInvalid, message, lambda: build(*low))
+    for wrong in (least + (5,), least[:-1]) if least else ((5,),):
+        message = f"{kind} takes {len(least)} parameter(s), got {len(wrong)}"
+        _raises(errors.SpecInvalid, message, lambda: FamilySpec(kind, wrong))
+        _raises(errors.SpecInvalid, message, lambda: parse_family_spec(_text(short, wrong)))
+
+
+def test_constructors_keep_their_names_and_checks():
+    assert list(inspect.signature(star).parameters) == ["leaves"]
+    assert list(inspect.signature(gen_friendship).parameters) == ["q", "n"]
+    assert book.__name__ == "book" and petersen.__name__ == "petersen"
+    assert double_star(a=2, b=3) == double_star(2, 3)
+    _raises(errors.SpecInvalid, "path:0: path needs n >= 1", lambda: path(0))
+    _raises(errors.OrderTooLarge, "book:32 has order 66 (cap 64)", lambda: book(32))
+    _raises(errors.SpecInvalid, "unknown family kind 'wheel'", lambda: FamilySpec("wheel", (5,)))
+    with pytest.raises(TypeError):
+        path(3, 4)
