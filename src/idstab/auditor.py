@@ -30,12 +30,34 @@ emptied when it reaches ``_MEMO_CAP`` (2^16) entries, so an audit's memory
 stays bounded however large its corpus.
 Reports are deterministic: for a fixed corpus, claim set and mode the JSON
 text is byte-identical across runs and worker counts.
+
+Graph claims are evaluated once per isomorphism class.  Every graph claim
+(C2, C5-C16, C26) is a statement about isomorphism invariants.  Let
+p: G -> H be an isomorphism.  It maps the independent dominating sets of G
+onto those of H, so gamma_i(G) = gamma_i(H), and likewise for dominating
+sets (gamma) and induced stars.  It maps G - S onto a graph isomorphic to
+H - p(S), so a removal changes gamma_i in G exactly when its image does in
+H, and st_id(G) = st_id(H).  It preserves n, every degree (so delta, Delta,
+isolates and completeness), the components, and it is also an isomorphism
+of the complements.  C5 takes a minimum over the vertex-deleted subgraphs
+G - v, which p matches one for one with those of H.  So a claim's
+applicability, its holds / violated status, lhs and rhs are the same for
+every labelling of a graph; only a violation's certificate (witness sets and
+graph6 texts) depends on the labels.  ``_audit_chunk`` keys each graph of
+order <= ``_CLASS_MAX_ORDER`` by its class, ``(order, least edge mask in its
+orbit)``, evaluates the claims on the chunk's first member of the class and
+tallies later members from that without solving.  A violated claim is still
+evaluated in full, certificate and oracle re-check included, on every
+member, and a member that disagrees with its class raises
+``InternalAuditError``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -112,9 +134,10 @@ def _memo(cache: dict, g: Graph, compute: Callable[[Graph], object]):
 class _Toolkit:
     """Invariant evaluators backed by the branch-and-bound solvers.
 
-    Values are cached per graph for the lifetime of one audit run (or one
-    worker), which is what makes complement- and deletion-heavy claims like
-    C5 and C16 cheap over exhaustive corpora.  Every cache goes through
+    Values are cached per graph for the lifetime of one ``_audit_chunk``
+    call: the whole corpus with one worker, one 256-instance chunk in the
+    process pool.  That is what makes complement- and deletion-heavy claims
+    like C5 and C16 cheap over exhaustive corpora.  Every cache goes through
     ``_memo``, so it holds at most ``_MEMO_CAP`` entries and is keyed by
     ``g.adj``, which alone names the graph (``Graph`` validates
     ``len(adj) == order``) and skips the dataclass ``__hash__`` and ``__eq__``.
@@ -646,6 +669,12 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {STRICT!r} or {RESTRICTED!r}")
 
 
+def _verdict(ev: _Eval) -> tuple[str, object, object]:
+    """``(status, lhs, rhs)`` of an evaluation, as its ``ClaimOutcome`` holds
+    them when the claim is violated."""
+    return (INAPPLICABLE if not ev.applicable else HOLDS if ev.holds else VIOLATED), ev.lhs, ev.rhs
+
+
 def _evaluate(claim: Claim, instance, text: str, mode: str, kit: _Toolkit) -> ClaimOutcome:
     ev = claim.evaluate(instance, kit, mode)
     if not ev.applicable:
@@ -708,17 +737,20 @@ class Graph6Corpus:
 
     graphs: tuple[str, ...]
     label: str = "graph6 corpus"
+    # the graphs of ``graphs``, when ``from_file`` has decoded them already
+    _decoded: tuple[Graph, ...] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Graph6Corpus":
+        """The graph6 lines of *path*, each decoded once, here, so that a
+        malformed line fails before any audit work."""
         try:
             text = Path(path).read_text()
         except OSError as exc:
             raise BadCorpusSource(f"cannot read corpus {path}: {exc}") from None
         lines = _graph6_lines(text, f"corpus {path}")
-        for ln in lines:
-            decode_graph6(ln)  # fail fast on malformed input
-        return cls(lines, label=f"graph6 file {path}")
+        decoded = tuple(decode_graph6(ln) for ln in lines)
+        return cls(lines, f"graph6 file {path}", decoded)
 
     def kind(self) -> str:
         return GRAPH
@@ -729,6 +761,8 @@ class Graph6Corpus:
     def instances(self) -> Iterator[tuple[str, Graph]]:
         """Each line as given (a ``>>graph6<<`` header or a long order prefix
         stays in the report) with its decoded graph."""
+        if self._decoded is not None:
+            return zip(self.graphs, self._decoded)
         return ((text, decode_graph6(text)) for text in self.graphs)
 
 
@@ -801,6 +835,78 @@ Corpus = ExhaustiveCorpus | Graph6Corpus | PairCorpus | FamilyCorpus
 
 
 # ---------------------------------------------------------------------------
+# Isomorphism classes of small graphs.
+# ---------------------------------------------------------------------------
+
+_CLASS_MAX_ORDER = 6
+
+# Per order n, filled lazily and never at import: the least edge mask of the
+# orbit of each of the 2^(n(n-1)/2) masks, -1 until its orbit is first met.
+# A pure function of n (64 KiB at n = 6), so it is shared by every audit in
+# the process and never grows with a corpus.
+_CLASS_TABLES: dict[int, array] = {}
+
+
+def _edge_mask(g: Graph) -> int:
+    """The edge bits of *g* in ``upper_triangle_pairs`` order: pair (i, j),
+    i < j, is bit j(j-1)/2 + i."""
+    mask = 0
+    for j in range(1, g.order):
+        mask |= (g.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    return mask
+
+
+@functools.cache
+def _swap_tables(n: int) -> list[tuple[list[int], ...]]:
+    """For each adjacent transposition (k k+1) of order n, the images of the
+    edge bits of the low and of the high byte of a mask.  Two bytes hold the
+    15 edge bits of order 6, so ``_CLASS_MAX_ORDER`` cannot pass 6 without a
+    third table."""
+    pairs = list(upper_triangle_pairs(n))
+    bit = {pair: 1 << p for p, pair in enumerate(pairs)}
+    tables = []
+    for k in range(n - 1):
+        swap = {k: k + 1, k + 1: k}
+        image = [bit[tuple(sorted((swap.get(i, i), swap.get(j, j))))] for i, j in pairs]
+        halves = []
+        for low in (0, 8):
+            table = [0] * (1 << min(8, max(0, len(pairs) - low)))
+            for v in range(1, len(table)):
+                top = v.bit_length() - 1
+                table[v] = table[v ^ (1 << top)] | image[low + top]
+            halves.append(table)
+        tables.append(tuple(halves))
+    return tables
+
+
+def _class_key(g: Graph) -> tuple[int, int]:
+    """``(order, least edge mask in the orbit of g's mask)`` for a graph of
+    order <= ``_CLASS_MAX_ORDER``: two graphs share a key exactly when they
+    are isomorphic.  A miss walks the whole orbit breadth-first under the
+    n - 1 adjacent transpositions, which generate the symmetric group, and
+    records its least mask for every member."""
+    n = g.order
+    table = _CLASS_TABLES.get(n)
+    if table is None:
+        table = _CLASS_TABLES[n] = array("h", [-1]) * (1 << (n * (n - 1) // 2))
+    mask = _edge_mask(g)
+    least = table[mask]
+    if least < 0:
+        swaps = _swap_tables(n)
+        orbit, seen = [mask], {mask}
+        for m in orbit:  # grows while it is walked
+            for low, high in swaps:
+                image = low[m & 255] | high[m >> 8]
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        least = min(orbit)
+        for m in orbit:
+            table[m] = least
+    return n, least
+
+
+# ---------------------------------------------------------------------------
 # The audit runner and its report.
 # ---------------------------------------------------------------------------
 
@@ -846,15 +952,45 @@ def _resolve_threads(threads: int | None) -> int:
 
 def _audit_chunk(args: tuple[list[str], Iterable[tuple[str, object]], str]):
     """The violations in ``items`` and a tally of ``(claim id, status)`` per
-    evaluation and of each violation's oracle check."""
+    evaluation and of each violation's oracle check.
+
+    A graph of order <= ``_CLASS_MAX_ORDER`` goes through its isomorphism
+    class (see the module docstring).  The class verdicts live as long as the
+    toolkit: the whole corpus with one worker, one chunk in the pool.  The
+    first member of a class runs every claim's evaluator; later members run
+    only the claims their class violates, in full, and must read the same.
+    """
     claim_ids, items, mode = args
     claims = [get_claim(cid) for cid in claim_ids]
     kit = _Toolkit()
     tally: Counter = Counter()
     violations: list[tuple[str, dict]] = []
+    # class key -> (claims that hold or do not apply, violated claims), each
+    # with its verdict
+    classes: dict[tuple[int, int], tuple[list, list]] = {}
+    members: Counter = Counter()  # class key -> instances in the chunk
     for text, instance in items:
-        for claim in claims:
+        if isinstance(instance, Graph) and instance.order <= _CLASS_MAX_ORDER:
+            key = _class_key(instance)
+            known = classes.get(key)
+            if known is None:
+                read = [(c, _verdict(c.evaluate(instance, kit, mode))) for c in claims]
+                known = classes[key] = (
+                    [(c, v) for c, v in read if v[0] != VIOLATED],
+                    [(c, v) for c, v in read if v[0] == VIOLATED],
+                )
+            members[key] += 1
+            todo = known[1]
+        else:
+            todo = [(claim, None) for claim in claims]
+        for claim, expected in todo:
             outcome = _evaluate(claim, instance, text, mode, kit)
+            got = (outcome.status, outcome.lhs_value, outcome.rhs_value)
+            if expected is not None and got != expected:
+                raise InternalAuditError(
+                    f"{claim.id} is not an isomorphism invariant at {text}: "
+                    f"its class read {expected}, the instance reads {got}"
+                )
             tally[claim.id, outcome.status] += 1
             if outcome.status == VIOLATED:
                 tally[outcome.oracle_check] += 1
@@ -866,6 +1002,9 @@ def _audit_chunk(args: tuple[list[str], Iterable[tuple[str, object]], str]):
                     "oracle": outcome.oracle_check,
                 }
                 violations.append((claim.id, violation))
+    for key, count in members.items():
+        for claim, (status, _, _) in classes[key][0]:
+            tally[claim.id, status] += count
     return tally, violations
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from idstab.auditor import (
     run_audit,
 )
 from idstab.codec import decode_graph6, encode_graph6
+from idstab.core import upper_triangle_pairs
 from idstab.families import FamilySpec, complete, cycle, empty, path, star
 from idstab.oracles import oracle_gamma_i
 from idstab.ops import disjoint_union
@@ -265,13 +267,17 @@ class TestRunAudit:
         with pytest.raises(errors.CorpusTooLarge):
             run_audit(["C17"], PairCorpus(ExhaustiveCorpus(5)), threads=1)
 
-    def test_graph6_corpus(self, tmp_path):
+    def test_graph6_corpus(self, tmp_path, monkeypatch):
         f = tmp_path / "corpus.g6"
         f.write_text("\n".join(encode_graph6(g) for g in (path(4), cycle(5), complete(3))) + "\n")
+        calls = []
+        real = auditor.decode_graph6
+        monkeypatch.setattr(auditor, "decode_graph6", lambda text: calls.append(text) or real(text))
         corpus = Graph6Corpus.from_file(f)
         report = run_audit(["C2", "C26"], corpus, threads=1)
         assert report.stats["instances"] == 3
         assert report.violation_count == 0
+        assert len(calls) == 3  # from_file decodes each line once, and the audit reuses it
 
     def test_pairs_over_graph6_corpus(self, tmp_path):
         f = tmp_path / "base.g6"
@@ -323,6 +329,67 @@ class TestMemoBound:
         monkeypatch.setattr(auditor, "_memo", watched)
         assert run_audit(claims, ExhaustiveCorpus(4), threads=1).to_json() == expected
         assert max(sizes) == 4
+
+
+def _orbit_minimum(n: int, mask: int) -> int:
+    """The least edge mask over all n! relabellings of *mask*."""
+    pairs = list(upper_triangle_pairs(n))
+    bit = {pair: 1 << p for p, pair in enumerate(pairs)}
+    best = mask
+    for perm in itertools.permutations(range(n)):
+        image = 0
+        for p, (i, j) in enumerate(pairs):
+            if mask >> p & 1:
+                image |= bit[tuple(sorted((perm[i], perm[j])))]
+        best = min(best, image)
+    return best
+
+
+_GRAPH_CLAIMS = [c.id for c in claim_registry() if c.instance_kind == "graph"]
+
+
+class TestIsomorphismClasses:
+    def test_keys_are_brute_force_canonical_forms(self):
+        for n in range(1, 6):
+            for mask, g in enumerate(enumerate_labeled_graphs(n)):
+                assert auditor._edge_mask(g) == mask
+                assert auditor._class_key(g) == (n, _orbit_minimum(n, mask)), (n, mask)
+
+    def test_class_counts_and_table_bound(self):
+        # unlabeled graphs of order 1..6, OEIS A000088
+        keys = [{auditor._class_key(g) for g in enumerate_labeled_graphs(n)} for n in range(1, 7)]
+        assert [len(k) for k in keys] == [1, 2, 4, 11, 34, 156]
+        for n in range(1, 7):
+            assert len(auditor._CLASS_TABLES[n]) <= 1 << (n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("mode", ["strict", "restricted"])
+    def test_every_graph_claim_is_constant_on_classes(self, mode):
+        kit = _Toolkit()
+        seen: dict = {}
+        for _, g in ExhaustiveCorpus(5).instances():
+            for cid in _GRAPH_CLAIMS:
+                ev = get_claim(cid).evaluate(g, kit, mode)
+                reading = (ev.applicable, ev.holds, ev.lhs, ev.rhs)
+                first = seen.setdefault((cid, auditor._class_key(g)), (reading, g))
+                assert first[0] == reading, (cid, encode_graph6(first[1]), encode_graph6(g))
+
+    def test_label_dependent_claim_aborts(self, monkeypatch):
+        def by_label(g, kit, mode):
+            # violated exactly when vertex 0 has a neighbour: K_1 + K_2 reads
+            # violated as labelled "B_" or "BO" and holds as "BG"
+            return auditor._Eval(True, not g.adj[0], g.degree(0), 0, lambda: {})
+
+        claim = dataclasses.replace(get_claim("C2"), evaluate=by_label)
+        monkeypatch.setitem(auditor._REGISTRY, "C2", claim)
+        with pytest.raises(errors.InternalAuditError, match="isomorphism invariant at BG"):
+            run_audit(["C2"], ExhaustiveCorpus(3), threads=1)
+
+    def test_class_path_bounds_stability_solves(self, monkeypatch):
+        calls = []
+        real = auditor.stability.stability
+        monkeypatch.setattr(auditor.stability, "stability", lambda g: calls.append(g) or real(g))
+        run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=1)
+        assert len(calls) <= 400  # 1,099 when every labelled graph is solved
 
 
 class TestOracleAbort:

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import idstab
 from idstab.cli import main
 from idstab.codec import decode_graph6
 from idstab.families import book, complete_bipartite, path
@@ -28,6 +33,19 @@ class TestGen:
     def test_bad_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "cycle:2")
         assert code == 2 and "error" in err
+
+    def test_python_dash_m(self):
+        src = str(Path(idstab.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-m", "idstab", "gen", "path:3"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "Bg\n", "")
 
 
 class TestInvariants:
@@ -244,6 +262,12 @@ class TestAudit:
             corpus.write_text(content)
         code, out, err = run(capsys, "audit", "--claims", "C2", "--corpus", str(corpus))
         assert code == 2 and out == "" and str(corpus) in err
+
+    def test_malformed_corpus_fails_before_auditing(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("Bw\nB!\n")
+        code, out, err = run(capsys, "audit", "--claims", "C2", "--corpus", str(corpus))
+        assert code == 2 and out == "" and "graph6" in err
 
     def test_clean_audit_exits_0(self, capsys):
         code, out, _ = run(capsys, "audit", "--claims", "C3,C4", "--family-max", "10")
