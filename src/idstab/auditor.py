@@ -46,10 +46,11 @@ every labelling of a graph; only a violation's certificate (witness sets and
 graph6 texts) depends on the labels.  ``_audit_chunk`` keys each graph of
 order <= ``_CLASS_MAX_ORDER`` by its class, ``(order, least edge mask in its
 orbit)``, evaluates the claims on the chunk's first member of the class and
-tallies later members from that without solving.  A violated claim is still
-evaluated in full, certificate and oracle re-check included, on every
-member, and a member that disagrees with its class raises
-``InternalAuditError``.
+tallies later members from that without solving.  The pool sorts the corpus
+by class before cutting it into chunks, so a class is evaluated once in each
+chunk it spans.  A violated claim is still evaluated in full, certificate
+and oracle re-check included, on every member, and a member that disagrees
+with its class raises ``InternalAuditError``.
 """
 
 from __future__ import annotations
@@ -134,12 +135,12 @@ def _memo(cache: dict, g: Graph, compute: Callable[[Graph], object]):
 class _Toolkit:
     """Invariant evaluators backed by the branch-and-bound solvers.
 
-    Values are cached per graph for the lifetime of one ``_audit_chunk``
-    call: the whole corpus with one worker, one 256-instance chunk in the
-    process pool.  That is what makes complement- and deletion-heavy claims
-    like C5 and C16 cheap over exhaustive corpora.  Every cache goes through
-    ``_memo``, so it holds at most ``_MEMO_CAP`` entries and is keyed by
-    ``g.adj``, which alone names the graph (``Graph`` validates
+    Values are cached per graph for one ``_audit_chunk`` call: the whole
+    corpus with one worker, one 256-instance chunk of the class-sorted corpus
+    in the process pool.  That is what makes complement- and deletion-heavy
+    claims like C5 and C16 cheap over exhaustive corpora.  Every cache goes
+    through ``_memo``, so it holds at most ``_MEMO_CAP`` entries and is keyed
+    by ``g.adj``, which alone names the graph (``Graph`` validates
     ``len(adj) == order``) and skips the dataclass ``__hash__`` and ``__eq__``.
     """
 
@@ -879,12 +880,14 @@ def _swap_tables(n: int) -> list[tuple[list[int], ...]]:
     return tables
 
 
-def _class_key(g: Graph) -> tuple[int, int]:
+def _class_key(g: object) -> tuple[int, int] | None:
     """``(order, least edge mask in the orbit of g's mask)`` for a graph of
-    order <= ``_CLASS_MAX_ORDER``: two graphs share a key exactly when they
-    are isomorphic.  A miss walks the whole orbit breadth-first under the
-    n - 1 adjacent transpositions, which generate the symmetric group, and
-    records its least mask for every member."""
+    order <= ``_CLASS_MAX_ORDER``, else None: two graphs share a key exactly
+    when they are isomorphic.  A miss walks the whole orbit breadth-first
+    under the n - 1 adjacent transpositions, which generate the symmetric
+    group, and records its least mask for every member."""
+    if not isinstance(g, Graph) or g.order > _CLASS_MAX_ORDER:
+        return None
     n = g.order
     table = _CLASS_TABLES.get(n)
     if table is None:
@@ -939,8 +942,8 @@ def _claim_sort_key(cid: str) -> int:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
-        if threads < 1:
-            raise ValueError(f"threads must be a positive integer, got {threads}")
+        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {threads!r}")
         return threads
     env = os.environ.get("IDSTAB_THREADS", "").strip()
     if not env:
@@ -956,9 +959,10 @@ def _audit_chunk(args: tuple[list[str], Iterable[tuple[str, object]], str]):
 
     A graph of order <= ``_CLASS_MAX_ORDER`` goes through its isomorphism
     class (see the module docstring).  The class verdicts live as long as the
-    toolkit: the whole corpus with one worker, one chunk in the pool.  The
-    first member of a class runs every claim's evaluator; later members run
-    only the claims their class violates, in full, and must read the same.
+    toolkit: the whole corpus with one worker, one chunk of the class-sorted
+    corpus in the pool.  The first member of a class runs every claim's
+    evaluator; later members run only the claims their class violates, in
+    full, and must read the same.
     """
     claim_ids, items, mode = args
     claims = [get_claim(cid) for cid in claim_ids]
@@ -970,8 +974,8 @@ def _audit_chunk(args: tuple[list[str], Iterable[tuple[str, object]], str]):
     classes: dict[tuple[int, int], tuple[list, list]] = {}
     members: Counter = Counter()  # class key -> instances in the chunk
     for text, instance in items:
-        if isinstance(instance, Graph) and instance.order <= _CLASS_MAX_ORDER:
-            key = _class_key(instance)
+        key = _class_key(instance)
+        if key is not None:
             known = classes.get(key)
             if known is None:
                 read = [(c, _verdict(c.evaluate(instance, kit, mode))) for c in claims]
@@ -1008,17 +1012,6 @@ def _audit_chunk(args: tuple[list[str], Iterable[tuple[str, object]], str]):
     return tally, violations
 
 
-def _chunked(items: Iterable, size: int) -> Iterator[tuple]:
-    chunk: list = []
-    for item in items:
-        chunk.append(item)
-        if len(chunk) == size:
-            yield tuple(chunk)
-            chunk = []
-    if chunk:
-        yield tuple(chunk)
-
-
 def run_audit(
     claim_ids: Iterable[str],
     corpus: Corpus,
@@ -1029,15 +1022,16 @@ def run_audit(
 
     Claims must match the corpus kind (graph claims need an exhaustive or
     graph6 corpus, C17-C22 need pairs, the family claims need a family grid).
-    ``threads`` defaults to ``IDSTAB_THREADS`` or the available parallelism.
+    ``threads`` defaults to ``IDSTAB_THREADS`` or ``os.cpu_count()``.
     One worker audits the whole corpus in-process with one solver cache;
-    more workers audit chunks of 256 instances in a process pool.  Either
-    way the parts are folded into one report, identical for any worker
-    count.  Each violation's ``instance`` is the corpus line as given.
+    more workers sort it by isomorphism class and audit chunks of 256
+    instances in a process pool.  Either way the parts are folded into one
+    report, identical for any worker count.  Each violation's ``instance``
+    is the corpus line as given.
 
-    Raises ``ValueError`` for a ``threads`` or ``mode`` out of range and
-    ``BadThreadCount`` when ``IDSTAB_THREADS`` is set but is not a positive
-    integer.
+    Raises ``ValueError`` for a ``mode`` out of range or a ``threads`` that
+    is a bool or not a positive ``int``, and ``BadThreadCount`` when
+    ``IDSTAB_THREADS`` is set but is not a positive integer.
     """
     ids = [get_claim(cid).id for cid in claim_ids]
     if not ids:
@@ -1056,7 +1050,8 @@ def run_audit(
     if threads == 1:
         parts = [_audit_chunk((ids, corpus.instances(), mode))]
     else:
-        jobs = ((ids, chunk, mode) for chunk in _chunked(corpus.instances(), 256))
+        items = sorted(corpus.instances(), key=lambda item: _class_key(item[1]) or (0, 0))
+        jobs = [(ids, items[i : i + 256], mode) for i in range(0, len(items), 256)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_audit_chunk, jobs))
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -20,7 +21,7 @@ from idstab.auditor import (
     run_audit,
 )
 from idstab.codec import decode_graph6, encode_graph6
-from idstab.core import upper_triangle_pairs
+from idstab.core import build_graph, upper_triangle_pairs
 from idstab.families import FamilySpec, complete, cycle, empty, path, star
 from idstab.oracles import oracle_gamma_i
 from idstab.ops import disjoint_union
@@ -183,8 +184,22 @@ class TestRunAudit:
         assert report.violation_count > 0
 
     def test_deterministic_and_parallel_equal(self):
+        # 360 shuffled lines over 2 pool chunks: order-7 graphs, which bypass
+        # the class path, duplicated lines and graphs of order <= 5
+        rng = random.Random(17)
+        pairs = list(upper_triangle_pairs(7))
+        order_7 = [
+            encode_graph6(build_graph(7, [e for e in pairs if rng.random() < 0.4]))
+            for _ in range(40)
+        ]
+        small = [encode_graph6(g) for n in (1, 2, 3, 4) for g in enumerate_labeled_graphs(n)]
+        small += [encode_graph6(g) for g in itertools.islice(enumerate_labeled_graphs(5), 0, None, 5)]
+        mixed = order_7 + small + order_7[:10] + small[:30]
+        rng.shuffle(mixed)
         cases = [
             (["C2", "C6", "C26"], ExhaustiveCorpus(4)),
+            (None, ExhaustiveCorpus(5)),  # 1,099 instances, 5 pool chunks
+            (None, Graph6Corpus(tuple(mixed))),
             (None, PairCorpus(ExhaustiveCorpus(2))),
             (None, FamilyCorpus.default_grid(5)),
             # a header line and a long order prefix must reach the report as given
@@ -230,9 +245,9 @@ class TestRunAudit:
         with pytest.raises(errors.BadThreadCount):
             run_audit(["C26"], ExhaustiveCorpus(2))
 
-    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, "2", True])
     def test_bad_threads_argument(self, threads):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="threads must be a positive integer"):
             run_audit(["C26"], ExhaustiveCorpus(2), threads=threads)
 
     def test_report_schema(self, tmp_path):
@@ -390,6 +405,27 @@ class TestIsomorphismClasses:
         monkeypatch.setattr(auditor.stability, "stability", lambda g: calls.append(g) or real(g))
         run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=1)
         assert len(calls) <= 400  # 1,099 when every labelled graph is solved
+
+    def test_pool_path_bounds_stability_solves(self, monkeypatch):
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            map = staticmethod(map)
+
+        expected = run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=1).to_json()
+        calls = []
+        real = auditor.stability.stability
+        monkeypatch.setattr(auditor, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(auditor.stability, "stability", lambda g: calls.append(g) or real(g))
+        assert run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=2).to_json() == expected
+        assert len(calls) <= 400  # 604 when chunks follow the corpus order
 
 
 class TestOracleAbort:

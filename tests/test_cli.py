@@ -306,6 +306,16 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--claims", "C17", "--exhaustive-n", "3")
         assert code == 2
 
+    def test_worker_count_changes_no_output(self, capsys, monkeypatch, tmp_path):
+        report = tmp_path / "report.json"
+        argv = ["audit", "--claims", "all", "--exhaustive-n", "5", "--report", str(report)]
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("IDSTAB_THREADS", threads)
+            code, out, _ = run(capsys, *argv)
+            runs.append((code, out, report.read_bytes()))
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("value", ["0", "-3", "abc", "²"])
     def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("IDSTAB_THREADS", value)
