@@ -8,10 +8,13 @@ ordered pair of graphs, or a family spec.
 
 A claim is declared once, where it is evaluated: the ``_claim`` decorator
 gives its evaluator an id, an instance kind, a statement and an optional
-restricted note, and registers it in declaration order.  Most evaluators
-check one of two shapes through a helper: ``_st_claim`` compares st_id of a
-graph with a bound or a value, and ``_gi_claim`` compares gamma_i of a graph
-with a value; each helper also builds the matching certificate.
+restricted note, and registers it in declaration order.  What depends on an
+instance kind is declared once in ``_KINDS``: its type check, its report
+text, and its empty case (the null graph, a pair with an empty operand), on
+which no claim applies and no evaluator runs.  Most evaluators check one of
+two shapes through a helper: ``_st_claim`` compares st_id of a graph with a
+bound or a value, and ``_gi_claim`` compares gamma_i of a graph with a
+value; each helper also builds the matching certificate.
 
 Two evaluation modes exist.  ``strict`` applies exactly the stated
 hypothesis of each claim; ``restricted`` adds documented guards (see each
@@ -64,7 +67,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import eq, le
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import oracles, solver, stability
 from .codec import decode_graph6, encode_graph6
@@ -203,6 +206,30 @@ class _Eval:
 _NA = _Eval(False)
 
 
+class _Kind(NamedTuple):
+    accepts: Callable[[object], bool]  # is this an instance of the kind?
+    text: Callable[[object], str]  # the report's instance string
+    empty: Callable[[object], bool]  # does no claim of the kind apply?
+
+
+def _is_pair(p: object) -> bool:
+    return isinstance(p, (tuple, list)) and len(p) == 2 and all(isinstance(x, Graph) for x in p)
+
+
+# The claims speak of graphs with vertices, whose gamma_i-sets and removal
+# sets are non-empty, so none applies to the null graph or to a pair with an
+# empty operand.
+_KINDS: dict[str, _Kind] = {
+    GRAPH: _Kind(lambda g: isinstance(g, Graph), encode_graph6, lambda g: g.order == 0),
+    PAIR: _Kind(
+        _is_pair,
+        lambda p: f"{encode_graph6(p[0])},{encode_graph6(p[1])}",
+        lambda p: p[0].order == 0 or p[1].order == 0,
+    ),
+    FAMILY: _Kind(lambda s: isinstance(s, FamilySpec), FamilySpec.to_text, lambda s: False),
+}
+
+
 @dataclass(frozen=True)
 class Claim:
     id: str
@@ -219,17 +246,23 @@ def _claim(cid: str, kind: str, statement: str, restricted_note: str = ""):
     """Register the decorated evaluator as claim ``cid``, in declaration order.
 
     An evaluator takes ``(instance, kit, mode)`` and returns an ``_Eval``.
+    The registered claim reads ``_NA`` on an empty instance of its kind (see
+    ``_KINDS``) without calling the evaluator, which never sees one.
     """
+    empty = _KINDS[kind].empty
 
     def register(evaluate: Callable) -> Callable:
-        _REGISTRY[cid] = Claim(cid, statement, kind, evaluate, restricted_note)
+        def guarded(instance, kit, mode: str) -> _Eval:
+            return _NA if empty(instance) else evaluate(instance, kit, mode)
+
+        _REGISTRY[cid] = Claim(cid, statement, kind, guarded, restricted_note)
         return evaluate
 
     return register
 
 
 def _is_isolate_free(g: Graph) -> bool:
-    return g.order > 0 and all(g.adj)
+    return all(g.adj)
 
 
 def _st_payload(kit, g: Graph, **extra) -> dict:
@@ -259,9 +292,10 @@ def _gi_payload(g: Graph, label: str = "graph") -> dict:
     }
 
 
-def _st_claim(kit, g: Graph, holds: Callable[[int, int], bool], rhs: int, **extra) -> _Eval:
-    """The st shape: ``holds(st_id(g), rhs)``, with ``le`` for a bound and
-    ``eq`` for a value; ``extra`` goes into the certificate."""
+def _st_claim(kit, g: Graph, holds: Callable[[int, float], bool], rhs: float, **extra) -> _Eval:
+    """The st shape: ``holds(st_id(g), rhs)``, with ``le`` for a bound, ``eq``
+    for a value or the claim's own relation; ``extra`` goes into the
+    certificate."""
     lhs = kit.st_any(g)
     return _Eval(True, holds(lhs, rhs), lhs, rhs, lambda: _st_payload(kit, g, **extra))
 
@@ -270,10 +304,6 @@ def _gi_claim(kit, g: Graph, rhs: int, label: str = "graph") -> _Eval:
     """The gamma_i shape: gamma_i(g) == rhs."""
     lhs = kit.gamma_i(g)
     return _Eval(True, lhs == rhs, lhs, rhs, lambda: _gi_payload(g, label))
-
-
-def _pair_na(g1: Graph, g2: Graph) -> bool:
-    return g1.order == 0 or g2.order == 0
 
 
 @_claim("C1", FAMILY, "gamma_i(P_n) = gamma_i(C_n) = floor((n+2)/3)")
@@ -351,7 +381,7 @@ def _c8(g: Graph, kit, mode: str) -> _Eval:
 
 @_claim("C9", GRAPH, "st_id(G) <= n + 1 - 2 gamma_i(G)", "adds: G is isolate-free")
 def _c9(g: Graph, kit, mode: str) -> _Eval:
-    if g.order == 0 or (mode == RESTRICTED and not _is_isolate_free(g)):
+    if mode == RESTRICTED and not _is_isolate_free(g):
         return _NA
     gi = kit.gamma_i(g)
     return _st_claim(kit, g, le, g.order + 1 - 2 * gi, gamma_i=gi)
@@ -383,9 +413,7 @@ def _c11(g: Graph, kit, mode: str) -> _Eval:
     gi = kit.gamma_i(g)
     if gi < 2:
         return _NA
-    lhs = kit.st_any(g)
-    ok = lhs * gi <= g.order
-    return _Eval(True, ok, lhs, g.order / gi, lambda: _st_payload(kit, g, gamma_i=gi))
+    return _st_claim(kit, g, le, g.order / gi, gamma_i=gi)
 
 
 @_claim("C12", GRAPH, "gamma_i(G) <= n + 2 - gamma(G) - ceil(n / gamma(G)) for isolate-free G")
@@ -446,8 +474,6 @@ def _c15(g: Graph, kit, mode: str) -> _Eval:
     " else <= n (n even) or n - 1 (n odd)",
 )
 def _c16(g: Graph, kit, mode: str) -> _Eval:
-    if g.order == 0:
-        return _NA
     cg = complement(g)
     gi, gic = kit.gamma_i(g), kit.gamma_i(cg)
     lhs = kit.st_any(g) + kit.st_any(cg)
@@ -468,48 +494,36 @@ def _c16(g: Graph, kit, mode: str) -> _Eval:
 @_claim("C17", PAIR, "gamma_i(G1 + G2) = min(gamma_i(G1), gamma_i(G2)) for nonempty operands")
 def _c17(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
-    if _pair_na(g1, g2):
-        return _NA
     return _gi_claim(kit, join(g1, g2), min(kit.gamma_i(g1), kit.gamma_i(g2)), "join")
 
 
 @_claim("C18", PAIR, "st_id(G1 + G2) = min(st_id(G1), st_id(G2)) for nonempty operands")
 def _c18(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
-    if _pair_na(g1, g2):
-        return _NA
     return _st_claim(kit, join(g1, g2), eq, min(kit.st_any(g1), kit.st_any(g2)))
 
 
 @_claim("C19", PAIR, "gamma_i(G[H]) = gamma_i(G) * gamma_i(H)")
 def _c19(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
-    if _pair_na(g1, g2):
-        return _NA
     return _gi_claim(kit, lexicographic(g1, g2), kit.gamma_i(g1) * kit.gamma_i(g2), "product")
 
 
 @_claim("C20", PAIR, "st_id(G[H]) = min(st_id(G), st_id(H))")
 def _c20(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
-    if _pair_na(g1, g2):
-        return _NA
     return _st_claim(kit, lexicographic(g1, g2), eq, min(kit.st_any(g1), kit.st_any(g2)))
 
 
 @_claim("C21", PAIR, "gamma_i(G o H) = |V(G)| * gamma_i(H) (corona)")
 def _c21(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
-    if _pair_na(g1, g2):
-        return _NA
     return _gi_claim(kit, corona(g1, g2), g1.order * kit.gamma_i(g2), "corona")
 
 
 @_claim("C22", PAIR, "st_id(G o H) = 1 (corona)")
 def _c22(pair, kit, mode: str) -> _Eval:
     g1, g2 = pair
-    if _pair_na(g1, g2):
-        return _NA
     return _st_claim(kit, corona(g1, g2), eq, 1)
 
 
@@ -570,10 +584,8 @@ def _c25(spec: FamilySpec, kit, mode: str) -> _Eval:
 
 @_claim("C26", GRAPH, "st_id(G) = n exactly when G is complete")
 def _c26(g: Graph, kit, mode: str) -> _Eval:
-    st = kit.st_any(g)
     complete = g.is_complete()
-    ok = (st == g.order) == complete
-    return _Eval(True, ok, st, g.order, lambda: _st_payload(kit, g, complete=complete))
+    return _st_claim(kit, g, lambda st, n: (st == n) == complete, g.order, complete=complete)
 
 
 CLAIM_IDS: tuple[str, ...] = tuple(_REGISTRY)
@@ -606,30 +618,6 @@ class ClaimOutcome:
     oracle_check: str | None = None  # "full" | "partial" | "unavailable" for violations
 
 
-def _instance_text(kind: str, instance) -> str:
-    if kind == GRAPH:
-        return encode_graph6(instance)
-    if kind == PAIR:
-        return f"{encode_graph6(instance[0])},{encode_graph6(instance[1])}"
-    return instance.to_text()
-
-
-def _check_instance(claim: Claim, instance) -> None:
-    kind = claim.instance_kind
-    if kind == GRAPH and isinstance(instance, Graph):
-        return
-    if (
-        kind == PAIR
-        and isinstance(instance, (tuple, list))
-        and len(instance) == 2
-        and all(isinstance(x, Graph) for x in instance)
-    ):
-        return
-    if kind == FAMILY and isinstance(instance, FamilySpec):
-        return
-    raise InstanceKindMismatch(f"claim {claim.id} expects a {kind} instance")
-
-
 def _verify_violation(claim: Claim, instance, ev: _Eval, cert: dict, mode: str) -> str:
     """Re-check a violation with the oracles; raise if they disagree."""
     try:
@@ -645,7 +633,7 @@ def _verify_violation(claim: Claim, instance, ev: _Eval, cert: dict, mode: str) 
         ):
             raise InternalAuditError(
                 f"{claim.id} violation failed oracle re-verification at "
-                f"{_instance_text(claim.instance_kind, instance)}: solver said "
+                f"{_KINDS[claim.instance_kind].text(instance)}: solver said "
                 f"lhs={ev.lhs} rhs={ev.rhs}, oracle said "
                 f"applicable={oracle_ev.applicable} holds={oracle_ev.holds} "
                 f"lhs={oracle_ev.lhs} rhs={oracle_ev.rhs}"
@@ -690,10 +678,11 @@ def _evaluate(claim: Claim, instance, text: str, mode: str, kit: _Toolkit) -> Cl
 def evaluate_claim(claim_id: str, instance, mode: str = STRICT) -> ClaimOutcome:
     """Evaluate one claim on one instance; violations come back oracle-checked."""
     claim = get_claim(claim_id)
-    _check_instance(claim, instance)
+    kind = _KINDS[claim.instance_kind]
+    if not kind.accepts(instance):
+        raise InstanceKindMismatch(f"claim {claim.id} expects a {claim.instance_kind} instance")
     _check_mode(mode)
-    text = _instance_text(claim.instance_kind, instance)
-    return _evaluate(claim, instance, text, mode, _Toolkit())
+    return _evaluate(claim, instance, kind.text(instance), mode, _Toolkit())
 
 
 # ---------------------------------------------------------------------------
@@ -936,10 +925,6 @@ class AuditReport:
         return json.dumps(doc, indent=2)
 
 
-def _claim_sort_key(cid: str) -> int:
-    return int(cid[1:])
-
-
 def _resolve_threads(threads: int | None) -> int:
     if threads is not None:
         if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
@@ -1026,19 +1011,20 @@ def run_audit(
     One worker audits the whole corpus in-process with one solver cache;
     more workers sort it by isomorphism class and audit chunks of 256
     instances in a process pool.  Either way the parts are folded into one
-    report, identical for any worker count.  Each violation's ``instance``
-    is the corpus line as given.
+    report, identical for any worker count.  Each requested claim gets one
+    block, in registry order (C1..C26); each violation's ``instance`` is the
+    corpus line as given, and a block lists its violations by that text.
 
     Raises ``ValueError`` for a ``mode`` out of range or a ``threads`` that
     is a bool or not a positive ``int``, and ``BadThreadCount`` when
     ``IDSTAB_THREADS`` is set but is not a positive integer.
     """
-    ids = [get_claim(cid).id for cid in claim_ids]
-    if not ids:
+    wanted = {get_claim(cid).id for cid in claim_ids}
+    if not wanted:
         raise BadCorpusSource("no claims requested")
-    ids = sorted(dict.fromkeys(ids), key=_claim_sort_key)
     _check_mode(mode)
-    claims = [get_claim(cid) for cid in ids]
+    claims = [claim for cid, claim in _REGISTRY.items() if cid in wanted]
+    ids = [claim.id for claim in claims]
     kind = corpus.kind()
     for claim in claims:
         if claim.instance_kind != kind:
@@ -1060,7 +1046,7 @@ def run_audit(
     for part_tally, part_violations in parts:
         tally.update(part_tally)
         violations.extend(part_violations)
-    violations.sort(key=lambda item: (_claim_sort_key(item[0]), item[1]["instance"]))
+    violations.sort(key=lambda item: item[1]["instance"])
 
     blocks = [
         {

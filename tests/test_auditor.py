@@ -147,6 +147,14 @@ class TestEvaluateClaim:
         assert evaluate_claim("C26", complete(4)).status == "holds"
         assert evaluate_claim("C26", path(4)).status == "holds"
 
+    def test_no_claim_applies_to_the_null_graph(self):
+        for claim in claim_registry():
+            if claim.instance_kind == "graph":
+                assert evaluate_claim(claim.id, empty(0)).status == "inapplicable", claim.id
+            elif claim.instance_kind == "pair":
+                for pair in ((empty(0), path(2)), (path(2), empty(0))):
+                    assert evaluate_claim(claim.id, pair).status == "inapplicable", claim.id
+
     def test_instance_kind_mismatch(self):
         with pytest.raises(errors.InstanceKindMismatch):
             evaluate_claim("C2", (path(2), path(2)))
@@ -216,6 +224,21 @@ class TestRunAudit:
             found = {v["instance"] for block in a.claims for v in block["violations"]}
             assert found <= lines, corpus.describe()
         assert found == {">>graph6<<C^", "~??D~{"}  # the last case: C8 and C9 fail there
+
+    def test_null_graph_lines_are_inapplicable(self):
+        claims = [c.id for c in claim_registry() if c.instance_kind == "graph"]
+        with_null = Graph6Corpus(("?", "A_", "?"))
+        report = run_audit(claims, with_null, threads=1)
+        alone = run_audit(claims, Graph6Corpus(("A_",)), threads=1)
+        for block, base in zip(report.claims, alone.claims):
+            counts = dict(base["counts"], inapplicable=base["counts"]["inapplicable"] + 2)
+            assert block["counts"] == counts, block["claim"]
+            assert block["violations"] == base["violations"]
+        assert report.to_json() == run_audit(claims, with_null, threads=2).to_json()
+
+    def test_claims_in_registry_order_once_each(self):
+        report = run_audit(["C26", "c2", "C2"], ExhaustiveCorpus(3), threads=1)
+        assert [block["claim"] for block in report.claims] == ["C2", "C26"]
 
     def test_each_instance_decoded_once(self, monkeypatch):
         texts = tuple(encode_graph6(g) for n in (1, 2, 3, 4) for g in enumerate_labeled_graphs(n))

@@ -269,6 +269,17 @@ class TestAudit:
         code, out, err = run(capsys, "audit", "--claims", "C2", "--corpus", str(corpus))
         assert code == 2 and out == "" and "graph6" in err
 
+    def test_null_graph_line_audits_to_completion(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("?\nA_\n")
+        argv = ["audit", "--claims", "all", "--corpus", str(corpus)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err == ""  # C9 fails at 2K_1
+        assert "C2: holds=1 violated=0 inapplicable=1" in out
+        code, out, err = run(capsys, *argv, "--pairs")
+        assert code == 1 and err == ""
+        assert "C17: holds=1 violated=0 inapplicable=3" in out
+
     def test_clean_audit_exits_0(self, capsys):
         code, out, _ = run(capsys, "audit", "--claims", "C3,C4", "--family-max", "10")
         assert code == 0 and "violations: 0" in out
