@@ -235,14 +235,21 @@ def complement(g: Graph) -> Graph:
     return Graph(g.order, rows)
 
 
-def component_masks(rows: Sequence[int], universe: int) -> list[int]:
-    """Connected components of the subgraph induced on ``universe``, as masks
-    ordered by their smallest member.  ``rows[v]`` is the open or the closed
-    neighborhood of v; either gives the same components."""
+def component_masks(rows: Sequence[int], universe: int) -> list[tuple[int, int]]:
+    """Connected components of the subgraph induced on ``universe``, as
+    ``(mask, cap)`` pairs ordered by their smallest member.  ``rows[v]`` is
+    the open or the closed neighborhood of v; either gives the same
+    components.
+
+    ``cap`` is the largest ``|rows[v] & universe|`` over the component's
+    vertices v.  Every neighbor of v within ``universe`` lies in v's
+    component, so this is also the largest ``|rows[v] & mask|``: with closed
+    rows, the most vertices of the component that one vertex dominates.
+    """
     comps = []
     unseen = universe
     while unseen:
-        comp = 0
+        comp = cap = 0
         frontier = unseen & -unseen
         while frontier:
             comp |= frontier
@@ -250,16 +257,20 @@ def component_masks(rows: Sequence[int], universe: int) -> list[int]:
             while frontier:
                 low = frontier & -frontier
                 frontier ^= low
-                grow |= rows[low.bit_length() - 1]
-            frontier = grow & universe & ~comp
-        comps.append(comp)
+                row = rows[low.bit_length() - 1] & universe
+                grow |= row
+                size = row.bit_count()
+                if size > cap:
+                    cap = size
+            frontier = grow & ~comp
+        comps.append((comp, cap))
         unseen &= ~comp
     return comps
 
 
 def components(g: Graph) -> list[VertexSet]:
     """Connected components, ordered by their smallest member."""
-    return [VertexSet(comp) for comp in component_masks(g.adj, g.full_mask)]
+    return [VertexSet(comp) for comp, _ in component_masks(g.adj, g.full_mask)]
 
 
 def classify_set(g: Graph, s: VertexSet) -> SetClassification:

@@ -5,9 +5,18 @@ gamma are one search: the fewest picks whose closed neighborhoods cover a
 block, where gamma_i's picks must also stay independent: they are drawn
 from the vertices not yet dominated (gamma draws from all).  Two lower
 bounds prune a node.  The covering bound: a new pick dominates at most
-max-degree + 1 vertices.  The packing bound (``_packing``): undominated
-vertices whose possible dominators are pairwise disjoint each need a pick
-of their own.
+max-degree + 1 vertices.  The packing bound: undominated vertices whose
+possible dominators are pairwise disjoint each need a pick of their own.
+The largest closed neighborhood inside a block, the covering bound's
+divisor, comes from the component walk (``core.component_masks``) that
+finds the block.
+
+Each search's packing walk (``_packing_pick``, ``_packing_limit``) tracks
+only what that search reads, and stops as soon as its count reaches the
+number of picks at which the node prunes: the count only grows along the
+walk, so the rest of it cannot save the node.  The walks prune exactly the
+nodes a full walk would, and the search trees are unchanged; on the pinned
+``gamma-i-sparse`` graphs more than half of the walks end in a prune.
 
 There are three searches:
 
@@ -52,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MAX_ORDER, Graph, VertexSet, component_masks
+from .core import Graph, VertexSet, component_masks
 from .errors import EmptyGraph
 from .oracles import oracle_gamma_i  # re-exported; perfbench/spans.py wraps it here
 
@@ -70,67 +79,79 @@ def _closed_rows(g: Graph) -> list[int]:
     return [row | (1 << v) for v, row in enumerate(g.adj)]
 
 
-def _cover_cap(closed: list[int], comp: int) -> int:
-    # largest closed-neighborhood size inside the block; one pick dominates at most this many
-    cap = 0
-    m = comp
-    while m:
-        low = m & -m
-        m ^= low
-        size = (closed[low.bit_length() - 1] & comp).bit_count()
-        if size > cap:
-            cap = size
-    return cap
-
-
-# more picks than any graph of order <= MAX_ORDER holds, so every bound check prunes
-_INFEASIBLE = MAX_ORDER + 1
-
-
-def _packing(closed: list[int], uncovered: int, cands: int) -> tuple[int, int, int]:
-    """A lower bound on the picks from ``cands`` that dominate ``uncovered``,
-    plus two facts about the dominator sets its walk meets.
+def _packing_pick(closed: list[int], uncovered: int, cands: int, need: int) -> int:
+    """The value search's packing walk: 0 when the packing bound of the picks
+    from ``cands`` that dominate ``uncovered`` reaches ``need``, and
+    otherwise the dominator set to branch on.
 
     Walks the uncovered vertices in ascending order and counts each vertex u
     whose dominator set ``closed[u] & cands`` is disjoint from the sets
     counted so far.  No single pick dominates two counted vertices, so a
     completion needs at least that many more picks (the packing bound
     rho <= gamma of Meir and Moon).  If some dominator set is empty, no
-    completion exists at all, and the result is ``_INFEASIBLE``.  For gamma_i
+    completion exists at all, and the walk returns 0 at once.  For gamma_i
     the later picks must be uncovered, because they must stay independent
     of the chosen ones, so the callers pass uncovered candidates.
 
-    Returns ``(bound, smallest, lim)``: ``smallest`` is a dominator set of
-    fewest members over the uncovered vertices (the first one met among
-    equals), and ``lim`` is the least ``bit_length`` of those sets, one more
-    than their lowest top member.  On the infeasible path both are 0, the
-    empty set and its length.
+    Threshold exit: the count only grows along the walk, so once it reaches
+    ``need`` the full walk's count would reach it too, and the walk returns
+    0 without visiting the rest.  The caller prunes exactly when the full
+    count reaches ``need`` or a dominator set is empty, so it prunes the same
+    nodes as it would after the full walk.  A walk that does not exit has
+    visited every uncovered vertex and returns a dominator set of fewest
+    members (the first one met among equals).  The callers pass a nonempty
+    ``uncovered``, so that set is never empty.
     """
     used = 0
     count = 0
     smallest = cands
     fewest = cands.bit_count()
+    while uncovered:
+        low = uncovered & -uncovered
+        uncovered ^= low
+        dom = closed[low.bit_length() - 1] & cands
+        if not dom:
+            return 0
+        if not dom & used:
+            used |= dom
+            count += 1
+            if count == need:
+                return 0
+        size = dom.bit_count()
+        if size < fewest:
+            fewest = size
+            smallest = dom
+    return smallest
+
+
+def _packing_limit(closed: list[int], uncovered: int, cands: int, need: int) -> int:
+    """The witness walk's packing walk: 0 when the packing bound reaches
+    ``need`` or some uncovered vertex has no dominator in ``cands``, exactly
+    as in ``_packing_pick``, and otherwise ``lim``, the least ``bit_length``
+    of the dominator sets ``closed[u] & cands`` over the nonempty
+    ``uncovered``: one more than their lowest top member, so never 0.
+    """
+    used = 0
+    count = 0
     lim = cands.bit_length()
     while uncovered:
         low = uncovered & -uncovered
         uncovered ^= low
         dom = closed[low.bit_length() - 1] & cands
         if not dom:
-            return _INFEASIBLE, 0, 0
+            return 0
         if not dom & used:
             used |= dom
             count += 1
-        size = dom.bit_count()
-        if size < fewest:
-            fewest = size
-            smallest = dom
+            if count == need:
+                return 0
         top = dom.bit_length()
         if top < lim:
             lim = top
-    return count, smallest, lim
+    return lim
 
 
-def _cover_min(closed: list[int], comp: int, independent: bool) -> int:
+def _cover_min(closed: list[int], comp: int, cap: int, independent: bool) -> int:
     """The fewest picks that dominate one connected block: gamma_i of the
     block when ``independent``, gamma otherwise.
 
@@ -147,19 +168,19 @@ def _cover_min(closed: list[int], comp: int, independent: bool) -> int:
     member, and below no other, since the earlier siblings' picks are not in
     it and the later siblings ban that member.  So every choice of u keeps
     the search complete and free of repeats, and the value is the same.
-    Below the packing gate u is the lowest undominated vertex.  Above it
-    ``_packing`` has already walked every undominated vertex, and u is one
-    with the smallest dominator set, which gives the node the fewest
-    children.  On the pinned ``gamma-i-sparse`` graphs this cut the value
-    search's nodes from 20,991 to 12,538.
+    Below the packing gate u is the lowest undominated vertex.  Above it a
+    node that ``_packing_pick`` does not prune has walked every undominated
+    vertex, and u is one with the smallest dominator set, which gives the
+    node the fewest children.  On the pinned ``gamma-i-sparse`` graphs this
+    cut the value search's nodes from 20,991 to 12,538.
 
     Dominating-vertex exit: when the largest closed neighborhood inside the
-    block (``cap``) has as many vertices as the block, some v has
+    block (``cap``, which ``component_masks`` reads off its walk over the
+    closed rows) has as many vertices as the block, some v has
     N[v] >= block.  Then {v} dominates the block and is independent, so
     gamma_i and gamma of the block are at most 1.  The empty set dominates
     no nonempty block, so both are exactly 1, and no search is needed.
     """
-    cap = _cover_cap(closed, comp)
     best = comp.bit_count()  # no block needs more picks than it has vertices
     if cap == best:
         return 1  # a dominating vertex
@@ -176,8 +197,8 @@ def _cover_min(closed: list[int], comp: int, independent: bool) -> int:
             return
         pool = (uncovered | keep) & ~excluded
         if pack:
-            bound, cands, _ = _packing(closed, uncovered, pool)
-            if size + bound >= best:
+            cands = _packing_pick(closed, uncovered, pool, best - size)
+            if not cands:  # size + the packing bound >= best
                 return
         else:
             cands = closed[(uncovered & -uncovered).bit_length() - 1] & pool
@@ -192,7 +213,7 @@ def _cover_min(closed: list[int], comp: int, independent: bool) -> int:
     return best
 
 
-def _covers(closed: list[int], universe: int, k: int, independent: bool):
+def _covers(closed: list[int], universe: int, cap: int, k: int, independent: bool):
     """Yield as masks, in lexicographic order of their sorted member lists,
     the sets of at most k picks that dominate ``universe``, drawn as in
     ``_cover_min``: every independent dominating set of at most k members
@@ -207,18 +228,18 @@ def _covers(closed: list[int], universe: int, k: int, independent: bool):
     minimum each member of a minimum dominating set has a private neighbour,
     so it dominates a new vertex when it is picked.  No proper prefix of
     such a set dominates ``universe``, since the set is minimal.  The
-    covering and packing bounds prune a node that needs more than k picks.
+    covering and packing bounds prune a node that needs more than k picks;
+    ``cap`` is the largest ``|closed[v] & universe|``.
 
     Next-pick cut: picks ascend, so the picks a completion still adds all lie
     in ``cands`` and the next one is the lowest of them.  Each undominated w
     needs one of them in its dominator set ``closed[w] & cands``, so the
     next pick is at most that set's top member, for every w, and so below
-    the ``lim`` that ``_packing`` returns.  The bounds and the cut drop only
-    nodes and candidates that have no completion, so the walk still reaches
-    every set named above.  On the pinned ``gamma-i-sparse`` graphs the cut
+    the ``lim`` that ``_packing_limit`` returns.  The bounds and the cut
+    drop only nodes and candidates that have no completion, so the walk
+    still reaches every set named above.  On the pinned ``gamma-i-sparse`` graphs the cut
     took the witness pass's nodes from 116,094 to 25,848.
     """
-    cap = _cover_cap(closed, universe)
     keep = 0 if independent else universe
     stack = [(0, 0, -1, 0)]  # covered, chosen, floor (the bits above the last pick), size
     while stack:
@@ -230,8 +251,8 @@ def _covers(closed: list[int], universe: int, k: int, independent: bool):
         if size == k or size + -(-uncovered.bit_count() // cap) > k:
             continue
         cands = (uncovered | keep) & floor
-        bound, _, lim = _packing(closed, uncovered, cands)
-        if size + bound > k:
+        lim = _packing_limit(closed, uncovered, cands, k - size + 1)
+        if not lim:  # size + the packing bound > k
             continue
         cands &= (1 << lim) - 1
         while cands:  # push the highest first, so the lowest pops first
@@ -276,8 +297,8 @@ def _alpha_max(open_rows: tuple[int, ...], free0: int) -> int:
 
 def _gamma_i_value_in(closed: list[int], universe: int) -> int:
     value = 0
-    for comp in component_masks(closed, universe):
-        value += _cover_min(closed, comp, True)
+    for comp, cap in component_masks(closed, universe):
+        value += _cover_min(closed, comp, cap, True)
     return value
 
 
@@ -285,10 +306,10 @@ def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertifica
     closed = _closed_rows(g)
     value = 0
     witness = 0
-    for comp in component_masks(closed, g.full_mask):
-        k = _cover_min(closed, comp, independent)
+    for comp, cap in component_masks(closed, g.full_mask):
+        k = _cover_min(closed, comp, cap, independent)
         value += k
-        found = next(_covers(closed, comp, k, independent), None)
+        found = next(_covers(closed, comp, cap, k, independent), None)
         assert found is not None, "no dominating set of the optimal size"
         witness |= found
     return GammaCertificate(kind, value, VertexSet(witness))
@@ -312,7 +333,8 @@ def gamma_value(g: Graph) -> int:
     if g.order == 0:
         raise EmptyGraph("domination number of the null graph is undefined")
     closed = _closed_rows(g)
-    return sum(_cover_min(closed, comp, False) for comp in component_masks(closed, g.full_mask))
+    blocks = component_masks(closed, g.full_mask)
+    return sum(_cover_min(closed, comp, cap, False) for comp, cap in blocks)
 
 
 def gamma(g: Graph) -> GammaCertificate:
@@ -331,7 +353,7 @@ def alpha(g: Graph) -> GammaCertificate:
     if g.order == 0:
         raise EmptyGraph("independence number of the null graph is undefined")
     witness = 0
-    for comp in component_masks(g.adj, g.full_mask):
+    for comp, _ in component_masks(g.adj, g.full_mask):
         witness |= _alpha_max(g.adj, comp)
     return GammaCertificate("independence", witness.bit_count(), VertexSet(witness))
 
@@ -341,7 +363,8 @@ def enumerate_maximal_independent_sets(g: Graph):
     order of the sorted member lists."""
     if g.order == 0:
         raise EmptyGraph("the null graph has no vertex sets to enumerate")
-    for mask in _covers(_closed_rows(g), g.full_mask, g.order, True):
+    closed = _closed_rows(g)
+    for mask in _covers(closed, g.full_mask, max(map(int.bit_count, closed)), g.order, True):
         yield VertexSet(mask)
 
 

@@ -77,7 +77,7 @@ from itertools import islice
 from .core import Graph, VertexSet, iter_bits
 from .errors import EmptyGraph
 from .oracles import oracle_stability  # re-exported; perfbench/spans.py wraps it here
-from .solver import _closed_rows, _cover_cap, _covers, _gamma_i_value_in
+from .solver import _closed_rows, _covers, _gamma_i_value_in
 
 GAMMA_I_FAMILY_CAP = 4096  # gamma_i-sets kept for the transversal rule
 
@@ -139,12 +139,18 @@ def _hitting_masks(n: int, k: int, meets: list[int]):
     return rec(0, k, reach[0], 0)
 
 
-def _forced_out(closed: list[int], opened: int, pool: int, left: int) -> int:
+def _forced_out(closed: list[int], opened: int, pool: int, left: int, room: int) -> int:
     """The packing bound: how many of the ``opened`` vertices every completion
-    must leave out, when at most ``left`` more picks come from ``pool``.
+    must leave out, when at most ``left`` more picks come from ``pool``, or a
+    count above ``room`` once the walk shows one.
 
-    The count is the bound of ``solver._packing``, except that a vertex with
-    no dominator in the pool counts as left out instead of ending the search.
+    The count is the packing bound of ``solver._packing_pick``, except that a
+    vertex with no dominator in the pool counts as left out instead of ending
+    the search.  Threshold exit: both terms of forced + max(0, count - left)
+    only grow along the walk, so once the sum exceeds ``room`` the full
+    walk's would too, and the walk returns it at once.  A caller that prunes
+    when the result exceeds ``room`` prunes the same nodes as with the full
+    walk.
     """
     forced = count = used = 0
     while opened:
@@ -156,6 +162,10 @@ def _forced_out(closed: list[int], opened: int, pool: int, left: int) -> int:
         elif not dom & used:
             used |= dom
             count += 1
+        else:
+            continue
+        if forced > room or forced + count - left > room:
+            break
     return forced + max(0, count - left)
 
 
@@ -168,7 +178,7 @@ def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
     Branching, bounds and the lexicographic cut are those of the module
     docstring.
     """
-    cap = _cover_cap(closed, full)
+    cap = max(map(int.bit_count, closed))  # one pick dominates at most this many
     found = 0  # the lexmin set so far; a set found is never empty (k >= 1)
 
     def rec(covered: int, out: int, banned: int, left: int) -> None:
@@ -187,7 +197,7 @@ def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
         if size + max(0, opened.bit_count() - left * cap) > k:
             return
         pool = full & ~(covered | banned)
-        if size + _forced_out(closed, opened, pool, left) > k:
+        if size + _forced_out(closed, opened, pool, left, k - size) > k:
             return
         u = low.bit_length() - 1
         rec(covered, out | low, banned | closed[u], left)
@@ -209,7 +219,8 @@ def _increase_scan(closed: list[int], full: int, base: int, first: int, stop: in
     nonzero ``stop`` ends the scan at its size, at the first set not before it."""
     n = full.bit_length()
     meets = [0] * n
-    for i, ids in enumerate(islice(_covers(closed, full, base, True), GAMMA_I_FAMILY_CAP)):
+    cap = max(map(int.bit_count, closed))
+    for i, ids in enumerate(islice(_covers(closed, full, cap, base, True), GAMMA_I_FAMILY_CAP)):
         for v in iter_bits(ids):
             meets[v] |= 1 << i
     last = stop.bit_count() if stop else n

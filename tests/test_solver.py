@@ -5,7 +5,7 @@ from itertools import combinations, islice
 import pytest
 
 from idstab import VertexSet, build_graph, classify_set, errors, solver
-from idstab.core import component_masks
+from idstab.core import component_masks, iter_bits
 from idstab.families import (
     book,
     complete,
@@ -19,12 +19,11 @@ from idstab.families import (
 from idstab.ops import disjoint_union, join, lexicographic
 from idstab.oracles import _brute_gamma
 from idstab.solver import (
-    _INFEASIBLE,
     _closed_rows,
-    _cover_cap,
     _cover_min,
     _covers,
-    _packing,
+    _packing_limit,
+    _packing_pick,
     alpha,
     alpha_value,
     enumerate_maximal_independent_sets,
@@ -240,7 +239,8 @@ class TestMinimumIdsFamily:
         seeded = [random_graph(rng, rng.randint(7, 14)) for _ in range(100)]
         for g in list(all_graphs(6)) + seeded:
             k = gamma_i_value(g)
-            found = list(_covers(_closed_rows(g), g.full_mask, k, True))
+            closed = _closed_rows(g)
+            found = list(_covers(closed, g.full_mask, _ref_cap(closed, g.full_mask), k, True))
             assert found == _ids_by_filter(g, k), g
             if g.order <= 5:
                 walk = [s.mask for s in enumerate_maximal_independent_sets(g) if len(s) == k]
@@ -249,10 +249,10 @@ class TestMinimumIdsFamily:
     def test_limit_keeps_a_prefix(self):
         g = disjoint_union(path(2), disjoint_union(path(2), path(2)))  # 8 gamma_i-sets
         closed = _closed_rows(g)
-        every = list(_covers(closed, g.full_mask, 3, True))
+        every = list(_covers(closed, g.full_mask, 2, 3, True))
         assert len(every) == 8
         # a capped family is the lexicographically first gamma_i-sets
-        first = [VertexSet(m).members() for m in islice(_covers(closed, g.full_mask, 3, True), 5)]
+        first = [VertexSet(m).members() for m in islice(_covers(closed, g.full_mask, 2, 3, True), 5)]
         assert first == [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4)]
 
 
@@ -297,8 +297,14 @@ def test_gamma_i_matches_test_local_filter(rng):
 # The gamma_i, gamma and witness searches as they were before the packing bound,
 # pruned by the covering bound alone: the referees of TestPackingBound.
 
+def _ref_cap(rows, comp):
+    """The largest ``|rows[v] & comp|`` over the members v of ``comp``; with
+    closed rows, the most vertices of ``comp`` that one pick dominates."""
+    return max((rows[v] & comp).bit_count() for v in iter_bits(comp))
+
+
 def _ref_ids_min(closed, comp):
-    cap = _cover_cap(closed, comp)
+    cap = _ref_cap(closed, comp)
     best = comp.bit_count() + 1
 
     def rec(covered, excluded, size):
@@ -323,7 +329,7 @@ def _ref_ids_min(closed, comp):
 
 
 def _ref_dom_min(closed, comp):
-    cap = _cover_cap(closed, comp)
+    cap = _ref_cap(closed, comp)
     best = comp.bit_count()
 
     def rec(dominated, excluded, size):
@@ -349,7 +355,7 @@ def _ref_dom_min(closed, comp):
 
 
 def _ref_lexmin_ids(closed, comp, k):
-    cap = _cover_cap(closed, comp)
+    cap = _ref_cap(closed, comp)
 
     def rec(covered, chosen, floor, size):
         uncovered = comp & ~covered
@@ -377,7 +383,7 @@ def _ref_lexmin_ids(closed, comp, k):
 
 
 def _ref_lexmin_dom(closed, comp, k):
-    cap = _cover_cap(closed, comp)
+    cap = _ref_cap(closed, comp)
 
     def rec(dominated, chosen, floor, size):
         und = comp & ~dominated
@@ -411,7 +417,7 @@ def _ref_gamma_i(g):
     gamma_i_value and as gamma_i computes it) and the witness."""
     closed = _closed_rows(g)
     value = witness = 0
-    for comp in component_masks(closed, g.full_mask):
+    for comp, _ in component_masks(closed, g.full_mask):
         k = _ref_ids_min(closed, comp)
         value += k
         witness |= _ref_lexmin_ids(closed, comp, k)
@@ -426,7 +432,7 @@ def _new_gamma_i(g):
 def _ref_gamma(g):
     closed = _closed_rows(g)
     value = witness = 0
-    for comp in component_masks(closed, g.full_mask):
+    for comp, _ in component_masks(closed, g.full_mask):
         k = _ref_dom_min(closed, comp)
         value += k
         witness |= _ref_lexmin_dom(closed, comp, k)
@@ -470,27 +476,64 @@ def _fewest_dominators(closed, uncovered, members):
     return None
 
 
+def _ref_packing(closed, uncovered, cands):
+    """The packing walk without a threshold: its running count after each
+    uncovered vertex (None at a vertex with no dominator in ``cands``, where
+    it stops), the first dominator set of fewest members and the least
+    ``bit_length`` of the dominator sets (both 0 when it stopped early)."""
+    counts, doms = [], []
+    used = count = 0
+    for u in iter_bits(uncovered):
+        dom = closed[u] & cands
+        if not dom:
+            counts.append(None)
+            return counts, 0, 0
+        if not dom & used:
+            used |= dom
+            count += 1
+        counts.append(count)
+        doms.append(dom)
+    return counts, min(doms, key=int.bit_count), min(dom.bit_length() for dom in doms)
+
+
+class _Rows(list):
+    """Closed rows that count how often a walk reads them."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
 class TestPackingBound:
     def test_is_a_lower_bound_on_every_completion(self):
+        # a node whose fewest completing picks are ``fewest`` survives both walks
+        # at need = fewest + 1, and a node with no completion prunes at any need
         rng = random.Random(0x9AC8)
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 8))
             closed = _closed_rows(g)
-            uncovered = rng.getrandbits(g.order)
+            uncovered = rng.getrandbits(g.order) or 1
             cands = rng.getrandbits(g.order)
-            need = _fewest_dominators(closed, uncovered, [v for v in range(g.order) if cands >> v & 1])
-            got = _packing(closed, uncovered, cands)[0]
-            if need is None:
-                assert got == _INFEASIBLE
-            else:
-                assert got <= need
+            fewest = _fewest_dominators(closed, uncovered, [v for v in range(g.order) if cands >> v & 1])
+            for walk in (_packing_pick, _packing_limit):
+                if fewest is None:
+                    assert walk(closed, uncovered, cands, g.order + 1) == 0
+                else:
+                    assert walk(closed, uncovered, cands, fewest + 1) != 0
 
     def test_counts_disjoint_dominator_sets(self):
         g = path(7)  # N[0], N[3] and N[6] are pairwise disjoint
         closed = _closed_rows(g)
         # N[0] and N[6] are the smallest dominator sets, and N[0]'s top, 1, the lowest top
-        assert _packing(closed, g.full_mask, g.full_mask) == (3, 0b11, 2)
-        assert _packing(closed, 0b1, 0b1000) == (_INFEASIBLE, 0, 0)  # nothing in cands dominates 0
+        assert _packing_pick(closed, g.full_mask, g.full_mask, 4) == 0b11
+        assert _packing_limit(closed, g.full_mask, g.full_mask, 4) == 2
+        # the three disjoint sets prune a node with room for fewer than three picks
+        assert _packing_pick(closed, g.full_mask, g.full_mask, 3) == 0
+        assert _packing_limit(closed, g.full_mask, g.full_mask, 3) == 0
+        # nothing in cands dominates 0
+        assert _packing_pick(closed, 0b1, 0b1000, 8) == _packing_limit(closed, 0b1, 0b1000, 8) == 0
 
     def test_reports_the_smallest_dominator_set_and_the_lowest_top(self):
         rng = random.Random(0x9ACA)
@@ -501,31 +544,59 @@ class TestPackingBound:
             uncovered = rng.getrandbits(g.order) or 1
             cands = rng.getrandbits(g.order)
             doms = [closed[u] & cands for u in range(g.order) if uncovered >> u & 1]
-            bound, smallest, lim = _packing(closed, uncovered, cands)
-            assert (bound == _INFEASIBLE) == (0 in doms)
-            assert smallest == min(doms, key=int.bit_count)  # the first of the fewest members
-            assert lim == min(dom.bit_length() for dom in doms)
-            infeasible += bound == _INFEASIBLE
+            need = g.order + 1  # above every count, so only an empty dominator set prunes
+            smallest = _packing_pick(closed, uncovered, cands, need)
+            lim = _packing_limit(closed, uncovered, cands, need)
+            if 0 in doms:
+                assert smallest == lim == 0
+                infeasible += 1
+            else:
+                assert smallest == min(doms, key=int.bit_count)  # the first of the fewest members
+                assert lim == min(dom.bit_length() for dom in doms)
         assert 0 < infeasible < 400
+
+    def test_threshold_exit(self):
+        # each walk reads rows up to the vertex at which the full walk's count
+        # reaches ``need`` (or meets an empty dominator set) and prunes there;
+        # otherwise it reads every row and returns what the full walk returns
+        rng = random.Random(0x9ACB)
+        cut_short = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 12))
+            closed = _closed_rows(g)
+            uncovered = rng.getrandbits(g.order) or 1
+            cands = rng.getrandbits(g.order)
+            counts, smallest, lim = _ref_packing(closed, uncovered, cands)
+            for need in range(1, g.order + 2):
+                stop = next((i for i, c in enumerate(counts) if c is None or c >= need), None)
+                for walk, full in ((_packing_pick, smallest), (_packing_limit, lim)):
+                    rows = _Rows(closed)
+                    got = walk(rows, uncovered, cands, need)
+                    if stop is None:
+                        assert (got, rows.reads) == (full, len(counts)), g
+                    else:
+                        assert (got, rows.reads) == (0, stop + 1), g
+                cut_short += stop is not None and stop + 1 < uncovered.bit_count()
+        assert cut_short
 
     def test_exhaustive_order_6_matches_pre_change_witnesses(self):
         # no block of order <= 6 opens _cover_min's gate, so only the witness passes change here
         for g in all_graphs(6):
             closed = _closed_rows(g)
-            for comp in component_masks(closed, g.full_mask):
+            for comp, cap in component_masks(closed, g.full_mask):
                 k = _ref_ids_min(closed, comp)
-                assert next(_covers(closed, comp, k, True)) == _ref_lexmin_ids(closed, comp, k), g
+                assert next(_covers(closed, comp, cap, k, True)) == _ref_lexmin_ids(closed, comp, k), g
                 k = _ref_dom_min(closed, comp)
-                assert next(_covers(closed, comp, k, False)) == _ref_lexmin_dom(closed, comp, k), g
+                assert next(_covers(closed, comp, cap, k, False)) == _ref_lexmin_dom(closed, comp, k), g
 
     def test_seeded_sparse_matches_pre_change_searches(self, monkeypatch):
         calls = []
 
         def counted(*args):
             calls.append(1)
-            return _packing(*args)
+            return _packing_pick(*args)
 
-        monkeypatch.setattr(solver, "_packing", counted)
+        monkeypatch.setattr(solver, "_packing_pick", counted)
         # packing walks made by the value search, which runs alone in gamma_i_value and gamma_value
         reached_gamma_i = reached_gamma = 0
         rng = random.Random(0x9AD)
@@ -562,8 +633,8 @@ class TestPackingBound:
             graphs.append(build_graph(3 * m, edges))
         for g in graphs:
             closed = _closed_rows(g)
-            (comp,) = component_masks(closed, g.full_mask)
-            assert comp.bit_count() > 2 * _cover_cap(closed, comp), g  # the packing gate is open
+            ((comp, cap),) = component_masks(closed, g.full_mask)
+            assert comp.bit_count() > 2 * cap, g  # the packing gate is open
             value = _brute_gamma(g)
             assert gamma_value(g) == value, g
             assert _new_gamma(g) == _ref_gamma(g), g
@@ -596,8 +667,10 @@ def _search_calls(fn, *args):
 
 
 def _dominated_blocks(g):
+    """The (block, cap) pairs of the blocks that have a dominating vertex."""
     closed = _closed_rows(g)
-    return [c for c in component_masks(closed, g.full_mask) if _cover_cap(closed, c) == c.bit_count()]
+    blocks = component_masks(closed, g.full_mask)
+    return [(c, cap) for c, cap in blocks if _ref_cap(closed, c) == c.bit_count()]
 
 
 class TestSearchSize:
@@ -613,19 +686,30 @@ class TestSearchSize:
             calls += made
         assert calls <= 6_500
 
+    def test_pinned_node_counts(self):
+        # the bound walks may stop early, but they must prune exactly the nodes
+        # a full walk prunes, so the search trees stay as counted here
+        value_nodes, cert_nodes = [], []
+        for seed in range(10):
+            g = random_graph(random.Random(seed), 38 + seed % 5, 0.1)
+            value_nodes.append(_search_calls(gamma_i_value, g)[1])
+            cert_nodes.append(_search_calls(gamma_i, g)[1])
+        assert value_nodes == [204, 228, 706, 265, 407, 350, 264, 474, 600, 316]
+        assert cert_nodes == [1142, 1107, 1403, 620, 1640, 444, 1163, 665, 1311, 365]
+
 
 class TestDominatingVertexExit:
     def test_no_search_on_a_block_with_a_dominating_vertex(self):
         blocks = 0
         for g in all_graphs(5):
             closed = _closed_rows(g)
-            for comp in _dominated_blocks(g):
+            for comp, cap in _dominated_blocks(g):
                 blocks += 1
-                assert _search_calls(_cover_min, closed, comp, True) == (1, 0), g
-                assert _search_calls(_cover_min, closed, comp, False) == (1, 0), g
+                assert _search_calls(_cover_min, closed, comp, cap, True) == (1, 0), g
+                assert _search_calls(_cover_min, closed, comp, cap, False) == (1, 0), g
         assert blocks
         closed = _closed_rows(cycle(6))  # no dominating vertex: the search runs
-        assert _search_calls(_cover_min, closed, 0b111111, True)[1] > 0
+        assert _search_calls(_cover_min, closed, 0b111111, 3, True)[1] > 0
 
     def test_seeded_dense_joins_and_products(self):
         rng = random.Random(0xD0E1)
@@ -648,3 +732,46 @@ class TestDominatingVertexExit:
             assert _new_gamma_i(g) == _ref_gamma_i(g), g
             assert _new_gamma(g) == _ref_gamma(g), g
         assert fired >= 20
+
+
+def _ref_blocks(rows, universe):
+    """The components of the subgraph on ``universe`` by a plain breadth-first
+    search over vertex lists, ordered by their smallest member."""
+    blocks, seen = [], set()
+    for root in iter_bits(universe):
+        if root in seen:
+            continue
+        seen.add(root)
+        block, queue = 0, [root]
+        while queue:
+            v = queue.pop(0)
+            block |= 1 << v
+            for w in iter_bits(rows[v] & universe):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        blocks.append(block)
+    return blocks
+
+
+class TestComponentWalk:
+    @staticmethod
+    def _check(g, universe):
+        for rows in (g.adj, _closed_rows(g)):
+            walked = component_masks(rows, universe)
+            assert [comp for comp, _ in walked] == _ref_blocks(rows, universe), (g, universe)
+            for comp, cap in walked:
+                assert cap == _ref_cap(rows, comp), (g, universe)
+
+    def test_exhaustive_order_6(self):
+        rng = random.Random(0xB10C)
+        for g in all_graphs(6):
+            self._check(g, g.full_mask)
+            self._check(g, rng.getrandbits(g.order))  # as for a removal solve
+
+    def test_seeded_larger_graphs(self):
+        rng = random.Random(0xB10D)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(20, 60), rng.choice((0.02, 0.05, 0.1, 0.3)))
+            self._check(g, g.full_mask)
+            self._check(g, rng.getrandbits(g.order))

@@ -399,11 +399,32 @@ class TestDecreaseSearch:
     def test_forced_out_bound(self):
         closed = _closed_rows(path(5))
         # no dominator of 0 or 4 is left in the pool
-        assert _forced_out(closed, 0b10001, 0, 2) == 2
+        assert _forced_out(closed, 0b10001, 0, 2, 5) == 2
         # 0 and 4 have the disjoint dominator sets {1} and {3}, and one pick is left
-        assert _forced_out(closed, 0b10001, 0b01010, 1) == 1
+        assert _forced_out(closed, 0b10001, 0b01010, 1, 5) == 1
         # 4 has no dominator; 0 and 2 share their only one, 1
-        assert _forced_out(closed, 0b10101, 0b00010, 1) == 1
+        assert _forced_out(closed, 0b10101, 0b00010, 1, 5) == 1
+        # with no room the walk stops at the first vertex left out, before 4
+        assert _forced_out(closed, 0b10001, 0, 2, 0) == 1
+
+    def test_forced_out_threshold_exit(self):
+        # below the threshold the walk gives its full count; above it, some count past room
+        rng = random.Random(0xF0E)
+        exited = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 10))
+            closed = _closed_rows(g)
+            opened, pool = rng.getrandbits(g.order), rng.getrandbits(g.order)
+            left = rng.randint(0, 3)
+            full = _forced_out(closed, opened, pool, left, g.order)
+            for room in range(g.order + 1):
+                got = _forced_out(closed, opened, pool, left, room)
+                if full > room:
+                    assert room < got <= full
+                    exited += got < full
+                else:
+                    assert got == full
+        assert exited
 
 
 class TestInvariants:
