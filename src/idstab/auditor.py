@@ -21,12 +21,13 @@ hypothesis of each claim; ``restricted`` adds documented guards (see each
 claim's ``restricted_note``) so a run can distinguish "false as stated"
 from "false in spirit".
 
-``run_audit`` sweeps claims over a corpus.  Each claim evaluator returns
-its two sides and a deferred certificate builder; the builder runs once,
-and only for a violated outcome.  Every violation is re-verified with the
-definition-direct oracles of ``oracles``; when an instance is too large for
-the full stability oracle the recorded gamma_i facts of the certificate are
-re-checked instead and the outcome is marked "partial".
+``run_audit`` sweeps claims over a corpus in one loop.  Each claim
+evaluator returns its two sides and a deferred certificate builder; the
+builder runs once, and only for a violated outcome.  After the sweep every
+violation is re-verified with the definition-direct oracles of ``oracles``,
+in a process pool when more than one worker is asked for; when an instance
+is too large for the full stability oracle the recorded gamma_i facts of the
+certificate are re-checked instead and the outcome is marked "partial".
 Any oracle disagreement aborts the audit with ``InternalAuditError``.
 Solver values are memoised per graph by one helper, ``_memo``; each cache is
 emptied when it reaches ``_MEMO_CAP`` (2^16) entries, so an audit's memory
@@ -46,14 +47,13 @@ of the complements.  C5 takes a minimum over the vertex-deleted subgraphs
 G - v, which p matches one for one with those of H.  So a claim's
 applicability, its holds / violated status, lhs and rhs are the same for
 every labelling of a graph; only a violation's certificate (witness sets and
-graph6 texts) depends on the labels.  ``_audit_chunk`` keys each graph of
-order <= ``_CLASS_MAX_ORDER`` by its class, ``(order, least edge mask in its
-orbit)``, evaluates the claims on the chunk's first member of the class and
-tallies later members from that without solving.  The pool sorts the corpus
-by class before cutting it into chunks, so a class is evaluated once in each
-chunk it spans.  A violated claim is still evaluated in full, certificate
-and oracle re-check included, on every member, and a member that disagrees
-with its class raises ``InternalAuditError``.
+graph6 texts) depends on the labels.  ``_audit`` keys each graph of order
+<= ``_CLASS_MAX_ORDER`` by its class, ``(order, least edge mask in its
+orbit)``, evaluates the claims on the corpus's first member of the class and
+tallies later members from that without solving.  A violated claim is still
+evaluated in full, certificate and oracle re-check included, on every
+member, and a member that disagrees with its class raises
+``InternalAuditError``.
 """
 
 from __future__ import annotations
@@ -138,13 +138,12 @@ def _memo(cache: dict, g: Graph, compute: Callable[[Graph], object]):
 class _Toolkit:
     """Invariant evaluators backed by the branch-and-bound solvers.
 
-    Values are cached per graph for one ``_audit_chunk`` call: the whole
-    corpus with one worker, one 256-instance chunk of the class-sorted corpus
-    in the process pool.  That is what makes complement- and deletion-heavy
-    claims like C5 and C16 cheap over exhaustive corpora.  Every cache goes
-    through ``_memo``, so it holds at most ``_MEMO_CAP`` entries and is keyed
-    by ``g.adj``, which alone names the graph (``Graph`` validates
-    ``len(adj) == order``) and skips the dataclass ``__hash__`` and ``__eq__``.
+    Values are cached per graph for one audit, whatever its worker count.
+    That is what makes complement- and deletion-heavy claims like C5 and C16
+    cheap over exhaustive corpora.  Every cache goes through ``_memo``, so it
+    holds at most ``_MEMO_CAP`` entries and is keyed by ``g.adj``, which
+    alone names the graph (``Graph`` validates ``len(adj) == order``) and
+    skips the dataclass ``__hash__`` and ``__eq__``.
     """
 
     def __init__(self) -> None:
@@ -618,7 +617,7 @@ class ClaimOutcome:
     oracle_check: str | None = None  # "full" | "partial" | "unavailable" for violations
 
 
-def _verify_violation(claim: Claim, instance, ev: _Eval, cert: dict, mode: str) -> str:
+def _verify_violation(claim: Claim, instance, lhs, rhs, cert: dict, mode: str) -> str:
     """Re-check a violation with the oracles; raise if they disagree."""
     try:
         oracle_ev = claim.evaluate(instance, _OracleToolkit(), mode)
@@ -628,29 +627,37 @@ def _verify_violation(claim: Claim, instance, ev: _Eval, cert: dict, mode: str) 
         if (
             not oracle_ev.applicable
             or oracle_ev.holds
-            or oracle_ev.lhs != ev.lhs
-            or oracle_ev.rhs != ev.rhs
+            or oracle_ev.lhs != lhs
+            or oracle_ev.rhs != rhs
         ):
             raise InternalAuditError(
                 f"{claim.id} violation failed oracle re-verification at "
                 f"{_KINDS[claim.instance_kind].text(instance)}: solver said "
-                f"lhs={ev.lhs} rhs={ev.rhs}, oracle said "
+                f"lhs={lhs} rhs={rhs}, oracle said "
                 f"applicable={oracle_ev.applicable} holds={oracle_ev.holds} "
                 f"lhs={oracle_ev.lhs} rhs={oracle_ev.rhs}"
             )
         return "full"
     checked = 0
     for g6, expected in cert.get("gamma_i_checks", []):
-        g = decode_graph6(g6)
-        if g.order <= oracles.ORACLE_MAX_ORDER:
-            got = oracles.oracle_gamma_i(g)
-            if got != expected:
-                raise InternalAuditError(
-                    f"{claim.id} certificate failed oracle re-verification: "
-                    f"gamma_i({g6}) = {got}, certificate says {expected}"
-                )
-            checked += 1
+        try:
+            got = oracles.oracle_gamma_i(decode_graph6(g6))
+        except TooLargeForOracle:
+            continue
+        if got != expected:
+            raise InternalAuditError(
+                f"{claim.id} certificate failed oracle re-verification: "
+                f"gamma_i({g6}) = {got}, certificate says {expected}"
+            )
+        checked += 1
     return "partial" if checked else "unavailable"
+
+
+def _recheck(job: tuple) -> str:
+    """``_verify_violation`` of one job ``(claim id, instance, lhs, rhs,
+    certificate, mode)``; module-level, so a process pool can run it."""
+    cid, *args = job
+    return _verify_violation(get_claim(cid), *args)
 
 
 def _check_mode(mode: str) -> None:
@@ -664,17 +671,6 @@ def _verdict(ev: _Eval) -> tuple[str, object, object]:
     return (INAPPLICABLE if not ev.applicable else HOLDS if ev.holds else VIOLATED), ev.lhs, ev.rhs
 
 
-def _evaluate(claim: Claim, instance, text: str, mode: str, kit: _Toolkit) -> ClaimOutcome:
-    ev = claim.evaluate(instance, kit, mode)
-    if not ev.applicable:
-        return ClaimOutcome(claim.id, text, INAPPLICABLE)
-    if ev.holds:
-        return ClaimOutcome(claim.id, text, HOLDS, ev.lhs, ev.rhs)
-    cert = ev.cert()
-    oracle = _verify_violation(claim, instance, ev, cert, mode)
-    return ClaimOutcome(claim.id, text, VIOLATED, ev.lhs, ev.rhs, cert, oracle)
-
-
 def evaluate_claim(claim_id: str, instance, mode: str = STRICT) -> ClaimOutcome:
     """Evaluate one claim on one instance; violations come back oracle-checked."""
     claim = get_claim(claim_id)
@@ -682,7 +678,15 @@ def evaluate_claim(claim_id: str, instance, mode: str = STRICT) -> ClaimOutcome:
     if not kind.accepts(instance):
         raise InstanceKindMismatch(f"claim {claim.id} expects a {claim.instance_kind} instance")
     _check_mode(mode)
-    return _evaluate(claim, instance, kind.text(instance), mode, _Toolkit())
+    text = kind.text(instance)
+    ev = claim.evaluate(instance, _Toolkit(), mode)
+    if not ev.applicable:
+        return ClaimOutcome(claim.id, text, INAPPLICABLE)
+    if ev.holds:
+        return ClaimOutcome(claim.id, text, HOLDS, ev.lhs, ev.rhs)
+    cert = ev.cert()
+    oracle = _verify_violation(claim, instance, ev.lhs, ev.rhs, cert, mode)
+    return ClaimOutcome(claim.id, text, VIOLATED, ev.lhs, ev.rhs, cert, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -938,26 +942,26 @@ def _resolve_threads(threads: int | None) -> int:
     return int(env)
 
 
-def _audit_chunk(args: tuple[list[str], Iterable[tuple[str, object]], str]):
-    """The violations in ``items`` and a tally of ``(claim id, status)`` per
-    evaluation and of each violation's oracle check.
+def _audit(claims: list[Claim], items: Iterable[tuple[str, object]], mode: str):
+    """A tally of ``(claim id, status)`` per evaluation, the violations in
+    ``items`` and one oracle re-check job per violation, in the same order.
 
-    A graph of order <= ``_CLASS_MAX_ORDER`` goes through its isomorphism
-    class (see the module docstring).  The class verdicts live as long as the
-    toolkit: the whole corpus with one worker, one chunk of the class-sorted
-    corpus in the pool.  The first member of a class runs every claim's
-    evaluator; later members run only the claims their class violates, in
-    full, and must read the same.
+    One toolkit serves the whole audit.  A graph of order <=
+    ``_CLASS_MAX_ORDER`` goes through its isomorphism class (see the module
+    docstring): the first member of a class runs every claim's evaluator;
+    later members run only the claims their class violates, in full, and
+    must read the same.  Each violation's certificate is built here; its
+    ``"oracle"`` field is added once ``run_audit`` has run its job, a
+    picklable ``(claim id, instance, lhs, rhs, certificate, mode)``.
     """
-    claim_ids, items, mode = args
-    claims = [get_claim(cid) for cid in claim_ids]
     kit = _Toolkit()
     tally: Counter = Counter()
     violations: list[tuple[str, dict]] = []
+    jobs: list[tuple] = []
     # class key -> (claims that hold or do not apply, violated claims), each
     # with its verdict
     classes: dict[tuple[int, int], tuple[list, list]] = {}
-    members: Counter = Counter()  # class key -> instances in the chunk
+    members: Counter = Counter()  # class key -> instances in the corpus
     for text, instance in items:
         key = _class_key(instance)
         if key is not None:
@@ -973,28 +977,22 @@ def _audit_chunk(args: tuple[list[str], Iterable[tuple[str, object]], str]):
         else:
             todo = [(claim, None) for claim in claims]
         for claim, expected in todo:
-            outcome = _evaluate(claim, instance, text, mode, kit)
-            got = (outcome.status, outcome.lhs_value, outcome.rhs_value)
+            ev = claim.evaluate(instance, kit, mode)
+            got = status, lhs, rhs = _verdict(ev)
             if expected is not None and got != expected:
                 raise InternalAuditError(
                     f"{claim.id} is not an isomorphism invariant at {text}: "
                     f"its class read {expected}, the instance reads {got}"
                 )
-            tally[claim.id, outcome.status] += 1
-            if outcome.status == VIOLATED:
-                tally[outcome.oracle_check] += 1
-                violation = {
-                    "instance": outcome.instance,
-                    "lhs": outcome.lhs_value,
-                    "rhs": outcome.rhs_value,
-                    "witness": outcome.certificate,
-                    "oracle": outcome.oracle_check,
-                }
-                violations.append((claim.id, violation))
+            tally[claim.id, status] += 1
+            if status == VIOLATED:
+                cert = ev.cert()
+                violations.append((claim.id, dict(instance=text, lhs=lhs, rhs=rhs, witness=cert)))
+                jobs.append((claim.id, instance, lhs, rhs, cert, mode))
     for key, count in members.items():
         for claim, (status, _, _) in classes[key][0]:
             tally[claim.id, status] += count
-    return tally, violations
+    return tally, violations, jobs
 
 
 def run_audit(
@@ -1008,12 +1006,12 @@ def run_audit(
     Claims must match the corpus kind (graph claims need an exhaustive or
     graph6 corpus, C17-C22 need pairs, the family claims need a family grid).
     ``threads`` defaults to ``IDSTAB_THREADS`` or ``os.cpu_count()``.
-    One worker audits the whole corpus in-process with one solver cache;
-    more workers sort it by isomorphism class and audit chunks of 256
-    instances in a process pool.  Either way the parts are folded into one
-    report, identical for any worker count.  Each requested claim gets one
-    block, in registry order (C1..C26); each violation's ``instance`` is the
-    corpus line as given, and a block lists its violations by that text.
+    Every worker count audits the corpus in-process with one solver cache;
+    with more than one worker the oracle re-checks of the violations then
+    run in a process pool.  The report is identical for any worker count.
+    Each requested claim gets one block, in registry order (C1..C26); each
+    violation's ``instance`` is the corpus line as given, and a block lists
+    its violations by that text.
 
     Raises ``ValueError`` for a ``mode`` out of range or a ``threads`` that
     is a bool or not a positive ``int``, and ``BadThreadCount`` when
@@ -1024,7 +1022,6 @@ def run_audit(
         raise BadCorpusSource("no claims requested")
     _check_mode(mode)
     claims = [claim for cid, claim in _REGISTRY.items() if cid in wanted]
-    ids = [claim.id for claim in claims]
     kind = corpus.kind()
     for claim in claims:
         if claim.instance_kind != kind:
@@ -1033,19 +1030,15 @@ def run_audit(
             )
 
     threads = _resolve_threads(threads)
-    if threads == 1:
-        parts = [_audit_chunk((ids, corpus.instances(), mode))]
+    tally, violations, jobs = _audit(claims, corpus.instances(), mode)
+    if threads == 1 or not jobs:
+        checks = map(_recheck, jobs)
     else:
-        items = sorted(corpus.instances(), key=lambda item: _class_key(item[1]) or (0, 0))
-        jobs = [(ids, items[i : i + 256], mode) for i in range(0, len(items), 256)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_audit_chunk, jobs))
-
-    tally: Counter = Counter()
-    violations: list[tuple[str, dict]] = []
-    for part_tally, part_violations in parts:
-        tally.update(part_tally)
-        violations.extend(part_violations)
+            checks = list(pool.map(_recheck, jobs, chunksize=-(-len(jobs) // (4 * threads))))
+    for (_, violation), check in zip(violations, checks):
+        violation["oracle"] = check
+        tally[check] += 1
     violations.sort(key=lambda item: item[1]["instance"])
 
     blocks = [

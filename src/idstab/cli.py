@@ -53,11 +53,13 @@ def _read_graphs(source: str, fmt: str | None) -> list[Graph]:
 
 def _load_operand(token: str) -> Graph:
     """An operand is a family spec if it parses as one, otherwise a file of
-    exactly one graph in either format."""
+    exactly one graph in either format; a token that is neither, nor ``-``,
+    fails as a spec."""
     try:
         return generate(parse_family_spec(token))
     except SpecInvalid:
-        pass
+        if token != "-" and not Path(token).exists():
+            raise
     graphs = _read_graphs(token, None)
     if len(graphs) != 1:
         raise IdstabError(f"{token} holds {len(graphs)} graphs; operands must hold exactly one")
@@ -176,7 +178,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         f"violations: {report.violation_count}"
     )
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n")
+        try:
+            Path(args.report).write_text(report.to_json() + "\n")
+        except OSError as exc:
+            raise IdstabError(f"cannot write report {args.report}: {exc}") from None
     return 1 if report.violation_count else 0
 
 

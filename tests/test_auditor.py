@@ -192,8 +192,8 @@ class TestRunAudit:
         assert report.violation_count > 0
 
     def test_deterministic_and_parallel_equal(self):
-        # 360 shuffled lines over 2 pool chunks: order-7 graphs, which bypass
-        # the class path, duplicated lines and graphs of order <= 5
+        # 360 shuffled lines: order-7 graphs, which bypass the class path,
+        # duplicated lines and graphs of order <= 5
         rng = random.Random(17)
         pairs = list(upper_triangle_pairs(7))
         order_7 = [
@@ -206,7 +206,7 @@ class TestRunAudit:
         rng.shuffle(mixed)
         cases = [
             (["C2", "C6", "C26"], ExhaustiveCorpus(4)),
-            (None, ExhaustiveCorpus(5)),  # 1,099 instances, 5 pool chunks
+            (None, ExhaustiveCorpus(5)),  # 1,099 instances
             (None, Graph6Corpus(tuple(mixed))),
             (None, PairCorpus(ExhaustiveCorpus(2))),
             (None, FamilyCorpus.default_grid(5)),
@@ -430,6 +430,10 @@ class TestIsomorphismClasses:
         assert len(calls) <= 400  # 1,099 when every labelled graph is solved
 
     def test_pool_path_bounds_stability_solves(self, monkeypatch):
+        # the pool gets the oracle re-checks and nothing else, so two workers
+        # solve exactly what one does
+        jobs, chunksizes = [], []
+
         class InProcessPool:
             def __init__(self, max_workers):
                 pass
@@ -440,15 +444,25 @@ class TestIsomorphismClasses:
             def __exit__(self, *exc_info):
                 return False
 
-            map = staticmethod(map)
+            def map(self, fn, items, chunksize):
+                assert fn is auditor._recheck
+                jobs.extend(items)
+                chunksizes.append(chunksize)
+                return map(fn, jobs)
 
-        expected = run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=1).to_json()
         calls = []
         real = auditor.stability.stability
-        monkeypatch.setattr(auditor, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(auditor.stability, "stability", lambda g: calls.append(g) or real(g))
-        assert run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=2).to_json() == expected
-        assert len(calls) <= 400  # 604 when chunks follow the corpus order
+        one = run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=1)
+        solves = len(calls)
+        calls.clear()
+        monkeypatch.setattr(auditor, "ProcessPoolExecutor", InProcessPool)
+        two = run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=2)
+        assert len(calls) == solves
+        violations = [(b["claim"], v["instance"]) for b in one.claims for v in b["violations"]]
+        assert sorted((cid, encode_graph6(g)) for cid, g, *_ in jobs) == sorted(violations)
+        assert chunksizes == [-(-len(jobs) // 8)]
+        assert two.to_json() == one.to_json()
 
 
 class TestOracleAbort:
@@ -461,8 +475,9 @@ class TestOracleAbort:
             return val + 1 if g.order == 4 else val
 
         monkeypatch.setattr(_Toolkit, "gamma_i", lying)
-        with pytest.raises(errors.InternalAuditError):
-            run_audit(["C17"], PairCorpus(ExhaustiveCorpus(2)), threads=1)
+        for threads in (1, 2):  # 2: the re-check fails in a real process pool
+            with pytest.raises(errors.InternalAuditError, match="oracle re-verification"):
+                run_audit(["C17"], PairCorpus(ExhaustiveCorpus(2)), threads=threads)
 
 
 def test_default_family_grid_shape():

@@ -171,6 +171,19 @@ class TestOp:
         assert code == 0
         assert decode_graph6(out.strip()).edge_count == 6  # K4
 
+    def test_stdin_operand(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))  # P2
+        code, out, _ = run(capsys, "op", "join", "-", "path:2")
+        assert code == 0
+        assert decode_graph6(out.strip()).edge_count == 6  # K4
+
+    @pytest.mark.parametrize("token", ["path:0", "pth:3", "gfriend:2,3"])
+    def test_bad_spec_operand_fails_as_a_spec(self, capsys, token):
+        _, _, spec_err = run(capsys, "gen", token)
+        for argv in ([token, "path:3"], ["path:3", token]):
+            code, _, err = run(capsys, "op", "join", *argv)
+            assert code == 2 and err == spec_err and "cannot read" not in err
+
     @pytest.mark.parametrize("content", ["", "\n  \n", "A_\nBw\n"])
     def test_operand_must_hold_one_graph(self, capsys, tmp_path, content):
         f = tmp_path / "operand.g6"
@@ -235,6 +248,13 @@ class TestAudit:
         doc = json.loads(report.read_text())
         assert doc["schema_version"] == 1
         assert doc["claims"][0]["counts"]["violated"] == 6
+
+    def test_unwritable_report_is_usage_error(self, capsys, tmp_path):
+        report = tmp_path / "missing" / "report.json"
+        argv = ["audit", "--claims", "C26", "--exhaustive-n", "2", "--report", str(report)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "C26:" in out
+        assert err.startswith(f"error: cannot write report {report}")
 
     def test_corpus_file_lines_reach_report_as_given(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.g6"
