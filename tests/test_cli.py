@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -346,6 +347,23 @@ class TestAudit:
             code, out, _ = run(capsys, *argv)
             runs.append((code, out, report.read_bytes()))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "mode,digest",
+        [
+            ("strict", "27134250bbf30543e5e3b0e51b9376432ee3baadceb2ea7361b9fbbf2db0e81f"),
+            ("restricted", "2af23bb0344bdf6412c821872fd3c081c922a9e12f97f1f7eca89835928489d0"),
+        ],
+        ids=["strict", "restricted"],
+    )
+    def test_pinned_exhaustive_6_report(self, capsys, monkeypatch, tmp_path, mode, digest):
+        # every labeled graph of order 1..6, one worker: the largest pinned report
+        monkeypatch.setenv("IDSTAB_THREADS", "1")
+        report = tmp_path / "report.json"
+        argv = ["audit", "--claims", "all", "--exhaustive-n", "6", "--mode", mode]
+        code, out, err = run(capsys, *argv, "--report", str(report))
+        assert code == 1 and err == ""
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("value", ["0", "-3", "abc", "²"])
     def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, value):
