@@ -48,12 +48,14 @@ G - v, which p matches one for one with those of H.  So a claim's
 applicability, its holds / violated status, lhs and rhs are the same for
 every labelling of a graph; only a violation's certificate (witness sets and
 graph6 texts) depends on the labels.  ``_audit`` keys each graph of order
-<= ``_CLASS_MAX_ORDER`` by its class, ``(order, least edge mask in its
-orbit)``, evaluates the claims on the corpus's first member of the class and
-tallies later members from that without solving.  A violated claim is still
-evaluated in full, certificate and oracle re-check included, on every
-member, and a member that disagrees with its class raises
-``InternalAuditError``.
+<= ``_CLASS_MAX_ORDER`` (7) by its class, ``(order, least edge mask in its
+orbit)``, computed from the member's edge mask alone: a graph6 line's
+payload read by ``graph6_edge_mask``, or an exhaustive corpus's enumerated
+mask.  It builds a ``Graph`` only for the corpus's first member of a class,
+which runs every claim, and tallies later members from that without
+decoding, building or naming them.  A violated claim is still evaluated in
+full, certificate and oracle re-check included, on every member, and a
+member that disagrees with its class raises ``InternalAuditError``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import oracles, solver, stability
-from .codec import decode_graph6, encode_graph6
+from .codec import decode_graph6, encode_graph6, graph6_edge_mask, graph6_payload
 from .core import (
     MAX_ORDER,
     Graph,
@@ -111,9 +113,19 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise CorpusTooLarge(f"labeled enumeration supports 1 <= n <= {MAX_ENUMERATION_ORDER}")
-    pairs = list(upper_triangle_pairs(n))
-    for mask in range(1 << len(pairs)):
-        yield build_graph(n, [pairs[i] for i in iter_bits(mask)])
+    for mask in range(1 << (n * (n - 1) // 2)):
+        yield _mask_graph(n, mask)
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(upper_triangle_pairs(n))
+
+
+def _mask_graph(n: int, mask: int) -> Graph:
+    """The labeled graph of order n with edge bits *mask*."""
+    pairs = _pairs(n)
+    return build_graph(n, [pairs[i] for i in iter_bits(mask)])
 
 
 # ---------------------------------------------------------------------------
@@ -706,14 +718,24 @@ class ExhaustiveCorpus:
     def describe(self) -> str:
         return f"all labeled graphs of order 1..{self.n_max}"
 
-    def instances(self) -> Iterator[tuple[str, Graph]]:
+    def _orders(self) -> range:
         if not 1 <= self.n_max <= MAX_ENUMERATION_ORDER:
             raise CorpusTooLarge(
                 f"exhaustive corpora need 1 <= n_max <= {MAX_ENUMERATION_ORDER}, got {self.n_max}"
             )
-        for n in range(1, self.n_max + 1):
+        return range(1, self.n_max + 1)
+
+    def instances(self) -> Iterator[tuple[str, Graph]]:
+        for n in self._orders():
             for g in enumerate_labeled_graphs(n):
                 yield encode_graph6(g), g
+
+    def masks(self) -> Iterator[tuple[str | None, int, int]]:
+        """``instances()`` as ``(None, order, edge mask)``, in the same
+        order; the text is left to be encoded where a graph is built."""
+        for n in self._orders():
+            for mask in range(1 << (n * (n - 1) // 2)):
+                yield None, n, mask
 
 
 def _graph6_lines(text: str, source: str) -> tuple[str, ...]:
@@ -731,20 +753,20 @@ class Graph6Corpus:
 
     graphs: tuple[str, ...]
     label: str = "graph6 corpus"
-    # the graphs of ``graphs``, when ``from_file`` has decoded them already
-    _decoded: tuple[Graph, ...] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Graph6Corpus":
-        """The graph6 lines of *path*, each decoded once, here, so that a
-        malformed line fails before any audit work."""
+        """The graph6 lines of *path*, each checked here, so that a malformed
+        line fails before any audit work.  A corpus built directly checks
+        its lines as they are read."""
         try:
             text = Path(path).read_text()
         except OSError as exc:
             raise BadCorpusSource(f"cannot read corpus {path}: {exc}") from None
         lines = _graph6_lines(text, f"corpus {path}")
-        decoded = tuple(decode_graph6(ln) for ln in lines)
-        return cls(lines, f"graph6 file {path}", decoded)
+        for line in lines:
+            graph6_payload(line)
+        return cls(lines, f"graph6 file {path}")
 
     def kind(self) -> str:
         return GRAPH
@@ -755,9 +777,12 @@ class Graph6Corpus:
     def instances(self) -> Iterator[tuple[str, Graph]]:
         """Each line as given (a ``>>graph6<<`` header or a long order prefix
         stays in the report) with its decoded graph."""
-        if self._decoded is not None:
-            return zip(self.graphs, self._decoded)
         return ((text, decode_graph6(text)) for text in self.graphs)
+
+    def masks(self) -> Iterator[tuple[str, int, int]]:
+        """Each line as given with its order and edge mask, read without
+        decoding the graph."""
+        return ((text, *graph6_edge_mask(text)) for text in self.graphs)
 
 
 @dataclass(frozen=True)
@@ -824,7 +849,9 @@ class FamilyCorpus:
 
 
 # Every corpus yields ``(text, instance)`` pairs from ``instances()``: the
-# text is the report's ``instance`` string, the instance is decoded once.
+# text is the report's ``instance`` string, the instance is decoded once.  The
+# graph corpora also yield ``(text, order, edge mask)`` triples from
+# ``masks()``, for audits that build a graph only where a claim needs one.
 Corpus = ExhaustiveCorpus | Graph6Corpus | PairCorpus | FamilyCorpus
 
 
@@ -832,73 +859,66 @@ Corpus = ExhaustiveCorpus | Graph6Corpus | PairCorpus | FamilyCorpus
 # Isomorphism classes of small graphs.
 # ---------------------------------------------------------------------------
 
-_CLASS_MAX_ORDER = 6
+_CLASS_MAX_ORDER = 7
 
 # Per order n, filled lazily and never at import: the least edge mask of the
 # orbit of each of the 2^(n(n-1)/2) masks, -1 until its orbit is first met.
-# A pure function of n (64 KiB at n = 6), so it is shared by every audit in
-# the process and never grows with a corpus.
+# A pure function of n (four bytes an entry: 128 KiB at n = 6, 8 MiB at
+# n = 7), so it is shared by every audit in the process and never grows with
+# a corpus.
 _CLASS_TABLES: dict[int, array] = {}
-
-
-def _edge_mask(g: Graph) -> int:
-    """The edge bits of *g* in ``upper_triangle_pairs`` order: pair (i, j),
-    i < j, is bit j(j-1)/2 + i."""
-    mask = 0
-    for j in range(1, g.order):
-        mask |= (g.adj[j] & ((1 << j) - 1)) << (j * (j - 1) // 2)
-    return mask
 
 
 @functools.cache
 def _swap_tables(n: int) -> list[tuple[list[int], ...]]:
     """For each adjacent transposition (k k+1) of order n, the images of the
-    edge bits of the low and of the high byte of a mask.  Two bytes hold the
-    15 edge bits of order 6, so ``_CLASS_MAX_ORDER`` cannot pass 6 without a
-    third table."""
-    pairs = list(upper_triangle_pairs(n))
+    edge bits of the low, middle and high byte of a mask.  Three bytes hold
+    the 21 edge bits of order 7, so ``_CLASS_MAX_ORDER`` cannot pass 7
+    without a fourth table (and a 2^28-entry class table)."""
+    pairs = _pairs(n)
     bit = {pair: 1 << p for p, pair in enumerate(pairs)}
     tables = []
     for k in range(n - 1):
         swap = {k: k + 1, k + 1: k}
         image = [bit[tuple(sorted((swap.get(i, i), swap.get(j, j))))] for i, j in pairs]
-        halves = []
-        for low in (0, 8):
+        parts = []
+        for low in (0, 8, 16):
             table = [0] * (1 << min(8, max(0, len(pairs) - low)))
             for v in range(1, len(table)):
                 top = v.bit_length() - 1
                 table[v] = table[v ^ (1 << top)] | image[low + top]
-            halves.append(table)
-        tables.append(tuple(halves))
+            parts.append(table)
+        tables.append(tuple(parts))
     return tables
 
 
-def _class_key(g: object) -> tuple[int, int] | None:
-    """``(order, least edge mask in the orbit of g's mask)`` for a graph of
-    order <= ``_CLASS_MAX_ORDER``, else None: two graphs share a key exactly
-    when they are isomorphic.  A miss walks the whole orbit breadth-first
-    under the n - 1 adjacent transpositions, which generate the symmetric
-    group, and records its least mask for every member."""
-    if not isinstance(g, Graph) or g.order > _CLASS_MAX_ORDER:
-        return None
-    n = g.order
+def _class_key(n: int, mask: int) -> tuple[int, int]:
+    """``(n, least edge mask in the orbit of mask)`` for a labeled graph of
+    order n <= ``_CLASS_MAX_ORDER`` with edge bits *mask*: two graphs share a
+    key exactly when they are isomorphic.  A miss walks the whole orbit
+    breadth-first under the n - 1 adjacent transpositions, which generate the
+    symmetric group, and records its least mask for every member.  The walk
+    marks the members it meets with *mask*, which is already their least
+    when the masks are met in increasing order, as an exhaustive corpus
+    meets them."""
     table = _CLASS_TABLES.get(n)
     if table is None:
-        table = _CLASS_TABLES[n] = array("h", [-1]) * (1 << (n * (n - 1) // 2))
-    mask = _edge_mask(g)
+        table = _CLASS_TABLES[n] = array("i", [-1]) * (1 << (n * (n - 1) // 2))
     least = table[mask]
     if least < 0:
         swaps = _swap_tables(n)
-        orbit, seen = [mask], {mask}
+        orbit = [mask]
+        table[mask] = mask
         for m in orbit:  # grows while it is walked
-            for low, high in swaps:
-                image = low[m & 255] | high[m >> 8]
-                if image not in seen:
-                    seen.add(image)
+            for low, mid, high in swaps:
+                image = low[m & 255] | mid[m >> 8 & 255] | high[m >> 16]
+                if table[image] < 0:
+                    table[image] = mask
                     orbit.append(image)
         least = min(orbit)
-        for m in orbit:
-            table[m] = least
+        if least != mask:
+            for m in orbit:
+                table[m] = least
     return n, least
 
 
@@ -942,40 +962,38 @@ def _resolve_threads(threads: int | None) -> int:
     return int(env)
 
 
-def _audit(claims: list[Claim], items: Iterable[tuple[str, object]], mode: str):
-    """A tally of ``(claim id, status)`` per evaluation, the violations in
-    ``items`` and one oracle re-check job per violation, in the same order.
+def _member(text: str | None, n: int, mask: int) -> tuple[str, Graph]:
+    """The report text and graph of a graph corpus member from ``masks()``:
+    its line decoded, or with no line its graph built from the mask and
+    named."""
+    if text is None:
+        g = _mask_graph(n, mask)
+        return encode_graph6(g), g
+    return text, decode_graph6(text)
 
-    One toolkit serves the whole audit.  A graph of order <=
-    ``_CLASS_MAX_ORDER`` goes through its isomorphism class (see the module
-    docstring): the first member of a class runs every claim's evaluator;
-    later members run only the claims their class violates, in full, and
-    must read the same.  Each violation's certificate is built here; its
-    ``"oracle"`` field is added once ``run_audit`` has run its job, a
-    picklable ``(claim id, instance, lhs, rhs, certificate, mode)``.
+
+def _audit(claims: list[Claim], corpus: Corpus, mode: str):
+    """A tally of ``(claim id, status)`` per evaluation, the violations in
+    the corpus and one oracle re-check job per violation, in the same order.
+
+    One toolkit serves the whole audit.  A graph corpus is read through
+    ``masks()``, and a member of order <= ``_CLASS_MAX_ORDER`` goes through
+    its isomorphism class (see the module docstring), keyed by its mask
+    alone: the first member of a class is decoded or built and runs every
+    claim's evaluator; a later member is only counted, unless its class
+    violates a claim, in which case its graph is built and the violated
+    claims run on it in full and must read the same.  Each violation's
+    certificate is built here; its ``"oracle"`` field is added once
+    ``run_audit`` has run its job, a picklable ``(claim id, instance, lhs,
+    rhs, certificate, mode)``.
     """
     kit = _Toolkit()
     tally: Counter = Counter()
     violations: list[tuple[str, dict]] = []
     jobs: list[tuple] = []
-    # class key -> (claims that hold or do not apply, violated claims), each
-    # with its verdict
-    classes: dict[tuple[int, int], tuple[list, list]] = {}
-    members: Counter = Counter()  # class key -> instances in the corpus
-    for text, instance in items:
-        key = _class_key(instance)
-        if key is not None:
-            known = classes.get(key)
-            if known is None:
-                read = [(c, _verdict(c.evaluate(instance, kit, mode))) for c in claims]
-                known = classes[key] = (
-                    [(c, v) for c, v in read if v[0] != VIOLATED],
-                    [(c, v) for c, v in read if v[0] == VIOLATED],
-                )
-            members[key] += 1
-            todo = known[1]
-        else:
-            todo = [(claim, None) for claim in claims]
+
+    def evaluate(text: str, instance, todo) -> None:
+        """Run each ``(claim, expected verdict or None)`` of *todo*."""
         for claim, expected in todo:
             ev = claim.evaluate(instance, kit, mode)
             got = status, lhs, rhs = _verdict(ev)
@@ -989,6 +1007,34 @@ def _audit(claims: list[Claim], items: Iterable[tuple[str, object]], mode: str):
                 cert = ev.cert()
                 violations.append((claim.id, dict(instance=text, lhs=lhs, rhs=rhs, witness=cert)))
                 jobs.append((claim.id, instance, lhs, rhs, cert, mode))
+
+    every = [(claim, None) for claim in claims]
+    if corpus.kind() != GRAPH:
+        for text, instance in corpus.instances():
+            evaluate(text, instance, every)
+        return tally, violations, jobs
+    # class key -> (claims that hold or do not apply, violated claims), each
+    # with its verdict
+    classes: dict[tuple[int, int], tuple[list, list]] = {}
+    members: Counter = Counter()  # class key -> instances in the corpus
+    for text, n, mask in corpus.masks():
+        if n > _CLASS_MAX_ORDER:
+            evaluate(*_member(text, n, mask), every)
+            continue
+        key = _class_key(n, mask)
+        members[key] += 1
+        known = classes.get(key)
+        if known is None:
+            text, g = _member(text, n, mask)
+            read = [(c, _verdict(c.evaluate(g, kit, mode))) for c in claims]
+            known = classes[key] = (
+                [(c, v) for c, v in read if v[0] != VIOLATED],
+                [(c, v) for c, v in read if v[0] == VIOLATED],
+            )
+            if known[1]:
+                evaluate(text, g, known[1])
+        elif known[1]:
+            evaluate(*_member(text, n, mask), known[1])
     for key, count in members.items():
         for claim, (status, _, _) in classes[key][0]:
             tally[claim.id, status] += count
@@ -1030,7 +1076,7 @@ def run_audit(
             )
 
     threads = _resolve_threads(threads)
-    tally, violations, jobs = _audit(claims, corpus.instances(), mode)
+    tally, violations, jobs = _audit(claims, corpus, mode)
     if threads == 1 or not jobs:
         checks = map(_recheck, jobs)
     else:

@@ -53,12 +53,13 @@ def _read_graphs(source: str, fmt: str | None) -> list[Graph]:
 
 def _load_operand(token: str) -> Graph:
     """An operand is a family spec if it parses as one, otherwise a file of
-    exactly one graph in either format; a token that is neither, nor ``-``,
-    fails as a spec."""
+    exactly one graph in either format, or ``-`` for stdin.  A token that is
+    neither fails as a spec when it holds a ``:`` (``path:0``), and as an
+    unreadable file when it does not (``missing.g6``)."""
     try:
         return generate(parse_family_spec(token))
     except SpecInvalid:
-        if token != "-" and not Path(token).exists():
+        if ":" in token and not Path(token).exists():
             raise
     graphs = _read_graphs(token, None)
     if len(graphs) != 1:
@@ -156,6 +157,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         ids = [cid for cid in auditor.CLAIM_IDS if auditor.get_claim(cid).instance_kind == kind]
     else:
         ids = raw
+    if args.report:  # an unwritable path fails before any audit work
+        _write_report(args.report, "")
     report = auditor.run_audit(ids, corpus, mode=args.mode)
 
     for block in report.claims:
@@ -178,11 +181,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         f"violations: {report.violation_count}"
     )
     if args.report:
-        try:
-            Path(args.report).write_text(report.to_json() + "\n")
-        except OSError as exc:
-            raise IdstabError(f"cannot write report {args.report}: {exc}") from None
+        _write_report(args.report, report.to_json() + "\n")
     return 1 if report.violation_count else 0
+
+
+def _write_report(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise IdstabError(f"cannot write report {path}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

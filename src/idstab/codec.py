@@ -4,7 +4,9 @@ graph6 is the compact printable encoding used by small-graph corpora: an
 order prefix followed by the upper adjacency triangle in column-major order,
 packed six bits per character with a +63 offset.  Orders 63 and 64 use the
 standard four-character order prefix.  Decoding is strict: stray characters,
-wrong payload length, and nonzero padding bits are all rejected.
+wrong payload length, and nonzero padding bits are all rejected, by one check,
+``graph6_payload``.  ``graph6_edge_mask`` reads a line's edge mask under that
+same check without building the graph; audits key isomorphism classes by it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from .core import MAX_ORDER, Graph, build_graph, upper_triangle_pairs
 from .errors import LoopEdge, MalformedGraph6, OrderTooLarge, ParseError, VertexOutOfRange
 
 _HEADER = ">>graph6<<"
+_ALPHABET = "".join(map(chr, range(63, 127)))
+# each six-bit payload value with its bits in reverse order
+_REVERSED = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -35,15 +40,19 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def decode_graph6(text: str) -> Graph:
+def graph6_payload(text: str) -> tuple[int, str]:
+    """The order and the payload characters of a graph6 line, after every
+    check of the line: an optional ``>>graph6<<`` header, the alphabet, the
+    order prefix and cap, the payload length and zero padding bits.  The one
+    validation of ``decode_graph6`` and ``graph6_edge_mask``."""
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     if not s:
         raise MalformedGraph6("empty graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise MalformedGraph6(f"character {ch!r} outside the graph6 alphabet")
+    stray = s.lstrip(_ALPHABET)  # from the first character outside it on
+    if stray:
+        raise MalformedGraph6(f"character {stray[0]!r} outside the graph6 alphabet")
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise OrderTooLarge("order needs the 8-byte prefix, far beyond the 64-vertex cap")
@@ -60,14 +69,19 @@ def decode_graph6(text: str) -> Graph:
     need = -(-nbits // 6)
     if len(body) != need:
         raise MalformedGraph6(f"expected {need} payload characters for order {n}, got {len(body)}")
+    pad = need * 6 - nbits  # the low bits of the last character
+    if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
+        raise MalformedGraph6("nonzero padding bits")
+    return n, body
+
+
+def decode_graph6(text: str) -> Graph:
+    n, body = graph6_payload(text)
     bits = 0
     for ch in body:
         bits = (bits << 6) | (ord(ch) - 63)
-    pad = need * 6 - nbits
-    if pad and bits & ((1 << pad) - 1):
-        raise MalformedGraph6("nonzero padding bits")
     rows = [0] * n
-    pos = need * 6  # pair (i, j) is bit pos - 1 as the loops reach it
+    pos = len(body) * 6  # pair (i, j) is bit pos - 1 as the loops reach it
     for j in range(1, n):
         for i in range(j):
             pos -= 1
@@ -75,6 +89,19 @@ def decode_graph6(text: str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph(n, tuple(rows))
+
+
+def graph6_edge_mask(text: str) -> tuple[int, int]:
+    """The order and edge mask of a graph6 line, checked as ``decode_graph6``
+    checks it, without building the graph.  Bit p of the mask is pair p of
+    ``upper_triangle_pairs``, the pair graph6 writes p-th, most significant
+    bit first: the mask is the payload bits reversed."""
+    n, body = graph6_payload(text)
+    mask = shift = 0
+    for ch in body:
+        mask |= _REVERSED[ord(ch) - 63] << shift
+        shift += 6
+    return n, mask
 
 
 def parse_edgelist(text: str) -> Graph:

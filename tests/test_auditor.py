@@ -20,11 +20,13 @@ from idstab.auditor import (
     get_claim,
     run_audit,
 )
-from idstab.codec import decode_graph6, encode_graph6
+from idstab.codec import decode_graph6, encode_graph6, graph6_edge_mask
 from idstab.core import build_graph, upper_triangle_pairs
 from idstab.families import FamilySpec, complete, cycle, empty, path, star
 from idstab.oracles import oracle_gamma_i
 from idstab.ops import disjoint_union
+
+from conftest import random_graph
 
 
 class TestRegistry:
@@ -192,7 +194,7 @@ class TestRunAudit:
         assert report.violation_count > 0
 
     def test_deterministic_and_parallel_equal(self):
-        # 360 shuffled lines: order-7 graphs, which bypass the class path,
+        # 360 shuffled lines: order-7 graphs, whose orbits are met off their least mask,
         # duplicated lines and graphs of order <= 5
         rng = random.Random(17)
         pairs = list(upper_triangle_pairs(7))
@@ -252,8 +254,11 @@ class TestRunAudit:
         monkeypatch.setattr(auditor, "decode_graph6", counting)
         claims = [c.id for c in claim_registry() if c.instance_kind == "graph"]
         assert len(claims) == 14
-        run_audit(claims, Graph6Corpus(texts), threads=1)
-        assert len(calls) == len(texts)
+        report = run_audit(claims, Graph6Corpus(texts), threads=1)
+        # at most once: the first line of each class, and every line of a
+        # class that violates a claim; the rest are only counted
+        assert calls == _materialized(texts, report)
+        assert 18 < len(calls) < len(texts)  # 18 classes of order 1..4
 
     def test_threads_env_var(self, monkeypatch):
         monkeypatch.setenv("IDSTAB_THREADS", "2")
@@ -312,10 +317,11 @@ class TestRunAudit:
         real = auditor.decode_graph6
         monkeypatch.setattr(auditor, "decode_graph6", lambda text: calls.append(text) or real(text))
         corpus = Graph6Corpus.from_file(f)
+        assert calls == []  # from_file checks each line without decoding it
         report = run_audit(["C2", "C26"], corpus, threads=1)
         assert report.stats["instances"] == 3
         assert report.violation_count == 0
-        assert len(calls) == 3  # from_file decodes each line once, and the audit reuses it
+        assert len(calls) == 3  # the audit decodes each class's first line
 
     def test_pairs_over_graph6_corpus(self, tmp_path):
         f = tmp_path / "base.g6"
@@ -335,6 +341,17 @@ class TestRunAudit:
         f.write_text("\n")
         with pytest.raises(errors.BadCorpusSource):
             Graph6Corpus.from_file(f)
+
+    def test_malformed_line_fails_in_from_file_or_in_the_audit(self, tmp_path):
+        lines = ("Bw", "B!", "A_")
+        f = tmp_path / "corpus.g6"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(errors.MalformedGraph6, match="character '!'"):
+            Graph6Corpus.from_file(f)
+        corpus = Graph6Corpus(lines)  # built directly: checked as it is read
+        for claims in (["C2"], ["C17"]):
+            with pytest.raises(errors.MalformedGraph6, match="character '!'"):
+                run_audit(claims, corpus if claims == ["C2"] else PairCorpus(corpus), threads=1)
 
     def test_restricted_mode_guards_families(self):
         grid = FamilyCorpus(
@@ -369,6 +386,46 @@ class TestMemoBound:
         assert max(sizes) == 4
 
 
+def _plain_blocks(claim_ids, corpus, mode: str) -> list[dict]:
+    """``run_audit``'s claim blocks as an audit without isomorphism classes
+    writes them: every claim runs on every instance of ``instances()``."""
+    kit = _Toolkit()
+    blocks = []
+    for claim in map(get_claim, claim_ids):
+        counts = dict.fromkeys(("holds", "violated", "inapplicable"), 0)
+        found = []
+        for text, g in corpus.instances():
+            ev = claim.evaluate(g, kit, mode)
+            status, lhs, rhs = auditor._verdict(ev)
+            counts[status] += 1
+            if status == "violated":
+                cert = ev.cert()
+                oracle = auditor._verify_violation(claim, g, lhs, rhs, cert, mode)
+                found.append(dict(instance=text, lhs=lhs, rhs=rhs, witness=cert, oracle=oracle))
+        blocks.append(
+            {
+                "claim": claim.id,
+                "statement": claim.statement,
+                "restricted_note": claim.restricted_note,
+                "counts": counts,
+                "violations": sorted(found, key=lambda v: v["instance"]),
+            }
+        )
+    return blocks
+
+
+def _materialized(texts, report) -> list[str]:
+    """The lines of a graph audit of *texts* (order <= 7) that get a graph,
+    in corpus order: the first line of each class, and every line of a class
+    that violates a claim."""
+    key = {text: auditor._class_key(*graph6_edge_mask(text)) for text in texts}
+    violating = {key[v["instance"]] for block in report.claims for v in block["violations"]}
+    firsts: dict = {}
+    for text in texts:
+        firsts.setdefault(key[text], text)
+    return [text for text in texts if firsts[key[text]] == text or key[text] in violating]
+
+
 def _orbit_minimum(n: int, mask: int) -> int:
     """The least edge mask over all n! relabellings of *mask*."""
     pairs = list(upper_triangle_pairs(n))
@@ -390,25 +447,63 @@ class TestIsomorphismClasses:
     def test_keys_are_brute_force_canonical_forms(self):
         for n in range(1, 6):
             for mask, g in enumerate(enumerate_labeled_graphs(n)):
-                assert auditor._edge_mask(g) == mask
-                assert auditor._class_key(g) == (n, _orbit_minimum(n, mask)), (n, mask)
+                assert graph6_edge_mask(encode_graph6(g)) == (n, mask)
+                assert auditor._class_key(n, mask) == (n, _orbit_minimum(n, mask)), (n, mask)
+        rng = random.Random(7)
+        for mask in rng.sample(range(1 << 21), 6):  # orbits first met off their least
+            least = _orbit_minimum(7, mask)
+            assert auditor._class_key(7, mask) == auditor._class_key(7, least) == (7, least), mask
 
     def test_class_counts_and_table_bound(self):
-        # unlabeled graphs of order 1..6, OEIS A000088
-        keys = [{auditor._class_key(g) for g in enumerate_labeled_graphs(n)} for n in range(1, 7)]
-        assert [len(k) for k in keys] == [1, 2, 4, 11, 34, 156]
-        for n in range(1, 7):
+        # unlabeled graphs of order 1..7, OEIS A000088
+        keys = [{auditor._class_key(n, m) for m in range(1 << n * (n - 1) // 2)} for n in range(1, 8)]
+        assert [len(k) for k in keys] == [1, 2, 4, 11, 34, 156, 1044]
+        for n in range(1, 8):
             assert len(auditor._CLASS_TABLES[n]) <= 1 << (n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("mode", ["strict", "restricted"])
+    def test_exhaustive_audit_equals_a_plain_audit(self, mode, monkeypatch):
+        corpus = ExhaustiveCorpus(5)
+        built = []
+        real = auditor._mask_graph
+        monkeypatch.setattr(auditor, "_mask_graph", lambda n, m: built.append((n, m)) or real(n, m))
+        report = run_audit(_GRAPH_CLAIMS, corpus, mode, threads=1)
+        # graphs are built for each class's first member and the members of
+        # classes that violate a claim, once each
+        named = [encode_graph6(real(n, m)) for n, m in built]
+        texts = [text for text, _ in corpus.instances()]
+        assert named == _materialized(texts, report)
+        assert 52 < len(named) < 1099  # 52 classes of order 1..5
+        assert report.claims == _plain_blocks(_GRAPH_CLAIMS, corpus, mode)
+
+    def test_graph6_audit_equals_a_plain_audit(self):
+        rng = random.Random(21)
+        lines = [text for text, _ in itertools.islice(ExhaustiveCorpus(5).instances(), 0, None, 3)]
+        lines = [f">>graph6<<{t}" if i % 7 == 0 else t for i, t in enumerate(lines)]
+        lines += lines[:40] + ["G~~^vS"]  # duplicates, and one order-8 line past the classes
+        for g in (random_graph(rng, 7) for _ in range(4)):  # order 7, three labellings each
+            for _ in range(3):
+                perm = rng.sample(range(7), 7)
+                lines.append(encode_graph6(build_graph(7, [(perm[u], perm[v]) for u, v in g.edges()])))
+        rng.shuffle(lines)
+        corpus = Graph6Corpus(tuple(lines))
+        report = run_audit(_GRAPH_CLAIMS, corpus, threads=1)
+        assert report.claims == _plain_blocks(_GRAPH_CLAIMS, corpus, "strict")
+        found = {(b["claim"], v["instance"]) for b in report.claims for v in b["violations"]}
+        assert ("C8", "G~~^vS") in found
+        assert sum(cid == "C9" and text[0] == "F" for cid, text in found) == 3  # one order-7 class
+        assert any(text.startswith(">>graph6<<") for _, text in found)
 
     @pytest.mark.parametrize("mode", ["strict", "restricted"])
     def test_every_graph_claim_is_constant_on_classes(self, mode):
         kit = _Toolkit()
         seen: dict = {}
-        for _, g in ExhaustiveCorpus(5).instances():
+        for text, g in ExhaustiveCorpus(5).instances():
+            key = auditor._class_key(*graph6_edge_mask(text))
             for cid in _GRAPH_CLAIMS:
                 ev = get_claim(cid).evaluate(g, kit, mode)
                 reading = (ev.applicable, ev.holds, ev.lhs, ev.rhs)
-                first = seen.setdefault((cid, auditor._class_key(g)), (reading, g))
+                first = seen.setdefault((cid, key), (reading, g))
                 assert first[0] == reading, (cid, encode_graph6(first[1]), encode_graph6(g))
 
     def test_label_dependent_claim_aborts(self, monkeypatch):

@@ -185,6 +185,17 @@ class TestOp:
             code, _, err = run(capsys, "op", "join", *argv)
             assert code == 2 and err == spec_err and "cannot read" not in err
 
+    def test_missing_operand_file_reads_as_unreadable(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.g6")
+        for argv in ([missing, "path:3"], ["path:3", missing]):
+            code, _, err = run(capsys, "op", "join", *argv)
+            assert code == 2 and err.startswith(f"error: cannot read {missing}")
+            assert "family" not in err
+
+    def test_bare_family_name_operand(self, capsys):
+        code, out, _ = run(capsys, "op", "union", "petersen", "path:2")
+        assert code == 0 and decode_graph6(out.strip()).edge_count == 16
+
     @pytest.mark.parametrize("content", ["", "\n  \n", "A_\nBw\n"])
     def test_operand_must_hold_one_graph(self, capsys, tmp_path, content):
         f = tmp_path / "operand.g6"
@@ -250,11 +261,15 @@ class TestAudit:
         assert doc["schema_version"] == 1
         assert doc["claims"][0]["counts"]["violated"] == 6
 
-    def test_unwritable_report_is_usage_error(self, capsys, tmp_path):
+    def test_unwritable_report_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        def audit(*args, **kwargs):
+            raise AssertionError("the audit started")
+
+        monkeypatch.setattr(idstab.auditor, "run_audit", audit)  # the path fails first
         report = tmp_path / "missing" / "report.json"
         argv = ["audit", "--claims", "C26", "--exhaustive-n", "2", "--report", str(report)]
         code, out, err = run(capsys, *argv)
-        assert code == 2 and "C26:" in out
+        assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write report {report}")
 
     def test_corpus_file_lines_reach_report_as_given(self, capsys, tmp_path):

@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idstab import errors
-from idstab.codec import decode_graph6, emit_edgelist, encode_graph6, parse_edgelist
+from idstab.auditor import enumerate_labeled_graphs
+from idstab.codec import (
+    decode_graph6,
+    emit_edgelist,
+    encode_graph6,
+    graph6_edge_mask,
+    parse_edgelist,
+)
 from idstab.core import build_graph, upper_triangle_pairs
 from idstab.families import book, complete, empty, friendship, path, petersen, star
 
@@ -108,6 +115,54 @@ class TestDirectDecode:
         for g in graphs:
             text = encode_graph6(g)
             assert decode_graph6(text) == _decode_by_edges(text) == g
+
+
+def _rows_mask(g):
+    """The edge mask of *g* read off its rows: pair p of
+    ``upper_triangle_pairs`` is bit p."""
+    pairs = upper_triangle_pairs(g.order)
+    return sum(1 << p for p, (i, j) in enumerate(pairs) if g.adj[j] >> i & 1)
+
+
+class TestEdgeMask:
+    def test_every_graph_of_order_6(self):
+        for n in range(1, 7):
+            for mask, g in enumerate(enumerate_labeled_graphs(n)):
+                assert graph6_edge_mask(encode_graph6(g)) == (n, mask)
+
+    def test_headers_and_other_orders(self):
+        rng = random.Random(0x6D)
+        graphs = [empty(0), empty(1), complete(8), star(63), complete(64)]
+        graphs += [random_graph(rng, rng.randint(7, 64)) for _ in range(30)]
+        for g in graphs:
+            text = encode_graph6(g)
+            assert graph6_edge_mask(text) == (g.order, _rows_mask(g))
+            assert graph6_edge_mask(f" >>graph6<<{text}\n") == (g.order, _rows_mask(g))
+
+
+# one line per check of the shared validation
+_MALFORMED = [
+    ("", errors.MalformedGraph6),  # empty
+    (">>graph6<<", errors.MalformedGraph6),  # empty after the header
+    ("B!g", errors.MalformedGraph6),  # stray character below the alphabet
+    ("Bg\x7f", errors.MalformedGraph6),  # stray character above it
+    ("B", errors.MalformedGraph6),  # payload too short
+    ("Bgg", errors.MalformedGraph6),  # payload too long
+    ("Bi", errors.MalformedGraph6),  # nonzero padding bits
+    ("~~?", errors.OrderTooLarge),  # the 8-byte order prefix
+    ("~?", errors.MalformedGraph6),  # truncated 4-byte order prefix
+    ("~?@B", errors.OrderTooLarge),  # order 66
+]
+
+
+@pytest.mark.parametrize("text,error", _MALFORMED)
+def test_both_readers_reject_alike(text, error):
+    caught = []
+    for reader in (decode_graph6, graph6_edge_mask):
+        with pytest.raises(error) as info:
+            reader(text)
+        caught.append((type(info.value), str(info.value)))
+    assert caught[0] == caught[1]
 
 
 class TestEdgeList:
