@@ -446,8 +446,7 @@ _GRAPH_CLAIMS = [c.id for c in claim_registry() if c.instance_kind == "graph"]
 class TestIsomorphismClasses:
     def test_keys_are_brute_force_canonical_forms(self):
         for n in range(1, 6):
-            for mask, g in enumerate(enumerate_labeled_graphs(n)):
-                assert graph6_edge_mask(encode_graph6(g)) == (n, mask)
+            for mask in range(1 << n * (n - 1) // 2):
                 assert auditor._class_key(n, mask) == (n, _orbit_minimum(n, mask)), (n, mask)
         rng = random.Random(7)
         for mask in rng.sample(range(1 << 21), 6):  # orbits first met off their least
@@ -456,7 +455,9 @@ class TestIsomorphismClasses:
 
     def test_class_counts_and_table_bound(self):
         # unlabeled graphs of order 1..7, OEIS A000088
-        keys = [{auditor._class_key(n, m) for m in range(1 << n * (n - 1) // 2)} for n in range(1, 8)]
+        keys = [
+            {auditor._class_key(n, m) for m in range(1 << n * (n - 1) // 2)} for n in range(1, 8)
+        ]
         assert [len(k) for k in keys] == [1, 2, 4, 11, 34, 156, 1044]
         for n in range(1, 8):
             assert len(auditor._CLASS_TABLES[n]) <= 1 << (n * (n - 1) // 2)
@@ -484,7 +485,8 @@ class TestIsomorphismClasses:
         for g in (random_graph(rng, 7) for _ in range(4)):  # order 7, three labellings each
             for _ in range(3):
                 perm = rng.sample(range(7), 7)
-                lines.append(encode_graph6(build_graph(7, [(perm[u], perm[v]) for u, v in g.edges()])))
+                relabelled = build_graph(7, [(perm[u], perm[v]) for u, v in g.edges()])
+                lines.append(encode_graph6(relabelled))
         rng.shuffle(lines)
         corpus = Graph6Corpus(tuple(lines))
         report = run_audit(_GRAPH_CLAIMS, corpus, threads=1)
