@@ -938,15 +938,17 @@ class AuditReport:
     def violation_count(self) -> int:
         return sum(block["counts"][VIOLATED] for block in self.claims)
 
-    def to_json(self) -> str:
-        doc = {
+    def _document(self) -> dict:
+        return {
             "schema_version": 1,
             "mode": self.mode,
             "corpus": self.corpus,
             "claims": self.claims,
             "stats": self.stats,
         }
-        return json.dumps(doc, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self._document(), indent=2)
 
 
 def _resolve_threads(threads: int | None) -> int:

@@ -9,6 +9,7 @@ refuted a solver result).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -158,7 +159,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     else:
         ids = raw
     if args.report:  # an unwritable path fails before any audit work
-        _write_report(args.report, "")
+        _write_report(args.report, None)
     report = auditor.run_audit(ids, corpus, mode=args.mode)
 
     for block in report.claims:
@@ -181,13 +182,19 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         f"violations: {report.violation_count}"
     )
     if args.report:
-        _write_report(args.report, report.to_json() + "\n")
+        _write_report(args.report, report._document())
     return 1 if report.violation_count else 0
 
 
-def _write_report(path: str, text: str) -> None:
+def _write_report(path: str, doc: dict | None) -> None:
+    """Write ``doc`` as ``AuditReport.to_json()`` gives it, plus a newline,
+    streamed to the file rather than built as one string; None writes an
+    empty file."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            if doc is not None:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
     except OSError as exc:
         raise IdstabError(f"cannot write report {path}: {exc}") from None
 

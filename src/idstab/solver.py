@@ -20,11 +20,15 @@ nodes a full walk would, and the search trees are unchanged; on the pinned
 
 There are three searches:
 
-* ``_cover_min``, the value of gamma_i or gamma on one connected block.  It
-  picks a vertex that is not yet dominated and tries, in ascending order,
-  every eligible vertex of its closed neighborhood; a vertex tried at a
-  node is banned in the later sibling branches, so no solution is visited
-  twice.  It returns 1 without searching when one vertex's closed
+* ``_cover_min``, the value of gamma_i or gamma on one connected block,
+  returned as (value, picks): the picks are a set of that many vertices
+  that dominates the block, independent for gamma_i, namely the search's
+  last incumbent.  They need not be the lexmin witness; ``stability``
+  learns no-goods from them.  The search picks a vertex that is not yet
+  dominated and tries, in ascending order, every eligible vertex of its
+  closed neighborhood; a vertex tried at a node is banned in the later
+  sibling branches, so no solution is visited twice.  It returns
+  (1, lowest such vertex) without searching when one vertex's closed
   neighborhood is the whole block: that vertex alone is an independent
   dominating set, and a nonempty block needs at least one pick.  This
   follows from the definitions, not from a claim of the audited catalog.
@@ -151,9 +155,11 @@ def _packing_limit(closed: list[int], uncovered: int, cands: int, need: int) -> 
     return lim
 
 
-def _cover_min(closed: list[int], comp: int, cap: int, independent: bool) -> int:
-    """The fewest picks that dominate one connected block: gamma_i of the
-    block when ``independent``, gamma otherwise.
+def _cover_min(closed: list[int], comp: int, cap: int, independent: bool) -> tuple[int, int]:
+    """The fewest picks that dominate one connected block, and a set of
+    picks that attains it, as (value, picks mask): gamma_i of the block and
+    an independent dominating set when ``independent``, gamma and a
+    dominating set otherwise.  The picks are the search's last incumbent.
 
     gamma_i draws its picks from the undominated vertices, which keeps them
     independent of the chosen ones; gamma draws them from the whole block.
@@ -179,19 +185,30 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool) -> int
     closed rows) has as many vertices as the block, some v has
     N[v] >= block.  Then {v} dominates the block and is independent, so
     gamma_i and gamma of the block are at most 1.  The empty set dominates
-    no nonempty block, so both are exactly 1, and no search is needed.
+    no nonempty block, so both are exactly 1, and no search is needed; the
+    picks are the lowest such v.
+
+    Incumbent: a block of two or more vertices has a vertex with a
+    neighbour, and a maximal independent set holding it leaves that
+    neighbour out, so both values are below the vertex count that ``best``
+    starts at.  The search keeps only strictly better leaves, so it always
+    records one, and its picks attain the value returned.
     """
     best = comp.bit_count()  # no block needs more picks than it has vertices
     if cap == best:
-        return 1  # a dominating vertex
+        rest = comp
+        while closed[(rest & -rest).bit_length() - 1] & comp != comp:
+            rest &= rest - 1
+        return 1, rest & -rest  # the lowest dominating vertex
     pack = best > 2 * cap
     keep = 0 if independent else comp
+    found = 0
 
-    def rec(covered: int, excluded: int, size: int) -> None:
-        nonlocal best
+    def rec(covered: int, excluded: int, size: int, picks: int) -> None:
+        nonlocal best, found
         uncovered = comp & ~covered
         if not uncovered:
-            best = size
+            best, found = size, picks
             return
         if size + -(-uncovered.bit_count() // cap) >= best:
             return
@@ -206,11 +223,12 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool) -> int
         while cands:
             low = cands & -cands
             cands ^= low
-            rec(covered | (closed[low.bit_length() - 1] & comp), excluded | ban, size + 1)
+            rec(covered | (closed[low.bit_length() - 1] & comp), excluded | ban,
+                size + 1, picks | low)
             ban |= low
 
-    rec(0, 0, 0)
-    return best
+    rec(0, 0, 0, 0)
+    return best, found
 
 
 def _covers(closed: list[int], universe: int, cap: int, k: int, independent: bool):
@@ -295,11 +313,15 @@ def _alpha_max(open_rows: tuple[int, ...], free0: int) -> int:
     return found
 
 
-def _gamma_i_value_in(closed: list[int], universe: int) -> int:
-    value = 0
+def _gamma_i_in(closed: list[int], universe: int) -> tuple[int, int]:
+    """gamma_i of the subgraph induced on ``universe``, and an independent
+    dominating set of it of that size, as (value, picks mask)."""
+    value = picks = 0
     for comp, cap in component_masks(closed, universe):
-        value += _cover_min(closed, comp, cap, True)
-    return value
+        k, found = _cover_min(closed, comp, cap, True)
+        value += k
+        picks |= found
+    return value, picks
 
 
 def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertificate:
@@ -307,7 +329,7 @@ def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertifica
     value = 0
     witness = 0
     for comp, cap in component_masks(closed, g.full_mask):
-        k = _cover_min(closed, comp, cap, independent)
+        k = _cover_min(closed, comp, cap, independent)[0]
         value += k
         found = next(_covers(closed, comp, cap, k, independent), None)
         assert found is not None, "no dominating set of the optimal size"
@@ -317,7 +339,7 @@ def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertifica
 
 def gamma_i_value(g: Graph) -> int:
     """The independent domination number, without a witness."""
-    return _gamma_i_value_in(_closed_rows(g), g.full_mask)
+    return _gamma_i_in(_closed_rows(g), g.full_mask)[0]
 
 
 def gamma_i(g: Graph) -> GammaCertificate:
@@ -334,7 +356,7 @@ def gamma_value(g: Graph) -> int:
         raise EmptyGraph("domination number of the null graph is undefined")
     closed = _closed_rows(g)
     blocks = component_masks(closed, g.full_mask)
-    return sum(_cover_min(closed, comp, cap, False) for comp, cap in blocks)
+    return sum(_cover_min(closed, comp, cap, False)[0] for comp, cap in blocks)
 
 
 def gamma(g: Graph) -> GammaCertificate:

@@ -705,8 +705,9 @@ class TestDominatingVertexExit:
             closed = _closed_rows(g)
             for comp, cap in _dominated_blocks(g):
                 blocks += 1
-                assert _search_calls(_cover_min, closed, comp, cap, True) == (1, 0), g
-                assert _search_calls(_cover_min, closed, comp, cap, False) == (1, 0), g
+                low = min(v for v in iter_bits(comp) if closed[v] & comp == comp)
+                assert _search_calls(_cover_min, closed, comp, cap, True) == ((1, 1 << low), 0), g
+                assert _search_calls(_cover_min, closed, comp, cap, False) == ((1, 1 << low), 0), g
         assert blocks
         closed = _closed_rows(cycle(6))  # no dominating vertex: the search runs
         assert _search_calls(_cover_min, closed, 0b111111, 3, True)[1] > 0
@@ -732,6 +733,35 @@ class TestDominatingVertexExit:
             assert _new_gamma_i(g) == _ref_gamma_i(g), g
             assert _new_gamma(g) == _ref_gamma(g), g
         assert fired >= 20
+
+
+def _assert_picks_attain_the_value(g, universe):
+    """The picks ``_cover_min`` returns for each block of the subgraph on
+    ``universe`` lie in the block, dominate it and number exactly its value;
+    for gamma_i they are also independent."""
+    closed = _closed_rows(g)
+    for comp, cap in component_masks(closed, universe):
+        for independent in (True, False):
+            value, picks = _cover_min(closed, comp, cap, independent)
+            assert not picks & ~comp and picks.bit_count() == value, (g, comp)
+            dominated = 0
+            for v in iter_bits(picks):
+                dominated |= closed[v]
+                assert not (independent and g.adj[v] & picks), (g, comp)
+            assert dominated & comp == comp, (g, comp)
+
+
+class TestCoverMinPicks:
+    def test_exhaustive_order_6(self):
+        for g in all_graphs(6):
+            _assert_picks_attain_the_value(g, g.full_mask)
+
+    def test_seeded_order_7_to_20(self):
+        rng = random.Random(0x91C5)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(7, 20))
+            _assert_picks_attain_the_value(g, g.full_mask)
+            _assert_picks_attain_the_value(g, rng.getrandbits(g.order))  # as for a removal solve
 
 
 def _ref_blocks(rows, universe):

@@ -17,7 +17,7 @@ from idstab.families import (
     star,
 )
 from idstab.ops import disjoint_union
-from idstab.solver import _closed_rows, _gamma_i_value_in, gamma_i_value
+from idstab.solver import _closed_rows, _gamma_i_in, gamma_i_value
 from idstab.stability import (
     Direction,
     StabilityCertificate,
@@ -33,12 +33,38 @@ from conftest import all_graphs, random_graph
 
 # the package rebinds ``idstab.stability`` to the function
 stability_module = importlib.import_module("idstab.stability")
+solver_module = importlib.import_module("idstab.solver")
 
 _CHANGES = {
     Direction.ANY: lambda base, val: val != base,
     Direction.DECREASE: lambda base, val: val < base,
     Direction.INCREASE: lambda base, val: val > base,
 }
+
+
+def _count_solves(monkeypatch):
+    """Wrap every solver entry that the stability module binds, except the
+    row builder, which solves nothing; return the list that each call of one
+    appends its name to.  A solve entry added later is counted too."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    entries = [
+        (name, fn)
+        for name, fn in vars(stability_module).items()
+        if callable(fn) and getattr(fn, "__module__", None) == solver_module.__name__
+        and name != "_closed_rows"
+    ]
+    assert entries, "the stability module binds no solver entry"
+    for name, fn in entries:
+        monkeypatch.setattr(stability_module, name, counting(name, fn))
+    return calls
 
 
 def _subset_masks(n, k):
@@ -52,11 +78,11 @@ def _plain_scan(g, direction):
     removal solved, nothing skipped."""
     closed = _closed_rows(g)
     full = g.full_mask
-    base = _gamma_i_value_in(closed, full)
+    base = _gamma_i_in(closed, full)[0]
     changes = _CHANGES[direction]
     for k in range(1, g.order + 1):
         for mask in _subset_masks(g.order, k):
-            val = _gamma_i_value_in(closed, full & ~mask)
+            val = _gamma_i_in(closed, full & ~mask)[0]
             if changes(base, val):
                 return StabilityCertificate(base, direction, k, VertexSet(mask), val)
     return StabilityCertificate(base, direction, None, None, None)
@@ -262,17 +288,12 @@ class TestMinRule:
         # st_down = 2 and st_up = 11: unbounded, the increase scan takes about a
         # minute here; bounded, it stops at once, since the first 2-set that
         # meets every gamma_i-set is the decrease witness {2, 3} itself
-        solves = []
-
-        def counting(closed, universe):
-            solves.append(universe)
-            return _gamma_i_value_in(closed, universe)
-
-        monkeypatch.setattr(stability_module, "_gamma_i_value_in", counting)
+        solves = _count_solves(monkeypatch)
         g = book(10)
         cert = stability(g)
         assert (cert.value, cert.witness.members(), cert.new_gamma_i) == (2, (2, 3), 9)
-        # gamma_i of G, the n single removals, and the witness's new gamma_i
+        # gamma_i of G, the n single removals, the gamma_i-set walk and the
+        # witness's new gamma_i
         assert len(solves) <= g.order + 4
 
 
@@ -281,9 +302,15 @@ class TestPruningRules:
         _assert_seeded_certificates_unpruned()
 
     def test_partial_family_is_sound(self, monkeypatch):
-        # one known gamma_i-set prunes less but must skip nothing that matches
+        # one known gamma_i-set and one learned pair prune less but must skip
+        # nothing that matches
         monkeypatch.setattr(stability_module, "GAMMA_I_FAMILY_CAP", 1)
         _assert_seeded_certificates_unpruned()
+        # the cap binds: uncapped, book(5) takes 99 solves, and 1,787 here
+        solves = _count_solves(monkeypatch)
+        g = book(5)
+        assert stability(g, Direction.INCREASE) == _plain_scan(g, Direction.INCREASE)
+        assert len(solves) > 1_000
 
     def test_hitting_masks_filter_subset_order(self):
         family = [0b000110, 0b101000, 0b010011]
@@ -310,20 +337,47 @@ class TestPruningRules:
         assert (cert.base_gamma_i, cert.new_gamma_i) == (3, 4)
 
 
+class TestNoGoodRule:
+    """The increase scan skips every removal that a learned pair rules out,
+    and still gives the plain scan's certificate."""
+
+    @pytest.mark.slow
+    def test_exhaustive_order_6(self):
+        for g in all_graphs(6):
+            assert stability(g, Direction.INCREASE) == _plain_scan(g, Direction.INCREASE)
+
+    @pytest.mark.parametrize(
+        "g,base,value,witness,new,bound",
+        [
+            # 882 solves; 23,204 with the gamma_i-set walk alone
+            (book(7), 7, 8, (0, 3, 5, 7, 9, 11, 13, 15), 8, 970),
+            # 129 solves; 16,131 with the gamma_i-set walk alone
+            (complete_bipartite(8, 7), 7, 7, (8, 9, 10, 11, 12, 13, 14), 8, 142),
+        ],
+        ids=["book7", "kbip8-7"],
+    )
+    def test_hub_graphs_take_few_solves(self, monkeypatch, g, base, value, witness, new, bound):
+        solves = _count_solves(monkeypatch)
+        cert = stability(g, Direction.INCREASE)
+        expected = StabilityCertificate(base, Direction.INCREASE, value, VertexSet.of(witness), new)
+        assert cert == expected
+        assert len(solves) <= bound
+
+
 def _searched_decrease(g):
     """The single removals, then the left-out search for k = 2, 3, ..., as
     ``stability`` finds a decrease witness when gamma_i is not 1."""
     closed = _closed_rows(g)
     full = g.full_mask
-    base = _gamma_i_value_in(closed, full)
+    base = _gamma_i_in(closed, full)[0]
     for v in range(g.order):
-        val = _gamma_i_value_in(closed, full & ~(1 << v))
+        val = _gamma_i_in(closed, full & ~(1 << v))[0]
         if val < base:
             return StabilityCertificate(base, Direction.DECREASE, 1, VertexSet(1 << v), val)
     for k in range(2, g.order + 1):
         out = _lexmin_left_out(closed, full, base - 1, k)
         if out:
-            new = _gamma_i_value_in(closed, full & ~out)
+            new = _gamma_i_in(closed, full & ~out)[0]
             return StabilityCertificate(base, Direction.DECREASE, k, VertexSet(out), new)
     raise AssertionError("removing every vertex always decreases gamma_i")
 
