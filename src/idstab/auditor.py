@@ -72,17 +72,16 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import oracles, solver, stability
-from .codec import decode_graph6, encode_graph6, graph6_edge_mask, graph6_payload
+from .codec import decode_graph6, encode_graph6, graph6_edge_mask, graph6_lines, graph6_payload
 from .core import (
     MAX_ORDER,
     Graph,
     VertexSet,
-    build_graph,
     complement,
     components,
     degree_stats,
     delete_vertices,
-    iter_bits,
+    mask_graph,
     upper_triangle_pairs,
 )
 from .errors import (
@@ -106,26 +105,12 @@ MAX_PAIR_OPERAND_ORDER = 4
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^(n(n-1)/2) labeled graphs on n vertices, in edge-mask order.
-
-    Edge bits follow ``upper_triangle_pairs``: bit 0 is (0,1), bit 1 is
-    (0,2), bit 2 is (1,2), and so on.
-    """
+    """All 2^(n(n-1)/2) labeled graphs on n vertices, in the order of their
+    ``core.edge_mask``."""
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise CorpusTooLarge(f"labeled enumeration supports 1 <= n <= {MAX_ENUMERATION_ORDER}")
     for mask in range(1 << (n * (n - 1) // 2)):
-        yield _mask_graph(n, mask)
-
-
-@functools.cache
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(upper_triangle_pairs(n))
-
-
-def _mask_graph(n: int, mask: int) -> Graph:
-    """The labeled graph of order n with edge bits *mask*."""
-    pairs = _pairs(n)
-    return build_graph(n, [pairs[i] for i in iter_bits(mask)])
+        yield mask_graph(n, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -706,49 +691,48 @@ def evaluate_claim(claim_id: str, instance, mode: str = STRICT) -> ClaimOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExhaustiveCorpus:
-    """All labeled graphs of order 1..n_max (n_max <= 7)."""
+def _member(text: str | None, n: int, mask: int) -> tuple[str, Graph]:
+    """The report text and graph of a member from ``masks()``: its line
+    decoded, or with no line its graph built from the mask and named."""
+    if text is None:
+        g = mask_graph(n, mask)
+        return encode_graph6(g), g
+    return text, decode_graph6(text)
 
-    n_max: int
+
+class _GraphCorpus:
+    """A graph corpus: its ``instances()`` are its ``masks()``, built."""
 
     def kind(self) -> str:
         return GRAPH
 
+    def instances(self) -> Iterator[tuple[str, Graph]]:
+        return (_member(*member) for member in self.masks())
+
+
+@dataclass(frozen=True)
+class ExhaustiveCorpus(_GraphCorpus):
+    """All labeled graphs of order 1..n_max (n_max <= 7)."""
+
+    n_max: int
+
     def describe(self) -> str:
         return f"all labeled graphs of order 1..{self.n_max}"
 
-    def _orders(self) -> range:
+    def masks(self) -> Iterator[tuple[str | None, int, int]]:
+        """``(None, order, edge mask)`` in enumeration order; the text is
+        left to be encoded where a graph is built."""
         if not 1 <= self.n_max <= MAX_ENUMERATION_ORDER:
             raise CorpusTooLarge(
                 f"exhaustive corpora need 1 <= n_max <= {MAX_ENUMERATION_ORDER}, got {self.n_max}"
             )
-        return range(1, self.n_max + 1)
-
-    def instances(self) -> Iterator[tuple[str, Graph]]:
-        for n in self._orders():
-            for g in enumerate_labeled_graphs(n):
-                yield encode_graph6(g), g
-
-    def masks(self) -> Iterator[tuple[str | None, int, int]]:
-        """``instances()`` as ``(None, order, edge mask)``, in the same
-        order; the text is left to be encoded where a graph is built."""
-        for n in self._orders():
+        for n in range(1, self.n_max + 1):
             for mask in range(1 << (n * (n - 1) // 2)):
                 yield None, n, mask
 
 
-def _graph6_lines(text: str, source: str) -> tuple[str, ...]:
-    """The stripped, non-blank lines of the graph6 file *source*, read as
-    *text*; ``BadCorpusSource`` if there are none."""
-    lines = tuple(ln.strip() for ln in text.splitlines() if ln.strip())
-    if not lines:
-        raise BadCorpusSource(f"{source} holds no graphs")
-    return lines
-
-
 @dataclass(frozen=True)
-class Graph6Corpus:
+class Graph6Corpus(_GraphCorpus):
     """Graphs supplied as graph6 lines (for externally generated corpora)."""
 
     graphs: tuple[str, ...]
@@ -763,24 +747,17 @@ class Graph6Corpus:
             text = Path(path).read_text()
         except OSError as exc:
             raise BadCorpusSource(f"cannot read corpus {path}: {exc}") from None
-        lines = _graph6_lines(text, f"corpus {path}")
+        lines = graph6_lines(text, f"corpus {path}")
         for line in lines:
             graph6_payload(line)
         return cls(lines, f"graph6 file {path}")
 
-    def kind(self) -> str:
-        return GRAPH
-
     def describe(self) -> str:
         return f"{self.label} ({len(self.graphs)} graphs)"
 
-    def instances(self) -> Iterator[tuple[str, Graph]]:
-        """Each line as given (a ``>>graph6<<`` header or a long order prefix
-        stays in the report) with its decoded graph."""
-        return ((text, decode_graph6(text)) for text in self.graphs)
-
     def masks(self) -> Iterator[tuple[str, int, int]]:
-        """Each line as given with its order and edge mask, read without
+        """Each line as given (a ``>>graph6<<`` header or a long order prefix
+        stays in the report) with its order and edge mask, read without
         decoding the graph."""
         return ((text, *graph6_edge_mask(text)) for text in self.graphs)
 
@@ -798,11 +775,15 @@ class PairCorpus:
         return f"ordered pairs over {self.base.describe()}"
 
     def instances(self) -> Iterator[tuple[str, tuple[Graph, Graph]]]:
-        base = list(self.base.instances())
-        if any(g.order > MAX_PAIR_OPERAND_ORDER for _, g in base):
-            raise CorpusTooLarge(
-                f"pair corpora cap operands at order {MAX_PAIR_OPERAND_ORDER}"
-            )
+        """Each pair as ``"a,b"``.  An operand above the order cap is refused
+        as ``masks()`` meets it, before the rest of the base is built."""
+        base = []
+        for text, n, mask in self.base.masks():
+            if n > MAX_PAIR_OPERAND_ORDER:
+                raise CorpusTooLarge(
+                    f"pair corpora cap operands at order {MAX_PAIR_OPERAND_ORDER}"
+                )
+            base.append(_member(text, n, mask))
         for a, ga in base:
             for b, gb in base:
                 yield f"{a},{b}", (ga, gb)
@@ -850,8 +831,9 @@ class FamilyCorpus:
 
 # Every corpus yields ``(text, instance)`` pairs from ``instances()``: the
 # text is the report's ``instance`` string, the instance is decoded once.  The
-# graph corpora also yield ``(text, order, edge mask)`` triples from
-# ``masks()``, for audits that build a graph only where a claim needs one.
+# graph corpora yield ``(text, order, edge mask)`` triples from ``masks()``,
+# for audits that build a graph only where a claim needs one, and their
+# ``instances()`` is derived from ``masks()``.
 Corpus = ExhaustiveCorpus | Graph6Corpus | PairCorpus | FamilyCorpus
 
 
@@ -875,7 +857,7 @@ def _swap_tables(n: int) -> list[tuple[list[int], ...]]:
     edge bits of the low, middle and high byte of a mask.  Three bytes hold
     the 21 edge bits of order 7, so ``_CLASS_MAX_ORDER`` cannot pass 7
     without a fourth table (and a 2^28-entry class table)."""
-    pairs = _pairs(n)
+    pairs = tuple(upper_triangle_pairs(n))
     bit = {pair: 1 << p for p, pair in enumerate(pairs)}
     tables = []
     for k in range(n - 1):
@@ -962,16 +944,6 @@ def _resolve_threads(threads: int | None) -> int:
     if not (env.isascii() and env.isdigit()) or int(env) < 1:
         raise BadThreadCount(f"IDSTAB_THREADS must be a positive integer, got {env!r}")
     return int(env)
-
-
-def _member(text: str | None, n: int, mask: int) -> tuple[str, Graph]:
-    """The report text and graph of a graph corpus member from ``masks()``:
-    its line decoded, or with no line its graph built from the mask and
-    named."""
-    if text is None:
-        g = _mask_graph(n, mask)
-        return encode_graph6(g), g
-    return text, decode_graph6(text)
 
 
 def _audit(claims: list[Claim], corpus: Corpus, mode: str):

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import auditor, ops
-from .codec import decode_graph6, emit_edgelist, encode_graph6, parse_edgelist
+from .codec import decode_graph6, emit_edgelist, encode_graph6, graph6_lines, parse_edgelist
 from .core import MAX_ORDER, Graph, complement
 from .errors import IdstabError, InternalAuditError, SpecInvalid
 from .families import cycle, generate, parse_family_spec, path
@@ -49,7 +49,7 @@ def _read_graphs(source: str, fmt: str | None) -> list[Graph]:
         fmt = "edgelist" if text.lstrip()[:1].isdigit() else "graph6"
     if fmt == "edgelist":
         return [parse_edgelist(text)]
-    return [decode_graph6(line) for line in auditor._graph6_lines(text, source)]
+    return [decode_graph6(line) for line in graph6_lines(text, source)]
 
 
 def _load_operand(token: str) -> Graph:

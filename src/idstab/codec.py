@@ -5,39 +5,36 @@ order prefix followed by the upper adjacency triangle in column-major order,
 packed six bits per character with a +63 offset.  Orders 63 and 64 use the
 standard four-character order prefix.  Decoding is strict: stray characters,
 wrong payload length, and nonzero padding bits are all rejected, by one check,
-``graph6_payload``.  ``graph6_edge_mask`` reads a line's edge mask under that
-same check without building the graph; audits key isomorphism classes by it.
+``graph6_payload``.  The payload is the graph's ``core.edge_mask``, the one
+bit-order mapping, in groups of six bits, each group reversed (graph6 writes
+pair p-th, most significant bit first), so ``graph6_edge_mask`` reads a line's
+mask without building the graph; audits key isomorphism classes by it.
 """
 
 from __future__ import annotations
 
-from .core import MAX_ORDER, Graph, build_graph, upper_triangle_pairs
-from .errors import LoopEdge, MalformedGraph6, OrderTooLarge, ParseError, VertexOutOfRange
+from .core import MAX_ORDER, Graph, build_graph, edge_mask, mask_graph
+from .errors import (
+    BadCorpusSource,
+    LoopEdge,
+    MalformedGraph6,
+    OrderTooLarge,
+    ParseError,
+    VertexOutOfRange,
+)
 
 _HEADER = ">>graph6<<"
 _ALPHABET = "".join(map(chr, range(63, 127)))
 # each six-bit payload value with its bits in reverse order
 _REVERSED = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
+_CHARS = tuple(_ALPHABET[v] for v in _REVERSED)  # the payload character of six mask bits
 
 
 def encode_graph6(g: Graph) -> str:
     n = g.order
-    if n <= 62:
-        out = [chr(63 + n)]
-    else:
-        out = ["~", chr(63 + (n >> 12 & 63)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
-    buf = 0
-    nbits = 0
-    for i, j in upper_triangle_pairs(n):
-        buf = (buf << 1) | (g.adj[j] >> i & 1)
-        nbits += 1
-        if nbits == 6:
-            out.append(chr(63 + buf))
-            buf = 0
-            nbits = 0
-    if nbits:
-        out.append(chr(63 + (buf << (6 - nbits))))
-    return "".join(out)
+    head = chr(63 + n) if n <= 62 else "~" + "".join(_ALPHABET[n >> s & 63] for s in (12, 6, 0))
+    mask = edge_mask(g)
+    return head + "".join([_CHARS[mask >> s & 63] for s in range(0, n * (n - 1) // 2, 6)])
 
 
 def graph6_payload(text: str) -> tuple[int, str]:
@@ -76,32 +73,27 @@ def graph6_payload(text: str) -> tuple[int, str]:
 
 
 def decode_graph6(text: str) -> Graph:
-    n, body = graph6_payload(text)
-    bits = 0
-    for ch in body:
-        bits = (bits << 6) | (ord(ch) - 63)
-    rows = [0] * n
-    pos = len(body) * 6  # pair (i, j) is bit pos - 1 as the loops reach it
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bits >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return mask_graph(*graph6_edge_mask(text))
 
 
 def graph6_edge_mask(text: str) -> tuple[int, int]:
-    """The order and edge mask of a graph6 line, checked as ``decode_graph6``
-    checks it, without building the graph.  Bit p of the mask is pair p of
-    ``upper_triangle_pairs``, the pair graph6 writes p-th, most significant
-    bit first: the mask is the payload bits reversed."""
+    """The order and ``core.edge_mask`` of a graph6 line, checked as
+    ``decode_graph6`` checks it, without building the graph."""
     n, body = graph6_payload(text)
     mask = shift = 0
     for ch in body:
         mask |= _REVERSED[ord(ch) - 63] << shift
         shift += 6
     return n, mask
+
+
+def graph6_lines(text: str, source: str) -> tuple[str, ...]:
+    """The stripped, non-blank lines of the graph6 file *source*, read as
+    *text*; ``BadCorpusSource`` if there are none."""
+    lines = tuple(ln.strip() for ln in text.splitlines() if ln.strip())
+    if not lines:
+        raise BadCorpusSource(f"{source} holds no graphs")
+    return lines
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -8,6 +8,10 @@ one constructor, and validation runs at every construction, also for the
 graphs that ``delete_vertices``, ``complement`` and ``decode_graph6`` build in
 an audit's inner loop.  It is a plain loop over the set bits of each row, one
 step per edge end.
+
+An edge mask holds a graph of order n in n(n-1)/2 bits, bit p for pair p of
+``upper_triangle_pairs``.  ``edge_mask`` and its inverse ``mask_graph`` are
+the one mapping between masks and rows, for the graph6 codec and the corpora.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 def upper_triangle_pairs(n: int) -> Iterator[tuple[int, int]]:
     """Vertex pairs (i, j), i < j, in column-major order: (0,1), (0,2), (1,2), (0,3), ...
 
-    This is the bit order used by the graph6 codec and by labeled-graph
-    enumeration, so edge masks mean the same thing everywhere.
+    Pair p is bit p of an edge mask, and ``edge_mask`` is the one mapping
+    of that order onto rows.
     """
     for j in range(1, n):
         for i in range(j):
@@ -163,6 +167,35 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(order, tuple(rows))
+
+
+def edge_mask(g: Graph) -> int:
+    """The edge mask of *g*: bit p is pair p of ``upper_triangle_pairs``.
+    Column j's pairs (i, j), i < j, are row j below j, put at bit j(j-1)/2."""
+    mask = 0
+    for j, row in enumerate(g.adj):
+        mask |= (row & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    return mask
+
+
+def mask_graph(n: int, mask: int) -> Graph:
+    """The graph of order *n* with edge mask *mask*, the inverse of
+    ``edge_mask``; a mask with a bit past the last pair is refused."""
+    if not 0 <= n <= MAX_ORDER:
+        raise OrderTooLarge(f"order {n} outside 0..{MAX_ORDER}")
+    rows = [0] * n
+    for j in range(1, n):
+        column = mask & ((1 << j) - 1)  # the pairs (i, j), i < j
+        mask >>= j
+        rows[j] = column
+        bit = 1 << j
+        while column:
+            low = column & -column
+            column ^= low
+            rows[low.bit_length() - 1] |= bit
+    if mask:
+        raise ValueError(f"edge mask has bits beyond the pairs of order {n}")
+    return Graph(n, tuple(rows))
 
 
 def degree_stats(g: Graph) -> DegreeProfile:

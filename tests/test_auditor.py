@@ -310,6 +310,15 @@ class TestRunAudit:
         with pytest.raises(errors.CorpusTooLarge):
             run_audit(["C17"], PairCorpus(ExhaustiveCorpus(5)), threads=1)
 
+    def test_pair_operand_refused_before_the_rest_is_built(self, monkeypatch):
+        built = []
+        real = auditor.mask_graph
+        monkeypatch.setattr(auditor, "mask_graph", lambda n, m: built.append(n) or real(n, m))
+        with pytest.raises(errors.CorpusTooLarge, match="at order 4"):
+            next(PairCorpus(ExhaustiveCorpus(7)).instances())
+        assert len(built) < 100  # the 75 graphs of order 1..4
+        assert max(built) == 4
+
     def test_graph6_corpus(self, tmp_path, monkeypatch):
         f = tmp_path / "corpus.g6"
         f.write_text("\n".join(encode_graph6(g) for g in (path(4), cycle(5), complete(3))) + "\n")
@@ -466,8 +475,8 @@ class TestIsomorphismClasses:
     def test_exhaustive_audit_equals_a_plain_audit(self, mode, monkeypatch):
         corpus = ExhaustiveCorpus(5)
         built = []
-        real = auditor._mask_graph
-        monkeypatch.setattr(auditor, "_mask_graph", lambda n, m: built.append((n, m)) or real(n, m))
+        real = auditor.mask_graph
+        monkeypatch.setattr(auditor, "mask_graph", lambda n, m: built.append((n, m)) or real(n, m))
         report = run_audit(_GRAPH_CLAIMS, corpus, mode, threads=1)
         # graphs are built for each class's first member and the members of
         # classes that violate a claim, once each

@@ -13,7 +13,7 @@ from idstab.codec import (
     graph6_edge_mask,
     parse_edgelist,
 )
-from idstab.core import build_graph, upper_triangle_pairs
+from idstab.core import build_graph, edge_mask, mask_graph, upper_triangle_pairs
 from idstab.families import book, complete, empty, friendship, path, petersen, star
 
 from conftest import all_graphs, random_graph
@@ -102,6 +102,47 @@ def _decode_by_edges(text):
     return build_graph(n, edges)
 
 
+def _encode_by_pairs(g):
+    """``encode_graph6`` as it ended before: the pairs of
+    ``upper_triangle_pairs`` walked one by one and packed six bits at a
+    time, most significant bit first."""
+    n = g.order
+    if n <= 62:
+        out = [chr(63 + n)]
+    else:
+        out = ["~", chr(63 + (n >> 12 & 63)), chr(63 + (n >> 6 & 63)), chr(63 + (n & 63))]
+    buf = 0
+    nbits = 0
+    for i, j in upper_triangle_pairs(n):
+        buf = (buf << 1) | (g.adj[j] >> i & 1)
+        nbits += 1
+        if nbits == 6:
+            out.append(chr(63 + buf))
+            buf = 0
+            nbits = 0
+    if nbits:
+        out.append(chr(63 + (buf << (6 - nbits))))
+    return "".join(out)
+
+
+def _seeded_graphs(seed):
+    """Seeded graphs of order 7..64, orders 62, 63 and 64 among them."""
+    rng = random.Random(seed)
+    graphs = [random_graph(rng, n, p) for n in (62, 63, 64) for p in (0.05, 0.5, 0.95)]
+    graphs += [random_graph(rng, rng.randint(7, 64)) for _ in range(40)]
+    return graphs + [empty(64), complete(64), complete(62), star(63)]
+
+
+class TestEncodeByMask:
+    def test_every_graph_of_order_6(self):
+        for g in [empty(0)] + list(all_graphs(6)):
+            assert encode_graph6(g) == _encode_by_pairs(g)
+
+    def test_seeded_orders_7_to_64(self):
+        for g in _seeded_graphs(0xE6):
+            assert encode_graph6(g) == _encode_by_pairs(g)
+
+
 class TestDirectDecode:
     def test_every_graph_of_order_6(self):
         for g in [empty(0)] + list(all_graphs(6)):
@@ -125,6 +166,18 @@ def _rows_mask(g):
 
 
 class TestEdgeMask:
+    def test_core_mapping_matches_the_rows(self):
+        for g in [empty(0)] + list(all_graphs(6)) + _seeded_graphs(0xA5):
+            mask = _rows_mask(g)
+            assert edge_mask(g) == mask
+            assert mask_graph(g.order, mask) == g
+
+    def test_mask_past_the_last_pair_refused(self):
+        assert mask_graph(3, 0b111) == complete(3)
+        for n, mask in ((3, 0b1000), (1, 1), (0, 1), (4, -1)):
+            with pytest.raises(ValueError, match="bits beyond"):
+                mask_graph(n, mask)
+
     def test_every_graph_of_order_6(self):
         for n in range(1, 7):
             for mask, g in enumerate(enumerate_labeled_graphs(n)):
