@@ -1,7 +1,7 @@
 """Exact toolkit for the independent domination number and its vertex-removal stability.
 
 Everything runs on immutable bitmask graphs of order at most 64: exact
-branch-and-bound solvers with canonical witnesses, subset-enumeration
+branch-and-bound solvers with canonical witnesses, definition-direct
 oracles to referee them, generators for the usual graph families, the join /
 Cartesian / lexicographic / corona operations, a claim auditor with
 counterexample certificates, and graph6 / edge-list codecs.

@@ -25,8 +25,8 @@ from "false in spirit".
 evaluator returns its two sides and a deferred certificate builder; the
 builder runs once, and only for a violated outcome.  After the sweep every
 violation is re-verified with the definition-direct oracles of ``oracles``,
-in a process pool when more than one worker is asked for; when an instance
-is too large for the full stability oracle the recorded gamma_i facts of the
+in-process unless more than one worker is asked for; when an instance is
+too large for the full stability oracle the recorded gamma_i facts of the
 certificate are re-checked instead and the outcome is marked "partial".
 Any oracle disagreement aborts the audit with ``InternalAuditError``.
 Solver values are memoised per graph by one helper, ``_memo``; each cache is
@@ -62,14 +62,13 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import eq, le
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from . import oracles, solver, stability
 from .codec import decode_graph6, encode_graph6, graph6_edge_mask, graph6_lines, graph6_payload
@@ -86,7 +85,6 @@ from .core import (
 )
 from .errors import (
     BadCorpusSource,
-    BadThreadCount,
     CorpusTooLarge,
     InstanceKindMismatch,
     InternalAuditError,
@@ -169,11 +167,10 @@ class _OracleToolkit:
     """The same evaluators, rebuilt on the definition-direct oracles."""
 
     def __init__(self) -> None:
-        self._gi: dict[tuple[int, ...], int] = {}
         self._st: dict[tuple[int, ...], int] = {}
 
     def gamma_i(self, g: Graph) -> int:
-        return _memo(self._gi, g, oracles.oracle_gamma_i)
+        return oracles.oracle_gamma_i(g)
 
     def st_any(self, g: Graph) -> int:
         return _memo(self._st, g, lambda h: oracles.oracle_stability(h)[0])
@@ -716,16 +713,18 @@ class ExhaustiveCorpus(_GraphCorpus):
 
     n_max: int
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.n_max <= MAX_ENUMERATION_ORDER:
+            raise CorpusTooLarge(
+                f"exhaustive corpora need 1 <= n_max <= {MAX_ENUMERATION_ORDER}, got {self.n_max}"
+            )
+
     def describe(self) -> str:
         return f"all labeled graphs of order 1..{self.n_max}"
 
     def masks(self) -> Iterator[tuple[str | None, int, int]]:
         """``(None, order, edge mask)`` in enumeration order; the text is
         left to be encoded where a graph is built."""
-        if not 1 <= self.n_max <= MAX_ENUMERATION_ORDER:
-            raise CorpusTooLarge(
-                f"exhaustive corpora need 1 <= n_max <= {MAX_ENUMERATION_ORDER}, got {self.n_max}"
-            )
         for n in range(1, self.n_max + 1):
             for mask in range(1 << (n * (n - 1) // 2)):
                 yield None, n, mask
@@ -932,18 +931,25 @@ class AuditReport:
     def to_json(self) -> str:
         return json.dumps(self._document(), indent=2)
 
+    def write(self, fh: TextIO) -> None:
+        """Stream ``to_json()`` and a newline to *fh*."""
+        json.dump(self._document(), fh, indent=2)
+        fh.write("\n")
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-            raise ValueError(f"threads must be a positive integer, got {threads!r}")
-        return threads
-    env = os.environ.get("IDSTAB_THREADS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
-    if not (env.isascii() and env.isdigit()) or int(env) < 1:
-        raise BadThreadCount(f"IDSTAB_THREADS must be a positive integer, got {env!r}")
-    return int(env)
+
+def _resolve_claims(claim_ids: Iterable[str], kind: str) -> list[Claim]:
+    """The claims named by *claim_ids*, once each, in registry order: raises
+    ``UnknownClaim`` or, for none or one of another kind, ``BadCorpusSource``."""
+    wanted = {get_claim(cid).id for cid in claim_ids}
+    if not wanted:
+        raise BadCorpusSource("no claims requested")
+    claims = [claim for cid, claim in _REGISTRY.items() if cid in wanted]
+    for claim in claims:
+        if claim.instance_kind != kind:
+            raise BadCorpusSource(
+                f"claim {claim.id} needs a {claim.instance_kind} corpus, got a {kind} corpus"
+            )
+    return claims
 
 
 def _audit(claims: list[Claim], corpus: Corpus, mode: str):
@@ -1019,37 +1025,24 @@ def run_audit(
     claim_ids: Iterable[str],
     corpus: Corpus,
     mode: str = STRICT,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> AuditReport:
     """Evaluate claims over a corpus and assemble a deterministic report.
 
-    Claims must match the corpus kind (graph claims need an exhaustive or
-    graph6 corpus, C17-C22 need pairs, the family claims need a family grid).
-    ``threads`` defaults to ``IDSTAB_THREADS`` or ``os.cpu_count()``.
-    Every worker count audits the corpus in-process with one solver cache;
-    with more than one worker the oracle re-checks of the violations then
-    run in a process pool.  The report is identical for any worker count.
-    Each requested claim gets one block, in registry order (C1..C26); each
-    violation's ``instance`` is the corpus line as given, and a block lists
-    its violations by that text.
+    Claims must match the corpus kind, as ``_resolve_claims`` checks.  The
+    audit runs in-process with one solver cache; ``threads`` above 1 sends
+    only the violations' oracle re-checks to a process pool, and the report
+    is the same for any worker count.  Each requested claim gets one block,
+    in registry order (C1..C26); each violation's ``instance`` is the corpus
+    line as given, and a block lists its violations by that text.
 
     Raises ``ValueError`` for a ``mode`` out of range or a ``threads`` that
-    is a bool or not a positive ``int``, and ``BadThreadCount`` when
-    ``IDSTAB_THREADS`` is set but is not a positive integer.
+    is a bool or not a positive ``int``.
     """
-    wanted = {get_claim(cid).id for cid in claim_ids}
-    if not wanted:
-        raise BadCorpusSource("no claims requested")
+    claims = _resolve_claims(claim_ids, corpus.kind())
     _check_mode(mode)
-    claims = [claim for cid, claim in _REGISTRY.items() if cid in wanted]
-    kind = corpus.kind()
-    for claim in claims:
-        if claim.instance_kind != kind:
-            raise BadCorpusSource(
-                f"claim {claim.id} needs a {claim.instance_kind} corpus, got a {kind} corpus"
-            )
-
-    threads = _resolve_threads(threads)
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     tally, violations, jobs = _audit(claims, corpus, mode)
     if threads == 1 or not jobs:
         checks = map(_recheck, jobs)

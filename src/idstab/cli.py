@@ -9,7 +9,6 @@ refuted a solver result).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -152,12 +151,11 @@ def _build_corpus(args: argparse.Namespace):
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     corpus = _build_corpus(args)
-    raw = [tok.strip() for tok in args.claims.split(",") if tok.strip()]
-    if raw == ["all"]:
-        kind = corpus.kind()
-        ids = [cid for cid in auditor.CLAIM_IDS if auditor.get_claim(cid).instance_kind == kind]
-    else:
-        ids = raw
+    kind = corpus.kind()
+    ids = [tok.strip() for tok in args.claims.split(",") if tok.strip()]
+    if ids == ["all"]:
+        ids = [claim.id for claim in auditor.claim_registry() if claim.instance_kind == kind]
+    auditor._resolve_claims(ids, kind)  # a usage error fails before the report file is opened
     if args.report:  # an unwritable path fails before any audit work
         _write_report(args.report, None)
     report = auditor.run_audit(ids, corpus, mode=args.mode)
@@ -182,19 +180,16 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         f"violations: {report.violation_count}"
     )
     if args.report:
-        _write_report(args.report, report._document())
+        _write_report(args.report, report)
     return 1 if report.violation_count else 0
 
 
-def _write_report(path: str, doc: dict | None) -> None:
-    """Write ``doc`` as ``AuditReport.to_json()`` gives it, plus a newline,
-    streamed to the file rather than built as one string; None writes an
-    empty file."""
+def _write_report(path: str, report: auditor.AuditReport | None) -> None:
+    """Write *report* to *path*; None only checks that *path* is writable."""
     try:
-        with open(path, "w") as fh:
-            if doc is not None:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+        with open(path, "a" if report is None else "w") as fh:
+            if report is not None:
+                report.write(fh)
     except OSError as exc:
         raise IdstabError(f"cannot write report {path}: {exc}") from None
 

@@ -34,7 +34,7 @@ class EmptyLeft(IdstabError):
 
 
 class TooLargeForOracle(IdstabError):
-    """The subset-enumeration oracles only run on small graphs."""
+    """The definition-direct oracles only run on small graphs."""
 
 
 class MalformedGraph6(IdstabError):
@@ -59,10 +59,6 @@ class CorpusTooLarge(IdstabError):
 
 class BadCorpusSource(IdstabError):
     """The corpus cannot be read, is empty, or does not fit the claims."""
-
-
-class BadThreadCount(IdstabError):
-    """``IDSTAB_THREADS`` is set to something other than a positive integer."""
 
 
 class InternalAuditError(IdstabError):

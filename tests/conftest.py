@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -21,14 +22,15 @@ def all_graphs(max_n: int):
 
 
 def brute_gamma_i(g: Graph) -> int:
-    """Subset filter for gamma_i, kept local to the tests."""
-    best = None
-    for mask in range(1 << g.order):
-        if best is not None and mask.bit_count() >= best:
-            continue
-        if classify_set(g, VertexSet(mask)).maximal_independent:
-            best = mask.bit_count()
-    return best
+    """gamma_i as the size of the first maximal independent set in size order:
+    the test-owned subset filter that referees ``oracle_gamma_i`` and the
+    solver.  The null graph gets 0, as in ``oracle_gamma_i``."""
+    if g.order == 0:
+        return 0
+    for k in range(1, g.order + 1):
+        for combo in combinations(range(g.order), k):
+            if classify_set(g, VertexSet.of(combo)).maximal_independent:
+                return k
 
 
 def brute_gamma(g: Graph) -> int:

@@ -260,19 +260,6 @@ class TestRunAudit:
         assert calls == _materialized(texts, report)
         assert 18 < len(calls) < len(texts)  # 18 classes of order 1..4
 
-    def test_threads_env_var(self, monkeypatch):
-        monkeypatch.setenv("IDSTAB_THREADS", "2")
-        a = run_audit(["C26"], ExhaustiveCorpus(3))
-        monkeypatch.setenv("IDSTAB_THREADS", "1")
-        b = run_audit(["C26"], ExhaustiveCorpus(3))
-        assert a.to_json() == b.to_json()
-
-    @pytest.mark.parametrize("value", ["0", "-3", "abc", "²"])
-    def test_bad_threads_env_var(self, monkeypatch, value):
-        monkeypatch.setenv("IDSTAB_THREADS", value)
-        with pytest.raises(errors.BadThreadCount):
-            run_audit(["C26"], ExhaustiveCorpus(2))
-
     @pytest.mark.parametrize("threads", [0, -3, 2.5, "2", True])
     def test_bad_threads_argument(self, threads):
         with pytest.raises(ValueError, match="threads must be a positive integer"):

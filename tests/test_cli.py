@@ -353,15 +353,47 @@ class TestAudit:
         code, _, err = run(capsys, "audit", "--claims", "C17", "--exhaustive-n", "3")
         assert code == 2
 
-    def test_worker_count_changes_no_output(self, capsys, monkeypatch, tmp_path):
+    def test_worker_count_changes_no_output(self, capsys, tmp_path):
+        # the CLI audits with one worker; a two-worker audit gives the same bytes
         report = tmp_path / "report.json"
         argv = ["audit", "--claims", "all", "--exhaustive-n", "5", "--report", str(report)]
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("IDSTAB_THREADS", threads)
-            code, out, _ = run(capsys, *argv)
-            runs.append((code, out, report.read_bytes()))
-        assert runs[0] == runs[1]
+        code, _, _ = run(capsys, *argv)
+        claims = [c.id for c in idstab.claim_registry() if c.instance_kind == "graph"]
+        two = idstab.run_audit(claims, idstab.ExhaustiveCorpus(5), threads=2)
+        assert code == 1 and report.read_text() == two.to_json() + "\n"
+
+    def test_audit_runs_in_process(self, capsys, monkeypatch, tmp_path):
+        def pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(idstab.auditor, "ProcessPoolExecutor", pool)
+        report = tmp_path / "report.json"
+        argv = ["audit", "--claims", "all", "--exhaustive-n", "3", "--pairs"]
+        code, out, err = run(capsys, *argv, "--report", str(report))
+        assert code == 1 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e17e012ee295a1d7cf7e718b9b99849330c8fa38207b0142d05c6eed653df378"
+        )
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "d5541954e7805ec964adaaecd39d891ec70a2603d4bc13b4f8cbb0061a0b176e"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--claims", "C99", "--exhaustive-n", "3"],
+            ["--claims", "all", "--exhaustive-n", "8"],
+            ["--claims", "C17", "--exhaustive-n", "3"],
+            ["--claims", "C17", "--exhaustive-n", "5", "--pairs"],
+        ],
+        ids=["unknown-claim", "order-cap", "kind-mismatch", "pair-operand-cap"],
+    )
+    def test_usage_error_keeps_an_earlier_report(self, capsys, tmp_path, argv):
+        report = tmp_path / "report.json"
+        report.write_text("earlier report\n")
+        code, out, _ = run(capsys, "audit", *argv, "--report", str(report))
+        assert code == 2 and out == ""
+        assert report.read_text() == "earlier report\n"
 
     @pytest.mark.parametrize(
         "mode,digest",
@@ -371,20 +403,13 @@ class TestAudit:
         ],
         ids=["strict", "restricted"],
     )
-    def test_pinned_exhaustive_6_report(self, capsys, monkeypatch, tmp_path, mode, digest):
-        # every labeled graph of order 1..6, one worker: the largest pinned report
-        monkeypatch.setenv("IDSTAB_THREADS", "1")
+    def test_pinned_exhaustive_6_report(self, capsys, tmp_path, mode, digest):
+        # every labeled graph of order 1..6: the largest pinned report
         report = tmp_path / "report.json"
         argv = ["audit", "--claims", "all", "--exhaustive-n", "6", "--mode", mode]
         code, out, err = run(capsys, *argv, "--report", str(report))
         assert code == 1 and err == ""
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize("value", ["0", "-3", "abc", "²"])
-    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("IDSTAB_THREADS", value)
-        code, _, err = run(capsys, "audit", "--claims", "C26", "--exhaustive-n", "2")
-        assert code == 2 and "IDSTAB_THREADS" in err
 
 
 def test_usage_error_exit_code():

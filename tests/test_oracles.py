@@ -1,26 +1,16 @@
 import ast
 import random
-from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from idstab import VertexSet, classify_set, delete_vertices, errors, oracles
+from idstab import VertexSet, delete_vertices, errors, oracles
+from idstab.auditor import enumerate_labeled_graphs
 from idstab.families import complete, complete_bipartite, empty
 from idstab.ops import corona, disjoint_union
 from idstab.oracles import _brute_gamma, _brute_max_star, oracle_gamma_i, oracle_stability
 
-from conftest import all_graphs, random_graph
-
-
-def _filter_gamma_i(g):
-    """gamma_i as the size of the first maximal independent set in size order."""
-    if g.order == 0:
-        return 0
-    for k in range(1, g.order + 1):
-        for combo in combinations(range(g.order), k):
-            if classify_set(g, VertexSet.of(combo)).maximal_independent:
-                return k
+from conftest import all_graphs, brute_gamma_i, random_graph
 
 
 def _reference_stability(g, memo):
@@ -29,12 +19,12 @@ def _reference_stability(g, memo):
     ``memo`` maps each built subgraph to its filtered gamma_i, so labeled
     subgraphs that recur are filtered once.
     """
-    base = _filter_gamma_i(g)
+    base = brute_gamma_i(g)
     st = {"any": None, "down": None, "up": None}
     for mask in range(1, 1 << g.order):
         sub, _ = delete_vertices(g, VertexSet(mask))
         if sub not in memo:
-            memo[sub] = _filter_gamma_i(sub)
+            memo[sub] = brute_gamma_i(sub)
         val = memo[sub]
         k = mask.bit_count()
         for key, changed in (("any", val != base), ("down", val < base), ("up", val > base)):
@@ -82,19 +72,31 @@ class TestStabilitySieve:
 class TestGammaIFilter:
     def test_exhaustive_order_5(self):
         for g in all_graphs(5):
-            assert oracle_gamma_i(g) == _filter_gamma_i(g)
+            assert oracle_gamma_i(g) == brute_gamma_i(g)
+
+    def test_exhaustive_order_6(self):
+        for g in enumerate_labeled_graphs(6):
+            assert oracle_gamma_i(g) == brute_gamma_i(g)
 
     def test_seeded_orders_7_to_14(self):
         rng = random.Random(0x6A11)
         for n in range(7, 15):
             for _ in range(3):
                 g = random_graph(rng, n)
-                assert oracle_gamma_i(g) == _filter_gamma_i(g)
+                assert oracle_gamma_i(g) == brute_gamma_i(g)
+
+    def test_seeded_orders_15_to_20(self):
+        # up to the order-20 guard
+        rng = random.Random(0x6A12)
+        for n in range(15, 21):
+            for _ in range(3):
+                g = random_graph(rng, n)
+                assert oracle_gamma_i(g) == brute_gamma_i(g)
 
     @pytest.mark.parametrize("name", sorted(EDGE_GRAPHS))
     def test_edge_graphs(self, name):
         g = EDGE_GRAPHS[name]
-        assert oracle_gamma_i(g) == _filter_gamma_i(g)
+        assert oracle_gamma_i(g) == brute_gamma_i(g)
 
 
 @pytest.mark.parametrize("oracle", [_brute_gamma, _brute_max_star])
