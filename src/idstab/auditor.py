@@ -104,11 +104,8 @@ MAX_PAIR_OPERAND_ORDER = 4
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled graphs on n vertices, in the order of their
-    ``core.edge_mask``."""
-    if not 1 <= n <= MAX_ENUMERATION_ORDER:
-        raise CorpusTooLarge(f"labeled enumeration supports 1 <= n <= {MAX_ENUMERATION_ORDER}")
-    for mask in range(1 << (n * (n - 1) // 2)):
-        yield mask_graph(n, mask)
+    ``core.edge_mask``: the members of order n of ``ExhaustiveCorpus(n)``."""
+    return (mask_graph(n, mask) for _, order, mask in ExhaustiveCorpus(n).masks() if order == n)
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,16 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _write_report(path: str, report: auditor.AuditReport | None) -> None:
-    """Write *report* to *path*; None only checks that *path* is writable."""
+    """Write *report* to *path*; None only checks that *path* is writable,
+    and leaves an earlier file as it was and a missing one missing."""
     try:
-        with open(path, "a" if report is None else "w") as fh:
-            if report is not None:
+        if report is None:
+            made = not Path(path).exists()
+            open(path, "a").close()
+            if made:
+                Path(path).unlink()
+        else:
+            with open(path, "w") as fh:
                 report.write(fh)
     except OSError as exc:
         raise IdstabError(f"cannot write report {path}: {exc}") from None

@@ -38,14 +38,13 @@ There are three searches:
   when the covering bound at the root is 3 or more; on denser blocks the
   covering bound prunes well and the packing walk costs more than it
   saves.  Above that gate it branches on the tightest undominated vertex.
-* ``_covers``, a walk in lexicographic order over the sets of at most k
-  picks that dominate a vertex set.  It adds members in ascending order,
-  applies both bounds at every node, and tries no member above the lowest
-  top of the undominated vertices' dominator sets.  Its first set, with k
-  the block's value, is the lexmin gamma_i or gamma witness; with k =
+* ``_covers``, a walk in lexicographic order over the independent
+  dominating sets of at most k members.  It adds members in ascending
+  order, applies both bounds at every node, and tries no member above the
+  lowest top of the undominated vertices' dominator sets.  With k =
   gamma_i over the whole graph it walks the gamma_i-sets for
-  ``stability``'s transversal rule; with k = n and picks kept independent
-  it is ``enumerate_maximal_independent_sets``.
+  ``stability``'s transversal rule; with k = n it is
+  ``enumerate_maximal_independent_sets``.
 * ``_alpha_max``, the independence search, one pass for ``alpha``,
   ``alpha_value`` and ``max_induced_star``: it takes the lowest free vertex
   before it leaves that vertex out, so the first maximum set it keeps is
@@ -56,9 +55,10 @@ with these searches beyond the ``Graph`` type: disagreement between the two
 is always a bug worth keeping.
 
 Optimal witnesses are tie-broken to the lexicographically smallest set (by
-sorted member list).  For gamma_i and gamma a second, ascending-member
-search finds it once the optimal value is known; alpha's comes out of its
-one search.
+sorted member list).  For gamma_i and gamma, ``_lexmin_cover`` builds it
+by self-reduction once a block's value is known, asking ``_cover_min``, in
+a bounded form, whether each candidate member leaves a completion; alpha's
+comes out of its one search.
 """
 
 from __future__ import annotations
@@ -155,7 +155,8 @@ def _packing_limit(closed: list[int], uncovered: int, cands: int, need: int) -> 
     return lim
 
 
-def _cover_min(closed: list[int], comp: int, cap: int, independent: bool) -> tuple[int, int]:
+def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
+               draw: int | None = None, bound: int | None = None) -> tuple[int, int]:
     """The fewest picks that dominate one connected block, and a set of
     picks that attains it, as (value, picks mask): gamma_i of the block and
     an independent dominating set when ``independent``, gamma and a
@@ -166,6 +167,13 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool) -> tup
     Either way a completion of a node picks only from its pool (the drawable
     vertices not banned there), and no earlier pick dominates an undominated
     vertex, so the packing bound over the pool is sound for both.
+
+    Decision form, for the witness pass: only vertices of ``draw`` are
+    picked (the others start out banned), ``comp`` may be any vertex set if
+    ``cap`` bounds ``|closed[v] & comp|`` over them, and ``best`` starts at
+    ``bound + 1``, so the search returns the least value if it is at most
+    ``bound`` and ``bound + 1`` otherwise.  The defaults (the block, its
+    vertex count) leave the value search's tree as it was.
 
     Branching: a node takes one undominated vertex u and tries each member
     of its dominator set ``closed[u] & pool`` in ascending order, banning it
@@ -183,25 +191,28 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool) -> tup
     Dominating-vertex exit: when the largest closed neighborhood inside the
     block (``cap``, which ``component_masks`` reads off its walk over the
     closed rows) has as many vertices as the block, some v has
-    N[v] >= block.  Then {v} dominates the block and is independent, so
-    gamma_i and gamma of the block are at most 1.  The empty set dominates
-    no nonempty block, so both are exactly 1, and no search is needed; the
-    picks are the lowest such v.
+    N[v] >= block.  If a drawable v does, {v} dominates the block and is
+    independent, so gamma_i and gamma of the block are at most 1.  The empty
+    set dominates no nonempty block, so both are exactly 1, and no search is
+    needed; the picks are the lowest such v.  With none drawable it searches.
 
     Incumbent: a block of two or more vertices has a vertex with a
     neighbour, and a maximal independent set holding it leaves that
     neighbour out, so both values are below the vertex count that ``best``
-    starts at.  The search keeps only strictly better leaves, so it always
-    records one, and its picks attain the value returned.
+    starts at by default.  The search keeps only strictly better leaves, so
+    it always records one, and its picks attain the value returned.
     """
-    best = comp.bit_count()  # no block needs more picks than it has vertices
-    if cap == best:
-        rest = comp
-        while closed[(rest & -rest).bit_length() - 1] & comp != comp:
+    draw = comp if draw is None else draw
+    order = comp.bit_count()
+    best = order if bound is None else bound + 1
+    if cap == order:
+        rest = draw
+        while rest and closed[(rest & -rest).bit_length() - 1] & comp != comp:
             rest &= rest - 1
-        return 1, rest & -rest  # the lowest dominating vertex
-    pack = best > 2 * cap
-    keep = 0 if independent else comp
+        if rest:
+            return 1, rest & -rest  # the lowest drawable dominating vertex
+    pack = order > 2 * cap
+    keep = 0 if independent else draw
     found = 0
 
     def rec(covered: int, excluded: int, size: int, picks: int) -> None:
@@ -227,27 +238,68 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool) -> tup
                 size + 1, picks | low)
             ban |= low
 
-    rec(0, 0, 0, 0)
+    rec(0, ~draw, 0, 0)
     return best, found
 
 
-def _covers(closed: list[int], universe: int, cap: int, k: int, independent: bool):
-    """Yield as masks, in lexicographic order of their sorted member lists,
-    the sets of at most k picks that dominate ``universe``, drawn as in
-    ``_cover_min``: every independent dominating set of at most k members
-    when ``independent``, and with k at gamma's minimum every minimum
-    dominating set otherwise.
+def _lexmin_cover(closed: list[int], comp: int, cap: int, k: int, independent: bool) -> int:
+    """The lexmin witness (by sorted member list) of the block ``comp`` of
+    value k: independent picks for gamma_i, any for gamma.
 
-    A node's picks ascend, and its children try the candidates above its
-    last pick in ascending order, so the walk meets sets in lexicographic
-    order; a set that dominates ``universe`` ends its branch.  A candidate
-    must dominate at least one currently-undominated vertex.  Every gamma_i
-    candidate does, being undominated itself; for gamma with k at its
-    minimum each member of a minimum dominating set has a private neighbour,
-    so it dominates a new vertex when it is picked.  No proper prefix of
-    such a set dominates ``universe``, since the set is minimal.  The
-    covering and packing bounds prune a node that needs more than k picks;
-    ``cap`` is the largest ``|closed[v] & universe|``.
+    Self-reduction: after members C, the next is the least candidate u for
+    which at most k - |C| - 1 picks above u dominate ``rest``, what C + u
+    leaves undominated; so each round extends the lexmin set's prefix.
+    gamma_i's picks lie in ``rest``, to stay independent of C + u, and each
+    dominates only its own component of ``rest``, so each component is asked
+    alone, with one pick plus what the others leave spare.  gamma's picks
+    may be dominated vertices, which join those components, so it asks once,
+    and skips a u that dominates nothing new (C and a completion would then
+    dominate with k - 1 picks).  The candidates stop below
+    ``_packing_limit``'s ``lim``: every undominated w needs one of the picks
+    to come in ``closed[w]``, and u is the least of them.
+    """
+    chosen = covered = 0
+    floor = -1
+    while uncovered := comp & ~covered:
+        cands = (uncovered if independent else comp) & floor
+        cands &= (1 << _packing_limit(closed, uncovered, cands, k + 1)) - 1
+        k -= 1
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            u = low.bit_length() - 1
+            floor = -1 << (u + 1)
+            rest = uncovered & ~closed[u]
+            if independent:
+                subs = component_masks(closed, rest)
+                spare = k - len(subs)  # the picks beyond one per component
+                for sub, sub_cap in subs:
+                    if spare < 0:
+                        break
+                    spare -= _cover_min(closed, sub, sub_cap, True, sub & floor, spare + 1)[0] - 1
+                if spare >= 0:
+                    break
+            elif rest != uncovered:
+                if _cover_min(closed, rest, cap, False, comp & floor, k)[0] <= k:
+                    break
+        else:
+            raise AssertionError("no dominating set of the optimal size")
+        chosen |= low
+        covered |= closed[u]
+    return chosen
+
+
+def _covers(closed: list[int], universe: int, cap: int, k: int):
+    """Yield as masks, in lexicographic order of their sorted member lists,
+    the independent dominating sets of at most k members of ``universe``.
+
+    A node's picks ascend, and its children try the undominated candidates
+    above its last pick in ascending order, so the walk meets sets in
+    lexicographic order; a set that dominates ``universe`` ends its branch.
+    No proper prefix of such a set dominates ``universe``, since each later
+    member is undominated by the earlier ones.  The covering and packing
+    bounds prune a node that needs more than k picks; ``cap`` is the largest
+    ``|closed[v] & universe|``.
 
     Next-pick cut: picks ascend, so the picks a completion still adds all lie
     in ``cands`` and the next one is the lowest of them.  Each undominated w
@@ -255,10 +307,8 @@ def _covers(closed: list[int], universe: int, cap: int, k: int, independent: boo
     next pick is at most that set's top member, for every w, and so below
     the ``lim`` that ``_packing_limit`` returns.  The bounds and the cut
     drop only nodes and candidates that have no completion, so the walk
-    still reaches every set named above.  On the pinned ``gamma-i-sparse`` graphs the cut
-    took the witness pass's nodes from 116,094 to 25,848.
+    still reaches every set named above.
     """
-    keep = 0 if independent else universe
     stack = [(0, 0, -1, 0)]  # covered, chosen, floor (the bits above the last pick), size
     while stack:
         covered, chosen, floor, size = stack.pop()
@@ -268,7 +318,7 @@ def _covers(closed: list[int], universe: int, cap: int, k: int, independent: boo
             continue
         if size == k or size + -(-uncovered.bit_count() // cap) > k:
             continue
-        cands = (uncovered | keep) & floor
+        cands = uncovered & floor
         lim = _packing_limit(closed, uncovered, cands, k - size + 1)
         if not lim:  # size + the packing bound > k
             continue
@@ -276,8 +326,7 @@ def _covers(closed: list[int], universe: int, cap: int, k: int, independent: boo
         while cands:  # push the highest first, so the lowest pops first
             u = cands.bit_length() - 1
             cands ^= 1 << u
-            if closed[u] & uncovered:
-                stack.append((covered | (closed[u] & universe), chosen | 1 << u, -1 << (u + 1), size + 1))
+            stack.append((covered | (closed[u] & universe), chosen | 1 << u, -1 << (u + 1), size + 1))
 
 
 def _alpha_max(open_rows: tuple[int, ...], free0: int) -> int:
@@ -331,9 +380,7 @@ def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertifica
     for comp, cap in component_masks(closed, g.full_mask):
         k = _cover_min(closed, comp, cap, independent)[0]
         value += k
-        found = next(_covers(closed, comp, cap, k, independent), None)
-        assert found is not None, "no dominating set of the optimal size"
-        witness |= found
+        witness |= _lexmin_cover(closed, comp, cap, k, independent)
     return GammaCertificate(kind, value, VertexSet(witness))
 
 
@@ -386,7 +433,7 @@ def enumerate_maximal_independent_sets(g: Graph):
     if g.order == 0:
         raise EmptyGraph("the null graph has no vertex sets to enumerate")
     closed = _closed_rows(g)
-    for mask in _covers(closed, g.full_mask, max(map(int.bit_count, closed)), g.order, True):
+    for mask in _covers(closed, g.full_mask, max(map(int.bit_count, closed)), g.order):
         yield VertexSet(mask)
 
 

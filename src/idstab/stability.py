@@ -247,7 +247,7 @@ def _increase_scan(closed: list[int], full: int, base: int, first: int, stop: in
     n = full.bit_length()
     meets = [0] * n
     cap = max(map(int.bit_count, closed))
-    for i, ids in enumerate(islice(_covers(closed, full, cap, base, True), GAMMA_I_FAMILY_CAP)):
+    for i, ids in enumerate(islice(_covers(closed, full, cap, base), GAMMA_I_FAMILY_CAP)):
         for v in iter_bits(ids):
             meets[v] |= 1 << i
     nibbles = [([0] * 16, [0] * 16) for _ in range(0, n, 4)]

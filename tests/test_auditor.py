@@ -97,10 +97,11 @@ class TestEnumeration:
         assert sorted(graphs[2].edges()) == [(0, 2)]
 
     def test_guard(self):
-        with pytest.raises(errors.CorpusTooLarge):
-            list(enumerate_labeled_graphs(8))
-        with pytest.raises(errors.CorpusTooLarge):
-            list(enumerate_labeled_graphs(0))
+        # the one order check, shared with ExhaustiveCorpus, names the value
+        with pytest.raises(errors.CorpusTooLarge, match=r"1 <= n_max <= 7, got 8"):
+            enumerate_labeled_graphs(8)
+        with pytest.raises(errors.CorpusTooLarge, match=r"1 <= n_max <= 7, got 0"):
+            enumerate_labeled_graphs(0)
 
 
 class TestEvaluateClaim:

@@ -394,6 +394,10 @@ class TestAudit:
         code, out, _ = run(capsys, "audit", *argv, "--report", str(report))
         assert code == 2 and out == ""
         assert report.read_text() == "earlier report\n"
+        report.unlink()  # nor does it leave a file where there was none
+        code, out, _ = run(capsys, "audit", *argv, "--report", str(report))
+        assert code == 2 and out == ""
+        assert not report.exists()
 
     @pytest.mark.parametrize(
         "mode,digest",

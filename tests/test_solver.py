@@ -22,6 +22,7 @@ from idstab.solver import (
     _closed_rows,
     _cover_min,
     _covers,
+    _lexmin_cover,
     _packing_limit,
     _packing_pick,
     alpha,
@@ -240,7 +241,7 @@ class TestMinimumIdsFamily:
         for g in list(all_graphs(6)) + seeded:
             k = gamma_i_value(g)
             closed = _closed_rows(g)
-            found = list(_covers(closed, g.full_mask, _ref_cap(closed, g.full_mask), k, True))
+            found = list(_covers(closed, g.full_mask, _ref_cap(closed, g.full_mask), k))
             assert found == _ids_by_filter(g, k), g
             if g.order <= 5:
                 walk = [s.mask for s in enumerate_maximal_independent_sets(g) if len(s) == k]
@@ -249,10 +250,10 @@ class TestMinimumIdsFamily:
     def test_limit_keeps_a_prefix(self):
         g = disjoint_union(path(2), disjoint_union(path(2), path(2)))  # 8 gamma_i-sets
         closed = _closed_rows(g)
-        every = list(_covers(closed, g.full_mask, 2, 3, True))
+        every = list(_covers(closed, g.full_mask, 2, 3))
         assert len(every) == 8
         # a capped family is the lexicographically first gamma_i-sets
-        first = [VertexSet(m).members() for m in islice(_covers(closed, g.full_mask, 2, 3, True), 5)]
+        first = [VertexSet(m).members() for m in islice(_covers(closed, g.full_mask, 2, 3), 5)]
         assert first == [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4)]
 
 
@@ -585,9 +586,9 @@ class TestPackingBound:
             closed = _closed_rows(g)
             for comp, cap in component_masks(closed, g.full_mask):
                 k = _ref_ids_min(closed, comp)
-                assert next(_covers(closed, comp, cap, k, True)) == _ref_lexmin_ids(closed, comp, k), g
+                assert _lexmin_cover(closed, comp, cap, k, True) == _ref_lexmin_ids(closed, comp, k)
                 k = _ref_dom_min(closed, comp)
-                assert next(_covers(closed, comp, cap, k, False)) == _ref_lexmin_dom(closed, comp, k), g
+                assert _lexmin_cover(closed, comp, cap, k, False) == _ref_lexmin_dom(closed, comp, k)
 
     def test_seeded_sparse_matches_pre_change_searches(self, monkeypatch):
         calls = []
@@ -645,17 +646,14 @@ class TestPackingBound:
 
 def _search_calls(fn, *args):
     """``fn(*args)`` and the search nodes it visited: the calls to solver's
-    nested ``rec`` searches plus the nodes ``_covers`` popped off its stack."""
+    nested ``rec`` searches, the value searches' and the witness pass's
+    decision searches alike."""
     calls = 0
 
     def profiler(frame, event, arg):
         nonlocal calls
         code = frame.f_code
-        if code.co_filename != solver.__file__:
-            return
-        if event == "call" and code.co_name == "rec":
-            calls += 1
-        elif event == "c_call" and code.co_name == "_covers" and arg.__name__ == "pop":
+        if event == "call" and code.co_name == "rec" and code.co_filename == solver.__file__:
             calls += 1
 
     sys.setprofile(profiler)
@@ -677,7 +675,8 @@ class TestSearchSize:
     def test_gamma_i_nodes_on_sparse_graphs(self):
         # Without the value search's tightest-vertex branching and the witness
         # pass's next-pick cut the searches made 17,015 calls here; with only
-        # the cut 7,925, with only the branching 14,659, with both 5,569.
+        # the cut 7,925, with only the branching 14,659, with both 5,569; with
+        # the witness found by self-reduction over the value search 5,557.
         calls = 0
         for seed in range(6):
             g = random_graph(random.Random(seed), 40, 0.1)
@@ -695,7 +694,93 @@ class TestSearchSize:
             value_nodes.append(_search_calls(gamma_i_value, g)[1])
             cert_nodes.append(_search_calls(gamma_i, g)[1])
         assert value_nodes == [204, 228, 706, 265, 407, 350, 264, 474, 600, 316]
-        assert cert_nodes == [1142, 1107, 1403, 620, 1640, 444, 1163, 665, 1311, 365]
+        assert cert_nodes == [366, 744, 1391, 685, 849, 499, 729, 713, 1089, 421]
+
+    def test_gamma_nodes_on_a_sparse_graph(self):
+        # the lexicographic witness walk made 166,012 nodes here besides the
+        # value search's 32,204; the self-reduction makes 28,599
+        g = random_graph(random.Random(50), 50, 0.08)
+        cert, made = _search_calls(gamma, g)
+        assert cert.value == 15 and classify_set(g, cert.witness).dominating
+        assert made <= 70_000
+
+
+def _fewest_from(g, comp, draw, independent):
+    """The fewest vertices of ``draw`` (of ``comp & draw`` and pairwise
+    non-adjacent when ``independent``) that dominate ``comp``, or None."""
+    members = list(iter_bits(draw & comp if independent else draw))
+    for k in range(len(members) + 1):
+        for combo in combinations(members, k):
+            picks = sum(1 << v for v in combo)
+            if independent and any(g.adj[v] & picks for v in combo):
+                continue
+            if not comp & ~_reach(g, picks):
+                return k
+    return None
+
+
+def _reach(g, picks):
+    """The vertices that ``picks`` dominate."""
+    reach = picks
+    for v in iter_bits(picks):
+        reach |= g.adj[v]
+    return reach
+
+
+class TestSelfReduction:
+    def test_decision_form_matches_brute_force(self):
+        # _cover_min with a drawable set and a bound answers the witness
+        # pass's questions: the least value when it is at most the bound,
+        # otherwise bound + 1, also when some vertex has no drawable dominator
+        rng = random.Random(0x5E1F)
+        infeasible = refused = 0
+        for _ in range(600):
+            g = random_graph(rng, rng.randint(1, 9))
+            closed = _closed_rows(g)
+            comp = rng.getrandbits(g.order) or 1
+            floor = -1 << rng.randrange(g.order)
+            for independent in (True, False):
+                draw = comp & floor if independent else rng.getrandbits(g.order) & floor
+                cap = max(1, max((closed[v] & comp).bit_count() for v in range(g.order)))
+                fewest = _fewest_from(g, comp, draw, independent)
+                bound = rng.randint(0, g.order)
+                value, picks = _cover_min(closed, comp, cap, independent, draw, bound)
+                if fewest is None or fewest > bound:
+                    assert value == bound + 1, (g, comp, draw, bound)
+                    infeasible += fewest is None
+                    refused += fewest is not None
+                    continue
+                assert value == fewest == picks.bit_count() and not picks & ~draw, (g, comp, draw)
+                assert not comp & ~_reach(g, picks), (g, comp, draw)
+                if independent:
+                    assert not picks & ~comp, (g, comp, draw)
+                    assert not any(g.adj[v] & picks for v in iter_bits(picks)), (g, comp, draw)
+        assert infeasible and refused
+
+    def test_no_drawable_dominating_vertex(self):
+        g = star(4)  # only the centre 0 dominates the whole star
+        closed = _closed_rows(g)
+        leaves = g.full_mask & ~1
+        for independent in (True, False):
+            assert _cover_min(closed, g.full_mask, 5, independent, g.full_mask, 3)[0] == 1
+            # with 0 not drawable the exit may not fire: the four leaves are needed
+            assert _cover_min(closed, g.full_mask, 5, independent, leaves, 3) == (4, 0)
+            assert _cover_min(closed, g.full_mask, 5, independent, leaves, 4) == (4, leaves)
+
+    def test_seeded_order_7_to_40(self):
+        # gamma_i against the lexicographic walk, gamma against the pre-change
+        # witness search while that is fast enough
+        rng = random.Random(0x5E20)
+        for _ in range(120):
+            n = rng.randint(7, 40)
+            g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.3, 0.5)))
+            closed = _closed_rows(g)
+            for comp, cap in component_masks(closed, g.full_mask):
+                k = _cover_min(closed, comp, cap, True)[0]
+                assert _lexmin_cover(closed, comp, cap, k, True) == next(_covers(closed, comp, cap, k))
+                if n <= 20:
+                    k = _cover_min(closed, comp, cap, False)[0]
+                    assert _lexmin_cover(closed, comp, cap, k, False) == _ref_lexmin_dom(closed, comp, k)
 
 
 class TestDominatingVertexExit:
