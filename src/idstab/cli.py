@@ -17,7 +17,7 @@ from .codec import decode_graph6, emit_edgelist, encode_graph6, graph6_lines, pa
 from .core import MAX_ORDER, Graph, complement
 from .errors import IdstabError, InternalAuditError, SpecInvalid
 from .families import cycle, generate, parse_family_spec, path
-from .solver import alpha, gamma, gamma_i
+from .solver import alpha, alpha_value, gamma, gamma_i, gamma_i_value, gamma_value
 from .stability import Direction, stability
 
 _DIRECTIONS = {"any": Direction.ANY, "down": Direction.DECREASE, "up": Direction.INCREASE}
@@ -77,13 +77,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariant(args: argparse.Namespace) -> int:
-    solve = {"gamma-i": gamma_i, "gamma": gamma, "alpha": alpha}[args.invariant]
+    solvers = {
+        "gamma-i": (gamma_i, gamma_i_value),
+        "gamma": (gamma, gamma_value),
+        "alpha": (alpha, alpha_value),
+    }
+    certify, value = solvers[args.invariant]
     for g in _read_graphs(args.infile, args.format):
-        cert = solve(g)
         if args.witness:
+            cert = certify(g)
             print(f"{cert.value}\t{_witness_column(cert.witness.members())}")
         else:
-            print(cert.value)
+            print(value(g))
     return 0
 
 

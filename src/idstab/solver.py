@@ -12,11 +12,16 @@ divisor, comes from the component walk (``core.component_masks``) that
 finds the block.
 
 Each search's packing walk (``_packing_pick``, ``_packing_limit``) tracks
-only what that search reads, and stops as soon as its count reaches the
-number of picks at which the node prunes: the count only grows along the
-walk, so the rest of it cannot save the node.  The walks prune exactly the
-nodes a full walk would, and the search trees are unchanged; on the pinned
-``gamma-i-sparse`` graphs more than half of the walks end in a prune.
+only what that search reads, and stops counting as soon as its count reaches
+the number of picks at which the node prunes: the count only grows, so the
+rest cannot save the node.  ``_packing_limit`` counts the dominator sets in
+vertex order, and ``_packing_pick`` counts them smallest first, which
+usually counts more of them.  Any order counts pairwise-disjoint dominator
+sets, so either count is a sound bound.  A sound bound prunes only nodes
+with no leaf below them that beats the incumbent, so the value search still
+records as incumbents exactly the leaves that beat every earlier leaf of its
+unpruned tree; the order changes which nodes it visits, but not its
+branching, its incumbents or the (value, picks) it returns.
 
 There are three searches:
 
@@ -57,8 +62,10 @@ is always a bug worth keeping.
 Optimal witnesses are tie-broken to the lexicographically smallest set (by
 sorted member list).  For gamma_i and gamma, ``_lexmin_cover`` builds it
 by self-reduction once a block's value is known, asking ``_cover_min``, in
-a bounded form, whether each candidate member leaves a completion; alpha's
-comes out of its one search.
+a bounded form, whether each candidate member leaves a completion.  It keeps
+an optimal set as an incumbent, starting from the value search's picks, and
+takes the incumbent's next member without asking.  alpha's witness comes
+out of its one search.
 """
 
 from __future__ import annotations
@@ -88,52 +95,52 @@ def _packing_pick(closed: list[int], uncovered: int, cands: int, need: int) -> i
     from ``cands`` that dominate ``uncovered`` reaches ``need``, and
     otherwise the dominator set to branch on.
 
-    Walks the uncovered vertices in ascending order and counts each vertex u
-    whose dominator set ``closed[u] & cands`` is disjoint from the sets
-    counted so far.  No single pick dominates two counted vertices, so a
-    completion needs at least that many more picks (the packing bound
-    rho <= gamma of Meir and Moon).  If some dominator set is empty, no
-    completion exists at all, and the walk returns 0 at once.  For gamma_i
-    the later picks must be uncovered, because they must stay independent
-    of the chosen ones, so the callers pass uncovered candidates.
+    Reads the dominator set ``closed[u] & cands`` of every uncovered vertex
+    u, sorts the sets by size (smallest first, a stable sort) and counts
+    each set disjoint from the sets counted so far.  No single pick
+    dominates two counted vertices, so a completion needs at least that many
+    more picks (the packing bound rho <= gamma of Meir and Moon); any order
+    of the sets gives a sound count, and the smallest sets, which meet the
+    fewest others, usually give a larger one than vertex order.  If some
+    dominator set is empty, no completion exists at all, and the walk
+    returns 0 at once.  For gamma_i the later picks must be uncovered,
+    because they must stay independent of the chosen ones, so the callers
+    pass uncovered candidates.
 
-    Threshold exit: the count only grows along the walk, so once it reaches
-    ``need`` the full walk's count would reach it too, and the walk returns
-    0 without visiting the rest.  The caller prunes exactly when the full
-    count reaches ``need`` or a dominator set is empty, so it prunes the same
-    nodes as it would after the full walk.  A walk that does not exit has
-    visited every uncovered vertex and returns a dominator set of fewest
-    members (the first one met among equals).  The callers pass a nonempty
-    ``uncovered``, so that set is never empty.
+    Threshold exit: the count only grows along the sorted sets, so once it
+    reaches ``need`` the count over all of them would reach it too, and the
+    walk returns 0 without counting the rest.  Otherwise it returns the
+    first of the sorted sets: a dominator set of fewest members, the first
+    in vertex order among equals, since the sort is stable.  The callers
+    pass a nonempty ``uncovered``, so that set is never empty.
     """
-    used = 0
-    count = 0
-    smallest = cands
-    fewest = cands.bit_count()
+    doms = []
     while uncovered:
         low = uncovered & -uncovered
         uncovered ^= low
         dom = closed[low.bit_length() - 1] & cands
         if not dom:
             return 0
+        doms.append(dom)
+    doms.sort(key=int.bit_count)
+    used = 0
+    count = 0
+    for dom in doms:
         if not dom & used:
             used |= dom
             count += 1
             if count == need:
                 return 0
-        size = dom.bit_count()
-        if size < fewest:
-            fewest = size
-            smallest = dom
-    return smallest
+    return doms[0]
 
 
 def _packing_limit(closed: list[int], uncovered: int, cands: int, need: int) -> int:
-    """The witness walk's packing walk: 0 when the packing bound reaches
-    ``need`` or some uncovered vertex has no dominator in ``cands``, exactly
-    as in ``_packing_pick``, and otherwise ``lim``, the least ``bit_length``
-    of the dominator sets ``closed[u] & cands`` over the nonempty
-    ``uncovered``: one more than their lowest top member, so never 0.
+    """The witness walk's packing walk: 0 when the packing bound, counted
+    over the dominator sets in vertex order, reaches ``need`` or some
+    uncovered vertex has no dominator in ``cands``, and otherwise ``lim``,
+    the least ``bit_length`` of the dominator sets ``closed[u] & cands`` over
+    the nonempty ``uncovered``: one more than their lowest top member, so
+    never 0.
     """
     used = 0
     count = 0
@@ -183,10 +190,12 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
     it and the later siblings ban that member.  So every choice of u keeps
     the search complete and free of repeats, and the value is the same.
     Below the packing gate u is the lowest undominated vertex.  Above it a
-    node that ``_packing_pick`` does not prune has walked every undominated
-    vertex, and u is one with the smallest dominator set, which gives the
-    node the fewest children.  On the pinned ``gamma-i-sparse`` graphs this
-    cut the value search's nodes from 20,991 to 12,538.
+    node that ``_packing_pick`` does not prune has read every undominated
+    vertex's dominator set, and u is the first in vertex order with the
+    smallest one, which gives the node the fewest children.  On the pinned
+    ``gamma-i-sparse`` graphs this branching cut the value search's nodes
+    from 20,991 to 12,538, and counting the packing bound smallest set first
+    cut them to 5,202.
 
     Dominating-vertex exit: when the largest closed neighborhood inside the
     block (``cap``, which ``component_masks`` reads off its walk over the
@@ -242,9 +251,12 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
     return best, found
 
 
-def _lexmin_cover(closed: list[int], comp: int, cap: int, k: int, independent: bool) -> int:
+def _lexmin_cover(closed: list[int], comp: int, cap: int, k: int, independent: bool,
+                  picks: int) -> int:
     """The lexmin witness (by sorted member list) of the block ``comp`` of
-    value k: independent picks for gamma_i, any for gamma.
+    value k: independent picks for gamma_i, any for gamma.  ``picks`` is a
+    set of k picks of that kind that dominates the block, such as the value
+    search returns.
 
     Self-reduction: after members C, the next is the least candidate u for
     which at most k - |C| - 1 picks above u dominate ``rest``, what C + u
@@ -257,30 +269,50 @@ def _lexmin_cover(closed: list[int], comp: int, cap: int, k: int, independent: b
     dominate with k - 1 picks).  The candidates stop below
     ``_packing_limit``'s ``lim``: every undominated w needs one of the picks
     to come in ``closed[w]``, and u is the least of them.
+
+    Incumbent: the pass keeps a witness P of k picks that holds C and whose
+    other members lie above C; it starts as ``picks``.  Let p be the lowest
+    member of P - C.  P - C - p is a completion above p, so the question at
+    p would be answered yes, and p is a candidate: it lies above C, is
+    undominated by C for gamma_i (P is independent), and lies below ``lim``
+    by the cut's argument.  So the round asks the candidates below p as
+    before and takes p without a query if none of them is accepted.  When
+    one, u, is accepted, its query's picks complete C + u, and P becomes
+    C + u + those picks: k members again, since k is the value.
     """
     chosen = covered = 0
     floor = -1
     while uncovered := comp & ~covered:
         cands = (uncovered if independent else comp) & floor
         cands &= (1 << _packing_limit(closed, uncovered, cands, k + 1)) - 1
+        top = picks & floor
+        top &= -top  # p, the incumbent's next member
         k -= 1
         while cands:
             low = cands & -cands
             cands ^= low
             u = low.bit_length() - 1
             floor = -1 << (u + 1)
+            if low == top:
+                break
             rest = uncovered & ~closed[u]
             if independent:
                 subs = component_masks(closed, rest)
                 spare = k - len(subs)  # the picks beyond one per component
+                found = 0
                 for sub, sub_cap in subs:
                     if spare < 0:
                         break
-                    spare -= _cover_min(closed, sub, sub_cap, True, sub & floor, spare + 1)[0] - 1
+                    value, got = _cover_min(closed, sub, sub_cap, True, sub & floor, spare + 1)
+                    spare -= value - 1
+                    found |= got
                 if spare >= 0:
+                    picks = chosen | low | found
                     break
             elif rest != uncovered:
-                if _cover_min(closed, rest, cap, False, comp & floor, k)[0] <= k:
+                value, found = _cover_min(closed, rest, cap, False, comp & floor, k)
+                if value <= k:
+                    picks = chosen | low | found
                     break
         else:
             raise AssertionError("no dominating set of the optimal size")
@@ -378,9 +410,9 @@ def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertifica
     value = 0
     witness = 0
     for comp, cap in component_masks(closed, g.full_mask):
-        k = _cover_min(closed, comp, cap, independent)[0]
+        k, picks = _cover_min(closed, comp, cap, independent)
         value += k
-        witness |= _lexmin_cover(closed, comp, cap, k, independent)
+        witness |= _lexmin_cover(closed, comp, cap, k, independent, picks)
     return GammaCertificate(kind, value, VertexSet(witness))
 
 

@@ -161,9 +161,10 @@ def _forced_out(closed: list[int], opened: int, pool: int, left: int, room: int)
     must leave out, when at most ``left`` more picks come from ``pool``, or a
     count above ``room`` once the walk shows one.
 
-    The count is the packing bound of ``solver._packing_pick``, except that a
-    vertex with no dominator in the pool counts as left out instead of ending
-    the search.  Threshold exit: both terms of forced + max(0, count - left)
+    The count is the packing bound over the dominator sets in vertex order,
+    as ``solver._packing_limit`` counts it, except that a vertex with no
+    dominator in the pool counts as left out instead of ending the search.
+    Threshold exit: both terms of forced + max(0, count - left)
     only grow along the walk, so once the sum exceeds ``room`` the full
     walk's would too, and the walk returns it at once.  A caller that prunes
     when the result exceeds ``room`` prunes the same nodes as with the full

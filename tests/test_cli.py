@@ -83,6 +83,21 @@ class TestInvariants:
         code, _, err = run(capsys, "gamma-i", "--in", "/nonexistent.g6")
         assert code == 2
 
+    def test_value_alone_builds_no_witness(self, capsys, monkeypatch, tmp_path):
+        def no_witness(*args):
+            raise AssertionError("the witness pass ran")
+
+        monkeypatch.setattr(idstab.solver, "_lexmin_cover", no_witness)
+        f = tmp_path / "g.g6"
+        f.write_text("FhCGG\n?\n")  # P7 and the null graph
+        code, out, _ = run(capsys, "gamma-i", "--in", str(f))
+        assert (code, out) == (0, "3\n0\n")
+        f.write_text("?\n")
+        for invariant, what in (("gamma", "domination"), ("alpha", "independence")):
+            code, out, err = run(capsys, invariant, "--in", str(f))
+            assert (code, out) == (2, "")
+            assert err == f"error: {what} number of the null graph is undefined\n"
+
     @pytest.mark.parametrize("argv", [[], ["--in", "-"]])
     def test_stdin_skips_blank_lines_and_header(self, capsys, monkeypatch, argv):
         monkeypatch.setattr("sys.stdin", io.StringIO("\n>>graph6<<FhCGG\n\n"))  # P7

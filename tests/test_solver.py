@@ -497,6 +497,37 @@ def _ref_packing(closed, uncovered, cands):
     return counts, min(doms, key=int.bit_count), min(dom.bit_length() for dom in doms)
 
 
+def _ref_sorted_count(closed, uncovered, cands):
+    """The packing count over the dominator sets taken smallest first (ties
+    in vertex order), without a threshold."""
+    used = count = 0
+    for dom in sorted((closed[u] & cands for u in iter_bits(uncovered)), key=int.bit_count):
+        if not dom & used:
+            used |= dom
+            count += 1
+    return count
+
+
+def _ascending_packing_pick(closed, uncovered, cands, need):
+    """The value search's packing walk as it was, counting the dominator sets
+    in vertex order: 0 at an empty set or once the count reaches ``need``,
+    otherwise the first set of fewest members."""
+    used = count = 0
+    smallest = cands
+    for u in iter_bits(uncovered):
+        dom = closed[u] & cands
+        if not dom:
+            return 0
+        if not dom & used:
+            used |= dom
+            count += 1
+            if count == need:
+                return 0
+        if dom.bit_count() < smallest.bit_count():
+            smallest = dom
+    return smallest
+
+
 class _Rows(list):
     """Closed rows that count how often a walk reads them."""
 
@@ -557,38 +588,81 @@ class TestPackingBound:
         assert 0 < infeasible < 400
 
     def test_threshold_exit(self):
-        # each walk reads rows up to the vertex at which the full walk's count
-        # reaches ``need`` (or meets an empty dominator set) and prunes there;
-        # otherwise it reads every row and returns what the full walk returns
+        # _packing_limit reads rows up to the vertex at which the full walk's
+        # count reaches ``need`` (or meets an empty dominator set) and prunes
+        # there; otherwise it reads every row and returns what the full walk
+        # returns.  _packing_pick reads every row once, or up to the first
+        # empty dominator set, and prunes when the count over the sets sorted
+        # by size reaches ``need``; that count often differs from vertex order's.
         rng = random.Random(0x9ACB)
-        cut_short = 0
+        cut_short = differs = 0
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 12))
             closed = _closed_rows(g)
             uncovered = rng.getrandbits(g.order) or 1
             cands = rng.getrandbits(g.order)
             counts, smallest, lim = _ref_packing(closed, uncovered, cands)
+            sorted_count = _ref_sorted_count(closed, uncovered, cands)
             for need in range(1, g.order + 2):
                 stop = next((i for i, c in enumerate(counts) if c is None or c >= need), None)
-                for walk, full in ((_packing_pick, smallest), (_packing_limit, lim)):
-                    rows = _Rows(closed)
-                    got = walk(rows, uncovered, cands, need)
-                    if stop is None:
-                        assert (got, rows.reads) == (full, len(counts)), g
-                    else:
-                        assert (got, rows.reads) == (0, stop + 1), g
+                rows = _Rows(closed)
+                got = _packing_limit(rows, uncovered, cands, need)
+                if stop is None:
+                    assert (got, rows.reads) == (lim, len(counts)), g
+                else:
+                    assert (got, rows.reads) == (0, stop + 1), g
                 cut_short += stop is not None and stop + 1 < uncovered.bit_count()
-        assert cut_short
+                rows = _Rows(closed)
+                got = _packing_pick(rows, uncovered, cands, need)
+                assert rows.reads == len(counts), g
+                if counts[-1] is None or sorted_count >= need:
+                    assert got == 0, g
+                else:
+                    assert got == smallest, g
+            differs += counts[-1] is not None and sorted_count != counts[-1]
+        assert cut_short and differs
+
+    def test_sorted_walk_keeps_the_value_searchs_answers(self, monkeypatch):
+        # either count prunes only nodes without a strictly better
+        # completion, and the branching set is the same, so _cover_min meets
+        # the same incumbents and returns the same (value, picks) as with the
+        # walk in vertex order, in value and decision form alike
+        walks = []
+
+        def ascending(closed, uncovered, cands, need):
+            walks.append(1)
+            return _ascending_packing_pick(closed, uncovered, cands, need)
+
+        rng = random.Random(0x50F7)
+        cases = []
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(20, 50), rng.uniform(0.06, 0.15))
+            closed = _closed_rows(g)
+            for comp, cap in component_masks(closed, g.full_mask):
+                for independent in (True, False):
+                    if independent or g.order <= 36:
+                        draw = comp & -1 << rng.randrange(g.order)
+                        cases.append((closed, comp, cap, independent))
+                        cases.append((closed, comp, cap, independent, draw, rng.randint(0, 12)))
+        sorted_answers = [_cover_min(*case) for case in cases]
+        monkeypatch.setattr(solver, "_packing_pick", ascending)
+        assert [_cover_min(*case) for case in cases] == sorted_answers
+        assert walks  # the packing gate opened
 
     def test_exhaustive_order_6_matches_pre_change_witnesses(self):
         # no block of order <= 6 opens _cover_min's gate, so only the witness passes change here
+        # (each with the value search's picks as its incumbent)
         for g in all_graphs(6):
             closed = _closed_rows(g)
             for comp, cap in component_masks(closed, g.full_mask):
-                k = _ref_ids_min(closed, comp)
-                assert _lexmin_cover(closed, comp, cap, k, True) == _ref_lexmin_ids(closed, comp, k)
-                k = _ref_dom_min(closed, comp)
-                assert _lexmin_cover(closed, comp, cap, k, False) == _ref_lexmin_dom(closed, comp, k)
+                k, picks = _cover_min(closed, comp, cap, True)
+                assert k == _ref_ids_min(closed, comp)
+                lexmin = _ref_lexmin_ids(closed, comp, k)
+                assert _lexmin_cover(closed, comp, cap, k, True, picks) == lexmin
+                k, picks = _cover_min(closed, comp, cap, False)
+                assert k == _ref_dom_min(closed, comp)
+                lexmin = _ref_lexmin_dom(closed, comp, k)
+                assert _lexmin_cover(closed, comp, cap, k, False, picks) == lexmin
 
     def test_seeded_sparse_matches_pre_change_searches(self, monkeypatch):
         calls = []
@@ -676,33 +750,37 @@ class TestSearchSize:
         # Without the value search's tightest-vertex branching and the witness
         # pass's next-pick cut the searches made 17,015 calls here; with only
         # the cut 7,925, with only the branching 14,659, with both 5,569; with
-        # the witness found by self-reduction over the value search 5,557.
+        # the witness found by self-reduction over the value search 5,557;
+        # with the packing bound counted smallest set first and the witness
+        # pass seeded with the value search's picks 1,219.
         calls = 0
         for seed in range(6):
             g = random_graph(random.Random(seed), 40, 0.1)
             cert, made = _search_calls(gamma_i, g)
             assert cert.value == _ref_gamma_i(g)[0], g
             calls += made
-        assert calls <= 6_500
+        assert calls <= 1_500
 
     def test_pinned_node_counts(self):
-        # the bound walks may stop early, but they must prune exactly the nodes
-        # a full walk prunes, so the search trees stay as counted here
+        # exact counts, so any change to either search tree shows here: the
+        # value search's, and the value search's plus the witness pass's
         value_nodes, cert_nodes = [], []
         for seed in range(10):
             g = random_graph(random.Random(seed), 38 + seed % 5, 0.1)
             value_nodes.append(_search_calls(gamma_i_value, g)[1])
             cert_nodes.append(_search_calls(gamma_i, g)[1])
-        assert value_nodes == [204, 228, 706, 265, 407, 350, 264, 474, 600, 316]
-        assert cert_nodes == [366, 744, 1391, 685, 849, 499, 729, 713, 1089, 421]
+        assert value_nodes == [113, 61, 230, 54, 160, 170, 135, 222, 186, 130]
+        assert cert_nodes == [185, 158, 258, 58, 354, 196, 259, 269, 217, 138]
 
     def test_gamma_nodes_on_a_sparse_graph(self):
         # the lexicographic witness walk made 166,012 nodes here besides the
-        # value search's 32,204; the self-reduction makes 28,599
+        # value search's 32,204; the self-reduction made 28,599, and 19,900
+        # nodes in all with the smallest-first packing bound and the
+        # incumbent-seeded witness pass
         g = random_graph(random.Random(50), 50, 0.08)
         cert, made = _search_calls(gamma, g)
         assert cert.value == 15 and classify_set(g, cert.witness).dominating
-        assert made <= 70_000
+        assert made <= 24_000
 
 
 def _fewest_from(g, comp, draw, independent):
@@ -725,6 +803,19 @@ def _reach(g, picks):
     for v in iter_bits(picks):
         reach |= g.adj[v]
     return reach
+
+
+def _optimal_sets(g, comp, k, independent):
+    """Every set of k vertices of ``comp`` that dominates it, independent
+    when ``independent``, as masks, by a filter over the k-subsets."""
+    found = []
+    for combo in combinations(iter_bits(comp), k):
+        picks = sum(1 << v for v in combo)
+        if independent and any(g.adj[v] & picks for v in combo):
+            continue
+        if not comp & ~_reach(g, picks):
+            found.append(picks)
+    return found
 
 
 class TestSelfReduction:
@@ -776,11 +867,39 @@ class TestSelfReduction:
             g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.3, 0.5)))
             closed = _closed_rows(g)
             for comp, cap in component_masks(closed, g.full_mask):
-                k = _cover_min(closed, comp, cap, True)[0]
-                assert _lexmin_cover(closed, comp, cap, k, True) == next(_covers(closed, comp, cap, k))
+                k, picks = _cover_min(closed, comp, cap, True)
+                lexmin = next(_covers(closed, comp, cap, k))
+                assert _lexmin_cover(closed, comp, cap, k, True, picks) == lexmin
                 if n <= 20:
-                    k = _cover_min(closed, comp, cap, False)[0]
-                    assert _lexmin_cover(closed, comp, cap, k, False) == _ref_lexmin_dom(closed, comp, k)
+                    k, picks = _cover_min(closed, comp, cap, False)
+                    lexmin = _ref_lexmin_dom(closed, comp, k)
+                    assert _lexmin_cover(closed, comp, cap, k, False, picks) == lexmin
+
+    def test_every_optimal_incumbent_gives_the_lexmin_witness(self):
+        # the witness pass takes any optimal set as its incumbent, not only
+        # the value search's last one: every minimum independent dominating
+        # set and every minimum dominating set of each block of order <= 6,
+        # and a few drawn at random from each block of seeded G(7..14)
+        rng = random.Random(0x5E21)
+        graphs = [(g, None) for g in all_graphs(6)]
+        for _ in range(40):
+            graphs.append((random_graph(rng, rng.randint(7, 14), rng.choice((0.2, 0.3, 0.5))), 3))
+        for g, draws in graphs:
+            closed = _closed_rows(g)
+            for comp, cap in component_masks(closed, g.full_mask):
+                for independent, ref_min, ref_lexmin in (
+                    (True, _ref_ids_min, _ref_lexmin_ids),
+                    (False, _ref_dom_min, _ref_lexmin_dom),
+                ):
+                    k = ref_min(closed, comp)
+                    lexmin = ref_lexmin(closed, comp, k)
+                    optimal = _optimal_sets(g, comp, k, independent)
+                    assert lexmin == min(optimal, key=lambda m: VertexSet(m).members()), (g, comp)
+                    if draws is not None:
+                        optimal = rng.sample(optimal, min(draws, len(optimal)))
+                    for picks in optimal:
+                        got = _lexmin_cover(closed, comp, cap, k, independent, picks)
+                        assert got == lexmin, (g, comp, picks)
 
 
 class TestDominatingVertexExit:
