@@ -130,9 +130,11 @@ def _memo(cache: dict, g: Graph, compute: Callable[[Graph], object]):
 class _Toolkit:
     """Invariant evaluators backed by the branch-and-bound solvers.
 
-    Values are cached per graph for one audit, whatever its worker count.
-    That is what makes complement- and deletion-heavy claims like C5 and C16
-    cheap over exhaustive corpora.  Every cache goes through ``_memo``, so it
+    gamma_i, gamma and stability values are cached per graph for one audit,
+    whatever its worker count.  That is what makes complement- and
+    deletion-heavy claims like C5 and C16 cheap over exhaustive corpora.
+    ``max_star`` is not cached: its one reader, C7, asks once per instance,
+    so a cache would never hit.  Every cache goes through ``_memo``, so it
     holds at most ``_MEMO_CAP`` entries and is keyed by ``g.adj``, which
     alone names the graph (``Graph`` validates ``len(adj) == order``) and
     skips the dataclass ``__hash__`` and ``__eq__``.
@@ -142,7 +144,6 @@ class _Toolkit:
         self._gi: dict[tuple[int, ...], int] = {}
         self._st: dict[tuple[int, ...], stability.StabilityCertificate] = {}
         self._dom: dict[tuple[int, ...], int] = {}
-        self._star: dict[tuple[int, ...], int] = {}
 
     def gamma_i(self, g: Graph) -> int:
         return _memo(self._gi, g, solver.gamma_i_value)
@@ -157,7 +158,7 @@ class _Toolkit:
         return _memo(self._dom, g, solver.gamma_value)
 
     def max_star(self, g: Graph) -> int:
-        return _memo(self._star, g, solver.max_induced_star)
+        return solver.max_induced_star(g)
 
 
 class _OracleToolkit:

@@ -11,17 +11,16 @@ The largest closed neighborhood inside a block, the covering bound's
 divisor, comes from the component walk (``core.component_masks``) that
 finds the block.
 
-Each search's packing walk (``_packing_pick``, ``_packing_limit``) tracks
-only what that search reads, and stops counting as soon as its count reaches
-the number of picks at which the node prunes: the count only grows, so the
-rest cannot save the node.  ``_packing_limit`` counts the dominator sets in
-vertex order, and ``_packing_pick`` counts them smallest first, which
-usually counts more of them.  Any order counts pairwise-disjoint dominator
-sets, so either count is a sound bound.  A sound bound prunes only nodes
-with no leaf below them that beats the incumbent, so the value search still
-records as incumbents exactly the leaves that beat every earlier leaf of its
-unpruned tree; the order changes which nodes it visits, but not its
-branching, its incumbents or the (value, picks) it returns.
+``_cover_min`` and ``_covers`` share one packing walk, ``_packing_pick``.
+It counts the dominator sets smallest first and stops counting as soon as
+its count reaches the number of picks at which the node prunes: the count
+only grows, so the rest cannot save the node.  Any order counts
+pairwise-disjoint dominator sets, so the count is a sound bound.  A sound
+bound prunes only nodes with no leaf below them that beats the incumbent,
+so the value search still records as incumbents exactly the leaves that
+beat every earlier leaf of its unpruned tree; the order changes which nodes
+it visits, but not its branching, its incumbents or the (value, picks) it
+returns.  Nor does it change the sets ``_covers`` yields, or their order.
 
 There are three searches:
 
@@ -46,7 +45,7 @@ There are three searches:
 * ``_covers``, a walk in lexicographic order over the independent
   dominating sets of at most k members.  It adds members in ascending
   order, applies both bounds at every node, and tries no member above the
-  lowest top of the undominated vertices' dominator sets.  With k =
+  top of the dominator set that the packing walk returns.  With k =
   gamma_i over the whole graph it walks the gamma_i-sets for
   ``stability``'s transversal rule; with k = n it is
   ``enumerate_maximal_independent_sets``.
@@ -91,9 +90,10 @@ def _closed_rows(g: Graph) -> list[int]:
 
 
 def _packing_pick(closed: list[int], uncovered: int, cands: int, need: int) -> int:
-    """The value search's packing walk: 0 when the packing bound of the picks
+    """The searches' packing walk: 0 when the packing bound of the picks
     from ``cands`` that dominate ``uncovered`` reaches ``need``, and
-    otherwise the dominator set to branch on.
+    otherwise a smallest dominator set: the value search branches on it, and
+    ``_covers`` tries no candidate above its top member.
 
     Reads the dominator set ``closed[u] & cands`` of every uncovered vertex
     u, sorts the sets by size (smallest first, a stable sort) and counts
@@ -132,34 +132,6 @@ def _packing_pick(closed: list[int], uncovered: int, cands: int, need: int) -> i
             if count == need:
                 return 0
     return doms[0]
-
-
-def _packing_limit(closed: list[int], uncovered: int, cands: int, need: int) -> int:
-    """The witness walk's packing walk: 0 when the packing bound, counted
-    over the dominator sets in vertex order, reaches ``need`` or some
-    uncovered vertex has no dominator in ``cands``, and otherwise ``lim``,
-    the least ``bit_length`` of the dominator sets ``closed[u] & cands`` over
-    the nonempty ``uncovered``: one more than their lowest top member, so
-    never 0.
-    """
-    used = 0
-    count = 0
-    lim = cands.bit_length()
-    while uncovered:
-        low = uncovered & -uncovered
-        uncovered ^= low
-        dom = closed[low.bit_length() - 1] & cands
-        if not dom:
-            return 0
-        if not dom & used:
-            used |= dom
-            count += 1
-            if count == need:
-                return 0
-        top = dom.bit_length()
-        if top < lim:
-            lim = top
-    return lim
 
 
 def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
@@ -266,25 +238,26 @@ def _lexmin_cover(closed: list[int], comp: int, cap: int, k: int, independent: b
     alone, with one pick plus what the others leave spare.  gamma's picks
     may be dominated vertices, which join those components, so it asks once,
     and skips a u that dominates nothing new (C and a completion would then
-    dominate with k - 1 picks).  The candidates stop below
-    ``_packing_limit``'s ``lim``: every undominated w needs one of the picks
-    to come in ``closed[w]``, and u is the least of them.
+    dominate with k - 1 picks).
 
     Incumbent: the pass keeps a witness P of k picks that holds C and whose
     other members lie above C; it starts as ``picks``.  Let p be the lowest
     member of P - C.  P - C - p is a completion above p, so the question at
-    p would be answered yes, and p is a candidate: it lies above C, is
-    undominated by C for gamma_i (P is independent), and lies below ``lim``
-    by the cut's argument.  So the round asks the candidates below p as
-    before and takes p without a query if none of them is accepted.  When
-    one, u, is accepted, its query's picks complete C + u, and P becomes
-    C + u + those picks: k members again, since k is the value.
+    p would be answered yes, and p is a candidate: it lies above C and is
+    undominated by C for gamma_i (P is independent).  So the round asks the
+    candidates below p and takes p without a query if none of them is
+    accepted.  When one, u, is accepted, its query's picks complete C + u,
+    and P becomes C + u + those picks: k members again, since k is the
+    value.
+
+    No candidate cut: each undominated vertex has a member of P - C, all at
+    least p, in its dominator set, so a packing walk would neither prune the
+    round nor cut a candidate below p, where the round ends at the latest.
     """
     chosen = covered = 0
     floor = -1
     while uncovered := comp & ~covered:
         cands = (uncovered if independent else comp) & floor
-        cands &= (1 << _packing_limit(closed, uncovered, cands, k + 1)) - 1
         top = picks & floor
         top &= -top  # p, the incumbent's next member
         k -= 1
@@ -334,12 +307,12 @@ def _covers(closed: list[int], universe: int, cap: int, k: int):
     ``|closed[v] & universe|``.
 
     Next-pick cut: picks ascend, so the picks a completion still adds all lie
-    in ``cands`` and the next one is the lowest of them.  Each undominated w
-    needs one of them in its dominator set ``closed[w] & cands``, so the
-    next pick is at most that set's top member, for every w, and so below
-    the ``lim`` that ``_packing_limit`` returns.  The bounds and the cut
-    drop only nodes and candidates that have no completion, so the walk
-    still reaches every set named above.
+    in ``cands`` and the next one is the lowest of them.  The set ``dom``
+    that ``_packing_pick`` returns is the dominator set ``closed[w] & cands``
+    of some undominated w, which needs one of those picks in it, so the next
+    pick is at most ``dom``'s top member.  The bounds and the cut drop only
+    nodes and candidates that have no completion, so the walk still reaches
+    every set named above.
     """
     stack = [(0, 0, -1, 0)]  # covered, chosen, floor (the bits above the last pick), size
     while stack:
@@ -351,10 +324,10 @@ def _covers(closed: list[int], universe: int, cap: int, k: int):
         if size == k or size + -(-uncovered.bit_count() // cap) > k:
             continue
         cands = uncovered & floor
-        lim = _packing_limit(closed, uncovered, cands, k - size + 1)
-        if not lim:  # size + the packing bound > k
+        dom = _packing_pick(closed, uncovered, cands, k - size + 1)
+        if not dom:  # size + the packing bound > k
             continue
-        cands &= (1 << lim) - 1
+        cands &= (1 << dom.bit_length()) - 1
         while cands:  # push the highest first, so the lowest pops first
             u = cands.bit_length() - 1
             cands ^= 1 << u

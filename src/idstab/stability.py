@@ -162,8 +162,8 @@ def _forced_out(closed: list[int], opened: int, pool: int, left: int, room: int)
     count above ``room`` once the walk shows one.
 
     The count is the packing bound over the dominator sets in vertex order,
-    as ``solver._packing_limit`` counts it, except that a vertex with no
-    dominator in the pool counts as left out instead of ending the search.
+    except that a vertex with no dominator in the pool counts as left out
+    instead of ending the search.
     Threshold exit: both terms of forced + max(0, count - left)
     only grow along the walk, so once the sum exceeds ``room`` the full
     walk's would too, and the walk returns it at once.  A caller that prunes

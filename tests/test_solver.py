@@ -23,7 +23,6 @@ from idstab.solver import (
     _cover_min,
     _covers,
     _lexmin_cover,
-    _packing_limit,
     _packing_pick,
     alpha,
     alpha_value,
@@ -35,6 +34,7 @@ from idstab.solver import (
     max_induced_star,
     oracle_gamma_i,
 )
+from idstab.stability import GAMMA_I_FAMILY_CAP
 
 from conftest import all_graphs, brute_alpha, brute_gamma, brute_gamma_i, random_graph
 
@@ -232,6 +232,49 @@ def _ids_by_filter(g, k):
     return found
 
 
+def _parent_packing_limit(closed, uncovered, cands, need):
+    """The family walk's packing walk before it shared ``_packing_pick``: 0
+    when the count over the dominator sets in vertex order reaches ``need``
+    or some dominator set is empty, otherwise one more than the lowest top
+    member of the dominator sets."""
+    used = count = 0
+    lim = cands.bit_length()
+    for u in iter_bits(uncovered):
+        dom = closed[u] & cands
+        if not dom:
+            return 0
+        if not dom & used:
+            used |= dom
+            count += 1
+            if count == need:
+                return 0
+        lim = min(lim, dom.bit_length())
+    return lim
+
+
+def _parent_covers(closed, universe, cap, k):
+    """``_covers`` as it was before it shared ``_packing_pick``: the
+    candidates stop below the lowest top of every dominator set."""
+    stack = [(0, 0, -1, 0)]
+    while stack:
+        covered, chosen, floor, size = stack.pop()
+        uncovered = universe & ~covered
+        if not uncovered:
+            yield chosen
+            continue
+        if size == k or size + -(-uncovered.bit_count() // cap) > k:
+            continue
+        cands = uncovered & floor
+        lim = _parent_packing_limit(closed, uncovered, cands, k - size + 1)
+        if not lim:
+            continue
+        cands &= (1 << lim) - 1
+        while cands:
+            u = cands.bit_length() - 1
+            cands ^= 1 << u
+            stack.append((covered | (closed[u] & universe), chosen | 1 << u, -1 << (u + 1), size + 1))
+
+
 class TestMinimumIdsFamily:
     def test_matches_subset_filter(self):
         # the family walk gains the packing bound and the next-pick cut, so
@@ -255,6 +298,38 @@ class TestMinimumIdsFamily:
         # a capped family is the lexicographically first gamma_i-sets
         first = [VertexSet(m).members() for m in islice(_covers(closed, g.full_mask, 2, 3), 5)]
         assert first == [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4)]
+
+    def test_walk_matches_the_parent_walk(self, monkeypatch):
+        # the walk prunes with the shared packing walk and cuts at the top of
+        # the set it returns, not at the lowest top of every dominator set:
+        # the same sets come out in the same order, for stability's capped
+        # gamma_i-set family and for the maximal independent sets
+        rng = random.Random(0x1D60)
+        sparse = [random_graph(rng, rng.randint(16, 40), rng.uniform(0.06, 0.15)) for _ in range(60)]
+        values = [gamma_i_value(g) for g in sparse]
+        pruned = []
+
+        def counted(*args):
+            dom = _packing_pick(*args)
+            pruned.append(not dom)
+            return dom
+
+        monkeypatch.setattr(solver, "_packing_pick", counted)  # now only the walks below call it
+        several = 0
+        for g, k in zip(sparse, values):
+            closed = _closed_rows(g)
+            cap = max(map(int.bit_count, closed))
+            found = list(islice(_covers(closed, g.full_mask, cap, k), GAMMA_I_FAMILY_CAP))
+            assert found == list(islice(_parent_covers(closed, g.full_mask, cap, k), GAMMA_I_FAMILY_CAP)), g
+            several += len(found) > 1
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 14))
+            closed = _closed_rows(g)
+            cap = max(map(int.bit_count, closed))
+            found = [s.mask for s in enumerate_maximal_independent_sets(g)]
+            assert found == list(_parent_covers(closed, g.full_mask, cap, g.order)), g
+            several += len(found) > 1
+        assert several and any(pruned)
 
 
 class TestMaxInducedStar:
@@ -478,23 +553,23 @@ def _fewest_dominators(closed, uncovered, members):
 
 
 def _ref_packing(closed, uncovered, cands):
-    """The packing walk without a threshold: its running count after each
-    uncovered vertex (None at a vertex with no dominator in ``cands``, where
-    it stops), the first dominator set of fewest members and the least
-    ``bit_length`` of the dominator sets (both 0 when it stopped early)."""
+    """The packing walk in vertex order without a threshold: its running
+    count after each uncovered vertex (None at a vertex with no dominator in
+    ``cands``, where it stops) and the first dominator set of fewest members
+    (0 when it stopped early)."""
     counts, doms = [], []
     used = count = 0
     for u in iter_bits(uncovered):
         dom = closed[u] & cands
         if not dom:
             counts.append(None)
-            return counts, 0, 0
+            return counts, 0
         if not dom & used:
             used |= dom
             count += 1
         counts.append(count)
         doms.append(dom)
-    return counts, min(doms, key=int.bit_count), min(dom.bit_length() for dom in doms)
+    return counts, min(doms, key=int.bit_count)
 
 
 def _ref_sorted_count(closed, uncovered, cands):
@@ -540,7 +615,7 @@ class _Rows(list):
 
 class TestPackingBound:
     def test_is_a_lower_bound_on_every_completion(self):
-        # a node whose fewest completing picks are ``fewest`` survives both walks
+        # a node whose fewest completing picks are ``fewest`` survives the walk
         # at need = fewest + 1, and a node with no completion prunes at any need
         rng = random.Random(0x9AC8)
         for _ in range(300):
@@ -549,25 +624,22 @@ class TestPackingBound:
             uncovered = rng.getrandbits(g.order) or 1
             cands = rng.getrandbits(g.order)
             fewest = _fewest_dominators(closed, uncovered, [v for v in range(g.order) if cands >> v & 1])
-            for walk in (_packing_pick, _packing_limit):
-                if fewest is None:
-                    assert walk(closed, uncovered, cands, g.order + 1) == 0
-                else:
-                    assert walk(closed, uncovered, cands, fewest + 1) != 0
+            if fewest is None:
+                assert _packing_pick(closed, uncovered, cands, g.order + 1) == 0
+            else:
+                assert _packing_pick(closed, uncovered, cands, fewest + 1) != 0
 
     def test_counts_disjoint_dominator_sets(self):
         g = path(7)  # N[0], N[3] and N[6] are pairwise disjoint
         closed = _closed_rows(g)
-        # N[0] and N[6] are the smallest dominator sets, and N[0]'s top, 1, the lowest top
+        # N[0] and N[6] are the smallest dominator sets, and N[0] the first of them
         assert _packing_pick(closed, g.full_mask, g.full_mask, 4) == 0b11
-        assert _packing_limit(closed, g.full_mask, g.full_mask, 4) == 2
         # the three disjoint sets prune a node with room for fewer than three picks
         assert _packing_pick(closed, g.full_mask, g.full_mask, 3) == 0
-        assert _packing_limit(closed, g.full_mask, g.full_mask, 3) == 0
         # nothing in cands dominates 0
-        assert _packing_pick(closed, 0b1, 0b1000, 8) == _packing_limit(closed, 0b1, 0b1000, 8) == 0
+        assert _packing_pick(closed, 0b1, 0b1000, 8) == 0
 
-    def test_reports_the_smallest_dominator_set_and_the_lowest_top(self):
+    def test_reports_the_smallest_dominator_set(self):
         rng = random.Random(0x9ACA)
         infeasible = 0
         for _ in range(400):
@@ -578,40 +650,27 @@ class TestPackingBound:
             doms = [closed[u] & cands for u in range(g.order) if uncovered >> u & 1]
             need = g.order + 1  # above every count, so only an empty dominator set prunes
             smallest = _packing_pick(closed, uncovered, cands, need)
-            lim = _packing_limit(closed, uncovered, cands, need)
             if 0 in doms:
-                assert smallest == lim == 0
+                assert smallest == 0
                 infeasible += 1
             else:
                 assert smallest == min(doms, key=int.bit_count)  # the first of the fewest members
-                assert lim == min(dom.bit_length() for dom in doms)
         assert 0 < infeasible < 400
 
     def test_threshold_exit(self):
-        # _packing_limit reads rows up to the vertex at which the full walk's
-        # count reaches ``need`` (or meets an empty dominator set) and prunes
-        # there; otherwise it reads every row and returns what the full walk
-        # returns.  _packing_pick reads every row once, or up to the first
-        # empty dominator set, and prunes when the count over the sets sorted
-        # by size reaches ``need``; that count often differs from vertex order's.
+        # _packing_pick reads every row once, or up to the first empty
+        # dominator set, and prunes when the count over the sets sorted by
+        # size reaches ``need``; that count often differs from vertex order's.
         rng = random.Random(0x9ACB)
-        cut_short = differs = 0
+        differs = 0
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 12))
             closed = _closed_rows(g)
             uncovered = rng.getrandbits(g.order) or 1
             cands = rng.getrandbits(g.order)
-            counts, smallest, lim = _ref_packing(closed, uncovered, cands)
+            counts, smallest = _ref_packing(closed, uncovered, cands)
             sorted_count = _ref_sorted_count(closed, uncovered, cands)
             for need in range(1, g.order + 2):
-                stop = next((i for i, c in enumerate(counts) if c is None or c >= need), None)
-                rows = _Rows(closed)
-                got = _packing_limit(rows, uncovered, cands, need)
-                if stop is None:
-                    assert (got, rows.reads) == (lim, len(counts)), g
-                else:
-                    assert (got, rows.reads) == (0, stop + 1), g
-                cut_short += stop is not None and stop + 1 < uncovered.bit_count()
                 rows = _Rows(closed)
                 got = _packing_pick(rows, uncovered, cands, need)
                 assert rows.reads == len(counts), g
@@ -620,7 +679,7 @@ class TestPackingBound:
                 else:
                     assert got == smallest, g
             differs += counts[-1] is not None and sorted_count != counts[-1]
-        assert cut_short and differs
+        assert differs
 
     def test_sorted_walk_keeps_the_value_searchs_answers(self, monkeypatch):
         # either count prunes only nodes without a strictly better
