@@ -102,10 +102,12 @@ class Graph:
         n = self.order
         if not 0 <= n <= MAX_ORDER:
             raise OrderTooLarge(f"order {n} outside 0..{MAX_ORDER}")
-        if len(self.adj) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(self.adj)}")
-        full = (1 << n) - 1
+        if type(self.adj) is not tuple:  # rows given as a list would be mutable and unhashable
+            object.__setattr__(self, "adj", tuple(self.adj))
         adj = self.adj
+        if len(adj) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+        full = (1 << n) - 1
         for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"row {v} has bits beyond vertex {n - 1}")

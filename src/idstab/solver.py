@@ -11,8 +11,9 @@ The largest closed neighborhood inside a block, the covering bound's
 divisor, comes from the component walk (``core.component_masks``) that
 finds the block.
 
-``_cover_min`` and ``_covers`` share one packing walk, ``_packing_pick``.
-It counts the dominator sets smallest first and stops counting as soon as
+There is one packing walk, ``_packing_pick``, shared by the value search
+``_cover_min``, by ``_covers`` and by ``stability``'s left-out search.  It
+counts the dominator sets smallest first and stops counting as soon as
 its count reaches the number of picks at which the node prunes: the count
 only grows, so the rest cannot save the node.  Any order counts
 pairwise-disjoint dominator sets, so the count is a sound bound.  A sound
@@ -92,8 +93,9 @@ def _closed_rows(g: Graph) -> list[int]:
 def _packing_pick(closed: list[int], uncovered: int, cands: int, need: int) -> int:
     """The searches' packing walk: 0 when the packing bound of the picks
     from ``cands`` that dominate ``uncovered`` reaches ``need``, and
-    otherwise a smallest dominator set: the value search branches on it, and
-    ``_covers`` tries no candidate above its top member.
+    otherwise a smallest dominator set: the value search branches on it,
+    ``_covers`` tries no candidate above its top member, and
+    ``stability._lexmin_left_out`` only prunes on 0.
 
     Reads the dominator set ``closed[u] & cands`` of every uncovered vertex
     u, sorts the sets by size (smallest first, a stable sort) and counts
@@ -433,13 +435,13 @@ def alpha(g: Graph) -> GammaCertificate:
 
 
 def enumerate_maximal_independent_sets(g: Graph):
-    """Yield every maximal independent set exactly once, in lexicographic
-    order of the sorted member lists."""
+    """A generator of every maximal independent set, once each, in lexicographic
+    order of the sorted member lists; the null graph is rejected at the call."""
     if g.order == 0:
         raise EmptyGraph("the null graph has no vertex sets to enumerate")
     closed = _closed_rows(g)
-    for mask in _covers(closed, g.full_mask, max(map(int.bit_count, closed)), g.order):
-        yield VertexSet(mask)
+    cap = max(map(int.bit_count, closed))
+    return (VertexSet(mask) for mask in _covers(closed, g.full_mask, cap, g.order))
 
 
 def max_induced_star(g: Graph) -> int:

@@ -62,10 +62,11 @@ then takes the first of the two directed answers (min rule).
   the pool of undominated, unbanned vertices, two bounds count the open
   vertices every completion leaves out.  Covering: a pick dominates at most
   cap = max |N[v]| vertices, so at least |open| - left * cap.  Packing:
-  every later pick comes from the pool, so an open vertex with no
-  dominator in the pool is left out (f of them), and open vertices whose
-  dominator sets in the pool are pairwise disjoint need a pick each (c of
-  them), so at least f + max(0, c - left).
+  later picks come from the pool, so open vertices outside its reach (the
+  OR of N[p] over the pool) are left out (f of them), and those inside
+  whose dominator sets in the pool are pairwise disjoint need a pick each
+  (c of them, counted smallest set first by ``solver._packing_pick``), so
+  at least f + max(0, c - left).
 
   Along a branch, vertices join S in ascending order and every vertex
   below u is settled, so all leaves under a node agree with S below u.
@@ -92,7 +93,7 @@ from itertools import islice
 from .core import Graph, VertexSet, iter_bits
 from .errors import EmptyGraph
 from .oracles import oracle_stability  # re-exported; perfbench/spans.py wraps it here
-from .solver import _closed_rows, _covers, _gamma_i_in
+from .solver import _closed_rows, _covers, _gamma_i_in, _packing_pick
 
 GAMMA_I_FAMILY_CAP = 4096  # gamma_i-sets, and learned pairs, kept by the increase scan
 # for each bit i < 4, the nibbles with bit i set
@@ -156,37 +157,6 @@ def _hitting_masks(n: int, k: int, meets: list[int]):
     return rec(0, k, reach[0], 0)
 
 
-def _forced_out(closed: list[int], opened: int, pool: int, left: int, room: int) -> int:
-    """The packing bound: how many of the ``opened`` vertices every completion
-    must leave out, when at most ``left`` more picks come from ``pool``, or a
-    count above ``room`` once the walk shows one.
-
-    The count is the packing bound over the dominator sets in vertex order,
-    except that a vertex with no dominator in the pool counts as left out
-    instead of ending the search.
-    Threshold exit: both terms of forced + max(0, count - left)
-    only grow along the walk, so once the sum exceeds ``room`` the full
-    walk's would too, and the walk returns it at once.  A caller that prunes
-    when the result exceeds ``room`` prunes the same nodes as with the full
-    walk.
-    """
-    forced = count = used = 0
-    while opened:
-        low = opened & -opened
-        opened ^= low
-        dom = closed[low.bit_length() - 1] & pool
-        if not dom:
-            forced += 1
-        elif not dom & used:
-            used |= dom
-            count += 1
-        else:
-            continue
-        if forced > room or forced + count - left > room:
-            break
-    return forced + max(0, count - left)
-
-
 def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
     """The lexicographically first set V - N[D] with at most k members, over
     the independent sets D of at most ``picks`` vertices; 0 when there is
@@ -194,7 +164,9 @@ def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
     exactly k members.
 
     Branching, bounds and the lexicographic cut are those of the module
-    docstring.
+    docstring.  With room = k - size - f, the packing bound prunes when
+    room < 0 or c >= left + room + 1, the threshold ``_packing_pick`` gets;
+    it reads only the open vertices in reach, so no set it reads is empty.
     """
     cap = max(map(int.bit_count, closed))  # one pick dominates at most this many
     found = 0  # the lexmin set so far; a set found is never empty (k >= 1)
@@ -215,8 +187,13 @@ def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
         if size + max(0, opened.bit_count() - left * cap) > k:
             return
         pool = full & ~(covered | banned)
-        if size + _forced_out(closed, opened, pool, left, k - size) > k:
-            return
+        reach = 0  # the vertices a later pick can still dominate
+        for p in iter_bits(pool):
+            reach |= closed[p]
+        reachable = opened & reach
+        room = k - size - (opened ^ reachable).bit_count()  # the f others are left out
+        if room < 0 or reachable and not _packing_pick(closed, reachable, pool, left + room + 1):
+            return  # size + f + max(0, c - left) > k
         u = low.bit_length() - 1
         rec(covered, out | low, banned | closed[u], left)
         cands = closed[u] & pool
@@ -284,6 +261,10 @@ def _increase_scan(closed: list[int], full: int, base: int, first: int, stop: in
 
 
 def stability(g: Graph, direction: Direction | str = Direction.ANY) -> StabilityCertificate:
+    """The fewest vertices whose removal changes ("any"), lowers or raises
+    gamma_i, with the lexicographically first such set and gamma_i before
+    and after; value, witness and new gamma_i are ``None`` for an increase
+    that no removal gives.  Raises ``EmptyGraph`` on the null graph."""
     direction = Direction(direction)
     if g.order == 0:
         raise EmptyGraph("stability of the null graph is undefined")

@@ -14,6 +14,7 @@ from idstab import (
     components,
     degree_stats,
     delete_vertices,
+    evaluate_claim,
     external_private_neighbors,
     open_neighborhood,
     private_neighbors,
@@ -78,6 +79,13 @@ class TestBuildGraph:
             Graph(1, (0b10,))
         with pytest.raises(ValueError, match=r"^row 1 has bits beyond vertex 1$"):
             Graph(2, (0b10, 0b111))  # a stray bit is reported before a loop
+
+    def test_rows_given_as_a_list_are_stored_as_a_tuple(self):
+        # a list kept as given made hash(g) and the auditor's memo, keyed by g.adj, raise TypeError
+        g, p3 = Graph(3, [0b010, 0b101, 0b010]), Graph(3, (0b010, 0b101, 0b010))
+        assert type(g.adj) is tuple and g == p3
+        assert hash(g) == hash(p3)
+        assert evaluate_claim("C2", g) == evaluate_claim("C2", p3)
 
     @given(edge_lists())
     @settings(max_examples=120, deadline=None)

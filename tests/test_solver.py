@@ -198,7 +198,7 @@ class TestEnumerateMIS:
 
     def test_null_rejected(self):
         with pytest.raises(errors.EmptyGraph):
-            list(enumerate_maximal_independent_sets(empty(0)))
+            enumerate_maximal_independent_sets(empty(0))
 
     def test_counts_match_subset_filter(self):
         for g in all_graphs(5):

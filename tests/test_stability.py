@@ -21,7 +21,6 @@ from idstab.solver import _closed_rows, _gamma_i_in, gamma_i_value
 from idstab.stability import (
     Direction,
     StabilityCertificate,
-    _forced_out,
     _hitting_masks,
     _lexmin_left_out,
     oracle_stability,
@@ -44,8 +43,9 @@ _CHANGES = {
 
 def _count_solves(monkeypatch):
     """Wrap every solver entry that the stability module binds, except the
-    row builder, which solves nothing; return the list that each call of one
-    appends its name to.  A solve entry added later is counted too."""
+    row builder and the packing walk, which solve nothing; return the list
+    that each call of one appends its name to.  A solve entry added later is
+    counted too."""
     calls = []
 
     def counting(name, fn):
@@ -59,7 +59,7 @@ def _count_solves(monkeypatch):
         (name, fn)
         for name, fn in vars(stability_module).items()
         if callable(fn) and getattr(fn, "__module__", None) == solver_module.__name__
-        and name != "_closed_rows"
+        and name not in ("_closed_rows", "_packing_pick")
     ]
     assert entries, "the stability module binds no solver entry"
     for name, fn in entries:
@@ -364,6 +364,38 @@ class TestNoGoodRule:
         assert len(solves) <= bound
 
 
+def _least_left_out(g):
+    """gamma_i of g, and the (size, sorted members)-least V - N[D] over the
+    independent sets D of at most gamma_i - 1 vertices, as a mask: a subset
+    filter that shares no code with the left-out search.  The sets D come
+    by size, so the first D that leaves nothing out gives gamma_i."""
+    closed = [row | (1 << v) for v, row in enumerate(g.adj)]
+    keys = []  # (size, sorted members, mask) of each V - N[D] with fewer picks
+    for size in range(g.order + 1):
+        level = []
+        for combo in combinations(range(g.order), size):
+            if any(g.adj[u] >> v & 1 for u, v in combinations(combo, 2)):
+                continue
+            out = g.full_mask
+            for v in combo:
+                out &= ~closed[v]
+            level.append((out.bit_count(), VertexSet(out).members(), out))
+        if any(not out for *_, out in level):
+            return size, min(keys)[2]
+        keys += level
+    raise AssertionError("some maximal independent set dominates every graph")
+
+
+def _assert_left_out_matches_reference(g):
+    """For every k below the least left-out set's size the search finds
+    nothing, and at that size it finds that set."""
+    base, least = _least_left_out(g)
+    closed = _closed_rows(g)
+    for k in range(1, least.bit_count()):
+        assert _lexmin_left_out(closed, g.full_mask, base - 1, k) == 0
+    assert _lexmin_left_out(closed, g.full_mask, base - 1, least.bit_count()) == least
+
+
 def _searched_decrease(g):
     """The single removals, then the left-out search for k = 2, 3, ..., as
     ``stability`` finds a decrease witness when gamma_i is not 1."""
@@ -405,6 +437,24 @@ class TestDecreaseSearch:
         g = random_graph(random.Random(seed), n, p)
         assert stability(g, Direction.DECREASE) == _plain_scan(g, Direction.DECREASE)
 
+    @pytest.mark.slow
+    def test_left_out_search_exhaustive_order_6(self):
+        # every k up to st_down, also on graphs where a single removal lowers
+        # gamma_i, which ``stability`` answers without the search
+        searched = 0
+        for g in all_graphs(6):
+            if gamma_i_value(g) >= 2:
+                _assert_left_out_matches_reference(g)
+                searched += 1
+        assert searched == 28_263
+
+    def test_left_out_search_seeded_order_7_to_12(self):
+        rng = random.Random(0x1EF7)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(7, 12))
+            if gamma_i_value(g) >= 2:
+                _assert_left_out_matches_reference(g)
+
     def test_cycle_8_adjacent_pair(self):
         g = cycle(8)
         cert = StabilityCertificate(3, Direction.DECREASE, 2, VertexSet.of([0, 1]), 2)
@@ -415,18 +465,20 @@ class TestDecreaseSearch:
         assert _lexmin_left_out(closed, g.full_mask, 2, 2) == 0b11
 
     def test_left_out_branch_bans_its_neighbourhood(self, monkeypatch):
-        # the packing walk runs once per node that passes the covering bound;
-        # without the ban on N[u], picks may dominate a left-out u, and this
-        # graph takes 320 such nodes instead of 90
+        # the packing walk runs once per node that passes the covering bound
+        # and leaves some open vertex within the pool's reach; without the
+        # ban on N[u], picks may dominate a left-out u, and this graph takes
+        # 124 such walks instead of 46
         walks = []
+        packing_pick = stability_module._packing_pick
 
         def counting(*args):
             walks.append(args)
-            return _forced_out(*args)
+            return packing_pick(*args)
 
-        monkeypatch.setattr(stability_module, "_forced_out", counting)
+        monkeypatch.setattr(stability_module, "_packing_pick", counting)
         stability(random_graph(random.Random(1), 24, 0.2), Direction.DECREASE)
-        assert len(walks) <= 90
+        assert len(walks) <= 46
 
     @pytest.mark.parametrize(
         "g",
@@ -449,36 +501,6 @@ class TestDecreaseSearch:
             assert _plain_scan(g, Direction.DECREASE) == expected
         else:  # the plain scan visits all 2^n - 1 removals here; the searched one has no shortcut
             assert _searched_decrease(g) == expected
-
-    def test_forced_out_bound(self):
-        closed = _closed_rows(path(5))
-        # no dominator of 0 or 4 is left in the pool
-        assert _forced_out(closed, 0b10001, 0, 2, 5) == 2
-        # 0 and 4 have the disjoint dominator sets {1} and {3}, and one pick is left
-        assert _forced_out(closed, 0b10001, 0b01010, 1, 5) == 1
-        # 4 has no dominator; 0 and 2 share their only one, 1
-        assert _forced_out(closed, 0b10101, 0b00010, 1, 5) == 1
-        # with no room the walk stops at the first vertex left out, before 4
-        assert _forced_out(closed, 0b10001, 0, 2, 0) == 1
-
-    def test_forced_out_threshold_exit(self):
-        # below the threshold the walk gives its full count; above it, some count past room
-        rng = random.Random(0xF0E)
-        exited = 0
-        for _ in range(300):
-            g = random_graph(rng, rng.randint(1, 10))
-            closed = _closed_rows(g)
-            opened, pool = rng.getrandbits(g.order), rng.getrandbits(g.order)
-            left = rng.randint(0, 3)
-            full = _forced_out(closed, opened, pool, left, g.order)
-            for room in range(g.order + 1):
-                got = _forced_out(closed, opened, pool, left, room)
-                if full > room:
-                    assert room < got <= full
-                    exited += got < full
-                else:
-                    assert got == full
-        assert exited
 
 
 class TestInvariants:
