@@ -811,14 +811,15 @@ class TestSearchSize:
         # the cut 7,925, with only the branching 14,659, with both 5,569; with
         # the witness found by self-reduction over the value search 5,557;
         # with the packing bound counted smallest set first and the witness
-        # pass seeded with the value search's picks 1,219.
+        # pass seeded with the value search's picks 1,219; with the children
+        # above the packing gate tried most newly dominated first 642.
         calls = 0
         for seed in range(6):
             g = random_graph(random.Random(seed), 40, 0.1)
             cert, made = _search_calls(gamma_i, g)
             assert cert.value == _ref_gamma_i(g)[0], g
             calls += made
-        assert calls <= 1_500
+        assert calls <= 800
 
     def test_pinned_node_counts(self):
         # exact counts, so any change to either search tree shows here: the
@@ -828,18 +829,20 @@ class TestSearchSize:
             g = random_graph(random.Random(seed), 38 + seed % 5, 0.1)
             value_nodes.append(_search_calls(gamma_i_value, g)[1])
             cert_nodes.append(_search_calls(gamma_i, g)[1])
-        assert value_nodes == [113, 61, 230, 54, 160, 170, 135, 222, 186, 130]
-        assert cert_nodes == [185, 158, 258, 58, 354, 196, 259, 269, 217, 138]
+        assert value_nodes == [59, 51, 21, 20, 88, 41, 91, 27, 33, 101]
+        assert cert_nodes == [137, 148, 70, 24, 265, 94, 220, 74, 100, 109]
 
     def test_gamma_nodes_on_a_sparse_graph(self):
         # the lexicographic witness walk made 166,012 nodes here besides the
         # value search's 32,204; the self-reduction made 28,599, and 19,900
         # nodes in all with the smallest-first packing bound and the
-        # incumbent-seeded witness pass
+        # incumbent-seeded witness pass, and 8,372 (1,857 of them the value
+        # search's) with the children above the packing gate tried most newly
+        # dominated first
         g = random_graph(random.Random(50), 50, 0.08)
         cert, made = _search_calls(gamma, g)
         assert cert.value == 15 and classify_set(g, cert.witness).dominating
-        assert made <= 24_000
+        assert made <= 10_000
 
 
 def _fewest_from(g, comp, draw, independent):
@@ -1025,6 +1028,24 @@ class TestCoverMinPicks:
             g = random_graph(rng, rng.randint(7, 20))
             _assert_picks_attain_the_value(g, g.full_mask)
             _assert_picks_attain_the_value(g, rng.getrandbits(g.order))  # as for a removal solve
+
+    def test_seeded_sparse_above_the_gate(self):
+        # no connected block of order <= 6 opens the packing gate (that needs
+        # max degree <= 1), so only blocks like these try the children most
+        # newly dominated first; their values come from the unpruned searches
+        rng = random.Random(0x91C6)
+        gated = 0
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(20, 40), rng.uniform(0.05, 0.15))
+            closed = _closed_rows(g)
+            for universe in (g.full_mask, rng.getrandbits(g.order)):  # whole, and as for a removal solve
+                _assert_picks_attain_the_value(g, universe)
+                for comp, cap in component_masks(closed, universe):
+                    if comp.bit_count() > 2 * cap:
+                        gated += 1
+                        assert _cover_min(closed, comp, cap, True)[0] == _ref_ids_min(closed, comp), g
+                        assert _cover_min(closed, comp, cap, False)[0] == _ref_dom_min(closed, comp), g
+        assert gated >= 40
 
 
 def _ref_blocks(rows, universe):

@@ -1,4 +1,5 @@
 import importlib
+import hashlib
 import random
 from itertools import combinations
 
@@ -362,6 +363,32 @@ class TestNoGoodRule:
         expected = StabilityCertificate(base, Direction.INCREASE, value, VertexSet.of(witness), new)
         assert cert == expected
         assert len(solves) <= bound
+
+    def test_seeded_sparse_digest(self, monkeypatch):
+        # Many removal solves on these graphs open the value search's packing
+        # gate, above which the child order decides which optimal picks a
+        # solve returns, and so which no-goods the increase scan learns.  The
+        # certificates of all three directions were pinned while the children
+        # there were still tried in ascending order.
+        gated = []
+        cover_min = solver_module._cover_min
+
+        def counting(closed, comp, cap, *args):
+            gated.append(comp.bit_count() > 2 * cap)
+            return cover_min(closed, comp, cap, *args)
+
+        monkeypatch.setattr(solver_module, "_cover_min", counting)
+        rng = random.Random(0x5A25)
+        lines = []
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(14, 24), rng.uniform(0.05, 0.25))
+            for d in Direction:
+                cert = stability(g, d)
+                witness = cert.witness.members() if cert.defined else None
+                lines.append(f"{d.value} {cert.value} {witness} {cert.new_gamma_i}")
+        assert sum(gated) >= 200
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "a0aea0fdf9cc203069a19ce466619b99c924aa0a0188b6c37f0870e3952bab21"
 
 
 def _least_left_out(g):
