@@ -735,6 +735,10 @@ class Graph6Corpus(_GraphCorpus):
     graphs: tuple[str, ...]
     label: str = "graph6 corpus"
 
+    def __post_init__(self) -> None:
+        if isinstance(self.graphs, str):  # would be read one character per line
+            raise BadCorpusSource("a graph6 corpus takes a sequence of lines, not one string")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "Graph6Corpus":
         """The graph6 lines of *path*, each checked here, so that a malformed
@@ -764,6 +768,10 @@ class PairCorpus:
     """All ordered pairs over a base corpus; operands capped at order 4."""
 
     base: ExhaustiveCorpus | Graph6Corpus
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.base, (ExhaustiveCorpus, Graph6Corpus)):
+            raise BadCorpusSource(f"pairs need a graph corpus, not a {type(self.base).__name__}")
 
     def kind(self) -> str:
         return PAIR

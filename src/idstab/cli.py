@@ -144,10 +144,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _build_corpus(args: argparse.Namespace):
     if args.family_max is not None:
-        if args.pairs:
-            raise IdstabError("--pairs does not combine with --family-max")
-        return auditor.FamilyCorpus.default_grid(args.family_max)
-    if args.exhaustive_n is not None:
+        base = auditor.FamilyCorpus.default_grid(args.family_max)
+    elif args.exhaustive_n is not None:
         base = auditor.ExhaustiveCorpus(args.exhaustive_n)
     else:
         base = auditor.Graph6Corpus.from_file(args.corpus)

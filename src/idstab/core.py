@@ -53,6 +53,10 @@ class VertexSet:
 
     mask: int = 0
 
+    def __post_init__(self) -> None:
+        if self.mask < 0:  # iter_bits never ends on a negative mask
+            raise VertexOutOfRange(f"a vertex set's mask must be nonnegative, got {self.mask}")
+
     @classmethod
     def of(cls, vertices: Iterable[int]) -> "VertexSet":
         m = 0

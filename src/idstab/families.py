@@ -79,6 +79,8 @@ class FamilySpec:
         object.__setattr__(self, "params", tuple(self.params))
         if kind not in _KINDS:
             raise SpecInvalid(f"unknown family kind {self.kind!r}")
+        if any(type(x) is not int for x in self.params):
+            raise SpecInvalid(f"{kind} parameters must be integers, got {self.params!r}")
         least = _KINDS[kind].least
         if len(self.params) != len(least):
             raise SpecInvalid(f"{kind} takes {len(least)} parameter(s), got {len(self.params)}")

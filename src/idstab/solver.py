@@ -65,11 +65,11 @@ is always a bug worth keeping.
 
 Optimal witnesses are tie-broken to the lexicographically smallest set (by
 sorted member list).  For gamma_i and gamma, ``_lexmin_cover`` builds it
-by self-reduction once a block's value is known, asking ``_cover_min``, in
-a bounded form, whether each candidate member leaves a completion.  It keeps
-an optimal set as an incumbent, starting from the value search's picks, and
-takes the incumbent's next member without asking.  alpha's witness comes
-out of its one search.
+by self-reduction from the value search's picks, asking ``_cover_min``, in
+a bounded form and with the remainder's own cap, one question per candidate
+member: whether it leaves a completion.  It keeps an optimal set as an
+incumbent and takes the incumbent's next member without asking.  alpha's
+witness comes out of its one search.
 """
 
 from __future__ import annotations
@@ -165,10 +165,11 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
 
     Decision form, for the witness pass: only vertices of ``draw`` are
     picked (the others start out banned), ``comp`` may be any vertex set if
-    ``cap`` bounds ``|closed[v] & comp|`` over them, and ``best`` starts at
-    ``bound + 1``, so the search returns the least value if it is at most
-    ``bound`` and ``bound + 1`` otherwise.  The defaults (the block, its
-    vertex count) leave the value search's tree as it was.
+    ``cap`` is at least 1 and bounds ``|closed[v] & comp|`` over ``draw``,
+    and ``best`` starts at ``bound + 1``, so the search returns the least
+    value if it is at most ``bound`` and ``bound + 1`` otherwise.  The
+    defaults (the block, its vertex count) leave the value search's tree as
+    it was.
 
     Branching: a node takes one undominated vertex u and tries each member
     of its dominator set ``closed[u] & pool`` in turn, banning it in the
@@ -247,22 +248,24 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
     return best, found
 
 
-def _lexmin_cover(closed: list[int], comp: int, cap: int, k: int, independent: bool,
-                  picks: int) -> int:
-    """The lexmin witness (by sorted member list) of the block ``comp`` of
-    value k: independent picks for gamma_i, any for gamma.  ``picks`` is a
-    set of k picks of that kind that dominates the block, such as the value
-    search returns.
+def _lexmin_cover(closed: list[int], comp: int, independent: bool, picks: int) -> int:
+    """The lexmin witness (by sorted member list) of the block ``comp``:
+    independent picks for gamma_i, any for gamma.  ``picks`` is an optimal
+    set of that kind, such as the value search returns; its size k is the
+    block's value.
 
     Self-reduction: after members C, the next is the least candidate u for
     which at most k - |C| - 1 picks above u dominate ``rest``, what C + u
-    leaves undominated; so each round extends the lexmin set's prefix.
-    gamma_i's picks lie in ``rest``, to stay independent of C + u, and each
-    dominates only its own component of ``rest``, so each component is asked
-    alone, with one pick plus what the others leave spare.  gamma's picks
-    may be dominated vertices, which join those components, so it asks once,
-    and skips a u that dominates nothing new (C and a completion would then
-    dominate with k - 1 picks).
+    leaves undominated; so each round extends the lexmin set's prefix.  Both
+    invariants ask this as one ``_cover_min`` question, gamma_i with picks
+    from ``rest`` (to stay independent of C + u), gamma with picks from the
+    block.  A u that dominates nothing new is skipped, as C and a completion
+    would dominate with k - 1 picks; only gamma meets one, since a gamma_i
+    candidate is undominated.  The question's cap is the remainder's own,
+    the most vertices of ``rest`` that one drawable vertex dominates (the
+    block's looser cap took the pinned passes' nodes up by a quarter), with
+    a floor of 1: for an empty ``rest`` a cap of 0 would fire the
+    dominating-vertex exit, which answers 1 and so refuses a valid u.
 
     Incumbent: the pass keeps a witness P of k picks that holds C and whose
     other members lie above C; it starts as ``picks``.  Let p be the lowest
@@ -278,6 +281,7 @@ def _lexmin_cover(closed: list[int], comp: int, cap: int, k: int, independent: b
     least p, in its dominator set, so a packing walk would neither prune the
     round nor cut a candidate below p, where the round ends at the latest.
     """
+    k = picks.bit_count()
     chosen = covered = 0
     floor = -1
     while uncovered := comp & ~covered:
@@ -293,24 +297,14 @@ def _lexmin_cover(closed: list[int], comp: int, cap: int, k: int, independent: b
             if low == top:
                 break
             rest = uncovered & ~closed[u]
-            if independent:
-                subs = component_masks(closed, rest)
-                spare = k - len(subs)  # the picks beyond one per component
-                found = 0
-                for sub, sub_cap in subs:
-                    if spare < 0:
-                        break
-                    value, got = _cover_min(closed, sub, sub_cap, True, sub & floor, spare + 1)
-                    spare -= value - 1
-                    found |= got
-                if spare >= 0:
-                    picks = chosen | low | found
-                    break
-            elif rest != uncovered:
-                value, found = _cover_min(closed, rest, cap, False, comp & floor, k)
-                if value <= k:
-                    picks = chosen | low | found
-                    break
+            if rest == uncovered:
+                continue
+            draw = (rest if independent else comp) & floor
+            cap = max([(closed[v] & rest).bit_count() for v in iter_bits(draw)], default=0) or 1
+            value, found = _cover_min(closed, rest, cap, independent, draw, k)
+            if value <= k:
+                picks = chosen | low | found
+                break
         else:
             raise AssertionError("no dominating set of the optimal size")
         chosen |= low
@@ -394,23 +388,19 @@ def _alpha_max(open_rows: tuple[int, ...], free0: int) -> int:
 def _gamma_i_in(closed: list[int], universe: int) -> tuple[int, int]:
     """gamma_i of the subgraph induced on ``universe``, and an independent
     dominating set of it of that size, as (value, picks mask)."""
-    value = picks = 0
+    picks = 0
     for comp, cap in component_masks(closed, universe):
-        k, found = _cover_min(closed, comp, cap, True)
-        value += k
-        picks |= found
-    return value, picks
+        picks |= _cover_min(closed, comp, cap, True)[1]
+    return picks.bit_count(), picks
 
 
 def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertificate:
     closed = _closed_rows(g)
-    value = 0
     witness = 0
     for comp, cap in component_masks(closed, g.full_mask):
-        k, picks = _cover_min(closed, comp, cap, independent)
-        value += k
-        witness |= _lexmin_cover(closed, comp, cap, k, independent, picks)
-    return GammaCertificate(kind, value, VertexSet(witness))
+        picks = _cover_min(closed, comp, cap, independent)[1]
+        witness |= _lexmin_cover(closed, comp, independent, picks)
+    return GammaCertificate(kind, witness.bit_count(), VertexSet(witness))
 
 
 def gamma_i_value(g: Graph) -> int:

@@ -208,11 +208,11 @@ def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
     return found
 
 
-def _increase_scan(closed: list[int], full: int, base: int, first: int, stop: int):
-    """The increase scan from k = ``first``: the first set that meets every
-    known gamma_i-set, is ruled out by no learned pair, and raises gamma_i,
-    as (mask, gamma_i), or None.  A nonzero ``stop`` ends the scan at its
-    size, at the first set not before it.
+def _increase_scan(closed: list[int], full: int, base: int, stop: int):
+    """The first set that meets every known gamma_i-set, is ruled out by no
+    learned pair, and raises gamma_i, as (mask, gamma_i), or None: from k = 1,
+    or with a nonzero ``stop`` ("any", past its single removals) from k = 2
+    up to the size of ``stop``, where it ends at the first set not before it.
 
     The learned pairs (D_j, V - N[D_j]) of the no-good rule are kept as
     per-vertex bitsets: bit j of in_d[v] or in_r[v] says that v lies in D_j
@@ -231,7 +231,7 @@ def _increase_scan(closed: list[int], full: int, base: int, first: int, stop: in
     nibbles = [([0] * 16, [0] * 16) for _ in range(0, n, 4)]
     learned = 0
     last = stop.bit_count() if stop else n
-    for k in range(first, last + 1):
+    for k in range(2 if stop else 1, last + 1):
         for mask in _hitting_masks(n, k, meets):
             diff = mask ^ stop
             if k == last and not diff & -diff & mask:
@@ -272,7 +272,7 @@ def stability(g: Graph, direction: Direction | str = Direction.ANY) -> Stability
     full = g.full_mask
     base = _gamma_i_in(closed, full)[0]
     if direction is Direction.INCREASE:
-        found = _increase_scan(closed, full, base, 1, 0)
+        found = _increase_scan(closed, full, base, 0)
     else:
         matches = base.__gt__ if direction is Direction.DECREASE else base.__ne__
         for v in range(g.order):
@@ -283,7 +283,7 @@ def stability(g: Graph, direction: Direction | str = Direction.ANY) -> Stability
         while not out:  # found by k = n at the latest: D empty leaves S = V
             k += 1
             out = _lexmin_left_out(closed, full, base - 1, k)
-        found = _increase_scan(closed, full, base, 2, out) if direction is Direction.ANY else None
+        found = _increase_scan(closed, full, base, out) if direction is Direction.ANY else None
         found = found or (out, _gamma_i_in(closed, full & ~out)[0])
     if found is None:
         return StabilityCertificate(base, direction, None, None, None)

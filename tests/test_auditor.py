@@ -339,6 +339,12 @@ class TestRunAudit:
         with pytest.raises(errors.BadCorpusSource):
             Graph6Corpus.from_file(f)
 
+    def test_malformed_corpora_fail_at_construction(self):
+        with pytest.raises(errors.BadCorpusSource, match="need a graph corpus, not a FamilyCorpus"):
+            PairCorpus(FamilyCorpus.default_grid(2))  # it has no graphs to pair
+        with pytest.raises(errors.BadCorpusSource, match="not one string"):
+            Graph6Corpus("Bw")  # would read as the two lines "B" and "w"
+
     def test_malformed_line_fails_in_from_file_or_in_the_audit(self, tmp_path):
         lines = ("Bw", "B!", "A_")
         f = tmp_path / "corpus.g6"

@@ -346,7 +346,7 @@ class TestAudit:
 
     def test_pairs_with_family_rejected(self, capsys):
         code, _, err = run(capsys, "audit", "--claims", "C23", "--family-max", "4", "--pairs")
-        assert code == 2
+        assert code == 2 and "need a graph corpus" in err
 
     def test_family_max_at_order_cap(self, capsys):
         code, out, _ = run(capsys, "audit", "--claims", "C1", "--family-max", "64")

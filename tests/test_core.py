@@ -307,3 +307,8 @@ class TestVertexSet:
     def test_subset_validation(self):
         with pytest.raises(errors.VertexOutOfRange):
             classify_set(path(2), VertexSet.of([5]))
+
+    def test_negative_mask_rejected(self):
+        # a negative mask has infinitely many set bits, so its members never end
+        with pytest.raises(errors.VertexOutOfRange):
+            VertexSet(-1)

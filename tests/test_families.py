@@ -126,6 +126,9 @@ def test_spec_validation():
         parse_family_spec("path:x")
     with pytest.raises(errors.SpecInvalid):
         FamilySpec("path", (1, 2))
+    for params in ((2.5,), ("3",), (True,)):  # only ints: generate would fail on these
+        with pytest.raises(errors.SpecInvalid, match="must be integers"):
+            FamilySpec("path", params)
 
 
 def test_order_cap():

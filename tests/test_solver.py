@@ -16,7 +16,7 @@ from idstab.families import (
     petersen,
     star,
 )
-from idstab.ops import disjoint_union, join, lexicographic
+from idstab.ops import corona, disjoint_union, join, lexicographic
 from idstab.oracles import _brute_gamma
 from idstab.solver import (
     _closed_rows,
@@ -717,11 +717,11 @@ class TestPackingBound:
                 k, picks = _cover_min(closed, comp, cap, True)
                 assert k == _ref_ids_min(closed, comp)
                 lexmin = _ref_lexmin_ids(closed, comp, k)
-                assert _lexmin_cover(closed, comp, cap, k, True, picks) == lexmin
+                assert _lexmin_cover(closed, comp, True, picks) == lexmin
                 k, picks = _cover_min(closed, comp, cap, False)
                 assert k == _ref_dom_min(closed, comp)
                 lexmin = _ref_lexmin_dom(closed, comp, k)
-                assert _lexmin_cover(closed, comp, cap, k, False, picks) == lexmin
+                assert _lexmin_cover(closed, comp, False, picks) == lexmin
 
     def test_seeded_sparse_matches_pre_change_searches(self, monkeypatch):
         calls = []
@@ -812,7 +812,9 @@ class TestSearchSize:
         # the witness found by self-reduction over the value search 5,557;
         # with the packing bound counted smallest set first and the witness
         # pass seeded with the value search's picks 1,219; with the children
-        # above the packing gate tried most newly dominated first 642.
+        # above the packing gate tried most newly dominated first 642; with
+        # one witness question per candidate, capped by its remainder, 678
+        # (with the block's cap instead, 954).
         calls = 0
         for seed in range(6):
             g = random_graph(random.Random(seed), 40, 0.1)
@@ -830,7 +832,7 @@ class TestSearchSize:
             value_nodes.append(_search_calls(gamma_i_value, g)[1])
             cert_nodes.append(_search_calls(gamma_i, g)[1])
         assert value_nodes == [59, 51, 21, 20, 88, 41, 91, 27, 33, 101]
-        assert cert_nodes == [137, 148, 70, 24, 265, 94, 220, 74, 100, 109]
+        assert cert_nodes == [139, 145, 82, 27, 270, 99, 224, 78, 110, 112]
 
     def test_gamma_nodes_on_a_sparse_graph(self):
         # the lexicographic witness walk made 166,012 nodes here besides the
@@ -838,11 +840,12 @@ class TestSearchSize:
         # nodes in all with the smallest-first packing bound and the
         # incumbent-seeded witness pass, and 8,372 (1,857 of them the value
         # search's) with the children above the packing gate tried most newly
-        # dominated first
+        # dominated first, and 7,884 with one witness question per candidate,
+        # capped by its remainder
         g = random_graph(random.Random(50), 50, 0.08)
         cert, made = _search_calls(gamma, g)
         assert cert.value == 15 and classify_set(g, cert.witness).dominating
-        assert made <= 10_000
+        assert made <= 9_000
 
 
 def _fewest_from(g, comp, draw, independent):
@@ -878,6 +881,22 @@ def _optimal_sets(g, comp, k, independent):
         if not comp & ~_reach(g, picks):
             found.append(picks)
     return found
+
+
+def _check_witnesses(graphs):
+    """The witness pass against references, block by block: gamma_i against
+    the lexicographic walk, gamma against the pre-change witness search
+    while that is fast enough."""
+    for g in graphs:
+        closed = _closed_rows(g)
+        for comp, cap in component_masks(closed, g.full_mask):
+            k, picks = _cover_min(closed, comp, cap, True)
+            lexmin = next(_covers(closed, comp, cap, k))
+            assert _lexmin_cover(closed, comp, True, picks) == lexmin, g
+            if g.order <= 20:
+                k, picks = _cover_min(closed, comp, cap, False)
+                lexmin = _ref_lexmin_dom(closed, comp, k)
+                assert _lexmin_cover(closed, comp, False, picks) == lexmin, g
 
 
 class TestSelfReduction:
@@ -921,21 +940,33 @@ class TestSelfReduction:
             assert _cover_min(closed, g.full_mask, 5, independent, leaves, 4) == (4, leaves)
 
     def test_seeded_order_7_to_40(self):
-        # gamma_i against the lexicographic walk, gamma against the pre-change
-        # witness search while that is fast enough
         rng = random.Random(0x5E20)
+        graphs = []
         for _ in range(120):
-            n = rng.randint(7, 40)
-            g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.3, 0.5)))
-            closed = _closed_rows(g)
-            for comp, cap in component_masks(closed, g.full_mask):
-                k, picks = _cover_min(closed, comp, cap, True)
-                lexmin = next(_covers(closed, comp, cap, k))
-                assert _lexmin_cover(closed, comp, cap, k, True, picks) == lexmin
-                if n <= 20:
-                    k, picks = _cover_min(closed, comp, cap, False)
-                    lexmin = _ref_lexmin_dom(closed, comp, k)
-                    assert _lexmin_cover(closed, comp, cap, k, False, picks) == lexmin
+            graphs.append(random_graph(rng, rng.randint(7, 40), rng.choice((0.1, 0.2, 0.3, 0.5))))
+        _check_witnesses(graphs)
+
+    def test_remainders_that_split(self, monkeypatch):
+        # coronas, spiders (a centre with a pendant edge to one vertex of each
+        # of m copies of C5) and sparse random graphs, whose witness questions
+        # ask about remainders of many components
+        graphs = [corona(path(n), cycle(5)) for n in (2, 3, 4, 5)]
+        graphs += [corona(cycle(n), path(4)) for n in (3, 4, 5, 6)]
+        graphs.append(corona(petersen(), path(3)))
+        for m in range(2, 7):
+            edges = [(1 + 5 * c + i, 1 + 5 * c + (i + 1) % 5) for c in range(m) for i in range(5)]
+            graphs.append(build_graph(1 + 5 * m, edges + [(0, 1 + 5 * c) for c in range(m)]))
+        rng = random.Random(0x5E22)
+        graphs += [random_graph(rng, rng.randint(30, 60), rng.uniform(0.03, 0.08)) for _ in range(12)]
+        pieces = []
+
+        def counted(closed, comp, *args):
+            pieces.append(len(component_masks(closed, comp)))
+            return _cover_min(closed, comp, *args)
+
+        monkeypatch.setattr(solver, "_cover_min", counted)
+        _check_witnesses(graphs)
+        assert max(pieces) >= 5  # some question's remainder has five components or more
 
     def test_every_optimal_incumbent_gives_the_lexmin_witness(self):
         # the witness pass takes any optimal set as its incumbent, not only
@@ -948,7 +979,7 @@ class TestSelfReduction:
             graphs.append((random_graph(rng, rng.randint(7, 14), rng.choice((0.2, 0.3, 0.5))), 3))
         for g, draws in graphs:
             closed = _closed_rows(g)
-            for comp, cap in component_masks(closed, g.full_mask):
+            for comp, _ in component_masks(closed, g.full_mask):
                 for independent, ref_min, ref_lexmin in (
                     (True, _ref_ids_min, _ref_lexmin_ids),
                     (False, _ref_dom_min, _ref_lexmin_dom),
@@ -960,7 +991,7 @@ class TestSelfReduction:
                     if draws is not None:
                         optimal = rng.sample(optimal, min(draws, len(optimal)))
                     for picks in optimal:
-                        got = _lexmin_cover(closed, comp, cap, k, independent, picks)
+                        got = _lexmin_cover(closed, comp, independent, picks)
                         assert got == lexmin, (g, comp, picks)
 
 
