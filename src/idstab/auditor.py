@@ -29,9 +29,10 @@ in-process unless more than one worker is asked for; when an instance is
 too large for the full stability oracle the recorded gamma_i facts of the
 certificate are re-checked instead and the outcome is marked "partial".
 Any oracle disagreement aborts the audit with ``InternalAuditError``.
-Solver values are memoised per graph by one helper, ``_memo``; each cache is
-emptied when it reaches ``_MEMO_CAP`` (2^16) entries, so an audit's memory
-stays bounded however large its corpus.
+Solver values are memoised by one helper, ``_memo``, per graph and, for
+the isomorphism invariants of a graph of order <= 6, per isomorphism
+class; each cache is emptied before it passes ``_MEMO_CAP`` (2^16)
+entries, so an audit's memory stays bounded however large its corpus.
 Reports are deterministic: for a fixed corpus, claim set and mode the JSON
 text is byte-identical across runs and worker counts.
 
@@ -54,8 +55,12 @@ payload read by ``graph6_edge_mask``, or an exhaustive corpus's enumerated
 mask.  It builds a ``Graph`` only for the corpus's first member of a class,
 which runs every claim, and tallies later members from that without
 decoding, building or naming them.  A violated claim is still evaluated in
-full, certificate and oracle re-check included, on every member, and a
-member that disagrees with its class raises ``InternalAuditError``.
+full, certificate included, on every member, with a toolkit of the
+member's own, and a member that disagrees with its class raises
+``InternalAuditError``.  The oracle re-check runs once per violating
+(claim, class), on the first member: the oracles' values are invariants
+too, and each later member has just been shown to read as its class did,
+so its own re-check would repeat the first one (see ``_audit``).
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ from .core import (
     components,
     degree_stats,
     delete_vertices,
+    edge_mask,
     mask_graph,
     upper_triangle_pairs,
 )
@@ -114,48 +120,67 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
 
 
 _MEMO_CAP = 1 << 16
+_MEMO_CLASS_MAX_ORDER = 6
 
 
-def _memo(cache: dict, g: Graph, compute: Callable[[Graph], object]):
-    """``cache[g.adj]``, computed as ``compute(g)`` on a miss; a full cache
-    (``_MEMO_CAP`` entries) is emptied before the miss is stored."""
+def _memo(cache: dict, g: Graph, compute: Callable[[Graph], object], by_class: bool = False):
+    """``cache[g.adj]``, computed as ``compute(g)`` on a miss.  With
+    *by_class*, a miss on a graph of order <= ``_MEMO_CLASS_MAX_ORDER`` (6)
+    is looked up next by its isomorphism class, ``("class", n, least mask)``
+    from ``_class_key``, and the value is stored under both keys.  The tag
+    keeps the two kinds of key apart: K_2's ``adj`` (2, 1) is its bare class
+    key.  The order bound keeps the 8 MiB order-7 class table out of every
+    audit that meets no order-7 instance.  A cache with no room for the new
+    keys (``_MEMO_CAP`` entries in all) is emptied first."""
     got = cache.get(g.adj)
     if got is None:
-        if len(cache) >= _MEMO_CAP:
+        keys = [g.adj]
+        if by_class and g.order <= _MEMO_CLASS_MAX_ORDER:
+            keys.append(("class", *_class_key(g.order, edge_mask(g))))
+            got = cache.get(keys[1])
+        if got is None:
+            got = compute(g)
+        if len(cache) + len(keys) > _MEMO_CAP:
             cache.clear()
-        got = cache[g.adj] = compute(g)
+        for key in keys:
+            cache[key] = got
     return got
 
 
 class _Toolkit:
     """Invariant evaluators backed by the branch-and-bound solvers.
 
-    gamma_i, gamma and stability values are cached per graph for one audit,
-    whatever its worker count.  That is what makes complement- and
-    deletion-heavy claims like C5 and C16 cheap over exhaustive corpora.
-    ``max_star`` is not cached: its one reader, C7, asks once per instance,
-    so a cache would never hit.  Every cache goes through ``_memo``, so it
-    holds at most ``_MEMO_CAP`` entries and is keyed by ``g.adj``, which
-    alone names the graph (``Graph`` validates ``len(adj) == order``) and
-    skips the dataclass ``__hash__`` and ``__eq__``.
+    gamma_i, gamma and stability values are cached for one audit, whatever
+    its worker count.  That is what makes complement- and deletion-heavy
+    claims like C5 and C16 cheap over exhaustive corpora.  Each cache goes
+    through ``_memo``, so it holds at most ``_MEMO_CAP`` entries and is keyed
+    by ``g.adj``, which alone names the graph (``Graph`` validates
+    ``len(adj) == order``) and skips the dataclass ``__hash__`` and
+    ``__eq__``.  The three values are isomorphism invariants, so a graph of
+    order <= 6 is also cached by its class, and every labelling of a small
+    G - v or complement after the first is a lookup.  The stability
+    certificate is cached by ``adj`` alone, since its witness depends on the
+    labels.  ``max_star`` is not cached: its one reader, C7, asks once per
+    instance, so a cache would never hit.
     """
 
     def __init__(self) -> None:
-        self._gi: dict[tuple[int, ...], int] = {}
+        self._gi: dict[tuple, int] = {}
         self._st: dict[tuple[int, ...], stability.StabilityCertificate] = {}
-        self._dom: dict[tuple[int, ...], int] = {}
+        self._st_value: dict[tuple, int] = {}
+        self._dom: dict[tuple, int] = {}
 
     def gamma_i(self, g: Graph) -> int:
-        return _memo(self._gi, g, solver.gamma_i_value)
+        return _memo(self._gi, g, solver.gamma_i_value, True)
 
     def st_cert(self, g: Graph) -> stability.StabilityCertificate:
         return _memo(self._st, g, stability.stability)
 
     def st_any(self, g: Graph) -> int:
-        return self.st_cert(g).value
+        return _memo(self._st_value, g, lambda h: self.st_cert(h).value, True)
 
     def gamma(self, g: Graph) -> int:
-        return _memo(self._dom, g, solver.gamma_value)
+        return _memo(self._dom, g, solver.gamma_value, True)
 
     def max_star(self, g: Graph) -> int:
         return solver.max_induced_star(g)
@@ -686,6 +711,11 @@ def evaluate_claim(claim_id: str, instance, mode: str = STRICT) -> ClaimOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _is_int_in(value: object, low: int, high: int) -> bool:
+    """Is *value* an ``int`` (not a ``bool``) in ``low..high``?"""
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+
+
 def _member(text: str | None, n: int, mask: int) -> tuple[str, Graph]:
     """The report text and graph of a member from ``masks()``: its line
     decoded, or with no line its graph built from the mask and named."""
@@ -712,9 +742,10 @@ class ExhaustiveCorpus(_GraphCorpus):
     n_max: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_max <= MAX_ENUMERATION_ORDER:
+        if not _is_int_in(self.n_max, 1, MAX_ENUMERATION_ORDER):
             raise CorpusTooLarge(
-                f"exhaustive corpora need 1 <= n_max <= {MAX_ENUMERATION_ORDER}, got {self.n_max}"
+                f"exhaustive corpora need an integer 1 <= n_max <= {MAX_ENUMERATION_ORDER},"
+                f" got {self.n_max!r}"
             )
 
     def describe(self) -> str:
@@ -801,14 +832,18 @@ class FamilyCorpus:
     specs: tuple[FamilySpec, ...]
     label: str = "family parameter grid"
 
+    def __post_init__(self) -> None:
+        if isinstance(self.specs, str) or not all(isinstance(s, FamilySpec) for s in self.specs):
+            raise BadCorpusSource("a family corpus takes a sequence of FamilySpec values")
+
     @classmethod
     def default_grid(cls, max_param: int) -> "FamilyCorpus":
         """Paths, cycles, stars, double stars, K_{m,n}, flowers and books with
         every parameter up to ``max_param`` (1..64), keeping the specs of
         order at most ``MAX_ORDER``."""
-        if not 1 <= max_param <= MAX_ORDER:
+        if not _is_int_in(max_param, 1, MAX_ORDER):
             raise BadCorpusSource(
-                f"family grids need 1 <= max_param <= {MAX_ORDER}, got {max_param}"
+                f"family grids need an integer 1 <= max_param <= {MAX_ORDER}, got {max_param!r}"
             )
         top = max_param + 1
         candidates = [("path", (n,)) for n in range(1, top)]
@@ -960,70 +995,98 @@ def _resolve_claims(claim_ids: Iterable[str], kind: str) -> list[Claim]:
 
 def _audit(claims: list[Claim], corpus: Corpus, mode: str):
     """A tally of ``(claim id, status)`` per evaluation, the violations in
-    the corpus and one oracle re-check job per violation, in the same order.
+    the corpus as ``(claim id, violation, index of its re-check job)``, and
+    the oracle re-check jobs.
 
-    One toolkit serves the whole audit.  A graph corpus is read through
+    One toolkit serves the whole audit but for the later members of
+    violating classes (below).  A graph corpus is read through
     ``masks()``, and a member of order <= ``_CLASS_MAX_ORDER`` goes through
     its isomorphism class (see the module docstring), keyed by its mask
     alone: the first member of a class is decoded or built and runs every
     claim's evaluator; a later member is only counted, unless its class
-    violates a claim, in which case its graph is built and the violated
-    claims run on it in full and must read the same.  Each violation's
-    certificate is built here; its ``"oracle"`` field is added once
-    ``run_audit`` has run its job, a picklable ``(claim id, instance, lhs,
-    rhs, certificate, mode)``.
+    violates a claim.  Then its graph is built, and the violated claims run
+    on it in full with a fresh toolkit, so that every solver value, the
+    class-cached ones of its G - v and complement included, is worked out
+    from its own labels; each must read as its class did.
+
+    Each violation's certificate is built here, and its ``"oracle"`` field
+    is added once ``run_audit`` has run the jobs, each a picklable ``(claim
+    id, instance, lhs, rhs, certificate, mode)``.  A graph corpus queues one
+    job per violating (claim, class), for its first member, and its later
+    members share that job's verdict.  On a graph of order <= 7, below the
+    oracles' order caps, a re-check is always "full": it compares the
+    oracles' (applicable, holds, lhs, rhs) with the solver's, and reads no
+    certificate.  The oracles' values are isomorphism invariants, and every
+    later member's solver verdict has just been checked equal to its
+    class's, so its own re-check would repeat the first one.  Pair and
+    family corpora, and graphs past the classes, queue one job per
+    violation.
     """
     kit = _Toolkit()
     tally: Counter = Counter()
-    violations: list[tuple[str, dict]] = []
+    violations: list[tuple[str, dict, int]] = []
     jobs: list[tuple] = []
 
-    def evaluate(text: str, instance, todo) -> None:
-        """Run each ``(claim, expected verdict or None)`` of *todo*."""
-        for claim, expected in todo:
-            ev = claim.evaluate(instance, kit, mode)
-            got = status, lhs, rhs = _verdict(ev)
-            if expected is not None and got != expected:
-                raise InternalAuditError(
-                    f"{claim.id} is not an isomorphism invariant at {text}: "
-                    f"its class read {expected}, the instance reads {got}"
-                )
-            tally[claim.id, status] += 1
-            if status == VIOLATED:
-                cert = ev.cert()
-                violations.append((claim.id, dict(instance=text, lhs=lhs, rhs=rhs, witness=cert)))
-                jobs.append((claim.id, instance, lhs, rhs, cert, mode))
+    def violated(claim: Claim, text: str, instance, ev: _Eval, job: int | None = None) -> int:
+        """Record a violation and its certificate; queue its re-check job
+        unless *job* is one queued for its class already."""
+        cert = ev.cert()
+        if job is None:
+            job = len(jobs)
+            jobs.append((claim.id, instance, ev.lhs, ev.rhs, cert, mode))
+        tally[claim.id, VIOLATED] += 1
+        violation = dict(instance=text, lhs=ev.lhs, rhs=ev.rhs, witness=cert)
+        violations.append((claim.id, violation, job))
+        return job
 
-    every = [(claim, None) for claim in claims]
+    def evaluate(text: str, instance) -> list[tuple[Claim, tuple, int | None]]:
+        """Every claim's ``(claim, verdict, re-check job)`` on *instance*,
+        the job None unless the claim is violated."""
+        read = []
+        for claim in claims:
+            ev = claim.evaluate(instance, kit, mode)
+            verdict = _verdict(ev)
+            job = violated(claim, text, instance, ev) if verdict[0] == VIOLATED else None
+            read.append((claim, verdict, job))
+        return read
+
+    def count(read: list, members: int = 1) -> None:
+        """Tally the claims of *read* that hold or do not apply."""
+        for claim, (status, _, _), job in read:
+            if job is None:
+                tally[claim.id, status] += members
+
     if corpus.kind() != GRAPH:
         for text, instance in corpus.instances():
-            evaluate(text, instance, every)
+            count(evaluate(text, instance))
         return tally, violations, jobs
-    # class key -> (claims that hold or do not apply, violated claims), each
-    # with its verdict
+    # class key -> (its first member's reading, the violated part of it)
     classes: dict[tuple[int, int], tuple[list, list]] = {}
     members: Counter = Counter()  # class key -> instances in the corpus
     for text, n, mask in corpus.masks():
         if n > _CLASS_MAX_ORDER:
-            evaluate(*_member(text, n, mask), every)
+            count(evaluate(*_member(text, n, mask)))
             continue
         key = _class_key(n, mask)
         members[key] += 1
         known = classes.get(key)
         if known is None:
-            text, g = _member(text, n, mask)
-            read = [(c, _verdict(c.evaluate(g, kit, mode))) for c in claims]
-            known = classes[key] = (
-                [(c, v) for c, v in read if v[0] != VIOLATED],
-                [(c, v) for c, v in read if v[0] == VIOLATED],
-            )
-            if known[1]:
-                evaluate(text, g, known[1])
+            read = evaluate(*_member(text, n, mask))
+            classes[key] = read, [entry for entry in read if entry[2] is not None]
         elif known[1]:
-            evaluate(*_member(text, n, mask), known[1])
-    for key, count in members.items():
-        for claim, (status, _, _) in classes[key][0]:
-            tally[claim.id, status] += count
+            text, g = _member(text, n, mask)
+            own = _Toolkit()
+            for claim, expected, job in known[1]:
+                ev = claim.evaluate(g, own, mode)
+                got = _verdict(ev)
+                if got != expected:
+                    raise InternalAuditError(
+                        f"{claim.id} is not an isomorphism invariant at {text}: "
+                        f"its class read {expected}, the instance reads {got}"
+                    )
+                violated(claim, text, g, ev, job)
+    for key, times in members.items():
+        count(classes[key][0], times)
     return tally, violations, jobs
 
 
@@ -1036,11 +1099,12 @@ def run_audit(
     """Evaluate claims over a corpus and assemble a deterministic report.
 
     Claims must match the corpus kind, as ``_resolve_claims`` checks.  The
-    audit runs in-process with one solver cache; ``threads`` above 1 sends
-    only the violations' oracle re-checks to a process pool, and the report
-    is the same for any worker count.  Each requested claim gets one block,
-    in registry order (C1..C26); each violation's ``instance`` is the corpus
-    line as given, and a block lists its violations by that text.
+    audit runs in-process with one solver toolkit; ``threads`` above 1 sends
+    only the oracle re-checks (one per violating claim and class of a graph
+    corpus, see ``_audit``) to a process pool, and the report is the same
+    for any worker count.  Each requested claim gets one block, in registry
+    order (C1..C26); each violation's ``instance`` is the corpus line as
+    given, and a block lists its violations by that text.
 
     Raises ``ValueError`` for a ``mode`` out of range or a ``threads`` that
     is a bool or not a positive ``int``.
@@ -1051,13 +1115,13 @@ def run_audit(
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
     tally, violations, jobs = _audit(claims, corpus, mode)
     if threads == 1 or not jobs:
-        checks = map(_recheck, jobs)
+        checks = list(map(_recheck, jobs))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             checks = list(pool.map(_recheck, jobs, chunksize=-(-len(jobs) // (4 * threads))))
-    for (_, violation), check in zip(violations, checks):
-        violation["oracle"] = check
-        tally[check] += 1
+    for _, violation, job in violations:
+        violation["oracle"] = checks[job]
+        tally[checks[job]] += 1
     violations.sort(key=lambda item: item[1]["instance"])
 
     blocks = [
@@ -1066,7 +1130,7 @@ def run_audit(
             "statement": claim.statement,
             "restricted_note": claim.restricted_note,
             "counts": {s: tally[claim.id, s] for s in (HOLDS, VIOLATED, INAPPLICABLE)},
-            "violations": [viol for cid, viol in violations if cid == claim.id],
+            "violations": [viol for cid, viol, _ in violations if cid == claim.id],
         }
         for claim in claims
     ]

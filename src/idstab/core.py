@@ -61,6 +61,8 @@ class VertexSet:
     def of(cls, vertices: Iterable[int]) -> "VertexSet":
         m = 0
         for v in vertices:
+            if v < 0:
+                raise VertexOutOfRange(f"a vertex must be nonnegative, got {v}")
             m |= 1 << v
         return cls(m)
 

@@ -295,6 +295,9 @@ class TestRunAudit:
             run_audit(["C2"], ExhaustiveCorpus(8), threads=1)
         with pytest.raises(errors.CorpusTooLarge, match=r"1 <= n_max <= 7, got 0"):
             run_audit(["C2"], ExhaustiveCorpus(0), threads=1)
+        for bad in (True, 3.0, "3", None):  # True would audit order 1 as "order 1..True"
+            with pytest.raises(errors.CorpusTooLarge, match=rf"got {bad!r}"):
+                ExhaustiveCorpus(bad)
         with pytest.raises(errors.CorpusTooLarge):
             run_audit(["C17"], PairCorpus(ExhaustiveCorpus(5)), threads=1)
 
@@ -344,6 +347,9 @@ class TestRunAudit:
             PairCorpus(FamilyCorpus.default_grid(2))  # it has no graphs to pair
         with pytest.raises(errors.BadCorpusSource, match="not one string"):
             Graph6Corpus("Bw")  # would read as the two lines "B" and "w"
+        for specs in (("path:3",), "path:3", (FamilySpec("path", (3,)), None)):
+            with pytest.raises(errors.BadCorpusSource, match="sequence of FamilySpec"):
+                FamilyCorpus(specs)
 
     def test_malformed_line_fails_in_from_file_or_in_the_audit(self, tmp_path):
         lines = ("Bw", "B!", "A_")
@@ -378,8 +384,8 @@ class TestMemoBound:
         sizes = []
         real = auditor._memo
 
-        def watched(cache, g, compute):
-            got = real(cache, g, compute)
+        def watched(cache, g, *args):
+            got = real(cache, g, *args)
             sizes.append(len(cache))
             return got
 
@@ -391,14 +397,15 @@ class TestMemoBound:
 
 def _plain_blocks(claim_ids, corpus, mode: str) -> list[dict]:
     """``run_audit``'s claim blocks as an audit without isomorphism classes
-    writes them: every claim runs on every instance of ``instances()``."""
-    kit = _Toolkit()
+    writes them: every claim runs on every instance of ``instances()``, with
+    a toolkit of the instance's own, so that no value comes from another
+    labelling."""
     blocks = []
     for claim in map(get_claim, claim_ids):
         counts = dict.fromkeys(("holds", "violated", "inapplicable"), 0)
         found = []
         for text, g in corpus.instances():
-            ev = claim.evaluate(g, kit, mode)
+            ev = claim.evaluate(g, _Toolkit(), mode)
             status, lhs, rhs = auditor._verdict(ev)
             counts[status] += 1
             if status == "violated":
@@ -501,10 +508,10 @@ class TestIsomorphismClasses:
 
     @pytest.mark.parametrize("mode", ["strict", "restricted"])
     def test_every_graph_claim_is_constant_on_classes(self, mode):
-        kit = _Toolkit()
         seen: dict = {}
         for text, g in ExhaustiveCorpus(5).instances():
             key = auditor._class_key(*graph6_edge_mask(text))
+            kit = _Toolkit()  # a shared one would read every labelling's values off its class
             for cid in _GRAPH_CLAIMS:
                 ev = get_claim(cid).evaluate(g, kit, mode)
                 reading = (ev.applicable, ev.holds, ev.lhs, ev.rhs)
@@ -527,11 +534,14 @@ class TestIsomorphismClasses:
         real = auditor.stability.stability
         monkeypatch.setattr(auditor.stability, "stability", lambda g: calls.append(g) or real(g))
         run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=1)
-        assert len(calls) <= 400  # 1,099 when every labelled graph is solved
+        # 1,099 when every labelled graph is solved, 293 with G - v and the
+        # complements solved once per labelling
+        assert len(calls) <= 260
 
     def test_pool_path_bounds_stability_solves(self, monkeypatch):
         # the pool gets the oracle re-checks and nothing else, so two workers
-        # solve exactly what one does
+        # solve exactly what one does; there is one re-check per violating
+        # (claim, class), of the class's first member in the corpus
         jobs, chunksizes = [], []
 
         class InProcessPool:
@@ -559,10 +569,40 @@ class TestIsomorphismClasses:
         monkeypatch.setattr(auditor, "ProcessPoolExecutor", InProcessPool)
         two = run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=2)
         assert len(calls) == solves
-        violations = [(b["claim"], v["instance"]) for b in one.claims for v in b["violations"]]
-        assert sorted((cid, encode_graph6(g)) for cid, g, *_ in jobs) == sorted(violations)
+        texts = [text for text, _ in ExhaustiveCorpus(5).instances()]
+        order = {text: i for i, text in enumerate(texts)}
+        firsts: dict = {}
+        for block in one.claims:
+            for v in sorted(block["violations"], key=lambda v: order[v["instance"]]):
+                key = auditor._class_key(*graph6_edge_mask(v["instance"]))
+                firsts.setdefault((block["claim"], key), v["instance"])
+        assert sorted((cid, encode_graph6(g)) for cid, g, *_ in jobs) == sorted(
+            (cid, text) for (cid, _), text in firsts.items()
+        )
+        assert len(jobs) < one.violation_count
         assert chunksizes == [-(-len(jobs) // 8)]
         assert two.to_json() == one.to_json()
+
+    def test_later_member_solved_on_its_own_labels(self, monkeypatch):
+        # K_1 + K_2 violates C9 (st_id 1 > n + 1 - 2 gamma_i = 0); let the
+        # solver misread st_id on its last labelling only, "BG" (mask 4)
+        real = auditor.stability.stability
+
+        def lying(g):
+            cert = real(g)
+            return dataclasses.replace(cert, value=cert.value + 1) if g.adj == (0, 4, 2) else cert
+
+        monkeypatch.setattr(auditor.stability, "stability", lying)
+        assert auditor._class_key(3, 4) == (3, 1)  # its class's first member is "B_"
+        with pytest.raises(errors.InternalAuditError, match="not an isomorphism invariant at BG"):
+            run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(4), threads=1)
+
+    def test_order_8_audit_builds_no_order_7_class_table(self, monkeypatch):
+        monkeypatch.setattr(auditor, "_CLASS_TABLES", dict(auditor._CLASS_TABLES))
+        auditor._CLASS_TABLES.pop(7, None)
+        report = run_audit(_GRAPH_CLAIMS, Graph6Corpus(("G~~^vS",)), threads=1)
+        assert report.violation_count > 0  # C8, so certificates and re-checks ran too
+        assert 7 not in auditor._CLASS_TABLES
 
 
 class TestOracleAbort:
@@ -614,8 +654,8 @@ def test_default_family_grid_at_order_cap():
     texts = {spec.to_text() for spec in specs}
     assert "path:64" in texts and "star:63" in texts and "star:64" not in texts
     assert max(spec.order() for spec in specs) == 64
-    for bad in (0, 65):
-        with pytest.raises(errors.BadCorpusSource, match=rf"1 <= max_param <= 64, got {bad}"):
+    for bad in (0, 65, True, 2.0):
+        with pytest.raises(errors.BadCorpusSource, match=rf"1 <= max_param <= 64, got {bad!r}"):
             FamilyCorpus.default_grid(bad)
 
 

@@ -312,3 +312,7 @@ class TestVertexSet:
         # a negative mask has infinitely many set bits, so its members never end
         with pytest.raises(errors.VertexOutOfRange):
             VertexSet(-1)
+
+    def test_negative_vertex_rejected(self):
+        with pytest.raises(errors.VertexOutOfRange, match="nonnegative, got -1"):
+            VertexSet.of([2, -1])
