@@ -23,18 +23,20 @@ from "false in spirit".
 
 ``run_audit`` sweeps claims over a corpus in one loop.  Each claim
 evaluator returns its two sides and a deferred certificate builder; the
-builder runs once, and only for a violated outcome.  After the sweep every
-violation is re-verified with the definition-direct oracles of ``oracles``,
-in-process unless more than one worker is asked for; when an instance is
-too large for the full stability oracle the recorded gamma_i facts of the
-certificate are re-checked instead and the outcome is marked "partial".
-Any oracle disagreement aborts the audit with ``InternalAuditError``.
-Solver values are memoised by one helper, ``_memo``, per graph and, for
-the isomorphism invariants of a graph of order <= 6, per isomorphism
-class; each cache is emptied before it passes ``_MEMO_CAP`` (2^16)
-entries, so an audit's memory stays bounded however large its corpus.
-Reports are deterministic: for a fixed corpus, claim set and mode the JSON
-text is byte-identical across runs and worker counts.
+builder runs once, and only for a violated outcome.  ``_verdict`` reads an
+evaluation as ``(status, lhs, rhs)`` for the tally, the report and the
+re-check: after the sweep every violation is evaluated again on the
+uncached definition-direct oracles and must read the same, in-process
+unless more than one worker is asked for.  When an instance is too large
+for an oracle the certificate's recorded gamma_i facts are re-checked
+instead and the outcome is marked "partial".  Any oracle disagreement
+aborts the audit with ``InternalAuditError``.  Solver values are memoised
+by one helper, ``_memo``, per graph and, for the isomorphism invariants of
+a graph of order <= 6, per isomorphism class; each cache is emptied before
+it passes ``_MEMO_CAP`` (2^16) entries, so an audit's memory stays bounded
+however large its corpus.  Reports are deterministic: for a fixed corpus,
+claim set and mode the JSON text is byte-identical across runs and worker
+counts.
 
 Graph claims are evaluated once per isomorphism class.  Every graph claim
 (C2, C5-C16, C26) is a statement about isomorphism invariants.  Let
@@ -48,19 +50,10 @@ of the complements.  C5 takes a minimum over the vertex-deleted subgraphs
 G - v, which p matches one for one with those of H.  So a claim's
 applicability, its holds / violated status, lhs and rhs are the same for
 every labelling of a graph; only a violation's certificate (witness sets and
-graph6 texts) depends on the labels.  ``_audit`` keys each graph of order
-<= ``_CLASS_MAX_ORDER`` (7) by its class, ``(order, least edge mask in its
-orbit)``, computed from the member's edge mask alone: a graph6 line's
-payload read by ``graph6_edge_mask``, or an exhaustive corpus's enumerated
-mask.  It builds a ``Graph`` only for the corpus's first member of a class,
-which runs every claim, and tallies later members from that without
-decoding, building or naming them.  A violated claim is still evaluated in
-full, certificate included, on every member, with a toolkit of the
-member's own, and a member that disagrees with its class raises
-``InternalAuditError``.  The oracle re-check runs once per violating
-(claim, class), on the first member: the oracles' values are invariants
-too, and each later member has just been shown to read as its class did,
-so its own re-check would repeat the first one (see ``_audit``).
+graph6 texts) depends on the labels.  So ``_audit`` runs every claim on
+the first member of each class of order <= ``_CLASS_MAX_ORDER`` (7), keyed
+by ``_class_key`` from its edge mask alone, and re-checks each violating
+(claim, class) with the oracles once; its docstring gives the details.
 """
 
 from __future__ import annotations
@@ -124,14 +117,14 @@ _MEMO_CLASS_MAX_ORDER = 6
 
 
 def _memo(cache: dict, g: Graph, compute: Callable[[Graph], object], by_class: bool = False):
-    """``cache[g.adj]``, computed as ``compute(g)`` on a miss.  With
-    *by_class*, a miss on a graph of order <= ``_MEMO_CLASS_MAX_ORDER`` (6)
-    is looked up next by its isomorphism class, ``("class", n, least mask)``
-    from ``_class_key``, and the value is stored under both keys.  The tag
-    keeps the two kinds of key apart: K_2's ``adj`` (2, 1) is its bare class
-    key.  The order bound keeps the 8 MiB order-7 class table out of every
-    audit that meets no order-7 instance.  A cache with no room for the new
-    keys (``_MEMO_CAP`` entries in all) is emptied first."""
+    """``cache[g.adj]``, computed as ``compute(g)`` on a miss (only
+    ``_Toolkit`` memoises).  With *by_class*, a miss on a graph of order <=
+    ``_MEMO_CLASS_MAX_ORDER`` (6) is looked up next by its isomorphism class,
+    ``("class", n, least mask)`` from ``_class_key``, and the value is stored
+    under both keys.  The tag keeps the two kinds of key apart: K_2's ``adj``
+    (2, 1) is its bare class key.  The order bound keeps the 8 MiB order-7
+    class table out of every audit that meets no order-7 instance.  A cache
+    with no room for the new keys (``_MEMO_CAP`` in all) is emptied first."""
     got = cache.get(g.adj)
     if got is None:
         keys = [g.adj]
@@ -187,16 +180,15 @@ class _Toolkit:
 
 
 class _OracleToolkit:
-    """The same evaluators, rebuilt on the definition-direct oracles."""
-
-    def __init__(self) -> None:
-        self._st: dict[tuple[int, ...], int] = {}
+    """The same evaluators, rebuilt on the definition-direct oracles and
+    uncached: a stability memo here hit 12 of 316 lookups over the pairs of
+    order <= 3 and none over the graphs of order <= 6."""
 
     def gamma_i(self, g: Graph) -> int:
         return oracles.oracle_gamma_i(g)
 
     def st_any(self, g: Graph) -> int:
-        return _memo(self._st, g, lambda h: oracles.oracle_stability(h)[0])
+        return oracles.oracle_stability(g)[0]
 
     def gamma(self, g: Graph) -> int:
         return oracles._brute_gamma(g)
@@ -635,26 +627,22 @@ class ClaimOutcome:
 
 
 def _verify_violation(claim: Claim, instance, lhs, rhs, cert: dict, mode: str) -> str:
-    """Re-check a violation with the oracles; raise if they disagree."""
+    """"full" if the claim's ``_verdict`` on ``_OracleToolkit`` is the
+    solvers' ``(VIOLATED, lhs, rhs)``; past an oracle's cap, "partial" or
+    "unavailable" as the certificate's gamma_i facts can be re-checked or
+    not.  Raises ``InternalAuditError`` if an oracle disagrees."""
     try:
-        oracle_ev = claim.evaluate(instance, _OracleToolkit(), mode)
+        read = _verdict(claim.evaluate(instance, _OracleToolkit(), mode))
     except TooLargeForOracle:
-        oracle_ev = None
-    if oracle_ev is not None:
-        if (
-            not oracle_ev.applicable
-            or oracle_ev.holds
-            or oracle_ev.lhs != lhs
-            or oracle_ev.rhs != rhs
-        ):
-            raise InternalAuditError(
-                f"{claim.id} violation failed oracle re-verification at "
-                f"{_KINDS[claim.instance_kind].text(instance)}: solver said "
-                f"lhs={lhs} rhs={rhs}, oracle said "
-                f"applicable={oracle_ev.applicable} holds={oracle_ev.holds} "
-                f"lhs={oracle_ev.lhs} rhs={oracle_ev.rhs}"
-            )
+        read = None
+    if read == (VIOLATED, lhs, rhs):
         return "full"
+    if read is not None:
+        raise InternalAuditError(
+            f"{claim.id} violation failed oracle re-verification at "
+            f"{_KINDS[claim.instance_kind].text(instance)}: "
+            f"the solvers read {(VIOLATED, lhs, rhs)}, the oracles read {read}"
+        )
     checked = 0
     for g6, expected in cert.get("gamma_i_checks", []):
         try:
@@ -684,7 +672,8 @@ def _check_mode(mode: str) -> None:
 
 def _verdict(ev: _Eval) -> tuple[str, object, object]:
     """``(status, lhs, rhs)`` of an evaluation, as its ``ClaimOutcome`` holds
-    them when the claim is violated."""
+    them; every reader of an outcome reads it here.  An inapplicable
+    evaluation is ``_NA``, whose sides are None."""
     return (INAPPLICABLE if not ev.applicable else HOLDS if ev.holds else VIOLATED), ev.lhs, ev.rhs
 
 
@@ -697,13 +686,12 @@ def evaluate_claim(claim_id: str, instance, mode: str = STRICT) -> ClaimOutcome:
     _check_mode(mode)
     text = kind.text(instance)
     ev = claim.evaluate(instance, _Toolkit(), mode)
-    if not ev.applicable:
-        return ClaimOutcome(claim.id, text, INAPPLICABLE)
-    if ev.holds:
-        return ClaimOutcome(claim.id, text, HOLDS, ev.lhs, ev.rhs)
+    status, lhs, rhs = _verdict(ev)
+    if status != VIOLATED:
+        return ClaimOutcome(claim.id, text, status, lhs, rhs)
     cert = ev.cert()
-    oracle = _verify_violation(claim, instance, ev.lhs, ev.rhs, cert, mode)
-    return ClaimOutcome(claim.id, text, VIOLATED, ev.lhs, ev.rhs, cert, oracle)
+    oracle = _verify_violation(claim, instance, lhs, rhs, cert, mode)
+    return ClaimOutcome(claim.id, text, status, lhs, rhs, cert, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +757,9 @@ class Graph6Corpus(_GraphCorpus):
     def __post_init__(self) -> None:
         if isinstance(self.graphs, str):  # would be read one character per line
             raise BadCorpusSource("a graph6 corpus takes a sequence of lines, not one string")
+        object.__setattr__(self, "graphs", tuple(self.graphs))  # first: a generator reads once
+        if not all(isinstance(line, str) for line in self.graphs):
+            raise BadCorpusSource("a graph6 corpus takes lines that are strings")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Graph6Corpus":
@@ -980,7 +971,10 @@ class AuditReport:
 
 def _resolve_claims(claim_ids: Iterable[str], kind: str) -> list[Claim]:
     """The claims named by *claim_ids*, once each, in registry order: raises
-    ``UnknownClaim`` or, for none or one of another kind, ``BadCorpusSource``."""
+    ``UnknownClaim`` or, for a bare string (read one character per id),
+    none, or one of another kind, ``BadCorpusSource``."""
+    if isinstance(claim_ids, str):
+        raise BadCorpusSource("claim ids go in a sequence, not one string")
     wanted = {get_claim(cid).id for cid in claim_ids}
     if not wanted:
         raise BadCorpusSource("no claims requested")
@@ -996,31 +990,29 @@ def _resolve_claims(claim_ids: Iterable[str], kind: str) -> list[Claim]:
 def _audit(claims: list[Claim], corpus: Corpus, mode: str):
     """A tally of ``(claim id, status)`` per evaluation, the violations in
     the corpus as ``(claim id, violation, index of its re-check job)``, and
-    the oracle re-check jobs.
+    the oracle re-check jobs, each a picklable ``(claim id, instance, lhs,
+    rhs, certificate, mode)`` whose verdict ``run_audit`` adds as the
+    ``"oracle"`` field of the violations that point to it.
 
     One toolkit serves the whole audit but for the later members of
-    violating classes (below).  A graph corpus is read through
-    ``masks()``, and a member of order <= ``_CLASS_MAX_ORDER`` goes through
-    its isomorphism class (see the module docstring), keyed by its mask
-    alone: the first member of a class is decoded or built and runs every
-    claim's evaluator; a later member is only counted, unless its class
-    violates a claim.  Then its graph is built, and the violated claims run
-    on it in full with a fresh toolkit, so that every solver value, the
-    class-cached ones of its G - v and complement included, is worked out
-    from its own labels; each must read as its class did.
+    violating classes.  A graph corpus is read through ``masks()``, and a
+    member of order <= ``_CLASS_MAX_ORDER`` goes through its isomorphism
+    class, keyed by its mask alone: the first member of a class is decoded
+    or built and runs every claim; a later member is only counted (``count``
+    tallies each status of its class's reading once per member), unless its
+    class violates a claim.  Then its graph is built, and the violated
+    claims run on it in full with a fresh toolkit, so that every solver
+    value, the class-cached ones of its G - v and complement included, is
+    worked out from its own labels; each must read as its class did.
 
-    Each violation's certificate is built here, and its ``"oracle"`` field
-    is added once ``run_audit`` has run the jobs, each a picklable ``(claim
-    id, instance, lhs, rhs, certificate, mode)``.  A graph corpus queues one
-    job per violating (claim, class), for its first member, and its later
-    members share that job's verdict.  On a graph of order <= 7, below the
-    oracles' order caps, a re-check is always "full": it compares the
-    oracles' (applicable, holds, lhs, rhs) with the solver's, and reads no
-    certificate.  The oracles' values are isomorphism invariants, and every
-    later member's solver verdict has just been checked equal to its
-    class's, so its own re-check would repeat the first one.  Pair and
-    family corpora, and graphs past the classes, queue one job per
-    violation.
+    A graph corpus queues one job per violating (claim, class), for its
+    first member, and the later members share its verdict.  Order <= 7 is
+    below the oracles' caps (12 and 20, as a test checks), so a re-check of
+    G, its G - v and its complement is always "full": it compares verdicts
+    and reads no certificate.  The oracles' values are isomorphism
+    invariants, and each later member's verdict has just been checked equal
+    to its class's, so its own re-check would repeat the first.  Pair and
+    family corpora, and graphs past the classes, queue one job per violation.
     """
     kit = _Toolkit()
     tally: Counter = Counter()
@@ -1034,7 +1026,6 @@ def _audit(claims: list[Claim], corpus: Corpus, mode: str):
         if job is None:
             job = len(jobs)
             jobs.append((claim.id, instance, ev.lhs, ev.rhs, cert, mode))
-        tally[claim.id, VIOLATED] += 1
         violation = dict(instance=text, lhs=ev.lhs, rhs=ev.rhs, witness=cert)
         violations.append((claim.id, violation, job))
         return job
@@ -1051,10 +1042,9 @@ def _audit(claims: list[Claim], corpus: Corpus, mode: str):
         return read
 
     def count(read: list, members: int = 1) -> None:
-        """Tally the claims of *read* that hold or do not apply."""
-        for claim, (status, _, _), job in read:
-            if job is None:
-                tally[claim.id, status] += members
+        """Tally every claim's status in *read* once per member of its class."""
+        for claim, (status, _, _), _ in read:
+            tally[claim.id, status] += members
 
     if corpus.kind() != GRAPH:
         for text, instance in corpus.instances():

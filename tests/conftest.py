@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations
 
@@ -16,9 +17,11 @@ def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
     return build_graph(n, edges)
 
 
-def all_graphs(max_n: int):
-    for n in range(1, max_n + 1):
-        yield from enumerate_labeled_graphs(n)
+@functools.cache
+def all_graphs(max_n: int) -> tuple[Graph, ...]:
+    """Every labeled graph of order 1..max_n, built once per session."""
+    smaller = all_graphs(max_n - 1) if max_n > 1 else ()
+    return smaller + tuple(enumerate_labeled_graphs(max_n))
 
 
 def brute_gamma_i(g: Graph) -> int:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from idstab import auditor, errors
+from idstab import auditor, errors, oracles
 from idstab.auditor import (
     CLAIM_IDS,
     ExhaustiveCorpus,
@@ -289,6 +289,8 @@ class TestRunAudit:
             run_audit(["C2"], FamilyCorpus.default_grid(4), threads=1)
         with pytest.raises(errors.BadCorpusSource):
             run_audit([], ExhaustiveCorpus(3), threads=1)
+        with pytest.raises(errors.BadCorpusSource, match="not one string"):
+            run_audit("C26", ExhaustiveCorpus(2), threads=1)  # not the ids "C", "2", "6"
 
     def test_corpus_caps(self):
         with pytest.raises(errors.CorpusTooLarge):
@@ -350,6 +352,12 @@ class TestRunAudit:
         for specs in (("path:3",), "path:3", (FamilySpec("path", (3,)), None)):
             with pytest.raises(errors.BadCorpusSource, match="sequence of FamilySpec"):
                 FamilyCorpus(specs)
+        for lines in ((1, 2), ("Bw", None), ("Bw", b"A_")):
+            with pytest.raises(errors.BadCorpusSource, match="lines that are strings"):
+                Graph6Corpus(lines)
+        corpus = Graph6Corpus(line for line in ("Bw", "A_"))  # a generator, checked and kept
+        assert corpus.graphs == ("Bw", "A_")
+        assert run_audit(["C2"], corpus, threads=1).stats["instances"] == 2
 
     def test_malformed_line_fails_in_from_file_or_in_the_audit(self, tmp_path):
         lines = ("Bw", "B!", "A_")
@@ -463,6 +471,7 @@ class TestIsomorphismClasses:
             least = _orbit_minimum(7, mask)
             assert auditor._class_key(7, mask) == auditor._class_key(7, least) == (7, least), mask
 
+    @pytest.mark.slow
     def test_class_counts_and_table_bound(self):
         # unlabeled graphs of order 1..7, OEIS A000088
         keys = [
@@ -596,6 +605,15 @@ class TestIsomorphismClasses:
         assert auditor._class_key(3, 4) == (3, 1)  # its class's first member is "B_"
         with pytest.raises(errors.InternalAuditError, match="not an isomorphism invariant at BG"):
             run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(4), threads=1)
+
+    def test_class_rechecks_stay_below_the_oracle_caps(self):
+        # a violating class shares its first member's oracle verdict because
+        # every re-check at order <= _CLASS_MAX_ORDER, of G, each G - v and
+        # the complement, is "full"
+        assert auditor._CLASS_MAX_ORDER <= oracles.ORACLE_STABILITY_MAX_ORDER
+        assert auditor._CLASS_MAX_ORDER <= oracles.ORACLE_MAX_ORDER
+        report = run_audit(_GRAPH_CLAIMS, Graph6Corpus(("F^~~w", "F????")), threads=1)
+        assert report.stats["oracle_full"] == report.violation_count == 2  # C8 and C9
 
     def test_order_8_audit_builds_no_order_7_class_table(self, monkeypatch):
         monkeypatch.setattr(auditor, "_CLASS_TABLES", dict(auditor._CLASS_TABLES))

@@ -55,6 +55,7 @@ class TestStabilitySieve:
         for g in all_graphs(5):
             assert oracle_stability(g) == _reference_stability(g, memo)
 
+    @pytest.mark.slow
     def test_seeded_orders_7_to_12(self):
         rng = random.Random(0x51E7E)
         for n in range(7, 13):
@@ -74,6 +75,7 @@ class TestGammaIFilter:
         for g in all_graphs(5):
             assert oracle_gamma_i(g) == brute_gamma_i(g)
 
+    @pytest.mark.slow
     def test_exhaustive_order_6(self):
         for g in enumerate_labeled_graphs(6):
             assert oracle_gamma_i(g) == brute_gamma_i(g)

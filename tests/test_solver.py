@@ -149,6 +149,7 @@ class TestOracleGammaI:
 
 
 class TestSolverOracleAgreement:
+    @pytest.mark.slow
     def test_exhaustive_order_6(self):
         for g in all_graphs(6):
             assert gamma_i_value(g) == oracle_gamma_i(g), g
@@ -708,6 +709,7 @@ class TestPackingBound:
         assert [_cover_min(*case) for case in cases] == sorted_answers
         assert walks  # the packing gate opened
 
+    @pytest.mark.slow
     def test_exhaustive_order_6_matches_pre_change_witnesses(self):
         # no block of order <= 6 opens _cover_min's gate, so only the witness passes change here
         # (each with the value search's picks as its incumbent)
@@ -968,6 +970,7 @@ class TestSelfReduction:
         _check_witnesses(graphs)
         assert max(pieces) >= 5  # some question's remainder has five components or more
 
+    @pytest.mark.slow
     def test_every_optimal_incumbent_gives_the_lexmin_witness(self):
         # the witness pass takes any optimal set as its incumbent, not only
         # the value search's last one: every minimum independent dominating
@@ -1108,6 +1111,7 @@ class TestComponentWalk:
             for comp, cap in walked:
                 assert cap == _ref_cap(rows, comp), (g, universe)
 
+    @pytest.mark.slow
     def test_exhaustive_order_6(self):
         rng = random.Random(0xB10C)
         for g in all_graphs(6):
