@@ -55,13 +55,7 @@ from .solver import (
     gamma_value,
     max_induced_star,
 )
-from .stability import (
-    Direction,
-    StabilityCertificate,
-    StabilityTriple,
-    stability,
-    stability_triple,
-)
+from .stability import Direction, StabilityCertificate, stability
 
 __version__ = "0.1.0"
 
@@ -82,7 +76,6 @@ __all__ = [
     "PairCorpus",
     "SetClassification",
     "StabilityCertificate",
-    "StabilityTriple",
     "VertexSet",
     "alpha",
     "alpha_value",
@@ -122,5 +115,4 @@ __all__ = [
     "private_neighbors",
     "run_audit",
     "stability",
-    "stability_triple",
 ]

@@ -600,7 +600,7 @@ CLAIM_IDS: tuple[str, ...] = tuple(_REGISTRY)
 
 
 def get_claim(claim_id: str) -> Claim:
-    claim = _REGISTRY.get(claim_id.upper())
+    claim = _REGISTRY.get(claim_id.upper()) if isinstance(claim_id, str) else None
     if claim is None:
         raise UnknownClaim(f"no claim {claim_id!r}; known ids are C1..C26")
     return claim
@@ -971,10 +971,11 @@ class AuditReport:
 
 def _resolve_claims(claim_ids: Iterable[str], kind: str) -> list[Claim]:
     """The claims named by *claim_ids*, once each, in registry order: raises
-    ``UnknownClaim`` or, for a bare string (read one character per id),
-    none, or one of another kind, ``BadCorpusSource``."""
-    if isinstance(claim_ids, str):
-        raise BadCorpusSource("claim ids go in a sequence, not one string")
+    ``UnknownClaim`` or, for a bare string (read one character per id), no
+    sequence, none, or one of another kind, ``BadCorpusSource``."""
+    if isinstance(claim_ids, str) or not isinstance(claim_ids, Iterable):
+        got = "one string" if isinstance(claim_ids, str) else repr(claim_ids)
+        raise BadCorpusSource(f"claim ids go in a sequence, not {got}")
     wanted = {get_claim(cid).id for cid in claim_ids}
     if not wanted:
         raise BadCorpusSource("no claims requested")
@@ -1096,9 +1097,12 @@ def run_audit(
     order (C1..C26); each violation's ``instance`` is the corpus line as
     given, and a block lists its violations by that text.
 
-    Raises ``ValueError`` for a ``mode`` out of range or a ``threads`` that
-    is a bool or not a positive ``int``.
+    Raises ``BadCorpusSource`` for a ``corpus`` that is none of the four
+    corpus types, and ``ValueError`` for a ``mode`` out of range or a
+    ``threads`` that is a bool or not a positive ``int``.
     """
+    if not isinstance(corpus, Corpus):
+        raise BadCorpusSource(f"not a corpus: {corpus!r}")
     claims = _resolve_claims(claim_ids, corpus.kind())
     _check_mode(mode)
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:

@@ -74,6 +74,8 @@ class FamilySpec:
     params: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, str) or not isinstance(self.params, (tuple, list)):
+            raise SpecInvalid(f"need a kind name and a tuple of parameters, got {self!r}")
         kind = _LONG.get(self.kind, self.kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", tuple(self.params))
@@ -99,6 +101,8 @@ class FamilySpec:
 
 def parse_family_spec(text: str) -> FamilySpec:
     """Parse the one-line syntax: ``path:7``, ``gfriend:4,2``, ``petersen``."""
+    if not isinstance(text, str):
+        raise SpecInvalid(f"a family spec is a line of text, got {text!r}")
     head, sep, tail = text.strip().partition(":")
     name = head.strip().lower()
     if name not in _LONG:

@@ -29,7 +29,10 @@ There are three searches:
   returned as (value, picks): the picks are a set of that many vertices
   that dominates the block, independent for gamma_i, namely the search's
   last incumbent.  They need not be the lexmin witness; ``stability``
-  learns no-goods from them.  The search picks a vertex that is not yet
+  learns no-goods from them.  ``_cover_picks`` runs it on each block of a
+  vertex set and joins the picks, whose size is the value that
+  ``gamma_i_value``, ``gamma_value`` and ``stability``'s removal solves
+  read.  The search picks a vertex that is not yet
   dominated and tries every eligible vertex of its closed neighborhood; a
   vertex tried at a node is banned in the later sibling branches, so no
   solution is visited twice, whatever the order of the siblings.  It returns
@@ -385,13 +388,14 @@ def _alpha_max(open_rows: tuple[int, ...], free0: int) -> int:
     return found
 
 
-def _gamma_i_in(closed: list[int], universe: int) -> tuple[int, int]:
-    """gamma_i of the subgraph induced on ``universe``, and an independent
-    dominating set of it of that size, as (value, picks mask)."""
+def _cover_picks(closed: list[int], universe: int, independent: bool) -> int:
+    """A minimum dominating set of the subgraph induced on ``universe``,
+    independent when ``independent``, as a mask: the union of the blocks'
+    ``_cover_min`` picks.  Its size is gamma_i or gamma there."""
     picks = 0
     for comp, cap in component_masks(closed, universe):
-        picks |= _cover_min(closed, comp, cap, True)[1]
-    return picks.bit_count(), picks
+        picks |= _cover_min(closed, comp, cap, independent)[1]
+    return picks
 
 
 def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertificate:
@@ -405,7 +409,7 @@ def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertifica
 
 def gamma_i_value(g: Graph) -> int:
     """The independent domination number, without a witness."""
-    return _gamma_i_in(_closed_rows(g), g.full_mask)[0]
+    return _cover_picks(_closed_rows(g), g.full_mask, True).bit_count()
 
 
 def gamma_i(g: Graph) -> GammaCertificate:
@@ -420,9 +424,7 @@ def gamma_i(g: Graph) -> GammaCertificate:
 def gamma_value(g: Graph) -> int:
     if g.order == 0:
         raise EmptyGraph("domination number of the null graph is undefined")
-    closed = _closed_rows(g)
-    blocks = component_masks(closed, g.full_mask)
-    return sum(_cover_min(closed, comp, cap, False)[0] for comp, cap in blocks)
+    return _cover_picks(_closed_rows(g), g.full_mask, False).bit_count()
 
 
 def gamma(g: Graph) -> GammaCertificate:

@@ -93,7 +93,7 @@ from itertools import islice
 from .core import Graph, VertexSet, iter_bits
 from .errors import EmptyGraph
 from .oracles import oracle_stability  # re-exported; perfbench/spans.py wraps it here
-from .solver import _closed_rows, _covers, _gamma_i_in, _packing_pick
+from .solver import _closed_rows, _cover_picks, _covers, _packing_pick
 
 GAMMA_I_FAMILY_CAP = 4096  # gamma_i-sets, and learned pairs, kept by the increase scan
 # for each bit i < 4, the nibbles with bit i set
@@ -123,13 +123,6 @@ class StabilityCertificate:
     @property
     def defined(self) -> bool:
         return self.value is not None
-
-
-@dataclass(frozen=True)
-class StabilityTriple:
-    any: StabilityCertificate
-    decrease: StabilityCertificate
-    increase: StabilityCertificate
 
 
 def _hitting_masks(n: int, k: int, meets: list[int]):
@@ -244,9 +237,9 @@ def _increase_scan(closed: list[int], full: int, base: int, stop: int):
                 outside >>= 4
             if ~hit & ((1 << learned) - 1):
                 continue  # a learned pair rules ``mask`` out
-            val, picks = _gamma_i_in(closed, full & ~mask)
-            if val > base:
-                return mask, val
+            picks = _cover_picks(closed, full & ~mask, True)
+            if picks.bit_count() > base:
+                return mask, picks.bit_count()
             if learned < GAMMA_I_FAMILY_CAP:
                 dominated = 0
                 for v in iter_bits(picks):
@@ -270,13 +263,13 @@ def stability(g: Graph, direction: Direction | str = Direction.ANY) -> Stability
         raise EmptyGraph("stability of the null graph is undefined")
     closed = _closed_rows(g)
     full = g.full_mask
-    base = _gamma_i_in(closed, full)[0]
+    base = _cover_picks(closed, full, True).bit_count()
     if direction is Direction.INCREASE:
         found = _increase_scan(closed, full, base, 0)
     else:
         matches = base.__gt__ if direction is Direction.DECREASE else base.__ne__
         for v in range(g.order):
-            val = _gamma_i_in(closed, full & ~(1 << v))[0]
+            val = _cover_picks(closed, full & ~(1 << v), True).bit_count()
             if matches(val):
                 return StabilityCertificate(base, direction, 1, VertexSet(1 << v), val)
         k, out = 1, 0 if base > 1 else full  # b = 1: no picks, so S = V
@@ -284,13 +277,8 @@ def stability(g: Graph, direction: Direction | str = Direction.ANY) -> Stability
             k += 1
             out = _lexmin_left_out(closed, full, base - 1, k)
         found = _increase_scan(closed, full, base, out) if direction is Direction.ANY else None
-        found = found or (out, _gamma_i_in(closed, full & ~out)[0])
+        found = found or (out, _cover_picks(closed, full & ~out, True).bit_count())
     if found is None:
         return StabilityCertificate(base, direction, None, None, None)
     mask, val = found
     return StabilityCertificate(base, direction, mask.bit_count(), VertexSet(mask), val)
-
-
-def stability_triple(g: Graph) -> StabilityTriple:
-    """All three directions; equal to three ``stability`` calls."""
-    return StabilityTriple(*(stability(g, d) for d in Direction))

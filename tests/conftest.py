@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from idstab import Graph, VertexSet, build_graph, classify_set
+from idstab import Direction, Graph, VertexSet, build_graph, classify_set, oracle_stability, stability
 from idstab.auditor import enumerate_labeled_graphs
 from idstab.core import iter_bits, upper_triangle_pairs
 
@@ -22,6 +22,17 @@ def all_graphs(max_n: int) -> tuple[Graph, ...]:
     """Every labeled graph of order 1..max_n, built once per session."""
     smaller = all_graphs(max_n - 1) if max_n > 1 else ()
     return smaller + tuple(enumerate_labeled_graphs(max_n))
+
+
+@functools.cache
+def stability_sweep() -> tuple[tuple[Graph, tuple, tuple], ...]:
+    """``(g, its any / decrease / increase certificates, oracle_stability(g))``
+    for every labeled graph of order 1..6, in ``all_graphs(6)`` order: each
+    certificate solved once per session.  Only slow tests read it, so the
+    quick pass never builds it."""
+    return tuple(
+        (g, tuple(stability(g, d) for d in Direction), oracle_stability(g)) for g in all_graphs(6)
+    )
 
 
 def brute_gamma_i(g: Graph) -> int:

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from idstab import (
+    Direction,
     ExhaustiveCorpus,
     FamilyCorpus,
     FamilySpec,
@@ -22,7 +23,6 @@ from idstab import (
     oracle_gamma_i,
     run_audit,
     stability,
-    stability_triple,
 )
 from idstab.auditor import _OracleToolkit, _Toolkit, get_claim
 from idstab.cli import main
@@ -40,7 +40,7 @@ from idstab.families import (
 )
 from idstab.stability import oracle_stability
 
-from conftest import all_graphs, random_graph
+from conftest import all_graphs, random_graph, stability_sweep
 
 
 def _stamp(label, started, budget):
@@ -119,13 +119,11 @@ def test_criterion_05_solver_oracle_equivalence():
         g = random_graph(rng, 12)
         assert gamma_i_value(g) == oracle_gamma_i(g)
     for g in all_graphs(5):
-        t = stability_triple(g)
-        assert (t.any.value, t.decrease.value, t.increase.value) == oracle_stability(g)
+        assert tuple(stability(g, d).value for d in Direction) == oracle_stability(g)
     rng = random.Random(20260810)
     for _ in range(200):
         g = random_graph(rng, rng.randint(2, 10))
-        t = stability_triple(g)
-        assert (t.any.value, t.decrease.value, t.increase.value) == oracle_stability(g)
+        assert tuple(stability(g, d).value for d in Direction) == oracle_stability(g)
     _stamp("5 solver-oracle-equivalence", t0, 600)
 
 
@@ -198,13 +196,11 @@ def test_criterion_08_identity_audit():
 @pytest.mark.slow
 def test_criterion_09_totality_and_complete_iff():
     t0 = time.perf_counter()
-    for g in all_graphs(6):
-        t = stability_triple(g)
-        assert t.any.defined and t.decrease.defined
-        assert t.any.value <= g.order
-        defined = [c.value for c in (t.decrease, t.increase) if c.defined]
-        assert t.any.value == min(defined)
-        assert (t.any.value == g.order) == g.is_complete()
+    for g, (st, down, up), _ in stability_sweep():
+        assert st.defined and down.defined
+        assert st.value <= g.order
+        assert st.value == min(c.value for c in (down, up) if c.defined)
+        assert (st.value == g.order) == g.is_complete()
     report = run_audit(["C26"], ExhaustiveCorpus(6))
     assert report.violation_count == 0
     _stamp("9 totality-and-complete-iff", t0, 1800)

@@ -14,13 +14,14 @@ import hashlib
 import random
 
 from idstab import (
+    Direction,
     alpha,
     alpha_value,
     gamma,
     gamma_i,
     gamma_i_value,
     max_induced_star,
-    stability_triple,
+    stability,
 )
 
 from conftest import all_graphs, random_graph
@@ -44,16 +45,13 @@ def _certificate(cert):
 def _answers(g):
     gi = gamma_i(g)
     dom = gamma(g)
-    triple = stability_triple(g)
     return (
         gi.value,
         gi.witness.members(),
         gamma_i_value(g),
         dom.value,
         dom.witness.members(),
-        _certificate(triple.any),
-        _certificate(triple.decrease),
-        _certificate(triple.increase),
+        *(_certificate(stability(g, d)) for d in Direction),
     )
 
 

@@ -43,6 +43,14 @@ class TestRegistry:
     def test_case_insensitive_lookup(self):
         assert get_claim("c7").id == "C7"
 
+    def test_claim_id_that_is_not_a_string(self):
+        with pytest.raises(errors.UnknownClaim, match="no claim 2"):
+            get_claim(2)
+        with pytest.raises(errors.UnknownClaim):
+            run_audit([2], ExhaustiveCorpus(2), threads=1)
+        with pytest.raises(errors.UnknownClaim):
+            evaluate_claim(2, path(3))
+
 
 class _ReadsBelow(_Toolkit):
     """st_id and gamma_i read as -order, below every right-hand side."""
@@ -291,6 +299,15 @@ class TestRunAudit:
             run_audit([], ExhaustiveCorpus(3), threads=1)
         with pytest.raises(errors.BadCorpusSource, match="not one string"):
             run_audit("C26", ExhaustiveCorpus(2), threads=1)  # not the ids "C", "2", "6"
+
+    def test_claim_ids_that_are_no_sequence(self):
+        with pytest.raises(errors.BadCorpusSource, match="go in a sequence, not None"):
+            run_audit(None, ExhaustiveCorpus(2), threads=1)
+
+    def test_corpus_that_is_no_corpus(self):
+        for bad in (None, ["A_"], "A_"):
+            with pytest.raises(errors.BadCorpusSource, match="not a corpus"):
+                run_audit(["C2"], bad, threads=1)
 
     def test_corpus_caps(self):
         with pytest.raises(errors.CorpusTooLarge):

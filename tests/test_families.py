@@ -131,6 +131,18 @@ def test_spec_validation():
             FamilySpec("path", params)
 
 
+def test_spec_of_the_wrong_types():
+    for kind, params in ((["path"], (1,)), ("path", 7), ("path", None)):
+        with pytest.raises(errors.SpecInvalid, match="a kind name and a tuple"):
+            FamilySpec(kind, params)
+    assert FamilySpec("path", [3]) == FamilySpec("path", (3,))
+
+
+def test_parse_rejects_what_is_not_text():
+    with pytest.raises(errors.SpecInvalid, match="line of text, got None"):
+        parse_family_spec(None)
+
+
 def test_order_cap():
     parse_family_spec("path:64")
     with pytest.raises(errors.OrderTooLarge):

@@ -18,7 +18,7 @@ from idstab.families import (
     star,
 )
 from idstab.ops import disjoint_union
-from idstab.solver import _closed_rows, _gamma_i_in, gamma_i_value
+from idstab.solver import _closed_rows, _cover_picks, gamma_i_value
 from idstab.stability import (
     Direction,
     StabilityCertificate,
@@ -26,10 +26,9 @@ from idstab.stability import (
     _lexmin_left_out,
     oracle_stability,
     stability,
-    stability_triple,
 )
 
-from conftest import all_graphs, random_graph
+from conftest import all_graphs, random_graph, stability_sweep
 
 # the package rebinds ``idstab.stability`` to the function
 stability_module = importlib.import_module("idstab.stability")
@@ -79,11 +78,11 @@ def _plain_scan(g, direction):
     removal solved, nothing skipped."""
     closed = _closed_rows(g)
     full = g.full_mask
-    base = _gamma_i_in(closed, full)[0]
+    base = _cover_picks(closed, full, True).bit_count()
     changes = _CHANGES[direction]
     for k in range(1, g.order + 1):
         for mask in _subset_masks(g.order, k):
-            val = _gamma_i_in(closed, full & ~mask)[0]
+            val = _cover_picks(closed, full & ~mask, True).bit_count()
             if changes(base, val):
                 return StabilityCertificate(base, direction, k, VertexSet(mask), val)
     return StabilityCertificate(base, direction, None, None, None)
@@ -194,18 +193,7 @@ class TestOracleStability:
 
 
 def _triple_values(g):
-    t = stability_triple(g)
-    return (
-        t.any.value,
-        t.decrease.value,
-        t.increase.value,
-    )
-
-
-def _assert_agrees_with_oracle(g):
-    expected = oracle_stability(g)
-    assert _triple_values(g) == expected
-    assert tuple(stability(g, d).value for d in Direction) == expected
+    return tuple(stability(g, d).value for d in Direction)
 
 
 def _unpruned_certificate(g, direction):
@@ -231,7 +219,7 @@ def _assert_seeded_certificates_unpruned():
 class TestAgreementWithOracle:
     def test_exhaustive_order_4(self):
         for g in all_graphs(4):
-            _assert_agrees_with_oracle(g)
+            assert _triple_values(g) == oracle_stability(g)
 
     def test_random_up_to_order_8(self, rng):
         for _ in range(30):
@@ -240,10 +228,8 @@ class TestAgreementWithOracle:
 
     @pytest.mark.slow
     def test_exhaustive_order_6(self):
-        # stability_triple is the three calls (test_triple_matches_single_calls)
-        # and runs on every graph here in test_criterion_09
-        for g in all_graphs(6):
-            assert tuple(stability(g, d).value for d in Direction) == oracle_stability(g)
+        for _, certs, expected in stability_sweep():
+            assert tuple(cert.value for cert in certs) == expected
 
 
 class TestMinRule:
@@ -254,13 +240,10 @@ class TestMinRule:
     def test_exhaustive_order_6(self):
         # where st_down == st_up >= 2 the first witness wins; some ties go each way
         raised_first = set()
-        for g in all_graphs(6):
-            cert = stability(g)
+        for g, (cert, down, up), _ in stability_sweep():
             assert cert == _plain_scan(g, Direction.ANY)
-            if cert.value >= 2:
-                down, up = (stability(g, d).value for d in (Direction.DECREASE, Direction.INCREASE))
-                if down == up:
-                    raised_first.add(cert.new_gamma_i > cert.base_gamma_i)
+            if cert.value >= 2 and down.value == up.value:
+                raised_first.add(cert.new_gamma_i > cert.base_gamma_i)
         assert raised_first == {False, True}
 
     def test_seeded_order_7_to_14(self):
@@ -346,8 +329,8 @@ class TestNoGoodRule:
 
     @pytest.mark.slow
     def test_exhaustive_order_6(self):
-        for g in all_graphs(6):
-            assert stability(g, Direction.INCREASE) == _plain_scan(g, Direction.INCREASE)
+        for g, (_, _, up), _ in stability_sweep():
+            assert up == _plain_scan(g, Direction.INCREASE)
 
     @pytest.mark.parametrize(
         "g,base,value,witness,new,bound",
@@ -430,15 +413,15 @@ def _searched_decrease(g):
     ``stability`` finds a decrease witness when gamma_i is not 1."""
     closed = _closed_rows(g)
     full = g.full_mask
-    base = _gamma_i_in(closed, full)[0]
+    base = _cover_picks(closed, full, True).bit_count()
     for v in range(g.order):
-        val = _gamma_i_in(closed, full & ~(1 << v))[0]
+        val = _cover_picks(closed, full & ~(1 << v), True).bit_count()
         if val < base:
             return StabilityCertificate(base, Direction.DECREASE, 1, VertexSet(1 << v), val)
     for k in range(2, g.order + 1):
         out = _lexmin_left_out(closed, full, base - 1, k)
         if out:
-            new = _gamma_i_in(closed, full & ~out)[0]
+            new = _cover_picks(closed, full & ~out, True).bit_count()
             return StabilityCertificate(base, Direction.DECREASE, k, VertexSet(out), new)
     raise AssertionError("removing every vertex always decreases gamma_i")
 
@@ -449,8 +432,8 @@ class TestDecreaseSearch:
 
     @pytest.mark.slow
     def test_exhaustive_order_6(self):
-        for g in all_graphs(6):
-            assert stability(g, Direction.DECREASE) == _plain_scan(g, Direction.DECREASE)
+        for g, (_, down, _), _ in stability_sweep():
+            assert down == _plain_scan(g, Direction.DECREASE)
 
     def test_seeded_order_7_to_13(self):
         rng = random.Random(0xDEC5)
@@ -535,22 +518,13 @@ class TestDecreaseSearch:
 class TestInvariants:
     def test_min_rule_and_cap(self):
         for g in all_graphs(5):
-            t = stability_triple(g)
-            defined = [c.value for c in (t.decrease, t.increase) if c.defined]
-            assert t.any.value == min(defined)
-            assert t.any.value <= g.order
+            st, down, up = (stability(g, d) for d in Direction)
+            assert st.value == min(c.value for c in (down, up) if c.defined)
+            assert st.value <= g.order
 
     def test_complete_equality(self):
         for n in range(1, 9):
             assert stability(complete(n)).value == n
-
-    def test_triple_matches_single_calls(self, rng):
-        for _ in range(10):
-            g = random_graph(rng, rng.randint(2, 7))
-            t = stability_triple(g)
-            assert t.any == stability(g, Direction.ANY)
-            assert t.decrease == stability(g, Direction.DECREASE)
-            assert t.increase == stability(g, Direction.INCREASE)
 
     def test_deletion_relation_order_5(self):
         # st(G) <= st(G - v) + 1 for every vertex
