@@ -755,8 +755,10 @@ class Graph6Corpus(_GraphCorpus):
     label: str = "graph6 corpus"
 
     def __post_init__(self) -> None:
-        if isinstance(self.graphs, str):  # would be read one character per line
-            raise BadCorpusSource("a graph6 corpus takes a sequence of lines, not one string")
+        if isinstance(self.graphs, str) or not isinstance(self.graphs, Iterable):
+            # a string would be read one character per line
+            got = "one string" if isinstance(self.graphs, str) else repr(self.graphs)
+            raise BadCorpusSource(f"a graph6 corpus takes a sequence of lines, not {got}")
         object.__setattr__(self, "graphs", tuple(self.graphs))  # first: a generator reads once
         if not all(isinstance(line, str) for line in self.graphs):
             raise BadCorpusSource("a graph6 corpus takes lines that are strings")
@@ -824,7 +826,11 @@ class FamilyCorpus:
     label: str = "family parameter grid"
 
     def __post_init__(self) -> None:
-        if isinstance(self.specs, str) or not all(isinstance(s, FamilySpec) for s in self.specs):
+        if (
+            isinstance(self.specs, str)
+            or not isinstance(self.specs, Iterable)
+            or not all(isinstance(s, FamilySpec) for s in self.specs)
+        ):
             raise BadCorpusSource("a family corpus takes a sequence of FamilySpec values")
 
     @classmethod

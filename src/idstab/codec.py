@@ -42,6 +42,8 @@ def graph6_payload(text: str) -> tuple[int, str]:
     check of the line: an optional ``>>graph6<<`` header, the alphabet, the
     order prefix and cap, the payload length and zero padding bits.  The one
     validation of ``decode_graph6`` and ``graph6_edge_mask``."""
+    if not isinstance(text, str):
+        raise MalformedGraph6(f"a graph6 line is a string, got {text!r}")
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
@@ -98,6 +100,8 @@ def graph6_lines(text: str, source: str) -> tuple[str, ...]:
 
 def parse_edgelist(text: str) -> Graph:
     """Parse ``n m`` followed by m lines ``u v`` (0-based labels)."""
+    if not isinstance(text, str):
+        raise ParseError(f"an edge list is a string, got {text!r}")
     lines = text.splitlines()
     if not lines or not lines[0].split():
         raise ParseError("line 1: expected header 'n m'")

@@ -54,8 +54,9 @@ class VertexSet:
     mask: int = 0
 
     def __post_init__(self) -> None:
-        if self.mask < 0:  # iter_bits never ends on a negative mask
-            raise VertexOutOfRange(f"a vertex set's mask must be nonnegative, got {self.mask}")
+        # iter_bits fails on a mask that is no int, and never ends on a negative one
+        if type(self.mask) is not int or self.mask < 0:
+            raise VertexOutOfRange(f"a vertex set's mask must be an int >= 0, got {self.mask!r}")
 
     @classmethod
     def of(cls, vertices: Iterable[int]) -> "VertexSet":

@@ -17,10 +17,13 @@ counts the dominator sets smallest first and stops counting as soon as
 its count reaches the number of picks at which the node prunes: the count
 only grows, so the rest cannot save the node.  Any order counts
 pairwise-disjoint dominator sets, so the count is a sound bound.  A sound
-bound prunes only nodes with no leaf below them that beats the incumbent,
-so the value search still records as incumbents exactly the leaves that
-beat every earlier leaf of its unpruned tree; the order changes which nodes
-it visits, but not its branching, its incumbents or the (value, picks) it
+bound prunes only nodes with no leaf below them that beats the incumbent.
+The value search records a leaf as its incumbent when the leaf beats every
+earlier one, or when it ties a leaf sibling recorded just before it (the
+later of two equal leaf children of one node keeps its picks); no leaf
+below a soundly pruned node is either, since the first one recorded there
+would have to beat the incumbent.  So the order changes which nodes it
+visits, but not its branching, its incumbents or the (value, picks) it
 returns.  Nor does it change the sets ``_covers`` yields, or their order.
 
 There are three searches:
@@ -78,6 +81,7 @@ witness comes out of its one search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .core import Graph, VertexSet, component_masks, iter_bits
 from .errors import EmptyGraph
@@ -93,6 +97,9 @@ class GammaCertificate:
     witness: VertexSet
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary numeral's digits as 0/1 bytes
+
+
 def _closed_rows(g: Graph) -> list[int]:
     return [row | (1 << v) for v, row in enumerate(g.adj)]
 
@@ -104,17 +111,20 @@ def _packing_pick(closed: list[int], uncovered: int, cands: int, need: int) -> i
     ``_covers`` tries no candidate above its top member, and
     ``stability._lexmin_left_out`` only prunes on 0.
 
-    Reads the dominator set ``closed[u] & cands`` of every uncovered vertex
-    u, sorts the sets by size (smallest first, a stable sort) and counts
+    Builds the dominator set ``closed[u] & cands`` of every uncovered vertex
+    u in one pass over the rows (``compress`` keeps the rows whose bit is
+    set in ``uncovered``, read as a string of 0/1 bytes lowest bit first),
+    sorts the sets by size (smallest first, a stable sort) and counts
     each set disjoint from the sets counted so far.  No single pick
     dominates two counted vertices, so a completion needs at least that many
     more picks (the packing bound rho <= gamma of Meir and Moon); any order
     of the sets gives a sound count, and the smallest sets, which meet the
     fewest others, usually give a larger one than vertex order.  If some
     dominator set is empty, no completion exists at all, and the walk
-    returns 0 at once.  For gamma_i the later picks must be uncovered,
-    because they must stay independent of the chosen ones, so the callers
-    pass uncovered candidates.
+    returns 0 before it sorts and counts (the empty set would sort first,
+    so the walk would return 0 after counting too).  For gamma_i the later
+    picks must be uncovered, because they must stay independent of the
+    chosen ones, so the callers pass uncovered candidates.
 
     Threshold exit: the count only grows along the sorted sets, so once it
     reaches ``need`` the count over all of them would reach it too, and the
@@ -123,14 +133,10 @@ def _packing_pick(closed: list[int], uncovered: int, cands: int, need: int) -> i
     in vertex order among equals, since the sort is stable.  The callers
     pass a nonempty ``uncovered``, so that set is never empty.
     """
-    doms = []
-    while uncovered:
-        low = uncovered & -uncovered
-        uncovered ^= low
-        dom = closed[low.bit_length() - 1] & cands
-        if not dom:
-            return 0
-        doms.append(dom)
+    picked = bin(uncovered)[:1:-1].encode().translate(_BITS)  # bit u of uncovered as byte u
+    doms = [row & cands for row in compress(closed, picked)]
+    if not all(doms):
+        return 0
     doms.sort(key=int.bit_count)
     used = 0
     count = 0
@@ -202,11 +208,27 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
     set dominates no nonempty block, so both are exactly 1, and no search is
     needed; the picks are the lowest such v.  With none drawable it searches.
 
+    Child bound in the parent: a child that leaves ``left`` vertices
+    undominated needs at least ceil(left / cap) more picks, so a node enters
+    it only if size + 1 + ceil(left / cap) < ``best``; a child that fails
+    this would have returned at once, so the tree and its incumbents stay
+    those of the search that enters every child and bounds itself.  Above
+    the packing gate the loop stops at the first child that fails: a child
+    v leaves |uncovered| - |closed[v] & uncovered| undominated, and the
+    children come most newly dominating first, so ``left`` only grows along
+    the loop, while ``best`` only falls; every later child fails too.  The
+    root gets the same check.
+
     Incumbent: a block of two or more vertices has a vertex with a
     neighbour, and a maximal independent set holding it leaves that
     neighbour out, so both values are below the vertex count that ``best``
-    starts at by default.  The search keeps only strictly better leaves, so
-    it always records one, and its picks attain the value returned.
+    starts at by default.  A node records each leaf child, one whose picks
+    dominate the block, without a bound check.  The node's own covering
+    bound put size + 1 below ``best`` when it was entered, and only a leaf
+    sibling can bring ``best`` down to size + 1, since leaves below a
+    sibling hold more picks.  So a recorded leaf beats the incumbent or ties
+    the leaf sibling recorded just before it, and then replaces its picks.
+    The search always records one, and its picks attain the value returned.
     """
     draw = comp if draw is None else draw
     order = comp.bit_count()
@@ -221,33 +243,40 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
     keep = 0 if independent else draw
     found = 0
 
-    def rec(covered: int, excluded: int, size: int, picks: int) -> None:
+    def rec(uncovered: int, excluded: int, size: int, picks: int) -> None:
         nonlocal best, found
-        uncovered = comp & ~covered
-        if not uncovered:
-            best, found = size, picks
-            return
-        if size + -(-uncovered.bit_count() // cap) >= best:
-            return
         pool = (uncovered | keep) & ~excluded
+        nxt = size + 1  # a child's picks count
         ban = 0
         if pack:
             cands = _packing_pick(closed, uncovered, pool, best - size)
             if not cands:  # size + the packing bound >= best
                 return
             for v in _most_dominating_first(closed, uncovered, cands):
-                rec(covered | (closed[v] & comp), excluded | ban, size + 1, picks | 1 << v)
+                rest = uncovered & ~closed[v]
+                if not rest:
+                    best, found = nxt, picks | 1 << v
+                elif nxt - (-rest.bit_count() // cap) < best:
+                    rec(rest, excluded | ban, nxt, picks | 1 << v)
+                else:
+                    break  # every later child leaves at least as many undominated
                 ban |= 1 << v
             return
         cands = closed[(uncovered & -uncovered).bit_length() - 1] & pool
         while cands:
             low = cands & -cands
             cands ^= low
-            rec(covered | (closed[low.bit_length() - 1] & comp), excluded | ban,
-                size + 1, picks | low)
+            rest = uncovered & ~closed[low.bit_length() - 1]
+            if not rest:
+                best, found = nxt, picks | low
+            elif nxt - (-rest.bit_count() // cap) < best:
+                rec(rest, excluded | ban, nxt, picks | low)
             ban |= low
 
-    rec(0, ~draw, 0, 0)
+    if not comp:
+        return 0, 0
+    if -(-order // cap) < best:
+        rec(comp, ~draw, 0, 0)
     return best, found
 
 

@@ -257,7 +257,9 @@ def stability(g: Graph, direction: Direction | str = Direction.ANY) -> Stability
     """The fewest vertices whose removal changes ("any"), lowers or raises
     gamma_i, with the lexicographically first such set and gamma_i before
     and after; value, witness and new gamma_i are ``None`` for an increase
-    that no removal gives.  Raises ``EmptyGraph`` on the null graph."""
+    that no removal gives.  Raises ``EmptyGraph`` on the null graph, and
+    ``ValueError`` for a ``direction`` that is neither a ``Direction`` nor
+    the value of one ("any", "decrease", "increase")."""
     direction = Direction(direction)
     if g.order == 0:
         raise EmptyGraph("stability of the null graph is undefined")

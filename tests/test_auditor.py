@@ -376,6 +376,14 @@ class TestRunAudit:
         assert corpus.graphs == ("Bw", "A_")
         assert run_audit(["C2"], corpus, threads=1).stats["instances"] == 2
 
+    @pytest.mark.parametrize("bad", [None, 7])
+    def test_corpus_of_no_sequence_fails_at_construction(self, bad):
+        # both raised a bare TypeError before, while PairCorpus(None) raised this
+        with pytest.raises(errors.BadCorpusSource, match=f"sequence of lines, not {bad!r}"):
+            Graph6Corpus(bad)
+        with pytest.raises(errors.BadCorpusSource, match="sequence of FamilySpec"):
+            FamilyCorpus(bad)
+
     def test_malformed_line_fails_in_from_file_or_in_the_audit(self, tmp_path):
         lines = ("Bw", "B!", "A_")
         f = tmp_path / "corpus.g6"

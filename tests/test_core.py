@@ -313,6 +313,13 @@ class TestVertexSet:
         with pytest.raises(errors.VertexOutOfRange):
             VertexSet(-1)
 
+    @pytest.mark.parametrize("mask", [1.5, None, "3", True])
+    def test_mask_that_is_no_int_rejected(self, mask):
+        # before, 1.5 built a set whose members() raised TypeError, and None
+        # and "3" raised a bare TypeError here
+        with pytest.raises(errors.VertexOutOfRange, match="must be an int >= 0"):
+            VertexSet(mask)
+
     def test_negative_vertex_rejected(self):
         with pytest.raises(errors.VertexOutOfRange, match="nonnegative, got -1"):
             VertexSet.of([2, -1])

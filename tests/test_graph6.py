@@ -205,6 +205,8 @@ _MALFORMED = [
     ("~~?", errors.OrderTooLarge),  # the 8-byte order prefix
     ("~?", errors.MalformedGraph6),  # truncated 4-byte order prefix
     ("~?@B", errors.OrderTooLarge),  # order 66
+    (None, errors.MalformedGraph6),  # not a string
+    (b"A_", errors.MalformedGraph6),  # bytes, not a string
 ]
 
 
@@ -249,6 +251,11 @@ class TestEdgeList:
             parse_edgelist("3 1\n0 x\n")
         with pytest.raises(errors.ParseError):
             parse_edgelist("3 1\n0 1\n1 2\n")
+
+    @pytest.mark.parametrize("text", [None, b"1 0\n", 3])
+    def test_non_string_rejected(self, text):
+        with pytest.raises(errors.ParseError, match="an edge list is a string"):
+            parse_edgelist(text)
 
     def test_roundtrip(self):
         for g in (path(5), petersen(), empty(3), book(3)):

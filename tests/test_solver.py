@@ -604,10 +604,107 @@ def _ascending_packing_pick(closed, uncovered, cands, need):
     return smallest
 
 
-class _Rows(list):
-    """Closed rows that count how often a walk reads them."""
+def _parent_packing_pick(closed, uncovered, cands, need):
+    """``_packing_pick`` as it was before its one-pass build: a bit loop over
+    the uncovered vertices that stops at the first empty dominator set."""
+    doms = []
+    while uncovered:
+        low = uncovered & -uncovered
+        uncovered ^= low
+        dom = closed[low.bit_length() - 1] & cands
+        if not dom:
+            return 0
+        doms.append(dom)
+    doms.sort(key=int.bit_count)
+    used = count = 0
+    for dom in doms:
+        if not dom & used:
+            used |= dom
+            count += 1
+            if count == need:
+                return 0
+    return doms[0]
 
-    reads = 0
+
+def _parent_cover_min(closed, comp, cap, independent, draw=None, bound=None, tally=None):
+    """``_cover_min`` as it was before its children were bounded in their
+    parent: every child is entered and checks the covering bound itself.
+
+    ``tally``, a dict, counts the nodes entered (``"nodes"``), the leaves
+    among them (``"leaves"``), those that return at once on the covering
+    bound (``"cut"``), and the children above the packing gate that follow a
+    sibling cut that way (``"after_cut"``), which the loop now skips by
+    stopping.  The copy also checks the stop's argument: above the gate
+    every such later sibling is cut too.
+    """
+    tally = {} if tally is None else tally
+    for key in ("nodes", "leaves", "cut", "after_cut"):
+        tally.setdefault(key, 0)
+    draw = comp if draw is None else draw
+    order = comp.bit_count()
+    best = order if bound is None else bound + 1
+    if cap == order:
+        rest = draw
+        while rest and closed[(rest & -rest).bit_length() - 1] & comp != comp:
+            rest &= rest - 1
+        if rest:
+            return 1, rest & -rest
+    pack = order > 2 * cap
+    keep = 0 if independent else draw
+    found = 0
+
+    def is_cut(covered, size):
+        left = (comp & ~covered).bit_count()
+        return left and size + -(-left // cap) >= best
+
+    def rec(covered, excluded, size, picks):
+        nonlocal best, found
+        tally["nodes"] += 1
+        uncovered = comp & ~covered
+        if not uncovered:
+            tally["leaves"] += 1
+            best, found = size, picks
+            return
+        if size + -(-uncovered.bit_count() // cap) >= best:
+            tally["cut"] += 1
+            return
+        pool = (uncovered | keep) & ~excluded
+        ban = 0
+        if pack:
+            cands = _parent_packing_pick(closed, uncovered, pool, best - size)
+            if not cands:
+                return
+            stopped = False
+            for v in sorted(iter_bits(cands), key=lambda v: -(closed[v] & uncovered).bit_count()):
+                child = covered | (closed[v] & comp)
+                if stopped:
+                    assert is_cut(child, size + 1)
+                    tally["after_cut"] += 1
+                stopped = stopped or is_cut(child, size + 1)
+                rec(child, excluded | ban, size + 1, picks | 1 << v)
+                ban |= 1 << v
+            return
+        cands = closed[(uncovered & -uncovered).bit_length() - 1] & pool
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            rec(covered | (closed[low.bit_length() - 1] & comp), excluded | ban,
+                size + 1, picks | low)
+            ban |= low
+
+    rec(0, ~draw, 0, 0)
+    return best, found
+
+
+class _Rows(list):
+    """Closed rows that count how a walk reads them: passes over the whole
+    list, and single rows read by index."""
+
+    passes = reads = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return list.__iter__(self)
 
     def __getitem__(self, i):
         self.reads += 1
@@ -659,9 +756,10 @@ class TestPackingBound:
         assert 0 < infeasible < 400
 
     def test_threshold_exit(self):
-        # _packing_pick reads every row once, or up to the first empty
-        # dominator set, and prunes when the count over the sets sorted by
-        # size reaches ``need``; that count often differs from vertex order's.
+        # _packing_pick builds the dominator sets in one pass over the rows,
+        # with no read by index, also when some set is empty, and prunes
+        # when the count over the sets sorted by size reaches ``need``; that
+        # count often differs from vertex order's.
         rng = random.Random(0x9ACB)
         differs = 0
         for _ in range(300):
@@ -674,7 +772,7 @@ class TestPackingBound:
             for need in range(1, g.order + 2):
                 rows = _Rows(closed)
                 got = _packing_pick(rows, uncovered, cands, need)
-                assert rows.reads == len(counts), g
+                assert (rows.passes, rows.reads) == (1, 0), g
                 if counts[-1] is None or sorted_count >= need:
                     assert got == 0, g
                 else:
@@ -779,6 +877,66 @@ class TestPackingBound:
             assert classify_set(g, cert.witness).dominating, g
 
 
+class TestChildBound:
+    """``_cover_min`` checks each child's covering bound in the parent, and
+    above the packing gate stops its child loop at the first child that
+    fails it; ``_packing_pick`` builds the dominator sets in one pass.  Both
+    are checked against frozen copies of the code they replaced."""
+
+    @staticmethod
+    def _check(closed, comp, cap, independent, *decision):
+        tally = {}
+        want = _parent_cover_min(closed, comp, cap, independent, *decision, tally=tally)
+        got, nodes = _search_calls(_cover_min, closed, comp, cap, independent, *decision)
+        assert got == want
+        # the skipped children are exactly the leaves, recorded in the
+        # parent, and the children the covering bound cut at once
+        assert nodes == tally["nodes"] - tally["leaves"] - tally["cut"]
+        return tally["after_cut"]
+
+    @pytest.mark.slow
+    def test_exhaustive_order_6_matches_the_parent_search(self):
+        rng = random.Random(0xC4B0)
+        for g in all_graphs(6):
+            closed = _closed_rows(g)
+            for comp, cap in component_masks(closed, g.full_mask):
+                order = comp.bit_count()
+                assert order <= 2 * cap  # no block of order <= 6 opens the packing gate
+                for independent in (True, False):
+                    draw = comp & -1 << rng.randrange(g.order)
+                    for case in ((), (draw, rng.randint(0, order))):
+                        want = _parent_cover_min(closed, comp, cap, independent, *case)
+                        assert _cover_min(closed, comp, cap, independent, *case) == want, g
+
+    def test_seeded_sparse_matches_the_parent_search(self):
+        rng = random.Random(0xC4B1)
+        stops = 0
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(20, 50), rng.uniform(0.05, 0.2))
+            closed = _closed_rows(g)
+            for comp, cap in component_masks(closed, g.full_mask):
+                for independent in (True, False):
+                    if independent or g.order <= 36:
+                        stops += self._check(closed, comp, cap, independent)
+                        draw = comp & -1 << rng.randrange(g.order)
+                        stops += self._check(closed, comp, cap, independent, draw, rng.randint(0, 12))
+        assert stops  # the child loop stopped early above the packing gate
+
+    def test_packing_pick_matches_the_parent_loop(self):
+        rng = random.Random(0xC4B2)
+        empty = 0
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(1, 40), rng.uniform(0.05, 0.5))
+            closed = _closed_rows(g)
+            uncovered = rng.getrandbits(g.order) or 1
+            cands = rng.getrandbits(g.order)
+            empty += not all(closed[u] & cands for u in iter_bits(uncovered))
+            for need in range(1, 8):
+                got = _packing_pick(closed, uncovered, cands, need)
+                assert got == _parent_packing_pick(closed, uncovered, cands, need), g
+        assert 0 < empty < 400
+
+
 def _search_calls(fn, *args):
     """``fn(*args)`` and the search nodes it visited: the calls to solver's
     nested ``rec`` searches, the value searches' and the witness pass's
@@ -816,7 +974,9 @@ class TestSearchSize:
         # pass seeded with the value search's picks 1,219; with the children
         # above the packing gate tried most newly dominated first 642; with
         # one witness question per candidate, capped by its remainder, 678
-        # (with the block's cap instead, 954).
+        # (with the block's cap instead, 954); with each child's covering
+        # bound checked in its parent, so that a node is a child entered past
+        # that bound, 603.
         calls = 0
         for seed in range(6):
             g = random_graph(random.Random(seed), 40, 0.1)
@@ -827,14 +987,16 @@ class TestSearchSize:
 
     def test_pinned_node_counts(self):
         # exact counts, so any change to either search tree shows here: the
-        # value search's, and the value search's plus the witness pass's
+        # value search's, and the value search's plus the witness pass's; a
+        # node is a call of ``rec``, a child entered past the covering bound
+        # that its parent checks
         value_nodes, cert_nodes = [], []
         for seed in range(10):
             g = random_graph(random.Random(seed), 38 + seed % 5, 0.1)
             value_nodes.append(_search_calls(gamma_i_value, g)[1])
             cert_nodes.append(_search_calls(gamma_i, g)[1])
-        assert value_nodes == [59, 51, 21, 20, 88, 41, 91, 27, 33, 101]
-        assert cert_nodes == [139, 145, 82, 27, 270, 99, 224, 78, 110, 112]
+        assert value_nodes == [51, 48, 17, 17, 82, 38, 84, 24, 28, 99]
+        assert cert_nodes == [124, 142, 74, 22, 257, 86, 214, 74, 94, 109]
 
     def test_gamma_nodes_on_a_sparse_graph(self):
         # the lexicographic witness walk made 166,012 nodes here besides the
@@ -843,7 +1005,8 @@ class TestSearchSize:
         # incumbent-seeded witness pass, and 8,372 (1,857 of them the value
         # search's) with the children above the packing gate tried most newly
         # dominated first, and 7,884 with one witness question per candidate,
-        # capped by its remainder
+        # capped by its remainder, and 6,525 with each child's covering bound
+        # checked in its parent
         g = random_graph(random.Random(50), 50, 0.08)
         cert, made = _search_calls(gamma, g)
         assert cert.value == 15 and classify_set(g, cert.witness).dominating

@@ -134,6 +134,12 @@ class TestStabilityExamples:
     def test_string_direction_accepted(self):
         assert stability(path(5), "decrease").value == 2
 
+    @pytest.mark.parametrize("direction", [5, "up", None])
+    def test_unknown_direction_raises_value_error(self, direction):
+        # the documented error of a bad direction, kept as Direction(...) raises it
+        with pytest.raises(ValueError, match="is not a valid Direction"):
+            stability(path(5), direction)
+
     def test_null_rejected(self):
         with pytest.raises(errors.EmptyGraph):
             stability(empty(0))
