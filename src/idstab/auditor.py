@@ -31,8 +31,8 @@ unless more than one worker is asked for.  When an instance is too large
 for an oracle the certificate's recorded gamma_i facts are re-checked
 instead and the outcome is marked "partial".  Any oracle disagreement
 aborts the audit with ``InternalAuditError``.  Solver values are memoised
-by one helper, ``_memo``, per graph and, for the isomorphism invariants of
-a graph of order <= 6, per isomorphism class; each cache is emptied before
+by one helper, ``_memo``, per graph and, for gamma_i and st_id of a graph
+of order <= 6, per isomorphism class; each cache is emptied before
 it passes ``_MEMO_CAP`` (2^16) entries, so an audit's memory stays bounded
 however large its corpus.  Reports are deterministic: for a fixed corpus,
 claim set and mode the JSON text is byte-identical across runs and worker
@@ -121,10 +121,10 @@ def _memo(cache: dict, g: Graph, compute: Callable[[Graph], object], by_class: b
     ``_Toolkit`` memoises).  With *by_class*, a miss on a graph of order <=
     ``_MEMO_CLASS_MAX_ORDER`` (6) is looked up next by its isomorphism class,
     ``("class", n, least mask)`` from ``_class_key``, and the value is stored
-    under both keys.  The tag keeps the two kinds of key apart: K_2's ``adj``
-    (2, 1) is its bare class key.  The order bound keeps the 8 MiB order-7
-    class table out of every audit that meets no order-7 instance.  A cache
-    with no room for the new keys (``_MEMO_CAP`` in all) is emptied first."""
+    under both keys.  The tag keeps the two kinds of key apart: the null
+    graph's bare class key (0, 0) is 2K_1's ``adj``.  The order bound keeps
+    the 8 MiB order-7 class table out of every audit that meets no order-7
+    instance.  A cache with no room for the new keys is emptied first."""
     got = cache.get(g.adj)
     if got is None:
         keys = [g.adj]
@@ -149,12 +149,12 @@ class _Toolkit:
     through ``_memo``, so it holds at most ``_MEMO_CAP`` entries and is keyed
     by ``g.adj``, which alone names the graph (``Graph`` validates
     ``len(adj) == order``) and skips the dataclass ``__hash__`` and
-    ``__eq__``.  The three values are isomorphism invariants, so a graph of
-    order <= 6 is also cached by its class, and every labelling of a small
-    G - v or complement after the first is a lookup.  The stability
-    certificate is cached by ``adj`` alone, since its witness depends on the
-    labels.  ``max_star`` is not cached: its one reader, C7, asks once per
-    instance, so a cache would never hit.
+    ``__eq__``.  gamma_i and st_id of a graph of order <= 6 are also cached
+    by its class, so every labelling of a small G - v or complement after
+    the first is a lookup.  gamma (asked only of an instance, one per class)
+    and the stability certificate (its witness depends on the labels) are
+    cached by ``adj`` alone.  ``max_star`` is not cached: its one reader,
+    C7, asks once per instance, so a cache would never hit.
     """
 
     def __init__(self) -> None:
@@ -173,7 +173,7 @@ class _Toolkit:
         return _memo(self._st_value, g, lambda h: self.st_cert(h).value, True)
 
     def gamma(self, g: Graph) -> int:
-        return _memo(self._dom, g, solver.gamma_value, True)
+        return _memo(self._dom, g, solver.gamma_value)
 
     def max_star(self, g: Graph) -> int:
         return solver.max_induced_star(g)
@@ -704,6 +704,18 @@ def _is_int_in(value: object, low: int, high: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
 
 
+def _sequence(items: object, kind: type, what: str) -> tuple:
+    """*items* as a tuple of *kind* values, or ``BadCorpusSource`` naming
+    *what*; a bare string would read one character per item."""
+    if isinstance(items, str) or not isinstance(items, Iterable):
+        got = "one string" if isinstance(items, str) else repr(items)
+        raise BadCorpusSource(f"{what} go in a sequence, not {got}")
+    items = tuple(items)  # first: a generator reads once
+    if not all(isinstance(item, kind) for item in items):
+        raise BadCorpusSource(f"{what} must each be a {kind.__name__}")
+    return items
+
+
 def _member(text: str | None, n: int, mask: int) -> tuple[str, Graph]:
     """The report text and graph of a member from ``masks()``: its line
     decoded, or with no line its graph built from the mask and named."""
@@ -755,13 +767,7 @@ class Graph6Corpus(_GraphCorpus):
     label: str = "graph6 corpus"
 
     def __post_init__(self) -> None:
-        if isinstance(self.graphs, str) or not isinstance(self.graphs, Iterable):
-            # a string would be read one character per line
-            got = "one string" if isinstance(self.graphs, str) else repr(self.graphs)
-            raise BadCorpusSource(f"a graph6 corpus takes a sequence of lines, not {got}")
-        object.__setattr__(self, "graphs", tuple(self.graphs))  # first: a generator reads once
-        if not all(isinstance(line, str) for line in self.graphs):
-            raise BadCorpusSource("a graph6 corpus takes lines that are strings")
+        object.__setattr__(self, "graphs", _sequence(self.graphs, str, "graph6 lines"))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Graph6Corpus":
@@ -826,12 +832,7 @@ class FamilyCorpus:
     label: str = "family parameter grid"
 
     def __post_init__(self) -> None:
-        if (
-            isinstance(self.specs, str)
-            or not isinstance(self.specs, Iterable)
-            or not all(isinstance(s, FamilySpec) for s in self.specs)
-        ):
-            raise BadCorpusSource("a family corpus takes a sequence of FamilySpec values")
+        object.__setattr__(self, "specs", _sequence(self.specs, FamilySpec, "family specs"))
 
     @classmethod
     def default_grid(cls, max_param: int) -> "FamilyCorpus":
@@ -979,10 +980,7 @@ def _resolve_claims(claim_ids: Iterable[str], kind: str) -> list[Claim]:
     """The claims named by *claim_ids*, once each, in registry order: raises
     ``UnknownClaim`` or, for a bare string (read one character per id), no
     sequence, none, or one of another kind, ``BadCorpusSource``."""
-    if isinstance(claim_ids, str) or not isinstance(claim_ids, Iterable):
-        got = "one string" if isinstance(claim_ids, str) else repr(claim_ids)
-        raise BadCorpusSource(f"claim ids go in a sequence, not {got}")
-    wanted = {get_claim(cid).id for cid in claim_ids}
+    wanted = {get_claim(cid).id for cid in _sequence(claim_ids, object, "claim ids")}
     if not wanted:
         raise BadCorpusSource("no claims requested")
     claims = [claim for cid, claim in _REGISTRY.items() if cid in wanted]

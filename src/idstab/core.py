@@ -62,8 +62,8 @@ class VertexSet:
     def of(cls, vertices: Iterable[int]) -> "VertexSet":
         m = 0
         for v in vertices:
-            if v < 0:
-                raise VertexOutOfRange(f"a vertex must be nonnegative, got {v}")
+            if type(v) is not int or v < 0:
+                raise VertexOutOfRange(f"a vertex must be an int and nonnegative, got {v!r}")
             m |= 1 << v
         return cls(m)
 
@@ -107,8 +107,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.order
-        if not 0 <= n <= MAX_ORDER:
-            raise OrderTooLarge(f"order {n} outside 0..{MAX_ORDER}")
+        if n.__class__ is not int or not 0 <= n <= MAX_ORDER:  # no call: this runs per graph
+            raise OrderTooLarge(f"order {n!r} is not an int in 0..{MAX_ORDER}")
         if type(self.adj) is not tuple:  # rows given as a list would be mutable and unhashable
             object.__setattr__(self, "adj", tuple(self.adj))
         adj = self.adj
@@ -165,8 +165,8 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
     Duplicate pairs are allowed and collapse to a single edge.
     """
-    if order < 0 or order > MAX_ORDER:
-        raise OrderTooLarge(f"order {order} outside 0..{MAX_ORDER}")
+    if type(order) is not int or not 0 <= order <= MAX_ORDER:
+        raise OrderTooLarge(f"order {order!r} is not an int in 0..{MAX_ORDER}")
     rows = [0] * order
     for u, v in edges:
         if u == v:
@@ -190,8 +190,8 @@ def edge_mask(g: Graph) -> int:
 def mask_graph(n: int, mask: int) -> Graph:
     """The graph of order *n* with edge mask *mask*, the inverse of
     ``edge_mask``; a mask with a bit past the last pair is refused."""
-    if not 0 <= n <= MAX_ORDER:
-        raise OrderTooLarge(f"order {n} outside 0..{MAX_ORDER}")
+    if type(n) is not int or not 0 <= n <= MAX_ORDER:
+        raise OrderTooLarge(f"order {n!r} is not an int in 0..{MAX_ORDER}")
     rows = [0] * n
     for j in range(1, n):
         column = mask & ((1 << j) - 1)  # the pairs (i, j), i < j

@@ -149,16 +149,6 @@ def _packing_pick(closed: list[int], uncovered: int, cands: int, need: int) -> i
     return doms[0]
 
 
-def _most_dominating_first(closed: list[int], uncovered: int, cands: int) -> list[int]:
-    """The members of ``cands`` by how many vertices of ``uncovered`` each
-    dominates, most first, ascending among equals (the sort is stable).
-
-    A function of its own, so that the value search's ``rec`` holds no
-    closure over ``uncovered``, which would make that a cell at every node.
-    """
-    return sorted(iter_bits(cands), key=lambda v: -(closed[v] & uncovered).bit_count())
-
-
 def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
                draw: int | None = None, bound: int | None = None) -> tuple[int, int]:
     """The fewest picks that dominate one connected block, and a set of
@@ -252,7 +242,7 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
             cands = _packing_pick(closed, uncovered, pool, best - size)
             if not cands:  # size + the packing bound >= best
                 return
-            for v in _most_dominating_first(closed, uncovered, cands):
+            for v in sorted(iter_bits(cands), key=lambda v: -(closed[v] & uncovered).bit_count()):
                 rest = uncovered & ~closed[v]
                 if not rest:
                     best, found = nxt, picks | 1 << v
@@ -371,7 +361,7 @@ def _covers(closed: list[int], universe: int, cap: int, k: int):
         if not uncovered:
             yield chosen
             continue
-        if size == k or size + -(-uncovered.bit_count() // cap) > k:
+        if size + -(-uncovered.bit_count() // cap) > k:
             continue
         cands = uncovered & floor
         dom = _packing_pick(closed, uncovered, cands, k - size + 1)

@@ -21,7 +21,7 @@ from idstab.auditor import (
     run_audit,
 )
 from idstab.codec import decode_graph6, encode_graph6, graph6_edge_mask
-from idstab.core import build_graph, upper_triangle_pairs
+from idstab.core import Graph, build_graph, upper_triangle_pairs
 from idstab.families import FamilySpec, complete, cycle, empty, path, star
 from idstab.oracles import oracle_gamma_i
 from idstab.ops import disjoint_union
@@ -366,11 +366,13 @@ class TestRunAudit:
             PairCorpus(FamilyCorpus.default_grid(2))  # it has no graphs to pair
         with pytest.raises(errors.BadCorpusSource, match="not one string"):
             Graph6Corpus("Bw")  # would read as the two lines "B" and "w"
-        for specs in (("path:3",), "path:3", (FamilySpec("path", (3,)), None)):
-            with pytest.raises(errors.BadCorpusSource, match="sequence of FamilySpec"):
+        with pytest.raises(errors.BadCorpusSource, match="specs go in a sequence, not one string"):
+            FamilyCorpus("path:3")
+        for specs in (("path:3",), (FamilySpec("path", (3,)), None)):
+            with pytest.raises(errors.BadCorpusSource, match="specs must each be a FamilySpec"):
                 FamilyCorpus(specs)
         for lines in ((1, 2), ("Bw", None), ("Bw", b"A_")):
-            with pytest.raises(errors.BadCorpusSource, match="lines that are strings"):
+            with pytest.raises(errors.BadCorpusSource, match="graph6 lines must each be a str"):
                 Graph6Corpus(lines)
         corpus = Graph6Corpus(line for line in ("Bw", "A_"))  # a generator, checked and kept
         assert corpus.graphs == ("Bw", "A_")
@@ -379,10 +381,22 @@ class TestRunAudit:
     @pytest.mark.parametrize("bad", [None, 7])
     def test_corpus_of_no_sequence_fails_at_construction(self, bad):
         # both raised a bare TypeError before, while PairCorpus(None) raised this
-        with pytest.raises(errors.BadCorpusSource, match=f"sequence of lines, not {bad!r}"):
+        with pytest.raises(errors.BadCorpusSource, match=f"lines go in a sequence, not {bad!r}"):
             Graph6Corpus(bad)
-        with pytest.raises(errors.BadCorpusSource, match="sequence of FamilySpec"):
+        with pytest.raises(errors.BadCorpusSource, match=f"specs go in a sequence, not {bad!r}"):
             FamilyCorpus(bad)
+
+    def test_family_corpus_from_a_generator_audits_every_spec(self):
+        # the check used to read the generator, and the audit then raised a bare TypeError
+        corpus = FamilyCorpus(FamilySpec("path", (n,)) for n in range(2, 6))
+        report = run_audit(["C3"], corpus, threads=1)
+        assert report.stats["instances"] == 4
+        assert corpus.specs == tuple(FamilySpec("path", (n,)) for n in range(2, 6))
+
+    def test_family_corpus_from_a_list_is_the_tuple_form(self):
+        spec = FamilySpec("path", (3,))
+        listed, tupled = FamilyCorpus([spec]), FamilyCorpus((spec,))
+        assert listed == tupled and hash(listed) == hash(tupled)  # a kept list was unhashable
 
     def test_malformed_line_fails_in_from_file_or_in_the_audit(self, tmp_path):
         lines = ("Bw", "B!", "A_")
@@ -426,6 +440,12 @@ class TestMemoBound:
         monkeypatch.setattr(auditor, "_memo", watched)
         assert run_audit(claims, ExhaustiveCorpus(4), threads=1).to_json() == expected
         assert max(sizes) == 4
+
+    def test_class_keys_stay_apart_from_adj_keys(self):
+        # untagged, the null graph's class key (0, 0) would be 2K_1's adj
+        kit = _Toolkit()
+        assert kit.gamma_i(Graph(0)) == 0
+        assert kit.gamma_i(build_graph(2, [])) == 2
 
 
 def _plain_blocks(claim_ids, corpus, mode: str) -> list[dict]:

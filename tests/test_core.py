@@ -20,6 +20,7 @@ from idstab import (
     private_neighbors,
 )
 from idstab import errors
+from idstab.core import mask_graph
 from idstab.families import book, complete, cycle, empty, path, star
 from idstab.ops import disjoint_union
 
@@ -59,6 +60,23 @@ class TestBuildGraph:
         with pytest.raises(errors.OrderTooLarge):
             build_graph(65, [])
         build_graph(64, [])  # at the cap is fine
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph(True, (0,)),  # built a graph of order True
+            lambda: build_graph(True, []),
+            lambda: Graph(3.0, (0, 0, 0)),  # the others raised a bare TypeError
+            lambda: Graph("3", (0, 0, 0)),
+            lambda: build_graph(2.5, []),
+            lambda: mask_graph(2.0, 1),
+        ],
+        ids=["Graph-bool", "build_graph-bool", "Graph-float", "Graph-str", "build_graph-float",
+             "mask_graph-float"],
+    )
+    def test_order_that_is_no_int_rejected(self, build):
+        with pytest.raises(errors.OrderTooLarge, match="is not an int in 0..64"):
+            build()
 
     def test_loop_rejected(self):
         with pytest.raises(errors.LoopEdge):
@@ -323,3 +341,8 @@ class TestVertexSet:
     def test_negative_vertex_rejected(self):
         with pytest.raises(errors.VertexOutOfRange, match="nonnegative, got -1"):
             VertexSet.of([2, -1])
+
+    def test_vertex_that_is_no_int_rejected(self):
+        # 1.5 raised a bare TypeError from the shift
+        with pytest.raises(errors.VertexOutOfRange, match="an int and nonnegative, got 1.5"):
+            VertexSet.of([1.5])
