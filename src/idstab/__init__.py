@@ -32,14 +32,10 @@ from .core import (
     VertexSet,
     build_graph,
     classify_set,
-    closed_neighborhood,
     complement,
     components,
     degree_stats,
     delete_vertices,
-    external_private_neighbors,
-    open_neighborhood,
-    private_neighbors,
 )
 from .families import FamilySpec, generate, parse_family_spec
 from .ops import cartesian, corona, disjoint_union, join, lexicographic
@@ -83,7 +79,6 @@ __all__ = [
     "cartesian",
     "claim_registry",
     "classify_set",
-    "closed_neighborhood",
     "complement",
     "components",
     "corona",
@@ -97,7 +92,6 @@ __all__ = [
     "enumerate_maximal_independent_sets",
     "errors",
     "evaluate_claim",
-    "external_private_neighbors",
     "gamma",
     "gamma_i",
     "gamma_i_value",
@@ -107,12 +101,10 @@ __all__ = [
     "join",
     "lexicographic",
     "max_induced_star",
-    "open_neighborhood",
     "oracle_gamma_i",
     "oracle_stability",
     "parse_edgelist",
     "parse_family_spec",
-    "private_neighbors",
     "run_audit",
     "stability",
 ]

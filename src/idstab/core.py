@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyGraph, LoopEdge, OrderTooLarge, VertexNotInSet, VertexOutOfRange
+from .errors import EmptyGraph, LoopEdge, OrderTooLarge, VertexOutOfRange
 
 MAX_ORDER = 64
 
@@ -60,6 +60,10 @@ class VertexSet:
 
     @classmethod
     def of(cls, vertices: Iterable[int]) -> "VertexSet":
+        try:
+            vertices = iter(vertices)
+        except TypeError:
+            raise VertexOutOfRange(f"vertices go in an iterable, got {vertices!r}") from None
         m = 0
         for v in vertices:
             if type(v) is not int or v < 0:
@@ -109,24 +113,27 @@ class Graph:
         n = self.order
         if n.__class__ is not int or not 0 <= n <= MAX_ORDER:  # no call: this runs per graph
             raise OrderTooLarge(f"order {n!r} is not an int in 0..{MAX_ORDER}")
-        if type(self.adj) is not tuple:  # rows given as a list would be mutable and unhashable
-            object.__setattr__(self, "adj", tuple(self.adj))
-        adj = self.adj
-        if len(adj) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
-        full = (1 << n) - 1
-        for v, row in enumerate(adj):
-            if row & ~full:
-                raise ValueError(f"row {v} has bits beyond vertex {n - 1}")
-            bit = 1 << v
-            if row & bit:
-                raise ValueError(f"loop at vertex {v}")
-            while row:
-                low = row & -row
-                row ^= low
-                u = low.bit_length() - 1
-                if not adj[u] & bit:
-                    raise ValueError(f"asymmetric edge {v}-{u}")
+        try:  # costs nothing unless it raises; rows that are no int fail in the loop
+            if type(self.adj) is not tuple:  # rows given as a list would be mutable and unhashable
+                object.__setattr__(self, "adj", tuple(self.adj))
+            adj = self.adj
+            if len(adj) != n:
+                raise ValueError(f"expected {n} adjacency rows, got {len(adj)}")
+            full = (1 << n) - 1
+            for v, row in enumerate(adj):
+                if row & ~full:
+                    raise ValueError(f"row {v} has bits beyond vertex {n - 1}")
+                bit = 1 << v
+                if row & bit:
+                    raise ValueError(f"loop at vertex {v}")
+                while row:
+                    low = row & -row
+                    row ^= low
+                    u = low.bit_length() - 1
+                    if not adj[u] & bit:
+                        raise ValueError(f"asymmetric edge {v}-{u}")
+        except TypeError:
+            raise VertexOutOfRange(f"adjacency rows must be int masks, got {self.adj!r}") from None
 
     @property
     def full_mask(self) -> int:
@@ -150,11 +157,6 @@ class Graph:
         return all(row == full ^ (1 << v) for v, row in enumerate(self.adj))
 
 
-def _check_vertex(g: Graph, v: int) -> None:
-    if not 0 <= v < g.order:
-        raise VertexOutOfRange(f"vertex {v} not in 0..{g.order - 1}")
-
-
 def _check_subset(g: Graph, s: VertexSet) -> None:
     if s.mask & ~g.full_mask:
         raise VertexOutOfRange(f"set {s.members()} has vertices outside 0..{g.order - 1}")
@@ -168,13 +170,16 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if type(order) is not int or not 0 <= order <= MAX_ORDER:
         raise OrderTooLarge(f"order {order!r} is not an int in 0..{MAX_ORDER}")
     rows = [0] * order
-    for u, v in edges:
-        if u == v:
-            raise LoopEdge(f"loop edge ({u}, {v})")
-        if not (0 <= u < order and 0 <= v < order):
-            raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{order - 1}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+    try:
+        for u, v in edges:
+            if u == v:
+                raise LoopEdge(f"loop edge ({u}, {v})")
+            if not (0 <= u < order and 0 <= v < order):
+                raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{order - 1}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    except TypeError as exc:
+        raise VertexOutOfRange(f"edges must be pairs of int vertices ({exc})") from None
     return Graph(order, tuple(rows))
 
 
@@ -192,6 +197,8 @@ def mask_graph(n: int, mask: int) -> Graph:
     ``edge_mask``; a mask with a bit past the last pair is refused."""
     if type(n) is not int or not 0 <= n <= MAX_ORDER:
         raise OrderTooLarge(f"order {n!r} is not an int in 0..{MAX_ORDER}")
+    if type(mask) is not int:
+        raise VertexOutOfRange(f"an edge mask must be an int, got {mask!r}")
     rows = [0] * n
     for j in range(1, n):
         column = mask & ((1 << j) - 1)  # the pairs (i, j), i < j
@@ -212,38 +219,6 @@ def degree_stats(g: Graph) -> DegreeProfile:
         raise EmptyGraph("degree profile of the null graph is undefined")
     degrees = tuple(row.bit_count() for row in g.adj)
     return DegreeProfile(degrees, min(degrees), max(degrees))
-
-
-def open_neighborhood(g: Graph, v: int) -> VertexSet:
-    _check_vertex(g, v)
-    return VertexSet(g.adj[v])
-
-
-def closed_neighborhood(g: Graph, v: int) -> VertexSet:
-    _check_vertex(g, v)
-    return VertexSet(g.adj[v] | (1 << v))
-
-
-def private_neighbors(g: Graph, v: int, s: VertexSet) -> VertexSet:
-    """Vertices whose only neighbor inside ``s`` is ``v``.
-
-    Computed as {u : N(u) & S == {v}}, which is equivalent to
-    N(v) - N(S - {v}).  Members of ``s`` other than ``v`` can qualify.
-    """
-    _check_subset(g, s)
-    if v not in s:
-        raise VertexNotInSet(f"vertex {v} is not a member of {s.members()}")
-    bit = 1 << v
-    m = 0
-    for u in range(g.order):
-        if g.adj[u] & s.mask == bit:
-            m |= 1 << u
-    return VertexSet(m)
-
-
-def external_private_neighbors(g: Graph, v: int, s: VertexSet) -> VertexSet:
-    """Private neighbors of ``v`` that lie outside ``s``."""
-    return VertexSet(private_neighbors(g, v, s).mask & ~s.mask)
 
 
 def delete_vertices(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:

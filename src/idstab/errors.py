@@ -21,10 +21,6 @@ class EmptyGraph(IdstabError):
     """The operation is meaningless on the order-0 graph."""
 
 
-class VertexNotInSet(IdstabError):
-    """Private-neighbor queries require the probed vertex to be in the set."""
-
-
 class SpecInvalid(IdstabError):
     """A family spec has an unknown kind or parameters outside its domain."""
 

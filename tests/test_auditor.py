@@ -682,6 +682,20 @@ class TestOracleAbort:
             with pytest.raises(errors.InternalAuditError, match="oracle re-verification"):
                 run_audit(["C17"], PairCorpus(ExhaustiveCorpus(2)), threads=threads)
 
+    # C4 on cycle:14 is past the stability oracle's cap, so only the
+    # certificate's gamma_i facts can be re-checked; gamma_i(C_14) is 5
+    def test_refuted_certificate_fact_aborts(self):
+        cert = {"gamma_i_checks": [[encode_graph6(cycle(14)), 4]]}
+        claim, spec = get_claim("C4"), FamilySpec("cycle", (14,))
+        with pytest.raises(errors.InternalAuditError, match=r"= 5, certificate says 4$"):
+            auditor._verify_violation(claim, spec, 3, 1, cert, "strict")
+
+    def test_fact_past_the_oracle_cap_is_skipped(self):
+        assert path(30).order > oracles.ORACLE_MAX_ORDER
+        cert = {"gamma_i_checks": [[encode_graph6(path(30)), 4]]}
+        claim, spec = get_claim("C4"), FamilySpec("cycle", (14,))
+        assert auditor._verify_violation(claim, spec, 3, 1, cert, "strict") == "unavailable"
+
 
 def test_default_family_grid_shape():
     grid = FamilyCorpus.default_grid(6)

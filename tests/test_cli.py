@@ -276,6 +276,12 @@ class TestAudit:
         assert doc["schema_version"] == 1
         assert doc["claims"][0]["counts"]["violated"] == 6
 
+    def test_failed_oracle_recheck_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(idstab.oracles, "oracle_gamma_i", lambda g: 99)
+        code, out, err = run(capsys, "audit", "--claims", "C9", "--exhaustive-n", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: C9 violation failed oracle re-verification at @: ")
+
     def test_unwritable_report_is_usage_error(self, capsys, monkeypatch, tmp_path):
         def audit(*args, **kwargs):
             raise AssertionError("the audit started")

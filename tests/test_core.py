@@ -9,19 +9,15 @@ from idstab import (
     VertexSet,
     build_graph,
     classify_set,
-    closed_neighborhood,
     complement,
     components,
     degree_stats,
     delete_vertices,
     evaluate_claim,
-    external_private_neighbors,
-    open_neighborhood,
-    private_neighbors,
 )
 from idstab import errors
 from idstab.core import mask_graph
-from idstab.families import book, complete, cycle, empty, path, star
+from idstab.families import book, complete, cycle, empty, path
 from idstab.ops import disjoint_union
 
 from conftest import all_graphs, random_graph
@@ -78,6 +74,23 @@ class TestBuildGraph:
         with pytest.raises(errors.OrderTooLarge, match="is not an int in 0..64"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph(2, (0, 0.5)),  # each raised a bare TypeError
+            lambda: Graph(2, None),
+            lambda: mask_graph(2, 1.0),
+            lambda: build_graph(3, [(0, 1.5)]),
+            lambda: build_graph(3, None),
+            lambda: VertexSet.of(None),
+        ],
+        ids=["Graph-float-row", "Graph-None", "mask_graph-float", "build_graph-float-end",
+             "build_graph-None", "VertexSet.of-None"],
+    )
+    def test_input_that_is_no_int_rejected(self, build):
+        with pytest.raises(errors.VertexOutOfRange):
+            build()
+
     def test_loop_rejected(self):
         with pytest.raises(errors.LoopEdge):
             build_graph(3, [(1, 1)])
@@ -97,6 +110,8 @@ class TestBuildGraph:
             Graph(1, (0b10,))
         with pytest.raises(ValueError, match=r"^row 1 has bits beyond vertex 1$"):
             Graph(2, (0b10, 0b111))  # a stray bit is reported before a loop
+        with pytest.raises(ValueError, match=r"^expected 3 adjacency rows, got 2$"):
+            Graph(3, (0, 0))
 
     def test_rows_given_as_a_list_are_stored_as_a_tuple(self):
         # a list kept as given made hash(g) and the auditor's memo, keyed by g.adj, raise TypeError
@@ -135,60 +150,6 @@ class TestDegreeStats:
     def test_null_graph_rejected(self):
         with pytest.raises(errors.EmptyGraph):
             degree_stats(empty(0))
-
-
-class TestNeighborhoods:
-    def test_cycle(self):
-        g = cycle(4)
-        assert open_neighborhood(g, 0).members() == (1, 3)
-        assert closed_neighborhood(g, 0).members() == (0, 1, 3)
-
-    def test_isolated_vertex(self):
-        g = empty(1)
-        assert open_neighborhood(g, 0).members() == ()
-        assert closed_neighborhood(g, 0).members() == (0,)
-
-    def test_star_center(self):
-        g = star(4)
-        assert open_neighborhood(g, 0).members() == (1, 2, 3, 4)
-
-    def test_out_of_range(self):
-        with pytest.raises(errors.VertexOutOfRange):
-            open_neighborhood(path(3), 3)
-
-
-class TestPrivateNeighbors:
-    def test_path_center(self):
-        g = path(3)
-        assert private_neighbors(g, 1, VertexSet.of([1])).members() == (0, 2)
-
-    def test_path_two_ends(self):
-        g = path(3)
-        assert private_neighbors(g, 0, VertexSet.of([0, 2])).members() == ()
-
-    def test_triangle(self):
-        assert private_neighbors(complete(3), 0, VertexSet.of([0])).members() == (1, 2)
-
-    def test_requires_membership(self):
-        with pytest.raises(errors.VertexNotInSet):
-            private_neighbors(path(3), 0, VertexSet.of([1]))
-
-    def test_external(self):
-        g = path(3)
-        assert external_private_neighbors(g, 1, VertexSet.of([1])).members() == (0, 2)
-        assert external_private_neighbors(path(2), 0, VertexSet.of([0])).members() == (1,)
-        assert external_private_neighbors(empty(2), 0, VertexSet.of([0, 1])).members() == ()
-
-    def test_external_subset_of_private(self, rng):
-        for _ in range(80):
-            g = random_graph(rng, rng.randint(2, 9))
-            mask = rng.randrange(1, 1 << g.order)
-            s = VertexSet(mask)
-            v = s.members()[0]
-            pn = private_neighbors(g, v, s).mask
-            epn = external_private_neighbors(g, v, s).mask
-            assert epn & ~pn == 0
-            assert (pn & ~epn) & ~s.mask == 0  # difference stays inside s
 
 
 class TestDeleteVertices:

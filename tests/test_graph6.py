@@ -227,6 +227,9 @@ class TestEdgeList:
     def test_parse_k1(self):
         assert parse_edgelist("1 0\n") == empty(1)
 
+    def test_blank_edge_line_skipped(self):
+        assert parse_edgelist("2 1\n\n0 1\n") == path(2)
+
     def test_loop_rejected_with_line(self):
         with pytest.raises(errors.LoopEdge) as err:
             parse_edgelist("2 1\n0 0\n")
@@ -241,6 +244,10 @@ class TestEdgeList:
             parse_edgelist("")
         with pytest.raises(errors.ParseError):
             parse_edgelist("3\n")
+        with pytest.raises(errors.ParseError, match="^line 1: header values must be integers$"):
+            parse_edgelist("a b")
+        with pytest.raises(errors.ParseError, match="^line 1: header values must be non-negative$"):
+            parse_edgelist("-1 0")
         with pytest.raises(errors.ParseError) as err:
             parse_edgelist("3 2\n0 1\n")
         assert "expected 2 edges" in str(err.value)
