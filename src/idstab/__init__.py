@@ -9,17 +9,14 @@ counterexample certificates, and graph6 / edge-list codecs.
 
 from . import errors
 from .auditor import (
-    CLAIM_IDS,
     AuditReport,
     Claim,
-    ClaimOutcome,
     ExhaustiveCorpus,
     FamilyCorpus,
     Graph6Corpus,
     PairCorpus,
     claim_registry,
     enumerate_labeled_graphs,
-    evaluate_claim,
     get_claim,
     run_audit,
 )
@@ -43,7 +40,6 @@ from .oracles import oracle_gamma_i, oracle_stability
 from .solver import (
     GammaCertificate,
     alpha,
-    alpha_value,
     enumerate_maximal_independent_sets,
     gamma,
     gamma_i,
@@ -57,9 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport",
-    "CLAIM_IDS",
     "Claim",
-    "ClaimOutcome",
     "DegreeProfile",
     "Direction",
     "ExhaustiveCorpus",
@@ -74,7 +68,6 @@ __all__ = [
     "StabilityCertificate",
     "VertexSet",
     "alpha",
-    "alpha_value",
     "build_graph",
     "cartesian",
     "claim_registry",
@@ -91,7 +84,6 @@ __all__ = [
     "enumerate_labeled_graphs",
     "enumerate_maximal_independent_sets",
     "errors",
-    "evaluate_claim",
     "gamma",
     "gamma_i",
     "gamma_i_value",

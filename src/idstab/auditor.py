@@ -8,13 +8,12 @@ ordered pair of graphs, or a family spec.
 
 A claim is declared once, where it is evaluated: the ``_claim`` decorator
 gives its evaluator an id, an instance kind, a statement and an optional
-restricted note, and registers it in declaration order.  What depends on an
-instance kind is declared once in ``_KINDS``: its type check, its report
-text, and its empty case (the null graph, a pair with an empty operand), on
-which no claim applies and no evaluator runs.  Most evaluators check one of
-two shapes through a helper: ``_st_claim`` compares st_id of a graph with a
-bound or a value, and ``_gi_claim`` compares gamma_i of a graph with a
-value; each helper also builds the matching certificate.
+restricted note, and registers it in declaration order.  ``_KINDS`` gives
+each instance kind its empty case (the null graph, a pair with an empty
+operand), on which no claim applies and no evaluator runs.  Most evaluators
+check one of two shapes through a helper: ``_st_claim`` compares st_id of a
+graph with a bound or a value, and ``_gi_claim`` compares gamma_i of a graph
+with a value; each helper also builds the matching certificate.
 
 Two evaluation modes exist.  ``strict`` applies exactly the stated
 hypothesis of each claim; ``restricted`` adds documented guards (see each
@@ -66,7 +65,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from operator import eq, le
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import oracles, solver, stability
 from .codec import decode_graph6, encode_graph6, graph6_edge_mask, graph6_lines, graph6_payload
@@ -85,7 +84,6 @@ from .core import (
 from .errors import (
     BadCorpusSource,
     CorpusTooLarge,
-    InstanceKindMismatch,
     InternalAuditError,
     TooLargeForOracle,
     UnknownClaim,
@@ -214,27 +212,14 @@ class _Eval:
 _NA = _Eval(False)
 
 
-class _Kind(NamedTuple):
-    accepts: Callable[[object], bool]  # is this an instance of the kind?
-    text: Callable[[object], str]  # the report's instance string
-    empty: Callable[[object], bool]  # does no claim of the kind apply?
-
-
-def _is_pair(p: object) -> bool:
-    return isinstance(p, (tuple, list)) and len(p) == 2 and all(isinstance(x, Graph) for x in p)
-
-
-# The claims speak of graphs with vertices, whose gamma_i-sets and removal
-# sets are non-empty, so none applies to the null graph or to a pair with an
-# empty operand.
-_KINDS: dict[str, _Kind] = {
-    GRAPH: _Kind(lambda g: isinstance(g, Graph), encode_graph6, lambda g: g.order == 0),
-    PAIR: _Kind(
-        _is_pair,
-        lambda p: f"{encode_graph6(p[0])},{encode_graph6(p[1])}",
-        lambda p: p[0].order == 0 or p[1].order == 0,
-    ),
-    FAMILY: _Kind(lambda s: isinstance(s, FamilySpec), FamilySpec.to_text, lambda s: False),
+# Is an instance of the kind empty, so that no claim of the kind applies?  The
+# claims speak of graphs with vertices, whose gamma_i-sets and removal sets
+# are non-empty, so none applies to the null graph or to a pair with an empty
+# operand.
+_KINDS: dict[str, Callable[[object], bool]] = {
+    GRAPH: lambda g: g.order == 0,
+    PAIR: lambda p: p[0].order == 0 or p[1].order == 0,
+    FAMILY: lambda s: False,
 }
 
 
@@ -257,7 +242,7 @@ def _claim(cid: str, kind: str, statement: str, restricted_note: str = ""):
     The registered claim reads ``_NA`` on an empty instance of its kind (see
     ``_KINDS``) without calling the evaluator, which never sees one.
     """
-    empty = _KINDS[kind].empty
+    empty = _KINDS[kind]
 
     def register(evaluate: Callable) -> Callable:
         def guarded(instance, kit, mode: str) -> _Eval:
@@ -596,9 +581,6 @@ def _c26(g: Graph, kit, mode: str) -> _Eval:
     return _st_claim(kit, g, lambda st, n: (st == n) == complete, g.order, complete=complete)
 
 
-CLAIM_IDS: tuple[str, ...] = tuple(_REGISTRY)
-
-
 def get_claim(claim_id: str) -> Claim:
     claim = _REGISTRY.get(claim_id.upper()) if isinstance(claim_id, str) else None
     if claim is None:
@@ -611,26 +593,16 @@ def claim_registry() -> tuple[Claim, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Outcomes, oracle re-verification, single-instance evaluation.
+# Oracle re-verification.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClaimOutcome:
-    claim_id: str
-    instance: str
-    status: str
-    lhs_value: object = None
-    rhs_value: object = None
-    certificate: dict | None = None
-    oracle_check: str | None = None  # "full" | "partial" | "unavailable" for violations
-
-
-def _verify_violation(claim: Claim, instance, lhs, rhs, cert: dict, mode: str) -> str:
+def _verify_violation(claim: Claim, text: str, instance, lhs, rhs, cert: dict, mode: str) -> str:
     """"full" if the claim's ``_verdict`` on ``_OracleToolkit`` is the
     solvers' ``(VIOLATED, lhs, rhs)``; past an oracle's cap, "partial" or
     "unavailable" as the certificate's gamma_i facts can be re-checked or
-    not.  Raises ``InternalAuditError`` if an oracle disagrees."""
+    not.  Raises ``InternalAuditError`` if an oracle disagrees, naming the
+    instance by *text*, its report string."""
     try:
         read = _verdict(claim.evaluate(instance, _OracleToolkit(), mode))
     except TooLargeForOracle:
@@ -639,8 +611,7 @@ def _verify_violation(claim: Claim, instance, lhs, rhs, cert: dict, mode: str) -
         return "full"
     if read is not None:
         raise InternalAuditError(
-            f"{claim.id} violation failed oracle re-verification at "
-            f"{_KINDS[claim.instance_kind].text(instance)}: "
+            f"{claim.id} violation failed oracle re-verification at {text}: "
             f"the solvers read {(VIOLATED, lhs, rhs)}, the oracles read {read}"
         )
     checked = 0
@@ -659,39 +630,17 @@ def _verify_violation(claim: Claim, instance, lhs, rhs, cert: dict, mode: str) -
 
 
 def _recheck(job: tuple) -> str:
-    """``_verify_violation`` of one job ``(claim id, instance, lhs, rhs,
-    certificate, mode)``; module-level, so a process pool can run it."""
+    """``_verify_violation`` of one job ``(claim id, text, instance, lhs,
+    rhs, certificate, mode)``; module-level, so a process pool can run it."""
     cid, *args = job
     return _verify_violation(get_claim(cid), *args)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in (STRICT, RESTRICTED):
-        raise ValueError(f"mode must be {STRICT!r} or {RESTRICTED!r}")
-
-
 def _verdict(ev: _Eval) -> tuple[str, object, object]:
-    """``(status, lhs, rhs)`` of an evaluation, as its ``ClaimOutcome`` holds
-    them; every reader of an outcome reads it here.  An inapplicable
-    evaluation is ``_NA``, whose sides are None."""
+    """``(status, lhs, rhs)`` of an evaluation, as the tally, the report and
+    the re-check read it; every reader of an evaluation reads it here.  An
+    inapplicable evaluation is ``_NA``, whose sides are None."""
     return (INAPPLICABLE if not ev.applicable else HOLDS if ev.holds else VIOLATED), ev.lhs, ev.rhs
-
-
-def evaluate_claim(claim_id: str, instance, mode: str = STRICT) -> ClaimOutcome:
-    """Evaluate one claim on one instance; violations come back oracle-checked."""
-    claim = get_claim(claim_id)
-    kind = _KINDS[claim.instance_kind]
-    if not kind.accepts(instance):
-        raise InstanceKindMismatch(f"claim {claim.id} expects a {claim.instance_kind} instance")
-    _check_mode(mode)
-    text = kind.text(instance)
-    ev = claim.evaluate(instance, _Toolkit(), mode)
-    status, lhs, rhs = _verdict(ev)
-    if status != VIOLATED:
-        return ClaimOutcome(claim.id, text, status, lhs, rhs)
-    cert = ev.cert()
-    oracle = _verify_violation(claim, instance, lhs, rhs, cert, mode)
-    return ClaimOutcome(claim.id, text, status, lhs, rhs, cert, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -995,8 +944,8 @@ def _resolve_claims(claim_ids: Iterable[str], kind: str) -> list[Claim]:
 def _audit(claims: list[Claim], corpus: Corpus, mode: str):
     """A tally of ``(claim id, status)`` per evaluation, the violations in
     the corpus as ``(claim id, violation, index of its re-check job)``, and
-    the oracle re-check jobs, each a picklable ``(claim id, instance, lhs,
-    rhs, certificate, mode)`` whose verdict ``run_audit`` adds as the
+    the oracle re-check jobs, each a picklable ``(claim id, text, instance,
+    lhs, rhs, certificate, mode)`` whose verdict ``run_audit`` adds as the
     ``"oracle"`` field of the violations that point to it.
 
     One toolkit serves the whole audit but for the later members of
@@ -1030,7 +979,7 @@ def _audit(claims: list[Claim], corpus: Corpus, mode: str):
         cert = ev.cert()
         if job is None:
             job = len(jobs)
-            jobs.append((claim.id, instance, ev.lhs, ev.rhs, cert, mode))
+            jobs.append((claim.id, text, instance, ev.lhs, ev.rhs, cert, mode))
         violation = dict(instance=text, lhs=ev.lhs, rhs=ev.rhs, witness=cert)
         violations.append((claim.id, violation, job))
         return job
@@ -1108,7 +1057,8 @@ def run_audit(
     if not isinstance(corpus, Corpus):
         raise BadCorpusSource(f"not a corpus: {corpus!r}")
     claims = _resolve_claims(claim_ids, corpus.kind())
-    _check_mode(mode)
+    if mode not in (STRICT, RESTRICTED):
+        raise ValueError(f"mode must be {STRICT!r} or {RESTRICTED!r}")
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
     tally, violations, jobs = _audit(claims, corpus, mode)

@@ -17,7 +17,7 @@ from .codec import decode_graph6, emit_edgelist, encode_graph6, graph6_lines, pa
 from .core import MAX_ORDER, Graph, complement
 from .errors import IdstabError, InternalAuditError, SpecInvalid
 from .families import cycle, generate, parse_family_spec, path
-from .solver import alpha, alpha_value, gamma, gamma_i, gamma_i_value, gamma_value
+from .solver import alpha, gamma, gamma_i, gamma_i_value, gamma_value
 from .stability import Direction, stability
 
 _DIRECTIONS = {"any": Direction.ANY, "down": Direction.DECREASE, "up": Direction.INCREASE}
@@ -80,7 +80,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     solvers = {
         "gamma-i": (gamma_i, gamma_i_value),
         "gamma": (gamma, gamma_value),
-        "alpha": (alpha, alpha_value),
+        "alpha": (alpha, lambda g: alpha(g).value),
     }
     certify, value = solvers[args.invariant]
     for g in _read_graphs(args.infile, args.format):

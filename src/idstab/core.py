@@ -178,7 +178,7 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
                 raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{order - 1}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # an end no int, or an edge no pair
         raise VertexOutOfRange(f"edges must be pairs of int vertices ({exc})") from None
     return Graph(order, tuple(rows))
 

@@ -45,10 +45,6 @@ class UnknownClaim(IdstabError):
     """No claim with the requested id is registered."""
 
 
-class InstanceKindMismatch(IdstabError):
-    """The instance does not match the claim's kind (graph / pair / family)."""
-
-
 class CorpusTooLarge(IdstabError):
     """The requested corpus exceeds the enumeration or pairing caps."""
 

@@ -32,7 +32,7 @@ from .errors import OrderTooLarge, SpecInvalid
 from .ops import cartesian
 
 
-class _Kind(NamedTuple):
+class _FamilyKind(NamedTuple):
     short: str
     least: tuple[int, ...]  # its length is the arity
     need: str
@@ -40,7 +40,7 @@ class _Kind(NamedTuple):
     build: Callable[..., Graph]
 
 
-_KINDS: dict[str, _Kind] = {}
+_KINDS: dict[str, _FamilyKind] = {}
 _LONG: dict[str, str] = {}  # long and short names to the long name
 
 
@@ -48,7 +48,7 @@ def _kind(name: str, short: str, least: tuple[int, ...], need: str, order: Calla
     """Register the builder as family ``name``; bind its name to the checked constructor."""
 
     def register(build: Callable[..., Graph]) -> Callable[..., Graph]:
-        _KINDS[name] = _Kind(short, least, need, order, build)
+        _KINDS[name] = _FamilyKind(short, least, need, order, build)
         _LONG[name] = _LONG[short] = name
         signature = inspect.signature(build)
 

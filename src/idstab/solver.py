@@ -60,10 +60,10 @@ There are three searches:
   gamma_i over the whole graph it walks the gamma_i-sets for
   ``stability``'s transversal rule; with k = n it is
   ``enumerate_maximal_independent_sets``.
-* ``_alpha_max``, the independence search, one pass for ``alpha``,
-  ``alpha_value`` and ``max_induced_star``: it takes the lowest free vertex
-  before it leaves that vertex out, so the first maximum set it keeps is
-  the lexicographically first one.
+* ``_alpha_max``, the independence search, one pass for ``alpha`` and
+  ``max_induced_star``: it takes the lowest free vertex before it leaves
+  that vertex out, so the first maximum set it keeps is the
+  lexicographically first one.
 
 ``oracle_gamma_i`` is re-exported from ``oracles``, which shares no code
 with these searches beyond the ``Graph`` type: disagreement between the two
@@ -92,7 +92,6 @@ from .oracles import oracle_gamma_i  # re-exported; perfbench/spans.py wraps it 
 class GammaCertificate:
     """An invariant value plus a witness set attaining it."""
 
-    kind: str  # "independent_domination" | "domination" | "independence"
     value: int
     witness: VertexSet
 
@@ -417,13 +416,13 @@ def _cover_picks(closed: list[int], universe: int, independent: bool) -> int:
     return picks
 
 
-def _cover_certificate(g: Graph, kind: str, independent: bool) -> GammaCertificate:
+def _cover_certificate(g: Graph, independent: bool) -> GammaCertificate:
     closed = _closed_rows(g)
     witness = 0
     for comp, cap in component_masks(closed, g.full_mask):
         picks = _cover_min(closed, comp, cap, independent)[1]
         witness |= _lexmin_cover(closed, comp, independent, picks)
-    return GammaCertificate(kind, witness.bit_count(), VertexSet(witness))
+    return GammaCertificate(witness.bit_count(), VertexSet(witness))
 
 
 def gamma_i_value(g: Graph) -> int:
@@ -437,7 +436,7 @@ def gamma_i(g: Graph) -> GammaCertificate:
     Decomposes over connected components; the null graph gets value 0 with an
     empty witness so vertex-removal scans stay total.
     """
-    return _cover_certificate(g, "independent_domination", True)
+    return _cover_certificate(g, True)
 
 
 def gamma_value(g: Graph) -> int:
@@ -450,11 +449,7 @@ def gamma(g: Graph) -> GammaCertificate:
     """Minimum dominating set with the lexicographically first witness."""
     if g.order == 0:
         raise EmptyGraph("domination number of the null graph is undefined")
-    return _cover_certificate(g, "domination", False)
-
-
-def alpha_value(g: Graph) -> int:
-    return alpha(g).value
+    return _cover_certificate(g, False)
 
 
 def alpha(g: Graph) -> GammaCertificate:
@@ -464,7 +459,7 @@ def alpha(g: Graph) -> GammaCertificate:
     witness = 0
     for comp, _ in component_masks(g.adj, g.full_mask):
         witness |= _alpha_max(g.adj, comp)
-    return GammaCertificate("independence", witness.bit_count(), VertexSet(witness))
+    return GammaCertificate(witness.bit_count(), VertexSet(witness))
 
 
 def enumerate_maximal_independent_sets(g: Graph):

@@ -18,7 +18,6 @@ from idstab import (
     VertexSet,
     decode_graph6,
     encode_graph6,
-    evaluate_claim,
     gamma_i_value,
     oracle_gamma_i,
     run_audit,

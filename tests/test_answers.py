@@ -6,7 +6,7 @@ value and witness, and all three stability certificates (value, witness and
 new gamma_i) of every labeled graph of order <= 5 and 100 seeded G(7-13).
 A change that means to move an answer records the new digest with its reason.
 ``ALPHA_DIGEST`` pins, in the same way and on the same graphs plus 20 seeded
-G(14-30), the alpha value and witness, ``alpha_value`` and
+G(14-30), the alpha value and witness, ``alpha(g).value`` and
 ``max_induced_star``.
 """
 
@@ -16,7 +16,6 @@ import random
 from idstab import (
     Direction,
     alpha,
-    alpha_value,
     gamma,
     gamma_i,
     gamma_i_value,
@@ -73,6 +72,6 @@ def test_alpha_digest():
     digest = hashlib.sha256()
     for g in _alpha_graphs():
         cert = alpha(g)
-        answers = (cert.value, cert.witness.members(), alpha_value(g), max_induced_star(g))
+        answers = (cert.value, cert.witness.members(), alpha(g).value, max_induced_star(g))
         digest.update(f"{g.order} {g.adj} {answers}\n".encode())
     assert digest.hexdigest() == ALPHA_DIGEST

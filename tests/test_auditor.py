@@ -8,7 +8,6 @@ import pytest
 
 from idstab import auditor, errors, oracles
 from idstab.auditor import (
-    CLAIM_IDS,
     ExhaustiveCorpus,
     FamilyCorpus,
     Graph6Corpus,
@@ -16,7 +15,6 @@ from idstab.auditor import (
     _Toolkit,
     claim_registry,
     enumerate_labeled_graphs,
-    evaluate_claim,
     get_claim,
     run_audit,
 )
@@ -31,7 +29,7 @@ from conftest import random_graph
 
 class TestRegistry:
     def test_all_claims_present(self):
-        assert CLAIM_IDS == tuple(f"C{i}" for i in range(1, 27))
+        assert tuple(c.id for c in claim_registry()) == tuple(f"C{i}" for i in range(1, 27))
         for claim in claim_registry():
             assert claim.statement
             assert claim.instance_kind in ("graph", "pair", "family")
@@ -48,8 +46,6 @@ class TestRegistry:
             get_claim(2)
         with pytest.raises(errors.UnknownClaim):
             run_audit([2], ExhaustiveCorpus(2), threads=1)
-        with pytest.raises(errors.UnknownClaim):
-            evaluate_claim(2, path(3))
 
 
 class _ReadsBelow(_Toolkit):
@@ -112,71 +108,87 @@ class TestEnumeration:
             enumerate_labeled_graphs(0)
 
 
+def _one_line(g) -> Graph6Corpus:
+    return Graph6Corpus((encode_graph6(g),))
+
+
+def _outcome(cid, corpus, mode="strict"):
+    """Claim *cid* over a one-instance corpus, through ``run_audit``: its
+    status, and the report's entry (lhs, rhs, witness, oracle) of a violation."""
+    (block,) = run_audit([cid], corpus, mode, threads=1).claims
+    assert sum(block["counts"].values()) == 1
+    (status,) = [s for s, n in block["counts"].items() if n]
+    return status, (block["violations"] or [None])[0]
+
+
+def _reading(cid, instance):
+    """``(status, lhs, rhs)`` of *cid* on *instance*, which the report gives
+    only for violations."""
+    return auditor._verdict(get_claim(cid).evaluate(instance, _Toolkit(), "strict"))
+
+
 class TestEvaluateClaim:
+    """Single claims on single instances, each audited as a one-line corpus."""
+
     def test_c1_path_12(self):
-        out = evaluate_claim("C1", FamilySpec("path", (12,)))
-        assert out.status == "holds" and out.lhs_value == 4 == out.rhs_value
+        spec = FamilySpec("path", (12,))
+        assert _outcome("C1", FamilyCorpus((spec,))) == ("holds", None)
+        assert _reading("C1", spec) == ("holds", 4, 4)
 
     def test_c18_refuted_at_k2_k2(self):
-        out = evaluate_claim("C18", (complete(2), complete(2)))
-        assert out.status == "violated"
-        assert out.lhs_value == 4 and out.rhs_value == 2
-        assert out.oracle_check == "full"
-        assert out.certificate["st_witness"] == [0, 1, 2, 3]
+        status, out = _outcome("C18", PairCorpus(_one_line(complete(2))))
+        assert status == "violated"
+        assert out["instance"] == "A_,A_"
+        assert out["lhs"] == 4 and out["rhs"] == 2
+        assert out["oracle"] == "full"
+        assert out["witness"]["st_witness"] == [0, 1, 2, 3]
 
     def test_c20_refuted_at_k2_k2(self):
-        out = evaluate_claim("C20", (complete(2), complete(2)))
-        assert out.status == "violated" and out.lhs_value == 4 and out.rhs_value == 2
+        status, out = _outcome("C20", PairCorpus(_one_line(complete(2))))
+        assert status == "violated" and out["lhs"] == 4 and out["rhs"] == 2
 
     def test_c21_refuted_at_2k1_2k1(self):
-        out = evaluate_claim("C21", (empty(2), empty(2)))
-        assert out.status == "violated"
-        assert out.lhs_value == 2 and out.rhs_value == 4
-        assert out.oracle_check == "full"
+        status, out = _outcome("C21", PairCorpus(_one_line(empty(2))))
+        assert status == "violated"
+        assert out["lhs"] == 2 and out["rhs"] == 4
+        assert out["oracle"] == "full"
 
     def test_c9_strict_refuted_at_2k1(self):
-        out = evaluate_claim("C9", empty(2))
-        assert out.status == "violated"
-        assert out.lhs_value == 1 and out.rhs_value == -1
-        assert out.oracle_check == "full"
+        status, out = _outcome("C9", _one_line(empty(2)))
+        assert status == "violated"
+        assert out["lhs"] == 1 and out["rhs"] == -1
+        assert out["oracle"] == "full"
 
     def test_c9_restricted_skips_isolates(self):
-        assert evaluate_claim("C9", empty(2), mode="restricted").status == "inapplicable"
+        assert _outcome("C9", _one_line(empty(2)), mode="restricted") == ("inapplicable", None)
 
     def test_c2_holds_on_c7(self):
-        out = evaluate_claim("C2", cycle(7))
-        assert out.status == "holds" and out.lhs_value == 1 and out.rhs_value == 3
+        assert _outcome("C2", _one_line(cycle(7))) == ("holds", None)
+        assert _reading("C2", cycle(7)) == ("holds", 1, 3)
 
     def test_c14_pinned_reading_refuted_at_2k2(self):
         g = disjoint_union(path(2), path(2))
-        out = evaluate_claim("C14", g)
-        assert out.status == "violated"
-        assert out.lhs_value == 2 and out.rhs_value == [2, 2]
-        assert out.oracle_check == "full"
+        status, out = _outcome("C14", _one_line(g))
+        assert status == "violated"
+        assert out["lhs"] == 2 and out["rhs"] == [2, 2]
+        assert out["oracle"] == "full"
 
     def test_c26_iff_small(self):
-        assert evaluate_claim("C26", complete(4)).status == "holds"
-        assert evaluate_claim("C26", path(4)).status == "holds"
+        assert _outcome("C26", _one_line(complete(4))) == ("holds", None)
+        assert _outcome("C26", _one_line(path(4))) == ("holds", None)
 
     def test_no_claim_applies_to_the_null_graph(self):
-        for claim in claim_registry():
-            if claim.instance_kind == "graph":
-                assert evaluate_claim(claim.id, empty(0)).status == "inapplicable", claim.id
-            elif claim.instance_kind == "pair":
-                for pair in ((empty(0), path(2)), (path(2), empty(0))):
-                    assert evaluate_claim(claim.id, pair).status == "inapplicable", claim.id
-
-    def test_instance_kind_mismatch(self):
-        with pytest.raises(errors.InstanceKindMismatch):
-            evaluate_claim("C2", (path(2), path(2)))
-        with pytest.raises(errors.InstanceKindMismatch):
-            evaluate_claim("C17", path(2))
-        with pytest.raises(errors.InstanceKindMismatch):
-            evaluate_claim("C3", path(3))
+        # "?" is the null graph: of the pairs over "?" and "A_" (K_2), all but
+        # "A_,A_" have an empty operand
+        corpora = {"graph": Graph6Corpus(("?",)), "pair": PairCorpus(Graph6Corpus(("?", "A_")))}
+        for kind, corpus in corpora.items():
+            claims = [c.id for c in claim_registry() if c.instance_kind == kind]
+            for block in run_audit(claims, corpus, threads=1).claims:
+                assert block["counts"]["inapplicable"] == (1 if kind == "graph" else 3), block
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            evaluate_claim("C2", path(2), mode="lenient")
+        with pytest.raises(ValueError, match="mode must be 'strict' or 'restricted'"):
+            run_audit(["C2"], _one_line(path(2)), mode="lenient", threads=1)
 
 
 class TestRunAudit:
@@ -463,7 +475,7 @@ def _plain_blocks(claim_ids, corpus, mode: str) -> list[dict]:
             counts[status] += 1
             if status == "violated":
                 cert = ev.cert()
-                oracle = auditor._verify_violation(claim, g, lhs, rhs, cert, mode)
+                oracle = auditor._verify_violation(claim, text, g, lhs, rhs, cert, mode)
                 found.append(dict(instance=text, lhs=lhs, rhs=rhs, witness=cert, oracle=oracle))
         blocks.append(
             {
@@ -630,7 +642,7 @@ class TestIsomorphismClasses:
             for v in sorted(block["violations"], key=lambda v: order[v["instance"]]):
                 key = auditor._class_key(*graph6_edge_mask(v["instance"]))
                 firsts.setdefault((block["claim"], key), v["instance"])
-        assert sorted((cid, encode_graph6(g)) for cid, g, *_ in jobs) == sorted(
+        assert sorted((cid, text) for cid, text, *_ in jobs) == sorted(
             (cid, text) for (cid, _), text in firsts.items()
         )
         assert len(jobs) < one.violation_count
@@ -682,19 +694,27 @@ class TestOracleAbort:
             with pytest.raises(errors.InternalAuditError, match="oracle re-verification"):
                 run_audit(["C17"], PairCorpus(ExhaustiveCorpus(2)), threads=threads)
 
+    def test_abort_names_the_line_as_given(self, monkeypatch):
+        # K_1 violates C9 (st_id 1 > n + 1 - 2 gamma_i = 0); the message names
+        # its corpus line, not the line re-encoded as "@"
+        monkeypatch.setattr(oracles, "oracle_gamma_i", lambda g: 99)
+        with pytest.raises(errors.InternalAuditError, match="at >>graph6<<@: "):
+            run_audit(["C9"], Graph6Corpus((">>graph6<<@",)), threads=1)
+
     # C4 on cycle:14 is past the stability oracle's cap, so only the
     # certificate's gamma_i facts can be re-checked; gamma_i(C_14) is 5
     def test_refuted_certificate_fact_aborts(self):
         cert = {"gamma_i_checks": [[encode_graph6(cycle(14)), 4]]}
         claim, spec = get_claim("C4"), FamilySpec("cycle", (14,))
         with pytest.raises(errors.InternalAuditError, match=r"= 5, certificate says 4$"):
-            auditor._verify_violation(claim, spec, 3, 1, cert, "strict")
+            auditor._verify_violation(claim, spec.to_text(), spec, 3, 1, cert, "strict")
 
     def test_fact_past_the_oracle_cap_is_skipped(self):
         assert path(30).order > oracles.ORACLE_MAX_ORDER
         cert = {"gamma_i_checks": [[encode_graph6(path(30)), 4]]}
         claim, spec = get_claim("C4"), FamilySpec("cycle", (14,))
-        assert auditor._verify_violation(claim, spec, 3, 1, cert, "strict") == "unavailable"
+        verdict = auditor._verify_violation(claim, spec.to_text(), spec, 3, 1, cert, "strict")
+        assert verdict == "unavailable"
 
 
 def test_default_family_grid_shape():

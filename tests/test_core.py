@@ -13,9 +13,9 @@ from idstab import (
     components,
     degree_stats,
     delete_vertices,
-    evaluate_claim,
 )
 from idstab import errors
+from idstab.auditor import _Toolkit
 from idstab.core import mask_graph
 from idstab.families import book, complete, cycle, empty, path
 from idstab.ops import disjoint_union
@@ -99,6 +99,16 @@ class TestBuildGraph:
         with pytest.raises(errors.VertexOutOfRange):
             build_graph(3, [(0, 3)])
 
+    def test_edge_that_is_no_pair_rejected(self):
+        # each raised a bare ValueError from unpacking the edge
+        for edge in [(0,), (0, 1, 2), ()]:
+            with pytest.raises(errors.VertexOutOfRange, match="edges must be pairs"):
+                build_graph(3, [edge])
+        with pytest.raises(errors.LoopEdge):
+            build_graph(3, [(0, 1), (0, 0)])
+        with pytest.raises(errors.VertexOutOfRange, match=r"edge \(0, 5\) outside 0..2"):
+            build_graph(3, [(0, 5)])
+
     def test_invalid_rows_rejected(self):
         with pytest.raises(ValueError, match=r"^asymmetric edge 0-1$"):
             Graph(2, (0b10, 0b00))
@@ -118,7 +128,8 @@ class TestBuildGraph:
         g, p3 = Graph(3, [0b010, 0b101, 0b010]), Graph(3, (0b010, 0b101, 0b010))
         assert type(g.adj) is tuple and g == p3
         assert hash(g) == hash(p3)
-        assert evaluate_claim("C2", g) == evaluate_claim("C2", p3)
+        kit = _Toolkit()
+        assert kit.st_any(g) == kit.st_any(p3) == 1
 
     @given(edge_lists())
     @settings(max_examples=120, deadline=None)

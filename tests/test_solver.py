@@ -25,7 +25,6 @@ from idstab.solver import (
     _lexmin_cover,
     _packing_pick,
     alpha,
-    alpha_value,
     enumerate_maximal_independent_sets,
     gamma,
     gamma_i,
@@ -164,7 +163,7 @@ class TestSolverOracleAgreement:
 class TestDominationChain:
     def test_chain_exhaustive(self):
         for g in all_graphs(5):
-            assert gamma_value(g) <= gamma_i_value(g) <= alpha_value(g)
+            assert gamma_value(g) <= gamma_i_value(g) <= alpha(g).value
 
     def test_component_additivity(self, rng):
         for _ in range(40):
