@@ -16,24 +16,25 @@ P - N_H(u) is branched on, for a pivot u in P | X: a maximal M between R and
 R | P that missed it would miss u and lie in N_H(u), so M | {u} is larger.
 There are at most 3^(n/3) maximal cliques (Moon & Moser, 1965).
 
-``oracle_stability`` is a sieve over vertex masks rather than one gamma_i
-filter per removal.  For U a vertex set, T is an independent dominating set
-(IDS) of the induced subgraph G[U] exactly when
+``oracle_stability`` fills one table over vertex masks, ``best[U] =
+gamma_i(G[U])`` for every U, rather than one gamma_i filter per removal:
+G - S is the induced subgraph G[V - S].  ``best[0] = 0``, and for U nonempty
+with top vertex t
 
-    T is independent in G  and  T <= U <= N_G[T].
+    best[U] = 1 + min over x in N[t] & U of best[U - N[x]].
 
-Proof: G[U] keeps every edge of G between members of U, so a T inside U is
-independent in G[U] iff it is independent in G.  T dominates G[U] iff every
-u in U - T has a neighbour in T, which holds iff u lies in N_G[T], since the
-neighbours of u inside T are the same in G[U] and in G.  So one pass over
-the independent sets T of G, writing |T| into ``best[U]`` for every U
-between T and N_G[T] (a submask walk of N_G[T] - T), leaves
-``best[U] = gamma_i(G[U])`` for every U: each U has an IDS (a maximal
-independent set of G[U]; the empty set for U empty), and the minimum is
-taken over all of them.  Since G - S = G[V - S], ``best[V - S]`` is
-gamma_i(G - S) for every removal S.  The work is the sum over independent T
-of 2^|N[T] - T|, at most 3^n, and the table has 2^n entries (4,096 under
-the order-12 guard).
+(<=) Let x be in U and T' an independent dominating set (IDS) of
+G[U - N[x]].  T' + x is independent, since T' avoids N[x], and dominates U:
+x covers N[x] & U and T' the rest.  (>=) An IDS T of G[U] dominates t, so
+it holds some x in N[t] & U.  T - x lies in U - N[x] and is independent;
+it dominates U - N[x], since a vertex there outside T has a neighbour in T,
+and that neighbour is not x.  The table is filled in blocks, one per top
+vertex t, over U = U' + t with U' < 2^t, so N[t] & U is t and the lower
+neighbours of t in U'.  Every U - N[x] lacks t, so it lies in an earlier
+block, and U - N[x] = U' - N[x], since t is in N[x].  The work is at most
+sum over t of 2^t (1 + d(t)) <= 2^n (1 + max degree) steps, where d(t)
+counts the neighbours of t below t, and the table has 2^n entries (4,096
+under the order-12 guard).
 """
 
 from __future__ import annotations
@@ -84,48 +85,36 @@ def oracle_gamma_i(g: Graph) -> int:
 
 
 def oracle_stability(g: Graph) -> tuple[int, int, int | None]:
-    """(st_any, st_decrease, st_increase-or-None) by the sieve of the module
-    docstring: gamma_i(G - S) for every nonempty removal S, with no graph
-    built and nothing pruned.  Guarded to 12 vertices."""
+    """(st_any, st_decrease, st_increase-or-None) read off the table of the
+    module docstring, with no graph built and nothing pruned.  A removal of
+    k vertices leaves a U of n - k vertices, U != V.  A removal that changes
+    gamma_i lowers or raises it, so st_any is the smaller of the two directed
+    values; the decrease is always defined, by U empty.  Guarded to 12
+    vertices."""
     if g.order == 0:
         raise EmptyGraph("stability of the null graph is undefined")
     _guard(g, ORACLE_STABILITY_MAX_ORDER, "stability")
     n = g.order
-    adj = g.adj
     closed = _closed(g)
-    full = g.full_mask
-    best = [n + 1] * (1 << n)
-
-    def sieve(start: int, ind: int, reach: int, size: int) -> None:
-        free = reach & ~ind
-        sub = free
-        while True:
-            u = ind | sub
-            if size < best[u]:
-                best[u] = size
-            if not sub:
-                break
-            sub = (sub - 1) & free
-        for v in range(start, n):
-            if not adj[v] & ind:
-                sieve(v + 1, ind | 1 << v, reach | closed[v], size + 1)
-
-    sieve(0, 0, 0, 0)
-    base = best[full]
-    st_any: int | None = None
-    st_down: int | None = None
-    st_up: int | None = None
-    for mask in range(1, 1 << n):
-        val = best[full & ~mask]
-        k = mask.bit_count()
-        if val != base and (st_any is None or k < st_any):
-            st_any = k
-        if val < base and (st_down is None or k < st_down):
-            st_down = k
-        if val > base and (st_up is None or k < st_up):
-            st_up = k
-    assert st_any is not None and st_down is not None
-    return st_any, st_down, st_up
+    best = [0]
+    for t in range(n):
+        bit = 1 << t
+        off = ~closed[t]
+        block = [best[u & off] for u in range(bit)]  # x = t, for every U'
+        for x in iter_bits(g.adj[t] & (bit - 1)):  # lower x, for U' holding x
+            xbit = 1 << x
+            off = ~closed[x]
+            for u in range(xbit, bit):
+                if u & xbit and best[u & off] < block[u]:
+                    block[u] = best[u & off]
+        best += [1 + b for b in block]
+    base = best.pop()
+    kept_down = max(u.bit_count() for u, b in enumerate(best) if b < base)
+    kept_up = max((u.bit_count() for u, b in enumerate(best) if b > base), default=None)
+    st_down = n - kept_down
+    if kept_up is None:
+        return st_down, st_down, None
+    return min(st_down, n - kept_up), st_down, n - kept_up
 
 
 def _brute_gamma(g: Graph) -> int:

@@ -9,8 +9,8 @@ graph is 0), which makes the "any" and "decrease" directions total;
 such, never as a sentinel number.
 
 ``oracle_stability`` is re-exported from ``oracles``: the referee reads
-every removal's gamma_i off a sieve over vertex masks and shares no code
-with this module.
+every removal's gamma_i off one table of gamma_i(G[U]) over vertex masks U
+and shares no code with this module.
 
 The increase direction scans k = 1, 2, ... and, within each k, the k-subsets
 in lexicographic order, solving gamma_i(G - S) for each that the transversal

@@ -7,7 +7,7 @@ import pytest
 from idstab import VertexSet, delete_vertices, errors, oracles
 from idstab.auditor import enumerate_labeled_graphs
 from idstab.families import complete, complete_bipartite, empty
-from idstab.ops import corona, disjoint_union
+from idstab.ops import corona, disjoint_union, join
 from idstab.oracles import _brute_gamma, _brute_max_star, oracle_gamma_i, oracle_stability
 
 from conftest import all_graphs, brute_gamma_i, random_graph
@@ -46,10 +46,12 @@ EDGE_GRAPHS = {
     "K12": complete(12),
     "K1,11": complete_bipartite(1, 11),
     "corona(K3,K3)": corona(complete(3), complete(3)),
+    "corona(3K1,K3)": corona(empty(3), complete(3)),
+    "K6,6": complete_bipartite(6, 6),
 }
 
 
-class TestStabilitySieve:
+class TestStabilityOracle:
     def test_exhaustive_order_5(self):
         memo = {}
         for g in all_graphs(5):
@@ -62,6 +64,10 @@ class TestStabilitySieve:
             for _ in range(5):
                 g = random_graph(rng, n)
                 assert oracle_stability(g) == _reference_stability(g, {})
+        for n in range(9, 13):
+            # G(n - 2, 0.2) and two top vertices joined to all others
+            g = join(random_graph(rng, n - 2, 0.2), complete(2))
+            assert oracle_stability(g) == _reference_stability(g, {})
 
     @pytest.mark.parametrize("name", sorted(EDGE_GRAPHS))
     def test_edge_graphs(self, name):
