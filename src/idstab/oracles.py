@@ -71,7 +71,10 @@ def oracle_gamma_i(g: Graph) -> int:
                 best = size
             return
         most = -1
-        for u in iter_bits(cand | tried):
+        rest = cand | tried
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             k = (free[u] & cand).bit_count()
             if k > most:
                 pivot, most = u, k

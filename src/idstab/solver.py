@@ -71,11 +71,11 @@ is always a bug worth keeping.
 
 Optimal witnesses are tie-broken to the lexicographically smallest set (by
 sorted member list).  For gamma_i and gamma, ``_lexmin_cover`` builds it
-by self-reduction from the value search's picks, asking ``_cover_min``, in
-a bounded form and with the remainder's own cap, one question per candidate
-member: whether it leaves a completion.  It keeps an optimal set as an
-incumbent and takes the incumbent's next member without asking.  alpha's
-witness comes out of its one search.
+by self-reduction from the value search's picks, asking ``_bounded_cover``
+(``_cover_min`` in a decision form, with the question's own cap) one
+question per candidate member: whether it leaves a completion.  It keeps
+an optimal set as an incumbent and takes the incumbent's next member
+without asking.  alpha's witness comes out of its one search.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
     vertices not banned there), and no earlier pick dominates an undominated
     vertex, so the packing bound over the pool is sound for both.
 
-    Decision form, for the witness pass: only vertices of ``draw`` are
+    Decision form, for ``_bounded_cover``: only vertices of ``draw`` are
     picked (the others start out banned), ``comp`` may be any vertex set if
     ``cap`` is at least 1 and bounds ``|closed[v] & comp|`` over ``draw``,
     and ``best`` starts at ``bound + 1``, so the search returns the least
@@ -269,6 +269,25 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
     return best, found
 
 
+def _bounded_cover(closed: list[int], comp: int, draw: int, independent: bool,
+                   bound: int) -> tuple[int, int]:
+    """Whether at most ``bound`` picks from ``draw`` dominate the vertex set
+    ``comp``, independent picks for gamma_i and any for gamma: the decision
+    form of ``_cover_min``, as (value, picks).  The value is the least such
+    count if it is at most ``bound``, with picks that attain it, and
+    ``bound + 1`` with no picks otherwise.  ``comp`` need not be connected.
+    The witness pass and ``stability``'s single removals ask through here.
+
+    The cap is the question's own, the most vertices of ``comp`` that one
+    drawable vertex dominates (the whole block's looser cap took the pinned
+    witness passes' nodes up by a quarter), with a floor of 1: for an empty
+    ``comp`` a cap of 0 would fire the dominating-vertex exit, which answers
+    1 where 0 picks suffice.
+    """
+    cap = max([(closed[v] & comp).bit_count() for v in iter_bits(draw)], default=0) or 1
+    return _cover_min(closed, comp, cap, independent, draw, bound)
+
+
 def _lexmin_cover(closed: list[int], comp: int, independent: bool, picks: int) -> int:
     """The lexmin witness (by sorted member list) of the block ``comp``:
     independent picks for gamma_i, any for gamma.  ``picks`` is an optimal
@@ -278,15 +297,11 @@ def _lexmin_cover(closed: list[int], comp: int, independent: bool, picks: int) -
     Self-reduction: after members C, the next is the least candidate u for
     which at most k - |C| - 1 picks above u dominate ``rest``, what C + u
     leaves undominated; so each round extends the lexmin set's prefix.  Both
-    invariants ask this as one ``_cover_min`` question, gamma_i with picks
-    from ``rest`` (to stay independent of C + u), gamma with picks from the
-    block.  A u that dominates nothing new is skipped, as C and a completion
-    would dominate with k - 1 picks; only gamma meets one, since a gamma_i
-    candidate is undominated.  The question's cap is the remainder's own,
-    the most vertices of ``rest`` that one drawable vertex dominates (the
-    block's looser cap took the pinned passes' nodes up by a quarter), with
-    a floor of 1: for an empty ``rest`` a cap of 0 would fire the
-    dominating-vertex exit, which answers 1 and so refuses a valid u.
+    invariants ask this as one ``_bounded_cover`` question, gamma_i with
+    picks from ``rest`` (to stay independent of C + u), gamma with picks from
+    the block.  A u that dominates nothing new is skipped, as C and a
+    completion would dominate with k - 1 picks; only gamma meets one, since
+    a gamma_i candidate is undominated.
 
     Incumbent: the pass keeps a witness P of k picks that holds C and whose
     other members lie above C; it starts as ``picks``.  Let p be the lowest
@@ -321,8 +336,7 @@ def _lexmin_cover(closed: list[int], comp: int, independent: bool, picks: int) -
             if rest == uncovered:
                 continue
             draw = (rest if independent else comp) & floor
-            cap = max([(closed[v] & rest).bit_count() for v in iter_bits(draw)], default=0) or 1
-            value, found = _cover_min(closed, rest, cap, independent, draw, k)
+            value, found = _bounded_cover(closed, rest, draw, independent, k)
             if value <= k:
                 picks = chosen | low | found
                 break

@@ -150,6 +150,27 @@ class TestStability:
         assert code == 0
         assert out == "7\t0,1,2,3,4,5,6\t1->0\n5\t0,3,6,7,8\t2->1\n2\t0,2\t6->5\n"
 
+    @pytest.mark.parametrize(
+        "spec,direction,line",
+        [
+            ("cycle:63", "down", "3\t0,1,2\t21->20"),
+            ("cycle:63", "any", "3\t0,1,2\t21->20"),
+            ("gfriend:5,12", "down", "2\t2,3\t13->12"),
+            ("gfriend:5,12", "any", "1\t0\t13->24"),
+            ("book:12", "down", "2\t2,3\t12->11"),
+            ("book:12", "any", "2\t2,3\t12->11"),
+            ("petersen", "down", "3\t0,1,2\t3->2"),
+            ("petersen", "any", "3\t0,1,2\t3->2"),
+        ],
+    )
+    def test_family_certificate_golden(self, capsys, monkeypatch, spec, direction, line):
+        # idstab gen SPEC | idstab stability --direction D --witness, as CI pins it
+        code, text, _ = run(capsys, "gen", spec)
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "stability", "--direction", direction, "--witness")
+        assert code == 0 and out == line + "\n"
+
 
 class TestOp:
     def test_lex_of_specs(self, capsys):

@@ -14,11 +14,14 @@ from idstab.families import (
     cycle,
     empty,
     friendship,
+    gen_friendship,
     path,
+    petersen,
     star,
 )
 from idstab.ops import disjoint_union
-from idstab.solver import _closed_rows, _cover_picks, gamma_i_value
+from idstab.oracles import oracle_gamma_i
+from idstab.solver import _bounded_cover, _closed_rows, _cover_picks, gamma_i_value
 from idstab.stability import (
     Direction,
     StabilityCertificate,
@@ -287,6 +290,60 @@ class TestMinRule:
         # gamma_i of G, the n single removals, the gamma_i-set walk and the
         # witness's new gamma_i
         assert len(solves) <= g.order + 4
+
+
+def _assert_lowering_rule(g):
+    """For every v, the bounded question inside V - N[v] answers
+    min(gamma_i(G - v), gamma_i(G)), read off the oracle; returns the number
+    of checks."""
+    closed = _closed_rows(g)
+    full = g.full_mask
+    base = gamma_i_value(g)
+    for v in range(g.order):
+        sub, _ = delete_vertices(g, VertexSet(1 << v))
+        got = _bounded_cover(closed, full & ~(1 << v), full & ~closed[v], True, base - 1)[0]
+        assert got == min(oracle_gamma_i(sub), base), (g, v)
+    return g.order
+
+
+class TestLoweringRule:
+    """An independent dominating set of G - v below gamma_i(G) avoids N[v],
+    so one bounded question with picks from V - N[v] tells whether removing
+    v lowers gamma_i, and by how much."""
+
+    @pytest.mark.slow
+    def test_exhaustive_order_6(self):
+        checks = sum(_assert_lowering_rule(g) for g in all_graphs(6) if gamma_i_value(g) >= 2)
+        assert checks == 168_712  # the vertices of the 28,263 graphs with gamma_i >= 2
+
+    def test_seeded_order_7_to_20(self):
+        rng = random.Random(0x10E5)
+        graphs = [random_graph(rng, rng.randint(7, 20)) for _ in range(300)]
+        checks = sum(_assert_lowering_rule(g) for g in graphs if gamma_i_value(g) >= 2)
+        assert checks == 3_361
+
+    @pytest.mark.parametrize(
+        "g,direction,full_solves,bounded",
+        [
+            # gamma_i of G and of G - witness; each single removal is one bounded question
+            (cycle(63), Direction.DECREASE, 2, 63),
+            (gen_friendship(5, 12), Direction.DECREASE, 2, 49),
+            (book(12), Direction.DECREASE, 2, 26),
+            (petersen(), Direction.DECREASE, 2, 10),
+            # the removals outside the base solve's gamma_i-set are bounded questions
+            (cycle(63), Direction.ANY, None, 42),
+            (book(12), Direction.ANY, None, 14),
+            (petersen(), Direction.ANY, None, 7),
+        ],
+        ids=["cycle63-down", "gfriend5-12-down", "book12-down", "petersen-down",
+             "cycle63-any", "book12-any", "petersen-any"],
+    )
+    def test_single_removals_ask_bounded_questions(self, monkeypatch, g, direction, full_solves, bounded):
+        solves = _count_solves(monkeypatch)
+        stability(g, direction)
+        if full_solves is not None:
+            assert solves.count("_cover_picks") == full_solves
+        assert solves.count("_bounded_cover") == bounded
 
 
 class TestPruningRules:
