@@ -13,8 +13,8 @@ every removal's gamma_i off one table of gamma_i(G[U]) over vertex masks U
 and shares no code with this module.
 
 The increase direction scans k = 1, 2, ... and, within each k, the k-subsets
-in lexicographic order, solving gamma_i(G - S) for each that the transversal
-and no-good rules below do not rule out; the first match is the witness.
+in lexicographic order, solving gamma_i(G - S) for each that the constraint
+rule below does not rule out; the first match is the witness.
 The decrease and any directions first try the single removals in vertex
 order, with the lowering rule and, for "any", the transversal rule at
 k = 1; the first that lowers ("decrease") or changes ("any") gamma_i is the
@@ -40,30 +40,54 @@ directed answers (min rule).
   dominating in G - v, so gamma_i(G - v) <= b: removing v can lower
   gamma_i but cannot raise it, and the lowering rule's question settles v.
   Only the b removals of members of D are solved in full.
-* Transversal rule, for "increase".  Let D be a gamma_i-set of G (a
-  minimum independent dominating set).  If S misses D, then D is still
-  independent in G - S and still dominates V - S, so
-  gamma_i(G - S) <= |D| = gamma_i(G).  Only an S that meets every
-  gamma_i-set can raise gamma_i, and the scan visits only those k-subsets,
-  in their order, so the witness is the one the full scan would return.
-  The family kept is the lexicographically first ``GAMMA_I_FAMILY_CAP``
-  gamma_i-sets (``solver._covers``), so memory stays bounded.  A partial
-  family is still sound: a subset is skipped only when it misses a
-  gamma_i-set that is actually known.
-* No-good rule, for "increase".  When S fails to raise gamma_i, its solve
-  returns an independent D within V - S with |D| = gamma_i(G - S) <=
-  gamma_i(G) that dominates V - S, so V - N[D] lies in S.  Let S' miss D
-  and hold V - N[D].  Then D is still independent in G - S' and dominates
-  V - S', which lies in N[D], so gamma_i(G - S') <= |D| <= gamma_i(G): S'
-  fails too.  The scan learns the pair (D, V - N[D]) from each failed solve
-  and skips every later S' that a learned pair rules out.  Only subsets
-  that cannot raise gamma_i are skipped, so the witness is still the one
-  the full scan returns.  A gamma_i-set of G is the case V - N[D] = empty,
-  which the transversal rule already covers.  Learning stops after
-  ``GAMMA_I_FAMILY_CAP`` pairs, so memory stays bounded; that is sound for
-  the same reason as a partial family, since a subset is only skipped by a
-  pair that is actually known.  On the pinned ``stability-dense`` graphs
-  the rule took the increase scans' solves from 4,480 to 339.
+* Constraint rule, for "increase".  A pair (D, R) rules S out when S
+  misses D and holds R.  If D is independent, |D| <= gamma_i(G) and
+  R = V - N[D], then every S it rules out fails to raise gamma_i: D is
+  still independent in G - S and dominates V - S, which lies in N[D], so
+  gamma_i(G - S) <= |D| <= gamma_i(G).  The scan knows two kinds of pair.
+  A gamma_i-set D of G gives (D, empty) (transversal rule: only an S that
+  meets every gamma_i-set can raise gamma_i); the family kept is the
+  lexicographically first ``GAMMA_I_FAMILY_CAP`` gamma_i-sets
+  (``solver._covers``).  A failed solve of S returns an independent D
+  within V - S with |D| = gamma_i(G - S) <= gamma_i(G) that dominates
+  V - S, so V - N[D] lies in S, and the scan learns (D, V - N[D]) (no-good
+  rule); learning stops after ``GAMMA_I_FAMILY_CAP`` pairs.  Both caps
+  keep memory bounded and are sound, since a set is skipped only when a
+  pair that is actually known rules it out.  Only sets that cannot raise
+  gamma_i are skipped, so the witness is the one the full scan returns.
+  On the pinned ``stability-dense`` graphs the learned pairs took the
+  increase scans' solves from 4,480 to 339, and checking every pair along
+  the walk below, instead of at each subset a generator yielded, took
+  "increase" there from 23.1 to 17.5 ms per batch (2-vCPU Xeon,
+  in-process, best of 9).
+
+  The scan checks the pairs along one recursion that picks the members of
+  S in ascending order, so it meets the k-subsets in lexicographic order.
+  A node has chosen C, all below ``start``, and skipped the other vertices
+  below ``start``.  A pair is met when D meets C, and killed when R holds
+  a skipped vertex; neither kind rules out any leaf below the node.  A
+  pair that is neither met nor killed and has no R member at or above
+  ``start`` is armed: R lies in C and D misses C, so it rules out every
+  leaf below that misses D.
+  - Cut.  If the next pick is v, every later pick is at least v.  An armed
+    pair with no D member at or above v then rules out every leaf under
+    this and each later choice of v, so the node ends there.
+  - Last pick.  With one pick left, a leaf C + v with v outside the lowest
+    armed pair's D misses that D, so only that D's members at or above
+    ``start`` are tried (every vertex when no pair is armed).
+  - Leaf.  C + v is ruled out by a pair that is not met, whose D misses v,
+    and whose R lies in C + v: R is not killed and has no member above v
+    or in [start, v).  That last interval is read only for the pairs that
+    pass the other tests and are not armed.
+  - No patching.  A pair learned at leaf S has D missing S and R within S.
+    At every ancestor of S, D misses the chosen vertices and R holds no
+    skipped one, so the ancestor's met and killed masks hold the pair's
+    bits at 0 already, and the masks on the recursion stack stay right.
+    The per-vertex tables are updated in place, so every later node and
+    leaf reads the pair.  A node fixes its armed set on entry, so a pair
+    learned under it only cuts at later nodes; every leaf still reads
+    every known pair, so the scan solves exactly the sets that no known
+    pair rules out, in the order of the full scan.
 * Left-out search, for "decrease".  Let b = gamma_i(G).  Then
   gamma_i(G - S) < b exactly when some independent D within V - S, with
   |D| <= b - 1, dominates V - S: such a D is an independent dominating set
@@ -116,8 +140,6 @@ from .oracles import oracle_stability  # re-exported; perfbench/spans.py wraps i
 from .solver import _bounded_cover, _closed_rows, _cover_picks, _covers, _packing_pick
 
 GAMMA_I_FAMILY_CAP = 4096  # gamma_i-sets, and learned pairs, kept by the increase scan
-# for each bit i < 4, the nibbles with bit i set
-_NIBBLES_HOLDING = [[x for x in range(16) if x >> i & 1] for i in range(4)]
 
 
 class Direction(Enum):
@@ -143,31 +165,6 @@ class StabilityCertificate:
     @property
     def defined(self) -> bool:
         return self.value is not None
-
-
-def _hitting_masks(n: int, k: int, meets: list[int]):
-    """The k-subsets of range(n) that meet every set of a family, as masks in
-    lexicographic order of their sorted member lists.
-
-    ``meets[v]`` has bit i set when vertex v lies in the family's i-th set.
-    A branch stops as soon as some unmet set has no member left to pick.
-    """
-    reach = [0] * (n + 1)  # reach[v]: the sets with a member at or above v
-    for v in range(n - 1, -1, -1):
-        reach[v] = reach[v + 1] | meets[v]
-
-    def rec(start: int, left: int, unmet: int, chosen: int):
-        for v in range(start, n - left + 1):
-            if unmet & ~reach[v]:
-                return
-            rest = unmet & ~meets[v]
-            if left == 1:
-                if not rest:
-                    yield chosen | 1 << v
-            else:
-                yield from rec(v + 1, left - 1, rest, chosen | 1 << v)
-
-    return rec(0, k, reach[0], 0)
 
 
 def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
@@ -222,54 +219,105 @@ def _lexmin_left_out(closed: list[int], full: int, picks: int, k: int) -> int:
 
 
 def _increase_scan(closed: list[int], full: int, base: int, stop: int):
-    """The first set that meets every known gamma_i-set, is ruled out by no
-    learned pair, and raises gamma_i, as (mask, gamma_i), or None: from k = 1,
-    or with a nonzero ``stop`` ("any", past its single removals) from k = 2
-    up to the size of ``stop``, where it ends at the first set not before it.
+    """The first set that no known pair of the constraint rule rules out and
+    that raises gamma_i, as (mask, gamma_i), or None: from k = 1, or with a
+    nonzero ``stop`` ("any", past its single removals) from k = 2 up to the
+    size of ``stop``, where only the sets before ``stop`` are scanned.
 
-    The learned pairs (D_j, V - N[D_j]) of the no-good rule are kept as
-    per-vertex bitsets: bit j of in_d[v] or in_r[v] says that v lies in D_j
-    or in V - N[D_j].  S is ruled out when some bit survives
-    ~OR(in_d[v] for v in S) & ~OR(in_r[v] for v not in S).  The bitsets are
-    stored by nibbles of four vertices: ``nibbles[c]`` holds, for each
-    nibble x, the OR of in_d[v] and of in_r[v] over the vertices v = 4c + i
-    with bit i of x set, so a check reads two entries per four vertices.
+    Pair j is bit j of every mask: the gamma_i-sets first, then the learned
+    pairs.  ``in_d[v]`` and ``in_r[v]`` hold the pairs whose D or R holds v,
+    and ``reach[v]`` and ``above[v]`` the pairs with a D or R member at or
+    above v.  A node takes its next pick below ``end`` and carries ``met``
+    and ``killed`` (module docstring) and the chosen mask; ``skipped`` is
+    ``killed`` widened by the vertices the loop passes.  The sets before ``stop`` are walked as the blocks that
+    leave its member path at its j-th member, taking a lower one.
     """
     n = full.bit_length()
-    meets = [0] * n
+    in_d = [0] * n
+    in_r = [0] * n
+    ds = []  # D of each pair, as a mask
     cap = max(map(int.bit_count, closed))
-    for i, ids in enumerate(islice(_covers(closed, full, cap, base), GAMMA_I_FAMILY_CAP)):
+    for ids in islice(_covers(closed, full, cap, base), GAMMA_I_FAMILY_CAP):
+        bit = 1 << len(ds)
+        ds.append(ids)
         for v in iter_bits(ids):
-            meets[v] |= 1 << i
-    nibbles = [([0] * 16, [0] * 16) for _ in range(0, n, 4)]
-    learned = 0
-    last = stop.bit_count() if stop else n
-    for k in range(2 if stop else 1, last + 1):
-        for mask in _hitting_masks(n, k, meets):
-            diff = mask ^ stop
-            if k == last and not diff & -diff & mask:
-                return None  # ``mask`` is ``stop`` or comes after it
-            hit = 0  # the pairs whose D meets ``mask`` or whose V - N[D] leaves it
-            inside, outside = mask, full & ~mask
-            for in_d, in_r in nibbles:
-                hit |= in_d[inside & 15] | in_r[outside & 15]
-                inside >>= 4
-                outside >>= 4
-            if ~hit & ((1 << learned) - 1):
-                continue  # a learned pair rules ``mask`` out
+            in_d[v] |= bit
+    reach = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        reach[v] = reach[v + 1] | in_d[v]
+    above = [0] * (n + 1)  # the gamma_i-sets have R empty
+    family = len(ds)
+    alive = (1 << family) - 1
+
+    def rec(start: int, end: int, left: int, met: int, killed: int, chosen: int):
+        nonlocal alive
+        armed = alive & ~met & ~killed & ~above[start]
+        if left > 1:
+            skipped = killed
+            for v in range(start, end):
+                if armed & ~reach[v]:
+                    return None  # a leaf from here on misses an armed pair's D
+                found = rec(v + 1, n - left + 2, left - 1, met | in_d[v], skipped, chosen | 1 << v)
+                if found:
+                    return found
+                skipped |= in_r[v]
+            return None
+        # a last pick outside the lowest armed pair's D leaves that pair ruling out the leaf
+        cands = ds[(armed & -armed).bit_length() - 1] if armed else full
+        cands &= -(1 << start) & ((1 << end) - 1)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            ruled = alive & ~(met | in_d[v]) & ~(killed | above[v + 1])
+            if ruled & armed:
+                continue
+            if ruled:  # each has an R member in [start, v]; it rules out only without one below v
+                for u in range(start, v):
+                    ruled &= ~in_r[u]
+                if ruled:
+                    continue
+            mask = chosen | low
             picks = _cover_picks(closed, full & ~mask, True)
             if picks.bit_count() > base:
                 return mask, picks.bit_count()
-            if learned < GAMMA_I_FAMILY_CAP:
+            if len(ds) - family < GAMMA_I_FAMILY_CAP:
+                bit = 1 << len(ds)
+                ds.append(picks)
                 dominated = 0
-                for v in iter_bits(picks):
-                    dominated |= closed[v]
-                for side, members in ((0, picks), (1, full & ~dominated)):
-                    for v in iter_bits(members):
-                        table = nibbles[v >> 2][side]
-                        for x in _NIBBLES_HOLDING[v & 3]:
-                            table[x] |= 1 << learned
-                learned += 1
+                for u in iter_bits(picks):
+                    in_d[u] |= bit
+                    dominated |= closed[u]
+                for u in range(picks.bit_length()):
+                    reach[u] |= bit
+                out = full & ~dominated
+                for u in iter_bits(out):
+                    in_r[u] |= bit
+                for u in range(out.bit_length()):
+                    above[u] |= bit
+                alive |= bit
+        return None
+
+    last = stop.bit_count() if stop else n
+    for k in range(2 if stop else 1, last + 1):
+        if k < last or not stop:
+            found = rec(0, n - k + 1, k, 0, 0, 0)
+            if found:
+                return found
+            continue
+        start = met = killed = chosen = 0
+        for s in iter_bits(stop):
+            found = rec(start, s, k - chosen.bit_count(), met, killed, chosen)
+            if found:
+                return found
+            chosen |= 1 << s
+            start = s + 1
+            met = killed = 0  # read afresh: pairs learned in the block may touch them
+            for u in range(start):
+                if chosen >> u & 1:
+                    met |= in_d[u]
+                else:
+                    killed |= in_r[u]
     return None
 
 

@@ -161,6 +161,10 @@ class TestStability:
             ("book:12", "any", "2\t2,3\t12->11"),
             ("petersen", "down", "3\t0,1,2\t3->2"),
             ("petersen", "any", "3\t0,1,2\t3->2"),
+            ("book:7", "up", "8\t0,3,5,7,9,11,13,15\t7->8"),
+            ("kbip:8,7", "up", "7\t8,9,10,11,12,13,14\t7->8"),
+            ("petersen", "up", "6\t0,1,3,7,8,9\t3->4"),
+            ("cycle:20", "up", "4\t0,2,4,6\t7->8"),
         ],
     )
     def test_family_certificate_golden(self, capsys, monkeypatch, spec, direction, line):

@@ -1,12 +1,13 @@
 import importlib
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from idstab import VertexSet, delete_vertices, errors
 from idstab.codec import decode_graph6
+from idstab.core import iter_bits
 from idstab.families import (
     book,
     complete,
@@ -21,11 +22,10 @@ from idstab.families import (
 )
 from idstab.ops import disjoint_union
 from idstab.oracles import oracle_gamma_i
-from idstab.solver import _bounded_cover, _closed_rows, _cover_picks, gamma_i_value
+from idstab.solver import _bounded_cover, _closed_rows, _cover_picks, _covers, gamma_i_value
 from idstab.stability import (
     Direction,
     StabilityCertificate,
-    _hitting_masks,
     _lexmin_left_out,
     oracle_stability,
     stability,
@@ -361,16 +361,6 @@ class TestPruningRules:
         assert stability(g, Direction.INCREASE) == _plain_scan(g, Direction.INCREASE)
         assert len(solves) > 1_000
 
-    def test_hitting_masks_filter_subset_order(self):
-        family = [0b000110, 0b101000, 0b010011]
-        meets = [0] * 6
-        for i, d in enumerate(family):
-            for v in VertexSet(d):
-                meets[v] |= 1 << i
-        for k in range(1, 7):
-            expected = [m for m in _subset_masks(6, k) if all(m & d for d in family)]
-            assert list(_hitting_masks(6, k, meets)) == expected
-
     def test_decrease_from_gamma_i_one_removes_everything(self):
         for g in (complete(4), friendship(3), complete_bipartite(1, 5)):
             cert = stability(g, Direction.DECREASE)
@@ -386,6 +376,133 @@ class TestPruningRules:
         assert (cert.base_gamma_i, cert.new_gamma_i) == (3, 4)
 
 
+# for each bit i < 4, the nibbles with bit i set
+_NIBBLES_HOLDING = [[x for x in range(16) if x >> i & 1] for i in range(4)]
+
+
+def _parent_hitting_masks(n, k, meets):
+    """The k-subsets of range(n) that meet every set of a family, as masks in
+    lexicographic order; ``meets[v]`` has bit i set when v lies in set i."""
+    reach = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        reach[v] = reach[v + 1] | meets[v]
+
+    def rec(start, left, unmet, chosen):
+        for v in range(start, n - left + 1):
+            if unmet & ~reach[v]:
+                return
+            rest = unmet & ~meets[v]
+            if left == 1:
+                if not rest:
+                    yield chosen | 1 << v
+            else:
+                yield from rec(v + 1, left - 1, rest, chosen | 1 << v)
+
+    return rec(0, k, reach[0], 0)
+
+
+def _parent_increase_scan(closed, full, base, stop):
+    """``_increase_scan`` as it was before the constraint walk: a generator
+    of the k-subsets that meet every known gamma_i-set, and a check of the
+    learned pairs at each subset it yields, with the pairs stored by nibbles
+    of four vertices.  It reads the cap and the removal solve off the
+    stability module, so a test can patch either."""
+    n = full.bit_length()
+    meets = [0] * n
+    cap = max(map(int.bit_count, closed))
+    limit = stability_module.GAMMA_I_FAMILY_CAP
+    for i, ids in enumerate(islice(_covers(closed, full, cap, base), limit)):
+        for v in iter_bits(ids):
+            meets[v] |= 1 << i
+    nibbles = [([0] * 16, [0] * 16) for _ in range(0, n, 4)]
+    learned = 0
+    last = stop.bit_count() if stop else n
+    for k in range(2 if stop else 1, last + 1):
+        for mask in _parent_hitting_masks(n, k, meets):
+            diff = mask ^ stop
+            if k == last and not diff & -diff & mask:
+                return None
+            hit = 0
+            inside, outside = mask, full & ~mask
+            for in_d, in_r in nibbles:
+                hit |= in_d[inside & 15] | in_r[outside & 15]
+                inside >>= 4
+                outside >>= 4
+            if ~hit & ((1 << learned) - 1):
+                continue
+            picks = stability_module._cover_picks(closed, full & ~mask, True)
+            if picks.bit_count() > base:
+                return mask, picks.bit_count()
+            if learned < limit:
+                dominated = 0
+                for v in iter_bits(picks):
+                    dominated |= closed[v]
+                for side, members in ((0, picks), (1, full & ~dominated)):
+                    for v in iter_bits(members):
+                        table = nibbles[v >> 2][side]
+                        for x in _NIBBLES_HOLDING[v & 3]:
+                            table[x] |= 1 << learned
+                learned += 1
+    return None
+
+
+def _record_removals(monkeypatch):
+    """Patch the stability module's removal solve to append each universe it
+    is asked about to the list returned."""
+    universes = []
+
+    def recording(closed, universe, independent):
+        universes.append(universe)
+        return _cover_picks(closed, universe, independent)
+
+    monkeypatch.setattr(stability_module, "_cover_picks", recording)
+    return universes
+
+
+def _assert_scans_agree(universes, g, down):
+    """Both scans solve the same removals in the same order and return the
+    same answer: from k = 1, and bounded by the decrease witness as "any"
+    bounds it when that has two or more members.  Returns the solves."""
+    closed = _closed_rows(g)
+    stops = [0] + ([down.witness.mask] if down.value >= 2 else [])
+    solved = 0
+    for stop in stops:
+        universes.clear()
+        got = stability_module._increase_scan(closed, g.full_mask, down.base_gamma_i, stop)
+        walked = list(universes)
+        universes.clear()
+        assert got == _parent_increase_scan(closed, g.full_mask, down.base_gamma_i, stop), (g, stop)
+        assert walked == universes, (g, stop)
+        solved += len(walked)
+    return solved
+
+
+class TestFrozenParentScan:
+    """The constraint walk solves exactly the removals of the generator and
+    per-leaf check it replaced, in the same order, so it learns the same
+    pairs and returns the same witness."""
+
+    @pytest.mark.slow
+    def test_exhaustive_order_6(self, monkeypatch):
+        sweep = stability_sweep()
+        universes = _record_removals(monkeypatch)
+        assert sum(_assert_scans_agree(universes, g, down) for g, (_, down, _), _ in sweep) == 149_593
+
+    def test_seeded_order_7_to_14(self, monkeypatch):
+        rng = random.Random(0x5CA7)
+        graphs = [random_graph(rng, rng.randint(7, 14)) for _ in range(300)]
+        downs = [stability(g, Direction.DECREASE) for g in graphs]
+        universes = _record_removals(monkeypatch)
+        assert sum(_assert_scans_agree(universes, g, down) for g, down in zip(graphs, downs)) == 5_322
+
+    def test_one_known_pair_of_each_kind(self, monkeypatch):
+        g = book(5)
+        down = stability(g, Direction.DECREASE)
+        monkeypatch.setattr(stability_module, "GAMMA_I_FAMILY_CAP", 1)
+        universes = _record_removals(monkeypatch)
+        assert _assert_scans_agree(universes, g, down) == 1_795
+
+
 class TestNoGoodRule:
     """The increase scan skips every removal that a learned pair rules out,
     and still gives the plain scan's certificate."""
@@ -396,21 +513,23 @@ class TestNoGoodRule:
             assert up == _plain_scan(g, Direction.INCREASE)
 
     @pytest.mark.parametrize(
-        "g,base,value,witness,new,bound",
+        "g,base,value,witness,new,picks",
         [
-            # 882 solves; 23,204 with the gamma_i-set walk alone
-            (book(7), 7, 8, (0, 3, 5, 7, 9, 11, 13, 15), 8, 970),
-            # 129 solves; 16,131 with the gamma_i-set walk alone
-            (complete_bipartite(8, 7), 7, 7, (8, 9, 10, 11, 12, 13, 14), 8, 142),
+            # 23,204 solves with the gamma_i-set walk alone
+            (book(7), 7, 8, (0, 3, 5, 7, 9, 11, 13, 15), 8, 881),
+            # 16,131 solves with the gamma_i-set walk alone
+            (complete_bipartite(8, 7), 7, 7, (8, 9, 10, 11, 12, 13, 14), 8, 128),
+            (book(8), 8, 9, (0, 3, 5, 7, 9, 11, 13, 15, 17), 9, 2_726),
         ],
-        ids=["book7", "kbip8-7"],
+        ids=["book7", "kbip8-7", "book8"],
     )
-    def test_hub_graphs_take_few_solves(self, monkeypatch, g, base, value, witness, new, bound):
+    def test_hub_graphs_take_few_solves(self, monkeypatch, g, base, value, witness, new, picks):
         solves = _count_solves(monkeypatch)
         cert = stability(g, Direction.INCREASE)
         expected = StabilityCertificate(base, Direction.INCREASE, value, VertexSet.of(witness), new)
         assert cert == expected
-        assert len(solves) <= bound
+        # gamma_i of G and every removal solved are ``_cover_picks``; the one other is the family walk
+        assert solves.count("_cover_picks") == picks and len(solves) == picks + 1
 
     def test_seeded_sparse_digest(self, monkeypatch):
         # Many removal solves on these graphs open the value search's packing
