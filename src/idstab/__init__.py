@@ -40,7 +40,6 @@ from .oracles import oracle_gamma_i, oracle_stability
 from .solver import (
     GammaCertificate,
     alpha,
-    enumerate_maximal_independent_sets,
     gamma,
     gamma_i,
     gamma_i_value,
@@ -82,7 +81,6 @@ __all__ = [
     "emit_edgelist",
     "encode_graph6",
     "enumerate_labeled_graphs",
-    "enumerate_maximal_independent_sets",
     "errors",
     "gamma",
     "gamma_i",

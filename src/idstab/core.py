@@ -252,21 +252,22 @@ def complement(g: Graph) -> Graph:
     return Graph(g.order, rows)
 
 
-def component_masks(rows: Sequence[int], universe: int) -> list[tuple[int, int]]:
+def component_masks(rows: Sequence[int], universe: int) -> list[tuple[int, int, int]]:
     """Connected components of the subgraph induced on ``universe``, as
-    ``(mask, cap)`` pairs ordered by their smallest member.  ``rows[v]`` is
-    the open or the closed neighborhood of v; either gives the same
-    components.
+    ``(mask, cap, total)`` triples ordered by their smallest member.
+    ``rows[v]`` is the open or the closed neighborhood of v; either gives
+    the same components.
 
     ``cap`` is the largest ``|rows[v] & universe|`` over the component's
-    vertices v.  Every neighbor of v within ``universe`` lies in v's
-    component, so this is also the largest ``|rows[v] & mask|``: with closed
-    rows, the most vertices of the component that one vertex dominates.
+    vertices v, and ``total`` their sum.  Every neighbor of v within
+    ``universe`` lies in v's component, so these are also the largest and
+    the sum of ``|rows[v] & mask|``: with closed rows, ``cap`` is the most
+    vertices of the component that one vertex dominates.
     """
     comps = []
     unseen = universe
     while unseen:
-        comp = cap = 0
+        comp = cap = total = 0
         frontier = unseen & -unseen
         while frontier:
             comp |= frontier
@@ -277,17 +278,18 @@ def component_masks(rows: Sequence[int], universe: int) -> list[tuple[int, int]]
                 row = rows[low.bit_length() - 1] & universe
                 grow |= row
                 size = row.bit_count()
+                total += size
                 if size > cap:
                     cap = size
             frontier = grow & ~comp
-        comps.append((comp, cap))
+        comps.append((comp, cap, total))
         unseen &= ~comp
     return comps
 
 
 def components(g: Graph) -> list[VertexSet]:
     """Connected components, ordered by their smallest member."""
-    return [VertexSet(comp) for comp, _ in component_masks(g.adj, g.full_mask)]
+    return [VertexSet(comp) for comp, _, _ in component_masks(g.adj, g.full_mask)]
 
 
 def classify_set(g: Graph, s: VertexSet) -> SetClassification:

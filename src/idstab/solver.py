@@ -12,10 +12,10 @@ divisor, comes from the component walk (``core.component_masks``) that
 finds the block.
 
 There is one packing walk, ``_packing_pick``, shared by the value search
-``_cover_min``, by ``_covers`` and by ``stability``'s left-out search.  It
-counts the dominator sets smallest first and stops counting as soon as
-its count reaches the number of picks at which the node prunes: the count
-only grows, so the rest cannot save the node.  Any order counts
+``_cover_min`` and by ``stability``'s left-out search.  It counts the
+dominator sets smallest first and stops counting as soon as its count
+reaches the number of picks at which the node prunes: the count only
+grows, so the rest cannot save the node.  Any order counts
 pairwise-disjoint dominator sets, so the count is a sound bound.  A sound
 bound prunes only nodes with no leaf below them that beats the incumbent.
 The value search records a leaf as its incumbent when the leaf beats every
@@ -24,9 +24,9 @@ later of two equal leaf children of one node keeps its picks); no leaf
 below a soundly pruned node is either, since the first one recorded there
 would have to beat the incumbent.  So the order changes which nodes it
 visits, but not its branching, its incumbents or the (value, picks) it
-returns.  Nor does it change the sets ``_covers`` yields, or their order.
+returns.
 
-There are three searches:
+There are two searches:
 
 * ``_cover_min``, the value of gamma_i or gamma on one connected block,
   returned as (value, picks): the picks are a set of that many vertices
@@ -46,20 +46,14 @@ There are three searches:
   In an audit of the small labeled graphs more than half of the blocks end
   here.  The search adds the packing bound only when its block has more
   than twice as many vertices as its largest closed neighborhood, that is
-  when the covering bound at the root is 3 or more; on denser blocks the
-  covering bound prunes well and the packing walk costs more than it
-  saves.  Below that gate it branches on the lowest undominated vertex and
-  tries its children in ascending order.  Above it, it branches on the
+  when the covering bound at the root is 3 or more, or when one hub's
+  closed neighborhood is large against the block's mean (the hub gate);
+  on other blocks the covering bound prunes well and the packing walk
+  costs more than it saves.  Below that gate it branches on the lowest
+  undominated vertex and tries its children in ascending order.  Above it, it branches on the
   tightest undominated vertex and tries first the child that newly
   dominates the most vertices, so that its first dives end in good
   incumbents.
-* ``_covers``, a walk in lexicographic order over the independent
-  dominating sets of at most k members.  It adds members in ascending
-  order, applies both bounds at every node, and tries no member above the
-  top of the dominator set that the packing walk returns.  With k =
-  gamma_i over the whole graph it walks the gamma_i-sets for
-  ``stability``'s transversal rule; with k = n it is
-  ``enumerate_maximal_independent_sets``.
 * ``_alpha_max``, the independence search, one pass for ``alpha`` and
   ``max_induced_star``: it takes the lowest free vertex before it leaves
   that vertex out, so the first maximum set it keeps is the
@@ -107,8 +101,7 @@ def _packing_pick(closed: list[int], uncovered: int, cands: int, need: int) -> i
     """The searches' packing walk: 0 when the packing bound of the picks
     from ``cands`` that dominate ``uncovered`` reaches ``need``, and
     otherwise a smallest dominator set: the value search branches on it,
-    ``_covers`` tries no candidate above its top member, and
-    ``stability._lexmin_left_out`` only prunes on 0.
+    and ``stability._lexmin_left_out`` only prunes on 0.
 
     Builds the dominator set ``closed[u] & cands`` of every uncovered vertex
     u in one pass over the rows (``compress`` keeps the rows whose bit is
@@ -148,7 +141,7 @@ def _packing_pick(closed: list[int], uncovered: int, cands: int, need: int) -> i
     return doms[0]
 
 
-def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
+def _cover_min(closed: list[int], comp: int, cap: int, total: int, independent: bool,
                draw: int | None = None, bound: int | None = None) -> tuple[int, int]:
     """The fewest picks that dominate one connected block, and a set of
     picks that attains it, as (value, picks mask): gamma_i of the block and
@@ -168,6 +161,24 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
     value if it is at most ``bound`` and ``bound + 1`` otherwise.  The
     defaults (the block, its vertex count) leave the value search's tree as
     it was.
+
+    Packing gate: the search packs when the block has more than twice as
+    many vertices as ``cap``, or when cap >= 10 and cap * cap > 2 * total
+    (hub gate), where ``total`` is the sum of ``|closed[v] & comp|`` over
+    ``draw``: over the block in the value search, as ``component_masks``
+    adds it up.  Proof sketch that the gate only trades time: both bounds
+    are sound at every node of every block, and the branching below is
+    complete and free of repeats above the gate as below it, so the gate
+    decides which nodes the search visits and which optimal picks it
+    returns, never the value.  The hub gate opens when cap exceeds twice
+    total / cap, that is when the reach of the largest closed neighborhood
+    outweighs what the others add up to: the covering bound then stays near
+    1 while the other vertices each dominate few, and the packing bound
+    counts those.  The constants were sized on hub graphs, not derived.  On
+    ``book:30`` (order 62, cap 32, so the first gate stays shut) ``gamma_i``
+    ran for more than 90 s without it and takes milliseconds with it.  The
+    floor of 10 keeps small blocks, where the walk costs more than it
+    saves, on the plain path.
 
     Branching: a node takes one undominated vertex u and tries each member
     of its dominator set ``closed[u] & pool`` in turn, banning it in the
@@ -228,7 +239,7 @@ def _cover_min(closed: list[int], comp: int, cap: int, independent: bool,
             rest &= rest - 1
         if rest:
             return 1, rest & -rest  # the lowest drawable dominating vertex
-    pack = order > 2 * cap
+    pack = order > 2 * cap or (cap >= 10 and cap * cap > 2 * total)
     keep = 0 if independent else draw
     found = 0
 
@@ -282,10 +293,12 @@ def _bounded_cover(closed: list[int], comp: int, draw: int, independent: bool,
     drawable vertex dominates (the whole block's looser cap took the pinned
     witness passes' nodes up by a quarter), with a floor of 1: for an empty
     ``comp`` a cap of 0 would fire the dominating-vertex exit, which answers
-    1 where 0 picks suffice.
+    1 where 0 picks suffice.  The hub gate's total is the sum of the same
+    counts over ``draw``.
     """
-    cap = max([(closed[v] & comp).bit_count() for v in iter_bits(draw)], default=0) or 1
-    return _cover_min(closed, comp, cap, independent, draw, bound)
+    sizes = [(closed[v] & comp).bit_count() for v in iter_bits(draw)]
+    cap = max(sizes, default=0) or 1
+    return _cover_min(closed, comp, cap, sum(sizes), independent, draw, bound)
 
 
 def _lexmin_cover(closed: list[int], comp: int, independent: bool, picks: int) -> int:
@@ -347,46 +360,6 @@ def _lexmin_cover(closed: list[int], comp: int, independent: bool, picks: int) -
     return chosen
 
 
-def _covers(closed: list[int], universe: int, cap: int, k: int):
-    """Yield as masks, in lexicographic order of their sorted member lists,
-    the independent dominating sets of at most k members of ``universe``.
-
-    A node's picks ascend, and its children try the undominated candidates
-    above its last pick in ascending order, so the walk meets sets in
-    lexicographic order; a set that dominates ``universe`` ends its branch.
-    No proper prefix of such a set dominates ``universe``, since each later
-    member is undominated by the earlier ones.  The covering and packing
-    bounds prune a node that needs more than k picks; ``cap`` is the largest
-    ``|closed[v] & universe|``.
-
-    Next-pick cut: picks ascend, so the picks a completion still adds all lie
-    in ``cands`` and the next one is the lowest of them.  The set ``dom``
-    that ``_packing_pick`` returns is the dominator set ``closed[w] & cands``
-    of some undominated w, which needs one of those picks in it, so the next
-    pick is at most ``dom``'s top member.  The bounds and the cut drop only
-    nodes and candidates that have no completion, so the walk still reaches
-    every set named above.
-    """
-    stack = [(0, 0, -1, 0)]  # covered, chosen, floor (the bits above the last pick), size
-    while stack:
-        covered, chosen, floor, size = stack.pop()
-        uncovered = universe & ~covered
-        if not uncovered:
-            yield chosen
-            continue
-        if size + -(-uncovered.bit_count() // cap) > k:
-            continue
-        cands = uncovered & floor
-        dom = _packing_pick(closed, uncovered, cands, k - size + 1)
-        if not dom:  # size + the packing bound > k
-            continue
-        cands &= (1 << dom.bit_length()) - 1
-        while cands:  # push the highest first, so the lowest pops first
-            u = cands.bit_length() - 1
-            cands ^= 1 << u
-            stack.append((covered | (closed[u] & universe), chosen | 1 << u, -1 << (u + 1), size + 1))
-
-
 def _alpha_max(open_rows: tuple[int, ...], free0: int) -> int:
     """The lexicographically first maximum independent set within the vertex
     mask ``free0``, as a mask; its size is the independence number there.
@@ -425,16 +398,16 @@ def _cover_picks(closed: list[int], universe: int, independent: bool) -> int:
     independent when ``independent``, as a mask: the union of the blocks'
     ``_cover_min`` picks.  Its size is gamma_i or gamma there."""
     picks = 0
-    for comp, cap in component_masks(closed, universe):
-        picks |= _cover_min(closed, comp, cap, independent)[1]
+    for comp, cap, total in component_masks(closed, universe):
+        picks |= _cover_min(closed, comp, cap, total, independent)[1]
     return picks
 
 
 def _cover_certificate(g: Graph, independent: bool) -> GammaCertificate:
     closed = _closed_rows(g)
     witness = 0
-    for comp, cap in component_masks(closed, g.full_mask):
-        picks = _cover_min(closed, comp, cap, independent)[1]
+    for comp, cap, total in component_masks(closed, g.full_mask):
+        picks = _cover_min(closed, comp, cap, total, independent)[1]
         witness |= _lexmin_cover(closed, comp, independent, picks)
     return GammaCertificate(witness.bit_count(), VertexSet(witness))
 
@@ -471,19 +444,9 @@ def alpha(g: Graph) -> GammaCertificate:
     if g.order == 0:
         raise EmptyGraph("independence number of the null graph is undefined")
     witness = 0
-    for comp, _ in component_masks(g.adj, g.full_mask):
+    for comp, _, _ in component_masks(g.adj, g.full_mask):
         witness |= _alpha_max(g.adj, comp)
     return GammaCertificate(witness.bit_count(), VertexSet(witness))
-
-
-def enumerate_maximal_independent_sets(g: Graph):
-    """A generator of every maximal independent set, once each, in lexicographic
-    order of the sorted member lists; the null graph is rejected at the call."""
-    if g.order == 0:
-        raise EmptyGraph("the null graph has no vertex sets to enumerate")
-    closed = _closed_rows(g)
-    cap = max(map(int.bit_count, closed))
-    return (VertexSet(mask) for mask in _covers(closed, g.full_mask, cap, g.order))
 
 
 def max_induced_star(g: Graph) -> int:

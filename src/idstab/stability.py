@@ -44,22 +44,24 @@ directed answers (min rule).
   misses D and holds R.  If D is independent, |D| <= gamma_i(G) and
   R = V - N[D], then every S it rules out fails to raise gamma_i: D is
   still independent in G - S and dominates V - S, which lies in N[D], so
-  gamma_i(G - S) <= |D| <= gamma_i(G).  The scan knows two kinds of pair.
-  A gamma_i-set D of G gives (D, empty) (transversal rule: only an S that
-  meets every gamma_i-set can raise gamma_i); the family kept is the
-  lexicographically first ``GAMMA_I_FAMILY_CAP`` gamma_i-sets
-  (``solver._covers``).  A failed solve of S returns an independent D
-  within V - S with |D| = gamma_i(G - S) <= gamma_i(G) that dominates
-  V - S, so V - N[D] lies in S, and the scan learns (D, V - N[D]) (no-good
-  rule); learning stops after ``GAMMA_I_FAMILY_CAP`` pairs.  Both caps
-  keep memory bounded and are sound, since a set is skipped only when a
-  pair that is actually known rules it out.  Only sets that cannot raise
-  gamma_i are skipped, so the witness is the one the full scan returns.
-  On the pinned ``stability-dense`` graphs the learned pairs took the
-  increase scans' solves from 4,480 to 339, and checking every pair along
-  the walk below, instead of at each subset a generator yielded, took
-  "increase" there from 23.1 to 17.5 ms per batch (2-vCPU Xeon,
-  in-process, best of 9).
+  gamma_i(G - S) <= |D| <= gamma_i(G).  The scan starts with no pair and
+  learns each one from a failed solve.  A failed solve of S returns an
+  independent D within V - S with |D| = gamma_i(G - S) <= gamma_i(G) that
+  dominates V - S, so V - N[D] lies in S, and the scan learns
+  (D, V - N[D]) (no-good rule).  A pair with R empty is a gamma_i-set D
+  of G, and it rules out every S that misses D (transversal rule: only an
+  S that meets every gamma_i-set can raise gamma_i); the scan learns one
+  whenever a failed solve returns a set that dominates S too, so it needs
+  no separate walk over the gamma_i-sets.  Learning stops after
+  ``LEARNED_PAIR_CAP`` pairs.
+  The cap keeps memory bounded and is sound, since a set is skipped only
+  when a pair that is actually known rules it out.  Only sets that cannot
+  raise gamma_i are skipped, so the witness is the one the full scan
+  returns.  On the pinned ``stability-dense`` graphs the increase scans
+  make 774 solves.  Seeded with a walk over the first 4,096 gamma_i-sets
+  they made 301 (the walk alone left 4,480), but the walk cost more than
+  it saved on hubs: "increase" on ``kbip:12,11`` took 13.1 s with it and
+  1.6 s without (2-vCPU Xeon).
 
   The scan checks the pairs along one recursion that picks the members of
   S in ascending order, so it meets the k-subsets in lexicographic order.
@@ -132,14 +134,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 from .core import Graph, VertexSet, iter_bits
 from .errors import EmptyGraph
 from .oracles import oracle_stability  # re-exported; perfbench/spans.py wraps it here
-from .solver import _bounded_cover, _closed_rows, _cover_picks, _covers, _packing_pick
+from .solver import _bounded_cover, _closed_rows, _cover_picks, _packing_pick
 
-GAMMA_I_FAMILY_CAP = 4096  # gamma_i-sets, and learned pairs, kept by the increase scan
+LEARNED_PAIR_CAP = 4096  # pairs learned by the increase scan
 
 
 class Direction(Enum):
@@ -224,30 +225,22 @@ def _increase_scan(closed: list[int], full: int, base: int, stop: int):
     nonzero ``stop`` ("any", past its single removals) from k = 2 up to the
     size of ``stop``, where only the sets before ``stop`` are scanned.
 
-    Pair j is bit j of every mask: the gamma_i-sets first, then the learned
-    pairs.  ``in_d[v]`` and ``in_r[v]`` hold the pairs whose D or R holds v,
-    and ``reach[v]`` and ``above[v]`` the pairs with a D or R member at or
-    above v.  A node takes its next pick below ``end`` and carries ``met``
-    and ``killed`` (module docstring) and the chosen mask; ``skipped`` is
-    ``killed`` widened by the vertices the loop passes.  The sets before ``stop`` are walked as the blocks that
-    leave its member path at its j-th member, taking a lower one.
+    Pair j is bit j of every mask, the j-th pair learned.  ``in_d[v]`` and
+    ``in_r[v]`` hold the pairs whose D or R holds v, and ``reach[v]`` and
+    ``above[v]`` the pairs with a D or R member at or above v.  A node takes
+    its next pick below ``end`` and carries ``met`` and ``killed`` (module
+    docstring) and the chosen mask; ``skipped`` is ``killed`` widened by the
+    vertices the loop passes.  The sets before ``stop`` are walked as the
+    blocks that leave its member path at its j-th member, taking a lower
+    one.
     """
     n = full.bit_length()
     in_d = [0] * n
     in_r = [0] * n
-    ds = []  # D of each pair, as a mask
-    cap = max(map(int.bit_count, closed))
-    for ids in islice(_covers(closed, full, cap, base), GAMMA_I_FAMILY_CAP):
-        bit = 1 << len(ds)
-        ds.append(ids)
-        for v in iter_bits(ids):
-            in_d[v] |= bit
     reach = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        reach[v] = reach[v + 1] | in_d[v]
-    above = [0] * (n + 1)  # the gamma_i-sets have R empty
-    family = len(ds)
-    alive = (1 << family) - 1
+    above = [0] * (n + 1)
+    ds = []  # D of each pair, as a mask
+    alive = 0
 
     def rec(start: int, end: int, left: int, met: int, killed: int, chosen: int):
         nonlocal alive
@@ -281,7 +274,7 @@ def _increase_scan(closed: list[int], full: int, base: int, stop: int):
             picks = _cover_picks(closed, full & ~mask, True)
             if picks.bit_count() > base:
                 return mask, picks.bit_count()
-            if len(ds) - family < GAMMA_I_FAMILY_CAP:
+            if len(ds) < LEARNED_PAIR_CAP:
                 bit = 1 << len(ds)
                 ds.append(picks)
                 dominated = 0

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from idstab import Direction, Graph, VertexSet, build_graph, classify_set, oracle_stability, stability
+from idstab import Direction, Graph, VertexSet, build_graph, classify_set, oracle_stability, solver, stability
 from idstab.auditor import enumerate_labeled_graphs
 from idstab.core import iter_bits, upper_triangle_pairs
 
@@ -15,6 +15,44 @@ def random_graph(rng: random.Random, n: int, p: float | None = None) -> Graph:
         p = rng.choice([0.15, 0.3, 0.5, 0.7, 0.85])
     edges = [(i, j) for i, j in upper_triangle_pairs(n) if rng.random() < p]
     return build_graph(n, edges)
+
+
+def hub_graph(rng: random.Random, n: int, hubs: int, p: float = 0.1) -> Graph:
+    """A seeded G(n, p) in which ``hubs`` vertices, at random labels, are
+    made near-universal: each is joined to every other vertex but one or two."""
+    edges = {(i, j) for i, j in upper_triangle_pairs(n) if rng.random() < p}
+    for h in rng.sample(range(n), hubs):
+        missed = rng.sample([v for v in range(n) if v != h], rng.randint(1, 2))
+        edges |= {(min(h, v), max(h, v)) for v in range(n) if v != h and v not in missed}
+    return build_graph(n, sorted(edges))
+
+
+def hub_gate_calls(monkeypatch) -> list[bool]:
+    """Patch ``_cover_min`` to append, per call on a block that the first
+    packing gate leaves shut (order at most twice ``cap``) but that still
+    runs the packing walk, whether it is a decision search; return that
+    list.  The walk is seen by patching ``_packing_pick``, so the hub gate's
+    own test is not repeated here."""
+    opened = []
+    cover_min, packing_pick = solver._cover_min, solver._packing_pick
+    walked = False
+
+    def walking(*args):
+        nonlocal walked
+        walked = True
+        return packing_pick(*args)
+
+    def counting(closed, comp, cap, total, independent, draw=None, bound=None):
+        nonlocal walked
+        walked = False
+        result = cover_min(closed, comp, cap, total, independent, draw, bound)
+        if walked and comp.bit_count() <= 2 * cap:
+            opened.append(bound is not None)
+        return result
+
+    monkeypatch.setattr(solver, "_packing_pick", walking)
+    monkeypatch.setattr(solver, "_cover_min", counting)
+    return opened
 
 
 @functools.cache

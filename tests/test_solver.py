@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import combinations, islice
+from itertools import combinations
 
 import pytest
 
@@ -21,11 +21,9 @@ from idstab.oracles import _brute_gamma
 from idstab.solver import (
     _closed_rows,
     _cover_min,
-    _covers,
     _lexmin_cover,
     _packing_pick,
     alpha,
-    enumerate_maximal_independent_sets,
     gamma,
     gamma_i,
     gamma_i_value,
@@ -33,9 +31,17 @@ from idstab.solver import (
     max_induced_star,
     oracle_gamma_i,
 )
-from idstab.stability import GAMMA_I_FAMILY_CAP
+from idstab.stability import stability
 
-from conftest import all_graphs, brute_alpha, brute_gamma, brute_gamma_i, random_graph
+from conftest import (
+    all_graphs,
+    brute_alpha,
+    brute_gamma,
+    brute_gamma_i,
+    hub_gate_calls,
+    hub_graph,
+    random_graph,
+)
 
 
 class TestGammaI:
@@ -183,40 +189,6 @@ class TestDominationChain:
                 assert gamma_i_value(sub) >= gi - 1
 
 
-class TestEnumerateMIS:
-    def test_triangle(self):
-        out = [s.members() for s in enumerate_maximal_independent_sets(complete(3))]
-        assert out == [(0,), (1,), (2,)]
-
-    def test_c4_diagonals(self):
-        out = [s.members() for s in enumerate_maximal_independent_sets(cycle(4))]
-        assert out == [(0, 2), (1, 3)]
-
-    def test_p3(self):
-        out = [s.members() for s in enumerate_maximal_independent_sets(path(3))]
-        assert out == [(0, 2), (1,)]
-
-    def test_null_rejected(self):
-        with pytest.raises(errors.EmptyGraph):
-            enumerate_maximal_independent_sets(empty(0))
-
-    def test_counts_match_subset_filter(self):
-        for g in all_graphs(5):
-            seen = list(enumerate_maximal_independent_sets(g))
-            expected = [
-                m
-                for m in range(1 << g.order)
-                if classify_set(g, VertexSet(m)).maximal_independent
-            ]
-            assert sorted(s.mask for s in seen) == expected
-            assert len({s.mask for s in seen}) == len(seen)  # no duplicates
-
-    def test_lexicographic_order(self):
-        for g in all_graphs(5):
-            out = [s.members() for s in enumerate_maximal_independent_sets(g)]
-            assert out == sorted(out), g
-
-
 def _ids_by_filter(g, k):
     """The independent dominating sets of k vertices, as masks in
     lexicographic order of their sorted member lists, by a filter over every
@@ -253,8 +225,11 @@ def _parent_packing_limit(closed, uncovered, cands, need):
 
 
 def _parent_covers(closed, universe, cap, k):
-    """``_covers`` as it was before it shared ``_packing_pick``: the
-    candidates stop below the lowest top of every dominator set."""
+    """The gamma_i witness reference: the independent dominating sets of at
+    most k members of ``universe``, as masks in lexicographic order of their
+    sorted member lists.  Members are added in ascending order, the covering
+    and packing bounds prune, and the candidates stop below the lowest top
+    of every dominator set, whose vertex needs one of the later picks."""
     stack = [(0, 0, -1, 0)]
     while stack:
         covered, chosen, floor, size = stack.pop()
@@ -277,59 +252,16 @@ def _parent_covers(closed, universe, cap, k):
 
 class TestMinimumIdsFamily:
     def test_matches_subset_filter(self):
-        # the family walk gains the packing bound and the next-pick cut, so
-        # it is checked on every graph of order <= 6 and on seeded ones above
+        # the witness reference prunes with both bounds and cuts its
+        # candidates, so it is checked on every graph of order <= 6 and on
+        # seeded ones above
         rng = random.Random(0x1D5F)
         seeded = [random_graph(rng, rng.randint(7, 14)) for _ in range(100)]
         for g in list(all_graphs(6)) + seeded:
             k = gamma_i_value(g)
             closed = _closed_rows(g)
-            found = list(_covers(closed, g.full_mask, _ref_cap(closed, g.full_mask), k))
+            found = list(_parent_covers(closed, g.full_mask, _ref_cap(closed, g.full_mask), k))
             assert found == _ids_by_filter(g, k), g
-            if g.order <= 5:
-                walk = [s.mask for s in enumerate_maximal_independent_sets(g) if len(s) == k]
-                assert found == walk, g  # both callers of the shared walk see one order
-
-    def test_limit_keeps_a_prefix(self):
-        g = disjoint_union(path(2), disjoint_union(path(2), path(2)))  # 8 gamma_i-sets
-        closed = _closed_rows(g)
-        every = list(_covers(closed, g.full_mask, 2, 3))
-        assert len(every) == 8
-        # a capped family is the lexicographically first gamma_i-sets
-        first = [VertexSet(m).members() for m in islice(_covers(closed, g.full_mask, 2, 3), 5)]
-        assert first == [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5), (1, 2, 4)]
-
-    def test_walk_matches_the_parent_walk(self, monkeypatch):
-        # the walk prunes with the shared packing walk and cuts at the top of
-        # the set it returns, not at the lowest top of every dominator set:
-        # the same sets come out in the same order, for stability's capped
-        # gamma_i-set family and for the maximal independent sets
-        rng = random.Random(0x1D60)
-        sparse = [random_graph(rng, rng.randint(16, 40), rng.uniform(0.06, 0.15)) for _ in range(60)]
-        values = [gamma_i_value(g) for g in sparse]
-        pruned = []
-
-        def counted(*args):
-            dom = _packing_pick(*args)
-            pruned.append(not dom)
-            return dom
-
-        monkeypatch.setattr(solver, "_packing_pick", counted)  # now only the walks below call it
-        several = 0
-        for g, k in zip(sparse, values):
-            closed = _closed_rows(g)
-            cap = max(map(int.bit_count, closed))
-            found = list(islice(_covers(closed, g.full_mask, cap, k), GAMMA_I_FAMILY_CAP))
-            assert found == list(islice(_parent_covers(closed, g.full_mask, cap, k), GAMMA_I_FAMILY_CAP)), g
-            several += len(found) > 1
-        for _ in range(150):
-            g = random_graph(rng, rng.randint(1, 14))
-            closed = _closed_rows(g)
-            cap = max(map(int.bit_count, closed))
-            found = [s.mask for s in enumerate_maximal_independent_sets(g)]
-            assert found == list(_parent_covers(closed, g.full_mask, cap, g.order)), g
-            several += len(found) > 1
-        assert several and any(pruned)
 
 
 class TestMaxInducedStar:
@@ -493,7 +425,7 @@ def _ref_gamma_i(g):
     gamma_i_value and as gamma_i computes it) and the witness."""
     closed = _closed_rows(g)
     value = witness = 0
-    for comp, _ in component_masks(closed, g.full_mask):
+    for comp, _, _ in component_masks(closed, g.full_mask):
         k = _ref_ids_min(closed, comp)
         value += k
         witness |= _ref_lexmin_ids(closed, comp, k)
@@ -508,7 +440,7 @@ def _new_gamma_i(g):
 def _ref_gamma(g):
     closed = _closed_rows(g)
     value = witness = 0
-    for comp, _ in component_masks(closed, g.full_mask):
+    for comp, _, _ in component_masks(closed, g.full_mask):
         k = _ref_dom_min(closed, comp)
         value += k
         witness |= _ref_lexmin_dom(closed, comp, k)
@@ -795,12 +727,12 @@ class TestPackingBound:
         for _ in range(40):
             g = random_graph(rng, rng.randint(20, 50), rng.uniform(0.06, 0.15))
             closed = _closed_rows(g)
-            for comp, cap in component_masks(closed, g.full_mask):
+            for comp, cap, total in component_masks(closed, g.full_mask):
                 for independent in (True, False):
                     if independent or g.order <= 36:
                         draw = comp & -1 << rng.randrange(g.order)
-                        cases.append((closed, comp, cap, independent))
-                        cases.append((closed, comp, cap, independent, draw, rng.randint(0, 12)))
+                        cases.append((closed, comp, cap, total, independent))
+                        cases.append((closed, comp, cap, total, independent, draw, rng.randint(0, 12)))
         sorted_answers = [_cover_min(*case) for case in cases]
         monkeypatch.setattr(solver, "_packing_pick", ascending)
         assert [_cover_min(*case) for case in cases] == sorted_answers
@@ -812,12 +744,12 @@ class TestPackingBound:
         # (each with the value search's picks as its incumbent)
         for g in all_graphs(6):
             closed = _closed_rows(g)
-            for comp, cap in component_masks(closed, g.full_mask):
-                k, picks = _cover_min(closed, comp, cap, True)
+            for comp, cap, total in component_masks(closed, g.full_mask):
+                k, picks = _cover_min(closed, comp, cap, total, True)
                 assert k == _ref_ids_min(closed, comp)
                 lexmin = _ref_lexmin_ids(closed, comp, k)
                 assert _lexmin_cover(closed, comp, True, picks) == lexmin
-                k, picks = _cover_min(closed, comp, cap, False)
+                k, picks = _cover_min(closed, comp, cap, total, False)
                 assert k == _ref_dom_min(closed, comp)
                 lexmin = _ref_lexmin_dom(closed, comp, k)
                 assert _lexmin_cover(closed, comp, False, picks) == lexmin
@@ -866,7 +798,7 @@ class TestPackingBound:
             graphs.append(build_graph(3 * m, edges))
         for g in graphs:
             closed = _closed_rows(g)
-            ((comp, cap),) = component_masks(closed, g.full_mask)
+            ((comp, cap, _),) = component_masks(closed, g.full_mask)
             assert comp.bit_count() > 2 * cap, g  # the packing gate is open
             value = _brute_gamma(g)
             assert gamma_value(g) == value, g
@@ -883,10 +815,10 @@ class TestChildBound:
     are checked against frozen copies of the code they replaced."""
 
     @staticmethod
-    def _check(closed, comp, cap, independent, *decision):
+    def _check(closed, comp, cap, total, independent, *decision):
         tally = {}
         want = _parent_cover_min(closed, comp, cap, independent, *decision, tally=tally)
-        got, nodes = _search_calls(_cover_min, closed, comp, cap, independent, *decision)
+        got, nodes = _search_calls(_cover_min, closed, comp, cap, total, independent, *decision)
         assert got == want
         # the skipped children are exactly the leaves, recorded in the
         # parent, and the children the covering bound cut at once
@@ -898,14 +830,14 @@ class TestChildBound:
         rng = random.Random(0xC4B0)
         for g in all_graphs(6):
             closed = _closed_rows(g)
-            for comp, cap in component_masks(closed, g.full_mask):
+            for comp, cap, total in component_masks(closed, g.full_mask):
                 order = comp.bit_count()
                 assert order <= 2 * cap  # no block of order <= 6 opens the packing gate
                 for independent in (True, False):
                     draw = comp & -1 << rng.randrange(g.order)
                     for case in ((), (draw, rng.randint(0, order))):
                         want = _parent_cover_min(closed, comp, cap, independent, *case)
-                        assert _cover_min(closed, comp, cap, independent, *case) == want, g
+                        assert _cover_min(closed, comp, cap, total, independent, *case) == want, g
 
     def test_seeded_sparse_matches_the_parent_search(self):
         rng = random.Random(0xC4B1)
@@ -913,12 +845,12 @@ class TestChildBound:
         for _ in range(40):
             g = random_graph(rng, rng.randint(20, 50), rng.uniform(0.05, 0.2))
             closed = _closed_rows(g)
-            for comp, cap in component_masks(closed, g.full_mask):
+            for comp, cap, total in component_masks(closed, g.full_mask):
                 for independent in (True, False):
                     if independent or g.order <= 36:
-                        stops += self._check(closed, comp, cap, independent)
+                        stops += self._check(closed, comp, cap, total, independent)
                         draw = comp & -1 << rng.randrange(g.order)
-                        stops += self._check(closed, comp, cap, independent, draw, rng.randint(0, 12))
+                        stops += self._check(closed, comp, cap, total, independent, draw, rng.randint(0, 12))
         assert stops  # the child loop stopped early above the packing gate
 
     def test_packing_pick_matches_the_parent_loop(self):
@@ -957,10 +889,10 @@ def _search_calls(fn, *args):
 
 
 def _dominated_blocks(g):
-    """The (block, cap) pairs of the blocks that have a dominating vertex."""
+    """The (block, cap, total) triples of the blocks that have a dominating vertex."""
     closed = _closed_rows(g)
     blocks = component_masks(closed, g.full_mask)
-    return [(c, cap) for c, cap in blocks if _ref_cap(closed, c) == c.bit_count()]
+    return [block for block in blocks if _ref_cap(closed, block[0]) == block[0].bit_count()]
 
 
 class TestSearchSize:
@@ -1012,6 +944,40 @@ class TestSearchSize:
         assert made <= 9_000
 
 
+class TestHubGate:
+    """``_cover_min`` also packs on a block with a hub, cap >= 10 and
+    cap * cap > 2 * total.  The packing bound is sound on every block, so
+    values and witnesses stay those of the oracle and the reference walk;
+    only the search's size changes."""
+
+    def test_books_and_seeded_hub_graphs_match_the_oracle(self, monkeypatch):
+        opened = hub_gate_calls(monkeypatch)
+        rng = random.Random(0x4B5)
+        graphs = [book(n) for n in range(2, 10)]
+        graphs += [hub_graph(rng, rng.randint(12, 20), rng.randint(1, 3)) for _ in range(40)]
+        for g in graphs:
+            value = oracle_gamma_i(g)
+            closed = _closed_rows(g)
+            lexmin = next(_parent_covers(closed, g.full_mask, _ref_cap(closed, g.full_mask), value))
+            assert gamma_i_value(g) == value, g
+            assert gamma_i(g) == solver.GammaCertificate(value, VertexSet(lexmin)), g
+        # 48 value searches and 1 witness-pass question walk the packing bound only by the hub gate
+        assert opened.count(False) >= 40 and opened.count(True) >= 1
+
+    def test_book_30_takes_few_nodes(self):
+        # order 62 and cap 32: the first gate stays shut, and without the hub
+        # gate gamma_i ran for more than 90 s; with it gamma_i makes 817
+        # nodes, "any" 2,873 and "decrease" 235
+        g = book(30)
+        cert, nodes = _search_calls(gamma_i, g)
+        assert cert.value == 30 and classify_set(g, cert.witness).maximal_independent
+        assert nodes <= 1_000
+        for direction, most in (("any", 3_500), ("decrease", 300)):
+            cert, nodes = _search_calls(stability, g, direction)
+            assert (cert.value, cert.witness.members(), cert.new_gamma_i) == (2, (2, 3), 29)
+            assert nodes <= most
+
+
 def _fewest_from(g, comp, draw, independent):
     """The fewest vertices of ``draw`` (of ``comp & draw`` and pairwise
     non-adjacent when ``independent``) that dominate ``comp``, or None."""
@@ -1053,12 +1019,12 @@ def _check_witnesses(graphs):
     while that is fast enough."""
     for g in graphs:
         closed = _closed_rows(g)
-        for comp, cap in component_masks(closed, g.full_mask):
-            k, picks = _cover_min(closed, comp, cap, True)
-            lexmin = next(_covers(closed, comp, cap, k))
+        for comp, cap, total in component_masks(closed, g.full_mask):
+            k, picks = _cover_min(closed, comp, cap, total, True)
+            lexmin = next(_parent_covers(closed, comp, cap, k))
             assert _lexmin_cover(closed, comp, True, picks) == lexmin, g
             if g.order <= 20:
-                k, picks = _cover_min(closed, comp, cap, False)
+                k, picks = _cover_min(closed, comp, cap, total, False)
                 lexmin = _ref_lexmin_dom(closed, comp, k)
                 assert _lexmin_cover(closed, comp, False, picks) == lexmin, g
 
@@ -1078,9 +1044,10 @@ class TestSelfReduction:
             for independent in (True, False):
                 draw = comp & floor if independent else rng.getrandbits(g.order) & floor
                 cap = max(1, max((closed[v] & comp).bit_count() for v in range(g.order)))
+                total = sum((closed[v] & comp).bit_count() for v in iter_bits(draw))
                 fewest = _fewest_from(g, comp, draw, independent)
                 bound = rng.randint(0, g.order)
-                value, picks = _cover_min(closed, comp, cap, independent, draw, bound)
+                value, picks = _cover_min(closed, comp, cap, total, independent, draw, bound)
                 if fewest is None or fewest > bound:
                     assert value == bound + 1, (g, comp, draw, bound)
                     infeasible += fewest is None
@@ -1098,10 +1065,10 @@ class TestSelfReduction:
         closed = _closed_rows(g)
         leaves = g.full_mask & ~1
         for independent in (True, False):
-            assert _cover_min(closed, g.full_mask, 5, independent, g.full_mask, 3)[0] == 1
+            assert _cover_min(closed, g.full_mask, 5, 13, independent, g.full_mask, 3)[0] == 1
             # with 0 not drawable the exit may not fire: the four leaves are needed
-            assert _cover_min(closed, g.full_mask, 5, independent, leaves, 3) == (4, 0)
-            assert _cover_min(closed, g.full_mask, 5, independent, leaves, 4) == (4, leaves)
+            assert _cover_min(closed, g.full_mask, 5, 8, independent, leaves, 3) == (4, 0)
+            assert _cover_min(closed, g.full_mask, 5, 8, independent, leaves, 4) == (4, leaves)
 
     def test_seeded_order_7_to_40(self):
         rng = random.Random(0x5E20)
@@ -1144,7 +1111,7 @@ class TestSelfReduction:
             graphs.append((random_graph(rng, rng.randint(7, 14), rng.choice((0.2, 0.3, 0.5))), 3))
         for g, draws in graphs:
             closed = _closed_rows(g)
-            for comp, _ in component_masks(closed, g.full_mask):
+            for comp, _, _ in component_masks(closed, g.full_mask):
                 for independent, ref_min, ref_lexmin in (
                     (True, _ref_ids_min, _ref_lexmin_ids),
                     (False, _ref_dom_min, _ref_lexmin_dom),
@@ -1165,14 +1132,14 @@ class TestDominatingVertexExit:
         blocks = 0
         for g in all_graphs(5):
             closed = _closed_rows(g)
-            for comp, cap in _dominated_blocks(g):
+            for comp, cap, total in _dominated_blocks(g):
                 blocks += 1
                 low = min(v for v in iter_bits(comp) if closed[v] & comp == comp)
-                assert _search_calls(_cover_min, closed, comp, cap, True) == ((1, 1 << low), 0), g
-                assert _search_calls(_cover_min, closed, comp, cap, False) == ((1, 1 << low), 0), g
+                assert _search_calls(_cover_min, closed, comp, cap, total, True) == ((1, 1 << low), 0), g
+                assert _search_calls(_cover_min, closed, comp, cap, total, False) == ((1, 1 << low), 0), g
         assert blocks
         closed = _closed_rows(cycle(6))  # no dominating vertex: the search runs
-        assert _search_calls(_cover_min, closed, 0b111111, 3, True)[1] > 0
+        assert _search_calls(_cover_min, closed, 0b111111, 3, 18, True)[1] > 0
 
     def test_seeded_dense_joins_and_products(self):
         rng = random.Random(0xD0E1)
@@ -1202,9 +1169,9 @@ def _assert_picks_attain_the_value(g, universe):
     ``universe`` lie in the block, dominate it and number exactly its value;
     for gamma_i they are also independent."""
     closed = _closed_rows(g)
-    for comp, cap in component_masks(closed, universe):
+    for comp, cap, total in component_masks(closed, universe):
         for independent in (True, False):
-            value, picks = _cover_min(closed, comp, cap, independent)
+            value, picks = _cover_min(closed, comp, cap, total, independent)
             assert not picks & ~comp and picks.bit_count() == value, (g, comp)
             dominated = 0
             for v in iter_bits(picks):
@@ -1236,11 +1203,11 @@ class TestCoverMinPicks:
             closed = _closed_rows(g)
             for universe in (g.full_mask, rng.getrandbits(g.order)):  # whole, and as for a removal solve
                 _assert_picks_attain_the_value(g, universe)
-                for comp, cap in component_masks(closed, universe):
+                for comp, cap, total in component_masks(closed, universe):
                     if comp.bit_count() > 2 * cap:
                         gated += 1
-                        assert _cover_min(closed, comp, cap, True)[0] == _ref_ids_min(closed, comp), g
-                        assert _cover_min(closed, comp, cap, False)[0] == _ref_dom_min(closed, comp), g
+                        assert _cover_min(closed, comp, cap, total, True)[0] == _ref_ids_min(closed, comp), g
+                        assert _cover_min(closed, comp, cap, total, False)[0] == _ref_dom_min(closed, comp), g
         assert gated >= 40
 
 
@@ -1269,9 +1236,10 @@ class TestComponentWalk:
     def _check(g, universe):
         for rows in (g.adj, _closed_rows(g)):
             walked = component_masks(rows, universe)
-            assert [comp for comp, _ in walked] == _ref_blocks(rows, universe), (g, universe)
-            for comp, cap in walked:
+            assert [comp for comp, _, _ in walked] == _ref_blocks(rows, universe), (g, universe)
+            for comp, cap, total in walked:
                 assert cap == _ref_cap(rows, comp), (g, universe)
+                assert total == sum((rows[v] & comp).bit_count() for v in iter_bits(comp)), (g, universe)
 
     @pytest.mark.slow
     def test_exhaustive_order_6(self):

@@ -1,7 +1,7 @@
 import importlib
 import hashlib
 import random
-from itertools import combinations, islice
+from itertools import combinations
 
 import pytest
 
@@ -22,7 +22,7 @@ from idstab.families import (
 )
 from idstab.ops import disjoint_union
 from idstab.oracles import oracle_gamma_i
-from idstab.solver import _bounded_cover, _closed_rows, _cover_picks, _covers, gamma_i_value
+from idstab.solver import _bounded_cover, _closed_rows, _cover_picks, gamma_i_value
 from idstab.stability import (
     Direction,
     StabilityCertificate,
@@ -31,7 +31,7 @@ from idstab.stability import (
     stability,
 )
 
-from conftest import all_graphs, random_graph, stability_sweep
+from conftest import all_graphs, hub_gate_calls, hub_graph, random_graph, stability_sweep
 
 # the package rebinds ``idstab.stability`` to the function
 stability_module = importlib.import_module("idstab.stability")
@@ -240,6 +240,15 @@ class TestAgreementWithOracle:
         for _, certs, expected in stability_sweep():
             assert tuple(cert.value for cert in certs) == expected
 
+    def test_seeded_hub_graphs(self, monkeypatch):
+        # near-universal vertices open the value search's hub gate in the removal solves
+        opened = hub_gate_calls(monkeypatch)
+        rng = random.Random(0x4B6)
+        for _ in range(20):
+            g = hub_graph(rng, rng.randint(10, 12), rng.randint(1, 3))
+            assert _triple_values(g) == oracle_stability(g), g
+        assert opened.count(False) >= 8  # 10, and no decision search walks the packing bound
+
 
 class TestMinRule:
     """"any" is the first directed witness at the smaller size, with the plain
@@ -281,15 +290,15 @@ class TestMinRule:
 
     def test_book_10_stops_at_the_decrease_witness(self, monkeypatch):
         # st_down = 2 and st_up = 11: unbounded, the increase scan takes about a
-        # minute here; bounded, it stops at once, since the first 2-set that
-        # meets every gamma_i-set is the decrease witness {2, 3} itself
+        # minute here; bounded, it stops at the decrease witness {2, 3}
         solves = _count_solves(monkeypatch)
         g = book(10)
         cert = stability(g)
         assert (cert.value, cert.witness.members(), cert.new_gamma_i) == (2, (2, 3), 9)
-        # gamma_i of G, the n single removals, the gamma_i-set walk and the
+        # gamma_i of G, the 10 removals of its gamma_i-set's members, 12
+        # bounded single removals, 12 scan solves before {2, 3} and the
         # witness's new gamma_i
-        assert len(solves) <= g.order + 4
+        assert solves.count("_bounded_cover") == 12 and len(solves) == 36
 
 
 def _assert_lowering_rule(g):
@@ -315,6 +324,15 @@ class TestLoweringRule:
     def test_exhaustive_order_6(self):
         checks = sum(_assert_lowering_rule(g) for g in all_graphs(6) if gamma_i_value(g) >= 2)
         assert checks == 168_712  # the vertices of the 28,263 graphs with gamma_i >= 2
+
+    def test_seeded_hub_graphs(self, monkeypatch):
+        # the single removals' bounded questions pass the hub gate here
+        opened = hub_gate_calls(monkeypatch)
+        rng = random.Random(0x10E6)
+        graphs = [hub_graph(rng, rng.randint(12, 20), rng.randint(1, 3)) for _ in range(30)]
+        checks = sum(_assert_lowering_rule(g) for g in graphs if gamma_i_value(g) >= 2)
+        assert checks == 367
+        assert opened.count(True) >= 5  # 8, and 34 value searches
 
     def test_seeded_order_7_to_20(self):
         rng = random.Random(0x10E5)
@@ -351,11 +369,10 @@ class TestPruningRules:
         _assert_seeded_certificates_unpruned()
 
     def test_partial_family_is_sound(self, monkeypatch):
-        # one known gamma_i-set and one learned pair prune less but must skip
-        # nothing that matches
-        monkeypatch.setattr(stability_module, "GAMMA_I_FAMILY_CAP", 1)
+        # one learned pair prunes less but must skip nothing that matches
+        monkeypatch.setattr(stability_module, "LEARNED_PAIR_CAP", 1)
         _assert_seeded_certificates_unpruned()
-        # the cap binds: uncapped, book(5) takes 99 solves, and 1,787 here
+        # the cap binds: uncapped, book(5) takes 129 solves, and 1,848 here
         solves = _count_solves(monkeypatch)
         g = book(5)
         assert stability(g, Direction.INCREASE) == _plain_scan(g, Direction.INCREASE)
@@ -376,73 +393,30 @@ class TestPruningRules:
         assert (cert.base_gamma_i, cert.new_gamma_i) == (3, 4)
 
 
-# for each bit i < 4, the nibbles with bit i set
-_NIBBLES_HOLDING = [[x for x in range(16) if x >> i & 1] for i in range(4)]
-
-
-def _parent_hitting_masks(n, k, meets):
-    """The k-subsets of range(n) that meet every set of a family, as masks in
-    lexicographic order; ``meets[v]`` has bit i set when v lies in set i."""
-    reach = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        reach[v] = reach[v + 1] | meets[v]
-
-    def rec(start, left, unmet, chosen):
-        for v in range(start, n - left + 1):
-            if unmet & ~reach[v]:
-                return
-            rest = unmet & ~meets[v]
-            if left == 1:
-                if not rest:
-                    yield chosen | 1 << v
-            else:
-                yield from rec(v + 1, left - 1, rest, chosen | 1 << v)
-
-    return rec(0, k, reach[0], 0)
-
-
 def _parent_increase_scan(closed, full, base, stop):
-    """``_increase_scan`` as it was before the constraint walk: a generator
-    of the k-subsets that meet every known gamma_i-set, and a check of the
-    learned pairs at each subset it yields, with the pairs stored by nibbles
-    of four vertices.  It reads the cap and the removal solve off the
-    stability module, so a test can patch either."""
+    """``_increase_scan`` as a plain loop: every k-subset in lexicographic
+    order, checked against a list of the pairs learned so far.  It reads the
+    cap and the removal solve off the stability module, so a test can patch
+    either."""
     n = full.bit_length()
-    meets = [0] * n
-    cap = max(map(int.bit_count, closed))
-    limit = stability_module.GAMMA_I_FAMILY_CAP
-    for i, ids in enumerate(islice(_covers(closed, full, cap, base), limit)):
-        for v in iter_bits(ids):
-            meets[v] |= 1 << i
-    nibbles = [([0] * 16, [0] * 16) for _ in range(0, n, 4)]
-    learned = 0
+    pairs = []
+    limit = stability_module.LEARNED_PAIR_CAP
     last = stop.bit_count() if stop else n
     for k in range(2 if stop else 1, last + 1):
-        for mask in _parent_hitting_masks(n, k, meets):
+        for mask in _subset_masks(n, k):
             diff = mask ^ stop
             if k == last and not diff & -diff & mask:
                 return None
-            hit = 0
-            inside, outside = mask, full & ~mask
-            for in_d, in_r in nibbles:
-                hit |= in_d[inside & 15] | in_r[outside & 15]
-                inside >>= 4
-                outside >>= 4
-            if ~hit & ((1 << learned) - 1):
+            if any(not d & mask and not r & ~mask for d, r in pairs):
                 continue
             picks = stability_module._cover_picks(closed, full & ~mask, True)
             if picks.bit_count() > base:
                 return mask, picks.bit_count()
-            if learned < limit:
+            if len(pairs) < limit:
                 dominated = 0
                 for v in iter_bits(picks):
                     dominated |= closed[v]
-                for side, members in ((0, picks), (1, full & ~dominated)):
-                    for v in iter_bits(members):
-                        table = nibbles[v >> 2][side]
-                        for x in _NIBBLES_HOLDING[v & 3]:
-                            table[x] |= 1 << learned
-                learned += 1
+                pairs.append((picks, full & ~dominated))
     return None
 
 
@@ -478,29 +452,29 @@ def _assert_scans_agree(universes, g, down):
 
 
 class TestFrozenParentScan:
-    """The constraint walk solves exactly the removals of the generator and
-    per-leaf check it replaced, in the same order, so it learns the same
-    pairs and returns the same witness."""
+    """The constraint walk solves exactly the removals of a plain scan that
+    checks each subset against every pair learned so far, in the same
+    order, so it learns the same pairs and returns the same witness."""
 
     @pytest.mark.slow
     def test_exhaustive_order_6(self, monkeypatch):
         sweep = stability_sweep()
         universes = _record_removals(monkeypatch)
-        assert sum(_assert_scans_agree(universes, g, down) for g, (_, down, _), _ in sweep) == 149_593
+        assert sum(_assert_scans_agree(universes, g, down) for g, (_, down, _), _ in sweep) == 255_896
 
     def test_seeded_order_7_to_14(self, monkeypatch):
         rng = random.Random(0x5CA7)
         graphs = [random_graph(rng, rng.randint(7, 14)) for _ in range(300)]
         downs = [stability(g, Direction.DECREASE) for g in graphs]
         universes = _record_removals(monkeypatch)
-        assert sum(_assert_scans_agree(universes, g, down) for g, down in zip(graphs, downs)) == 5_322
+        assert sum(_assert_scans_agree(universes, g, down) for g, down in zip(graphs, downs)) == 6_809
 
     def test_one_known_pair_of_each_kind(self, monkeypatch):
         g = book(5)
         down = stability(g, Direction.DECREASE)
-        monkeypatch.setattr(stability_module, "GAMMA_I_FAMILY_CAP", 1)
+        monkeypatch.setattr(stability_module, "LEARNED_PAIR_CAP", 1)  # one known pair
         universes = _record_removals(monkeypatch)
-        assert _assert_scans_agree(universes, g, down) == 1_795
+        assert _assert_scans_agree(universes, g, down) == 1_863
 
 
 class TestNoGoodRule:
@@ -515,11 +489,11 @@ class TestNoGoodRule:
     @pytest.mark.parametrize(
         "g,base,value,witness,new,picks",
         [
-            # 23,204 solves with the gamma_i-set walk alone
-            (book(7), 7, 8, (0, 3, 5, 7, 9, 11, 13, 15), 8, 881),
-            # 16,131 solves with the gamma_i-set walk alone
-            (complete_bipartite(8, 7), 7, 7, (8, 9, 10, 11, 12, 13, 14), 8, 128),
-            (book(8), 8, 9, (0, 3, 5, 7, 9, 11, 13, 15, 17), 9, 2_726),
+            # 23,204 solves with a walk over the gamma_i-sets alone
+            (book(7), 7, 8, (0, 3, 5, 7, 9, 11, 13, 15), 8, 1_040),
+            # 16,131 solves with a walk over the gamma_i-sets alone
+            (complete_bipartite(8, 7), 7, 7, (8, 9, 10, 11, 12, 13, 14), 8, 382),
+            (book(8), 8, 9, (0, 3, 5, 7, 9, 11, 13, 15, 17), 9, 3_033),
         ],
         ids=["book7", "kbip8-7", "book8"],
     )
@@ -528,8 +502,8 @@ class TestNoGoodRule:
         cert = stability(g, Direction.INCREASE)
         expected = StabilityCertificate(base, Direction.INCREASE, value, VertexSet.of(witness), new)
         assert cert == expected
-        # gamma_i of G and every removal solved are ``_cover_picks``; the one other is the family walk
-        assert solves.count("_cover_picks") == picks and len(solves) == picks + 1
+        # gamma_i of G and every removal solved are ``_cover_picks``, the only solver entry called
+        assert solves.count("_cover_picks") == picks and len(solves) == picks
 
     def test_seeded_sparse_digest(self, monkeypatch):
         # Many removal solves on these graphs open the value search's packing
