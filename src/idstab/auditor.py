@@ -189,7 +189,7 @@ class _OracleToolkit:
         return oracles.oracle_stability(g)[0]
 
     def gamma(self, g: Graph) -> int:
-        return oracles._brute_gamma(g)
+        return oracles._oracle_gamma(g)
 
     def max_star(self, g: Graph) -> int:
         return oracles._brute_max_star(g)

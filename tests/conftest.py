@@ -86,7 +86,8 @@ def brute_gamma_i(g: Graph) -> int:
 
 
 def brute_gamma(g: Graph) -> int:
-    """Subset filter for the domination number."""
+    """gamma by scanning every subset: the test-owned subset filter that
+    referees ``_oracle_gamma`` and the solver."""
     closed = [row | (1 << v) for v, row in enumerate(g.adj)]
     full = g.full_mask
     best = g.order

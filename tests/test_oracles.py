@@ -6,11 +6,11 @@ import pytest
 
 from idstab import VertexSet, delete_vertices, errors, oracles
 from idstab.auditor import enumerate_labeled_graphs
-from idstab.families import complete, complete_bipartite, empty
+from idstab.families import complete, complete_bipartite, cycle, empty, friendship, gen_friendship
 from idstab.ops import corona, disjoint_union, join
-from idstab.oracles import _brute_gamma, _brute_max_star, oracle_gamma_i, oracle_stability
+from idstab.oracles import _brute_max_star, _oracle_gamma, oracle_gamma_i, oracle_stability
 
-from conftest import all_graphs, brute_gamma_i, random_graph
+from conftest import all_graphs, brute_gamma, brute_gamma_i, random_graph
 
 
 def _reference_stability(g, memo):
@@ -49,6 +49,23 @@ EDGE_GRAPHS = {
     "corona(3K1,K3)": corona(empty(3), complete(3)),
     "K6,6": complete_bipartite(6, 6),
 }
+
+
+def _guard_graphs():
+    """Coronas, friendship graphs and a cycle at or next to the order-20
+    guard, each with 64 to 1,024 maximal independent sets."""
+    rng = random.Random(0x20C0)
+    return {
+        "corona(G10,K1)": corona(random_graph(rng, 10), complete(1)),
+        "corona(G5,K3)": corona(random_graph(rng, 5), complete(3)),
+        "corona(5K1,K3)": corona(empty(5), complete(3)),
+        "friendship(9)": friendship(9),
+        "gen_friendship(4,6)": gen_friendship(4, 6),
+        "C20": cycle(20),
+    }
+
+
+GUARD_GRAPHS = _guard_graphs()
 
 
 class TestStabilityOracle:
@@ -106,8 +123,48 @@ class TestGammaIFilter:
         g = EDGE_GRAPHS[name]
         assert oracle_gamma_i(g) == brute_gamma_i(g)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            # gamma_i = 10: the filter tries every smaller subset of 20 first
+            pytest.param(name, marks=pytest.mark.slow) if name == "corona(G10,K1)" else name
+            for name in sorted(GUARD_GRAPHS)
+        ],
+    )
+    def test_guard_graphs(self, name):
+        g = GUARD_GRAPHS[name]
+        assert oracle_gamma_i(g) == brute_gamma_i(g)
 
-@pytest.mark.parametrize("oracle", [_brute_gamma, _brute_max_star])
+
+class TestGammaFilter:
+    def test_exhaustive_order_5(self):
+        for g in all_graphs(5):
+            assert _oracle_gamma(g) == brute_gamma(g)
+
+    @pytest.mark.slow
+    def test_exhaustive_order_6(self):
+        for g in enumerate_labeled_graphs(6):
+            assert _oracle_gamma(g) == brute_gamma(g)
+
+    def test_seeded_orders_7_to_20(self):
+        rng = random.Random(0x6A13)
+        for n in range(7, 21):
+            for _ in range(3):
+                g = random_graph(rng, n)
+                assert _oracle_gamma(g) == brute_gamma(g)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_GRAPHS))
+    def test_edge_graphs(self, name):
+        g = EDGE_GRAPHS[name]
+        assert _oracle_gamma(g) == brute_gamma(g)
+
+    @pytest.mark.parametrize("name", sorted(GUARD_GRAPHS))
+    def test_guard_graphs(self, name):
+        g = GUARD_GRAPHS[name]
+        assert _oracle_gamma(g) == brute_gamma(g)
+
+
+@pytest.mark.parametrize("oracle", [_oracle_gamma, _brute_max_star])
 def test_null_graph_rejected_like_the_solvers(oracle):
     with pytest.raises(errors.EmptyGraph):
         oracle(empty(0))

@@ -17,7 +17,7 @@ from idstab.families import (
     star,
 )
 from idstab.ops import corona, disjoint_union, join, lexicographic
-from idstab.oracles import _brute_gamma
+from idstab.oracles import _oracle_gamma
 from idstab.solver import (
     _closed_rows,
     _cover_min,
@@ -158,7 +158,7 @@ class TestSolverOracleAgreement:
     def test_exhaustive_order_6(self):
         for g in all_graphs(6):
             assert gamma_i_value(g) == oracle_gamma_i(g), g
-            assert gamma_value(g) == _brute_gamma(g), g
+            assert gamma_value(g) == _oracle_gamma(g), g
 
     def test_random_order_12(self, rng):
         for _ in range(50):
@@ -800,7 +800,7 @@ class TestPackingBound:
             closed = _closed_rows(g)
             ((comp, cap, _),) = component_masks(closed, g.full_mask)
             assert comp.bit_count() > 2 * cap, g  # the packing gate is open
-            value = _brute_gamma(g)
+            value = _oracle_gamma(g)
             assert gamma_value(g) == value, g
             assert _new_gamma(g) == _ref_gamma(g), g
             cert = gamma(g)
@@ -1158,7 +1158,7 @@ class TestDominatingVertexExit:
         for g in graphs:
             fired += len(_dominated_blocks(g))
             assert gamma_i_value(g) == oracle_gamma_i(g), g
-            assert gamma_value(g) == _brute_gamma(g), g
+            assert gamma_value(g) == _oracle_gamma(g), g
             assert _new_gamma_i(g) == _ref_gamma_i(g), g
             assert _new_gamma(g) == _ref_gamma(g), g
         assert fired >= 20
