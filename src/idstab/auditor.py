@@ -49,10 +49,23 @@ of the complements.  C5 takes a minimum over the vertex-deleted subgraphs
 G - v, which p matches one for one with those of H.  So a claim's
 applicability, its holds / violated status, lhs and rhs are the same for
 every labelling of a graph; only a violation's certificate (witness sets and
-graph6 texts) depends on the labels.  So ``_audit`` runs every claim on
-the first member of each class of order <= ``_CLASS_MAX_ORDER`` (7), keyed
-by ``_class_key`` from its edge mask alone, and re-checks each violating
-(claim, class) with the oracles once; its docstring gives the details.
+graph6 texts) depends on the labels.
+
+Pair claims (C17-C22) go by the classes of their operands in the same way.
+Let p1: G1 -> H1 and p2: G2 -> H2 be isomorphisms.  Then p1 and p2
+together are an isomorphism of the joins G1 + G2 -> H1 + H2; (a, x) |->
+(p1 a, p2 x) is one of the lexicographic products G1[G2] -> H1[H2]; and p1
+on G1, with p2 sending the copy of G2 at a to the copy of H2 at p1 a, is one
+of the coronas G1 o G2 -> H1 o H2.  So gamma_i and st_id of the product,
+the left sides, are the same for every labelling of the operands, by the
+argument above.  The right sides read only gamma_i, st_id and |V(G1)| of
+the operands, which are invariants too.
+
+So ``_audit`` runs every claim on the first member of each class: a graph
+of order <= ``_CLASS_MAX_ORDER`` (7), keyed by ``_class_key`` from its edge
+mask alone, or a pair, keyed by its operands' class keys.  Family specs and
+larger graphs are evaluated one by one.  Its docstring gives the details,
+and says which violations share an oracle re-check.
 """
 
 from __future__ import annotations
@@ -665,23 +678,42 @@ def _sequence(items: object, kind: type, what: str) -> tuple:
     return items
 
 
-def _member(text: str | None, n: int, mask: int) -> tuple[str, Graph]:
-    """The report text and graph of a member from ``masks()``: its line
-    decoded, or with no line its graph built from the mask and named."""
-    if text is None:
-        g = mask_graph(n, mask)
-        return encode_graph6(g), g
-    return text, decode_graph6(text)
+class _Corpus:
+    """A corpus.  ``_members()`` yields one ``(class key, text, payload)``
+    per member, in corpus order.  The text is the report's ``instance``
+    string, or None for a graph that is named once it is built.  The key
+    names the member's isomorphism class (see ``_audit``), or is None for a
+    member that is evaluated and tallied on its own.  ``_instance(text,
+    payload)`` builds the member as ``(text, instance)``, and ``instances()``
+    yields every member so built."""
+
+    def instances(self) -> Iterator[tuple[str, object]]:
+        return (self._instance(text, payload) for _, text, payload in self._members())
+
+    def _instance(self, text: str, payload: object) -> tuple[str, object]:
+        return text, payload
 
 
-class _GraphCorpus:
-    """A graph corpus: its ``instances()`` are its ``masks()``, built."""
+class _GraphCorpus(_Corpus):
+    """A graph corpus: its members are its ``masks()``, keyed by
+    ``_class_key`` up to order ``_CLASS_MAX_ORDER``, and built only where a
+    claim needs a graph."""
 
     def kind(self) -> str:
         return GRAPH
 
-    def instances(self) -> Iterator[tuple[str, Graph]]:
-        return (_member(*member) for member in self.masks())
+    @staticmethod
+    def _instance(text: str | None, payload: tuple[int, int]) -> tuple[str, Graph]:
+        """A member whose payload is its ``(order, edge mask)``: its line
+        decoded, or with no line its graph built from the mask and named."""
+        if text is None:
+            g = mask_graph(*payload)
+            return encode_graph6(g), g
+        return text, decode_graph6(text)
+
+    def _members(self) -> Iterator[tuple[tuple[int, int] | None, str | None, tuple[int, int]]]:
+        for text, n, mask in self.masks():
+            yield (_class_key(n, mask) if n <= _CLASS_MAX_ORDER else None), text, (n, mask)
 
 
 @dataclass(frozen=True)
@@ -743,13 +775,13 @@ class Graph6Corpus(_GraphCorpus):
 
 
 @dataclass(frozen=True)
-class PairCorpus:
+class PairCorpus(_Corpus):
     """All ordered pairs over a base corpus; operands capped at order 4."""
 
     base: ExhaustiveCorpus | Graph6Corpus
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base, (ExhaustiveCorpus, Graph6Corpus)):
+        if not isinstance(self.base, _GraphCorpus):
             raise BadCorpusSource(f"pairs need a graph corpus, not a {type(self.base).__name__}")
 
     def kind(self) -> str:
@@ -758,23 +790,22 @@ class PairCorpus:
     def describe(self) -> str:
         return f"ordered pairs over {self.base.describe()}"
 
-    def instances(self) -> Iterator[tuple[str, tuple[Graph, Graph]]]:
-        """Each pair as ``"a,b"``.  An operand above the order cap is refused
-        as ``masks()`` meets it, before the rest of the base is built."""
+    def _members(self) -> Iterator[tuple[tuple, str, tuple[Graph, Graph]]]:
+        """Each pair as ``"a,b"``, keyed by its operands' class keys.  An
+        operand above the order cap is refused as ``masks()`` meets it,
+        before its class is looked up or the rest of the base is built."""
         base = []
         for text, n, mask in self.base.masks():
             if n > MAX_PAIR_OPERAND_ORDER:
-                raise CorpusTooLarge(
-                    f"pair corpora cap operands at order {MAX_PAIR_OPERAND_ORDER}"
-                )
-            base.append(_member(text, n, mask))
-        for a, ga in base:
-            for b, gb in base:
-                yield f"{a},{b}", (ga, gb)
+                raise CorpusTooLarge(f"pair corpora cap operands at order {MAX_PAIR_OPERAND_ORDER}")
+            base.append((_class_key(n, mask), *self.base._instance(text, (n, mask))))
+        for ka, a, ga in base:
+            for kb, b, gb in base:
+                yield (ka, kb), f"{a},{b}", (ga, gb)
 
 
 @dataclass(frozen=True)
-class FamilyCorpus:
+class FamilyCorpus(_Corpus):
     """Family specs to feed the family-parameter claims (C1, C3, C4, C23-C25)."""
 
     specs: tuple[FamilySpec, ...]
@@ -812,16 +843,8 @@ class FamilyCorpus:
     def describe(self) -> str:
         return f"{self.label} ({len(self.specs)} specs)"
 
-    def instances(self) -> Iterator[tuple[str, FamilySpec]]:
-        return ((spec.to_text(), spec) for spec in self.specs)
-
-
-# Every corpus yields ``(text, instance)`` pairs from ``instances()``: the
-# text is the report's ``instance`` string, the instance is decoded once.  The
-# graph corpora yield ``(text, order, edge mask)`` triples from ``masks()``,
-# for audits that build a graph only where a claim needs one, and their
-# ``instances()`` is derived from ``masks()``.
-Corpus = ExhaustiveCorpus | Graph6Corpus | PairCorpus | FamilyCorpus
+    def _members(self) -> Iterator[tuple[None, str, FamilySpec]]:
+        return ((None, spec.to_text(), spec) for spec in self.specs)
 
 
 # ---------------------------------------------------------------------------
@@ -941,32 +964,39 @@ def _resolve_claims(claim_ids: Iterable[str], kind: str) -> list[Claim]:
     return claims
 
 
-def _audit(claims: list[Claim], corpus: Corpus, mode: str):
+def _audit(claims: list[Claim], corpus: _Corpus, mode: str):
     """A tally of ``(claim id, status)`` per evaluation, the violations in
     the corpus as ``(claim id, violation, index of its re-check job)``, and
     the oracle re-check jobs, each a picklable ``(claim id, text, instance,
     lhs, rhs, certificate, mode)`` whose verdict ``run_audit`` adds as the
     ``"oracle"`` field of the violations that point to it.
 
-    One toolkit serves the whole audit but for the later members of
-    violating classes.  A graph corpus is read through ``masks()``, and a
-    member of order <= ``_CLASS_MAX_ORDER`` goes through its isomorphism
-    class, keyed by its mask alone: the first member of a class is decoded
-    or built and runs every claim; a later member is only counted (``count``
-    tallies each status of its class's reading once per member), unless its
-    class violates a claim.  Then its graph is built, and the violated
+    One loop reads every corpus through ``_members()``, and one toolkit
+    serves the whole audit but for the later members of violating classes.
+    A member whose key is None is built and runs every claim.  A keyed
+    member goes through its class: a graph of order <= ``_CLASS_MAX_ORDER``
+    by its mask alone, a pair by its operands' keys.  The first member of a
+    class is built and runs every claim; a later member is only counted
+    (``count`` tallies each status of its class's reading once per member),
+    unless its class violates a claim.  Then it is built, and the violated
     claims run on it in full with a fresh toolkit, so that every solver
-    value, the class-cached ones of its G - v and complement included, is
-    worked out from its own labels; each must read as its class did.
+    value, the class-cached ones of its G - v, complement and operands
+    included, is worked out from its own labels; each must read as its class
+    did.
 
-    A graph corpus queues one job per violating (claim, class), for its
-    first member, and the later members share its verdict.  Order <= 7 is
-    below the oracles' caps (12 and 20, as a test checks), so a re-check of
-    G, its G - v and its complement is always "full": it compares verdicts
-    and reads no certificate.  The oracles' values are isomorphism
-    invariants, and each later member's verdict has just been checked equal
-    to its class's, so its own re-check would repeat the first.  Pair and
-    family corpora, and graphs past the classes, queue one job per violation.
+    The one decision that depends on the corpus kind is whether a later
+    member shares its class's re-check job.  A graph corpus queues one job
+    per violating (claim, class), for its first member, and the later
+    members share its verdict.  Order <= 7 is below the oracles' caps (12
+    and 20, as a test checks), so a re-check of G, its G - v and its
+    complement is always "full": it compares verdicts and reads no
+    certificate.  The oracles' values are isomorphism invariants, and each
+    later member's verdict has just been checked equal to its class's, so
+    its own re-check would repeat the first.  A pair corpus queues one job
+    per violation: its products reach order 20, past the stability oracle's
+    cap, where a re-check is "partial" and reads the member's own
+    label-dependent certificate.  Family specs and graphs past the classes
+    have no class, so they too queue one job per violation.
     """
     kit = _Toolkit()
     tally: Counter = Counter()
@@ -1000,35 +1030,30 @@ def _audit(claims: list[Claim], corpus: Corpus, mode: str):
         for claim, (status, _, _), _ in read:
             tally[claim.id, status] += members
 
-    if corpus.kind() != GRAPH:
-        for text, instance in corpus.instances():
-            count(evaluate(text, instance))
-        return tally, violations, jobs
     # class key -> (its first member's reading, the violated part of it)
-    classes: dict[tuple[int, int], tuple[list, list]] = {}
+    classes: dict[tuple, tuple[list, list]] = {}
     members: Counter = Counter()  # class key -> instances in the corpus
-    for text, n, mask in corpus.masks():
-        if n > _CLASS_MAX_ORDER:
-            count(evaluate(*_member(text, n, mask)))
+    for key, text, payload in corpus._members():
+        if key is None:
+            count(evaluate(*corpus._instance(text, payload)))
             continue
-        key = _class_key(n, mask)
         members[key] += 1
         known = classes.get(key)
         if known is None:
-            read = evaluate(*_member(text, n, mask))
+            read = evaluate(*corpus._instance(text, payload))
             classes[key] = read, [entry for entry in read if entry[2] is not None]
         elif known[1]:
-            text, g = _member(text, n, mask)
+            text, instance = corpus._instance(text, payload)
             own = _Toolkit()
             for claim, expected, job in known[1]:
-                ev = claim.evaluate(g, own, mode)
+                ev = claim.evaluate(instance, own, mode)
                 got = _verdict(ev)
                 if got != expected:
                     raise InternalAuditError(
                         f"{claim.id} is not an isomorphism invariant at {text}: "
                         f"its class read {expected}, the instance reads {got}"
                     )
-                violated(claim, text, g, ev, job)
+                violated(claim, text, instance, ev, job if corpus.kind() == GRAPH else None)
     for key, times in members.items():
         count(classes[key][0], times)
     return tally, violations, jobs
@@ -1036,25 +1061,28 @@ def _audit(claims: list[Claim], corpus: Corpus, mode: str):
 
 def run_audit(
     claim_ids: Iterable[str],
-    corpus: Corpus,
+    corpus: _Corpus,
     mode: str = STRICT,
     threads: int = 1,
 ) -> AuditReport:
     """Evaluate claims over a corpus and assemble a deterministic report.
 
     Claims must match the corpus kind, as ``_resolve_claims`` checks.  The
-    audit runs in-process with one solver toolkit; ``threads`` above 1 sends
-    only the oracle re-checks (one per violating claim and class of a graph
-    corpus, see ``_audit``) to a process pool, and the report is the same
-    for any worker count.  Each requested claim gets one block, in registry
-    order (C1..C26); each violation's ``instance`` is the corpus line as
-    given, and a block lists its violations by that text.
+    audit runs in-process with one solver toolkit, through one loop over
+    isomorphism classes of graphs and of operand pairs (see ``_audit``).
+    ``threads`` above 1 sends only the oracle re-checks to a process pool:
+    one per violating claim and class of a graph corpus, and one per
+    violation of a pair or family corpus.  The report is the same for any
+    worker count.  Each requested claim gets one block, in registry order
+    (C1..C26); each violation's ``instance`` is the corpus line as given,
+    and a block lists its violations by that text.
 
     Raises ``BadCorpusSource`` for a ``corpus`` that is none of the four
-    corpus types, and ``ValueError`` for a ``mode`` out of range or a
-    ``threads`` that is a bool or not a positive ``int``.
+    corpus types (the subclasses of ``_Corpus``), and ``ValueError`` for a
+    ``mode`` out of range or a ``threads`` that is a bool or not a positive
+    ``int``.
     """
-    if not isinstance(corpus, Corpus):
+    if not isinstance(corpus, _Corpus):
         raise BadCorpusSource(f"not a corpus: {corpus!r}")
     claims = _resolve_claims(claim_ids, corpus.kind())
     if mode not in (STRICT, RESTRICTED):

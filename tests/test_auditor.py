@@ -516,6 +516,37 @@ def _orbit_minimum(n: int, mask: int) -> int:
 
 
 _GRAPH_CLAIMS = [c.id for c in claim_registry() if c.instance_kind == "graph"]
+_PAIR_CLAIMS = [c.id for c in claim_registry() if c.instance_kind == "pair"]
+
+
+def _in_process_pool(jobs: list, chunksizes: list) -> type:
+    """A stand-in for ``ProcessPoolExecutor`` that runs the re-checks it is
+    sent in-process, and records them in *jobs* and their chunk size in
+    *chunksizes*."""
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize):
+            assert fn is auditor._recheck
+            jobs.extend(items)
+            chunksizes.append(chunksize)
+            return map(fn, jobs)
+
+    return InProcessPool
+
+
+def _pair_key(text: str) -> tuple:
+    """The class pair of a pair corpus line ``"a,b"``: the class keys of its
+    operands."""
+    return tuple(auditor._class_key(*graph6_edge_mask(part)) for part in text.split(","))
 
 
 class TestIsomorphismClasses:
@@ -609,30 +640,13 @@ class TestIsomorphismClasses:
         # solve exactly what one does; there is one re-check per violating
         # (claim, class), of the class's first member in the corpus
         jobs, chunksizes = [], []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items, chunksize):
-                assert fn is auditor._recheck
-                jobs.extend(items)
-                chunksizes.append(chunksize)
-                return map(fn, jobs)
-
         calls = []
         real = auditor.stability.stability
         monkeypatch.setattr(auditor.stability, "stability", lambda g: calls.append(g) or real(g))
         one = run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=1)
         solves = len(calls)
         calls.clear()
-        monkeypatch.setattr(auditor, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(auditor, "ProcessPoolExecutor", _in_process_pool(jobs, chunksizes))
         two = run_audit(_GRAPH_CLAIMS, ExhaustiveCorpus(5), threads=2)
         assert len(calls) == solves
         texts = [text for text, _ in ExhaustiveCorpus(5).instances()]
@@ -678,6 +692,92 @@ class TestIsomorphismClasses:
         report = run_audit(_GRAPH_CLAIMS, Graph6Corpus(("G~~^vS",)), threads=1)
         assert report.violation_count > 0  # C8, so certificates and re-checks ran too
         assert 7 not in auditor._CLASS_TABLES
+
+
+class TestPairClasses:
+    @pytest.mark.parametrize("mode", ["strict", "restricted"])
+    def test_every_pair_claim_is_constant_on_class_pairs(self, mode):
+        seen: dict = {}
+        for text, pair in PairCorpus(ExhaustiveCorpus(3)).instances():
+            kit = _Toolkit()  # a shared one would read every labelling's values off its class
+            for cid in _PAIR_CLAIMS:
+                ev = get_claim(cid).evaluate(pair, kit, mode)
+                reading = (ev.applicable, ev.holds, ev.lhs, ev.rhs)
+                first = seen.setdefault((cid, _pair_key(text)), (reading, text))
+                assert first[0] == reading, (cid, first[1], text)
+        assert len(seen) == 6 * 7 * 7  # the 121 pairs fall in 49 class pairs
+
+    def test_label_dependent_claim_aborts(self, monkeypatch):
+        def by_label(pair, kit, mode):
+            # violated exactly when vertex 0 of the first operand has a
+            # neighbour: K_1 + K_2 reads violated as "B_" and holds as "BG"
+            g = pair[0]
+            return auditor._Eval(True, not g.adj[0], g.degree(0), 0, lambda: {})
+
+        claim = dataclasses.replace(get_claim("C17"), evaluate=by_label)
+        monkeypatch.setitem(auditor._REGISTRY, "C17", claim)
+        with pytest.raises(errors.InternalAuditError, match="isomorphism invariant at BG,B_: "):
+            run_audit(["C17"], PairCorpus(Graph6Corpus(("B_", "BG"))), threads=1)
+
+    def test_graph6_pair_audit_equals_a_plain_audit(self):
+        # K_1 + K_2 in all three labellings, P_3 under a header, P_4 in two
+        # labellings, duplicated lines and the null graph
+        p4 = [encode_graph6(build_graph(4, edges)) for edges in ([(0, 1), (1, 2), (2, 3)],
+                                                                  [(2, 0), (0, 3), (3, 1)])]
+        lines = ("B_", "?", "BO", "Bw", ">>graph6<<Bw", p4[0], "BG", "B_", p4[1])
+        corpus = PairCorpus(Graph6Corpus(lines))
+        report = run_audit(_PAIR_CLAIMS, corpus, threads=1)
+        assert report.claims == _plain_blocks(_PAIR_CLAIMS, corpus, "strict")
+        # the coronas P_4 o P_3 (order 16) pass the stability oracle's cap, so
+        # each labelling's verdict reads its own certificate
+        partial = {
+            (b["claim"], v["instance"])
+            for b in report.claims
+            for v in b["violations"]
+            if v["oracle"] == "partial"
+        }
+        assert partial == {("C22", f"{a},{b}") for a in p4 for b in ("Bw", ">>graph6<<Bw")}
+
+    def test_pair_corpus_queues_one_job_per_violation(self, monkeypatch):
+        # a product can pass the stability oracle's cap, where a re-check
+        # reads the violation's own certificate, so no job is shared
+        jobs, chunksizes = [], []
+        monkeypatch.setattr(auditor, "ProcessPoolExecutor", _in_process_pool(jobs, chunksizes))
+        corpus = PairCorpus(ExhaustiveCorpus(3))
+        report = run_audit(_PAIR_CLAIMS, corpus, threads=2)
+        violations = [(b["claim"], v["instance"]) for b in report.claims for v in b["violations"]]
+        assert sorted((cid, text) for cid, text, *_ in jobs) == sorted(violations)
+        assert len(jobs) == len(violations) == report.violation_count
+        assert report.to_json() == run_audit(_PAIR_CLAIMS, corpus, threads=1).to_json()
+
+    def test_holding_class_pairs_are_evaluated_once(self, monkeypatch):
+        # each class pair's first member runs every claim; a later member
+        # runs only the claims its class pair violates
+        calls: dict = {}
+
+        def counted(claim):
+            def evaluate(instance, kit, mode):
+                if isinstance(kit, _Toolkit):  # not an oracle re-check
+                    calls[claim.id] = calls.get(claim.id, 0) + 1
+                return claim.evaluate(instance, kit, mode)
+
+            return dataclasses.replace(claim, evaluate=evaluate)
+
+        registry = {cid: counted(claim) for cid, claim in auditor._REGISTRY.items()}
+        monkeypatch.setattr(auditor, "_REGISTRY", registry)
+        report = run_audit(_PAIR_CLAIMS, PairCorpus(ExhaustiveCorpus(3)), threads=1)
+        for block in report.claims:
+            texts = [v["instance"] for v in block["violations"]]
+            cells = {_pair_key(text) for text in texts}
+            assert calls[block["claim"]] == 49 + len(texts) - len(cells), block["claim"]
+        assert sum(calls.values()) < 6 * 121
+
+    def test_order_5_operand_refused_before_its_class_table(self, monkeypatch):
+        tables = {n: table for n, table in auditor._CLASS_TABLES.items() if n <= 4}
+        monkeypatch.setattr(auditor, "_CLASS_TABLES", tables)
+        with pytest.raises(errors.CorpusTooLarge, match="at order 4"):
+            run_audit(_PAIR_CLAIMS, PairCorpus(ExhaustiveCorpus(7)), threads=1)
+        assert 1 <= max(auditor._CLASS_TABLES) <= 4
 
 
 class TestOracleAbort:
