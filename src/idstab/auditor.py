@@ -81,7 +81,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
 from . import oracles, solver, stability
-from .codec import decode_graph6, encode_graph6, graph6_edge_mask, graph6_lines, graph6_payload
+from .codec import decode_graph6, encode_graph6, graph6_edge_mask, graph6_lines
 from .core import (
     MAX_ORDER,
     Graph,
@@ -742,47 +742,55 @@ class ExhaustiveCorpus(_GraphCorpus):
 
 @dataclass(frozen=True)
 class Graph6Corpus(_GraphCorpus):
-    """Graphs supplied as graph6 lines (for externally generated corpora)."""
+    """Graphs supplied as graph6 lines (for externally generated corpora).
+    Each line is checked and read once, when the corpus is built, by
+    ``graph6_edge_mask``: a malformed line fails here, however the corpus is
+    built, and no audit reads a line again.  Equality, hash and repr depend
+    on ``graphs`` and ``label`` alone."""
 
     graphs: tuple[str, ...]
     label: str = "graph6 corpus"
+    _masks: tuple[tuple[str, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "graphs", _sequence(self.graphs, str, "graph6 lines"))
+        graphs = _sequence(self.graphs, str, "graph6 lines")
+        object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "_masks", tuple((text, *graph6_edge_mask(text)) for text in graphs))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Graph6Corpus":
-        """The graph6 lines of *path*, each checked here, so that a malformed
-        line fails before any audit work.  A corpus built directly checks
-        its lines as they are read."""
+        """The graph6 lines of *path*, checked as every corpus's lines are
+        when it is built, so a malformed line fails before any audit work."""
         try:
             text = Path(path).read_text()
         except OSError as exc:
             raise BadCorpusSource(f"cannot read corpus {path}: {exc}") from None
-        lines = graph6_lines(text, f"corpus {path}")
-        for line in lines:
-            graph6_payload(line)
-        return cls(lines, f"graph6 file {path}")
+        return cls(graph6_lines(text, f"corpus {path}"), f"graph6 file {path}")
 
     def describe(self) -> str:
         return f"{self.label} ({len(self.graphs)} graphs)"
 
-    def masks(self) -> Iterator[tuple[str, int, int]]:
+    def masks(self) -> tuple[tuple[str, int, int], ...]:
         """Each line as given (a ``>>graph6<<`` header or a long order prefix
-        stays in the report) with its order and edge mask, read without
-        decoding the graph."""
-        return ((text, *graph6_edge_mask(text)) for text in self.graphs)
+        stays in the report) with its order and edge mask, as read when the
+        corpus was built."""
+        return self._masks
 
 
 @dataclass(frozen=True)
 class PairCorpus(_Corpus):
-    """All ordered pairs over a base corpus; operands capped at order 4."""
+    """All ordered pairs over a base corpus; operands capped at order 4.  An
+    operand above the cap is refused when the pair corpus is built, at the
+    first one that the base's ``masks()`` meets: before any class key is
+    looked up or any graph is built."""
 
     base: ExhaustiveCorpus | Graph6Corpus
 
     def __post_init__(self) -> None:
         if not isinstance(self.base, _GraphCorpus):
             raise BadCorpusSource(f"pairs need a graph corpus, not a {type(self.base).__name__}")
+        if any(n > MAX_PAIR_OPERAND_ORDER for _, n, _ in self.base.masks()):
+            raise CorpusTooLarge(f"pair corpora cap operands at order {MAX_PAIR_OPERAND_ORDER}")
 
     def kind(self) -> str:
         return PAIR
@@ -791,14 +799,13 @@ class PairCorpus(_Corpus):
         return f"ordered pairs over {self.base.describe()}"
 
     def _members(self) -> Iterator[tuple[tuple, str, tuple[Graph, Graph]]]:
-        """Each pair as ``"a,b"``, keyed by its operands' class keys.  An
-        operand above the order cap is refused as ``masks()`` meets it,
-        before its class is looked up or the rest of the base is built."""
-        base = []
-        for text, n, mask in self.base.masks():
-            if n > MAX_PAIR_OPERAND_ORDER:
-                raise CorpusTooLarge(f"pair corpora cap operands at order {MAX_PAIR_OPERAND_ORDER}")
-            base.append((_class_key(n, mask), *self.base._instance(text, (n, mask))))
+        """Each pair as ``"a,b"``, keyed by its operands' class keys.  The
+        operands, checked against the cap when the corpus was built, are
+        built anew for each audit."""
+        base = [
+            (_class_key(n, mask), *self.base._instance(text, (n, mask)))
+            for text, n, mask in self.base.masks()
+        ]
         for ka, a, ga in base:
             for kb, b, gb in base:
                 yield (ka, kb), f"{a},{b}", (ga, gb)

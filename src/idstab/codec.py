@@ -4,11 +4,12 @@ graph6 is the compact printable encoding used by small-graph corpora: an
 order prefix followed by the upper adjacency triangle in column-major order,
 packed six bits per character with a +63 offset.  Orders 63 and 64 use the
 standard four-character order prefix.  Decoding is strict: stray characters,
-wrong payload length, and nonzero padding bits are all rejected, by one check,
-``graph6_payload``.  The payload is the graph's ``core.edge_mask``, the one
-bit-order mapping, in groups of six bits, each group reversed (graph6 writes
-pair p-th, most significant bit first), so ``graph6_edge_mask`` reads a line's
-mask without building the graph; audits key isomorphism classes by it.
+wrong payload length, and nonzero padding bits are all rejected, by one
+function, ``graph6_edge_mask``.  The payload is the graph's
+``core.edge_mask``, the one bit-order mapping, in groups of six bits, each
+group reversed (graph6 writes pair p-th, most significant bit first), so
+``graph6_edge_mask`` reads a line's mask without building the graph; audits
+key isomorphism classes by it, and ``decode_graph6`` builds the graph from it.
 """
 
 from __future__ import annotations
@@ -37,11 +38,15 @@ def encode_graph6(g: Graph) -> str:
     return head + "".join([_CHARS[mask >> s & 63] for s in range(0, n * (n - 1) // 2, 6)])
 
 
-def graph6_payload(text: str) -> tuple[int, str]:
-    """The order and the payload characters of a graph6 line, after every
-    check of the line: an optional ``>>graph6<<`` header, the alphabet, the
-    order prefix and cap, the payload length and zero padding bits.  The one
-    validation of ``decode_graph6`` and ``graph6_edge_mask``."""
+def decode_graph6(text: str) -> Graph:
+    return mask_graph(*graph6_edge_mask(text))
+
+
+def graph6_edge_mask(text: str) -> tuple[int, int]:
+    """The order and ``core.edge_mask`` of a graph6 line, without building
+    the graph, after every check of the line: an optional ``>>graph6<<``
+    header, the alphabet, the order prefix and cap, the payload length and
+    zero padding bits.  The one validation of a graph6 line."""
     if not isinstance(text, str):
         raise MalformedGraph6(f"a graph6 line is a string, got {text!r}")
     s = text.strip()
@@ -71,17 +76,6 @@ def graph6_payload(text: str) -> tuple[int, str]:
     pad = need * 6 - nbits  # the low bits of the last character
     if pad and (ord(body[-1]) - 63) & ((1 << pad) - 1):
         raise MalformedGraph6("nonzero padding bits")
-    return n, body
-
-
-def decode_graph6(text: str) -> Graph:
-    return mask_graph(*graph6_edge_mask(text))
-
-
-def graph6_edge_mask(text: str) -> tuple[int, int]:
-    """The order and ``core.edge_mask`` of a graph6 line, checked as
-    ``decode_graph6`` checks it, without building the graph."""
-    n, body = graph6_payload(text)
     mask = shift = 0
     for ch in body:
         mask |= _REVERSED[ord(ch) - 63] << shift

@@ -333,13 +333,19 @@ class TestRunAudit:
             run_audit(["C17"], PairCorpus(ExhaustiveCorpus(5)), threads=1)
 
     def test_pair_operand_refused_before_the_rest_is_built(self, monkeypatch):
+        # refused when the pair corpus is built: no operand is built and no
+        # class key is looked up, so no class table is allocated
+        base = Graph6Corpus((encode_graph6(path(4)), encode_graph6(path(5)), "A_"))
         built = []
-        real = auditor.mask_graph
-        monkeypatch.setattr(auditor, "mask_graph", lambda n, m: built.append(n) or real(n, m))
-        with pytest.raises(errors.CorpusTooLarge, match="at order 4"):
-            next(PairCorpus(ExhaustiveCorpus(7)).instances())
-        assert len(built) < 100  # the 75 graphs of order 1..4
-        assert max(built) == 4
+        real_mask, real_decode = auditor.mask_graph, auditor.decode_graph6
+        monkeypatch.setattr(auditor, "mask_graph", lambda n, m: built.append(n) or real_mask(n, m))
+        monkeypatch.setattr(auditor, "decode_graph6", lambda t: built.append(t) or real_decode(t))
+        monkeypatch.setattr(auditor, "_CLASS_TABLES", {})
+        for corpus in (ExhaustiveCorpus(7), base):
+            with pytest.raises(errors.CorpusTooLarge, match="at order 4"):
+                PairCorpus(corpus)
+        assert built == []
+        assert auditor._CLASS_TABLES == {}
 
     def test_graph6_corpus(self, tmp_path, monkeypatch):
         f = tmp_path / "corpus.g6"
@@ -410,16 +416,32 @@ class TestRunAudit:
         listed, tupled = FamilyCorpus([spec]), FamilyCorpus((spec,))
         assert listed == tupled and hash(listed) == hash(tupled)  # a kept list was unhashable
 
-    def test_malformed_line_fails_in_from_file_or_in_the_audit(self, tmp_path):
+    def test_malformed_line_fails_when_the_corpus_is_built(self, tmp_path):
         lines = ("Bw", "B!", "A_")
         f = tmp_path / "corpus.g6"
         f.write_text("\n".join(lines) + "\n")
         with pytest.raises(errors.MalformedGraph6, match="character '!'"):
             Graph6Corpus.from_file(f)
-        corpus = Graph6Corpus(lines)  # built directly: checked as it is read
-        for claims in (["C2"], ["C17"]):
-            with pytest.raises(errors.MalformedGraph6, match="character '!'"):
-                run_audit(claims, corpus if claims == ["C2"] else PairCorpus(corpus), threads=1)
+        with pytest.raises(errors.MalformedGraph6, match="character '!'"):
+            Graph6Corpus(lines)  # built directly, as an API caller builds it
+
+    def test_each_line_read_once_when_the_corpus_is_built(self, monkeypatch):
+        lines = tuple(encode_graph6(g) for n in (1, 2, 3) for g in enumerate_labeled_graphs(n))
+        calls = []
+        real = auditor.graph6_edge_mask
+        monkeypatch.setattr(auditor, "graph6_edge_mask", lambda t: calls.append(t) or real(t))
+        corpus = Graph6Corpus(lines)
+        assert calls == list(lines)
+        calls.clear()
+        graph_claims = [c.id for c in claim_registry() if c.instance_kind == "graph"]
+        run_audit(graph_claims, corpus, threads=1)
+        run_audit(["C17", "C20"], PairCorpus(corpus), threads=1)
+        assert calls == []
+        # the lines as read are no part of the corpus's identity
+        same = Graph6Corpus(list(lines))
+        object.__setattr__(same, "_masks", ())
+        assert same == corpus and hash(same) == hash(corpus)
+        assert repr(same) == repr(corpus) == f"Graph6Corpus(graphs={lines!r}, label='graph6 corpus')"
 
     def test_restricted_mode_guards_families(self):
         grid = FamilyCorpus(

@@ -1,5 +1,6 @@
-import importlib
+import functools
 import hashlib
+import importlib
 import random
 from itertools import combinations
 
@@ -76,19 +77,34 @@ def _subset_masks(n, k):
         yield sum(1 << v for v in combo)
 
 
-def _plain_scan(g, direction):
-    """The plain removal scan: every k-subset in lexicographic order, each
-    removal solved, nothing skipped."""
+def _plain_scan(g, *directions):
+    """The plain removal scan, one certificate per direction asked, in that
+    order: every k-subset in lexicographic order, nothing skipped, until each
+    direction has its first change.  Each removal is solved once for all of
+    them, so pass only the directions a test checks."""
     closed = _closed_rows(g)
     full = g.full_mask
     base = _cover_picks(closed, full, True).bit_count()
-    changes = _CHANGES[direction]
+    certs = [StabilityCertificate(base, d, None, None, None) for d in directions]
+    left = [(i, _CHANGES[d]) for i, d in enumerate(directions)]  # the open ones, by index
     for k in range(1, g.order + 1):
         for mask in _subset_masks(g.order, k):
+            if not left:
+                return tuple(certs)
             val = _cover_picks(closed, full & ~mask, True).bit_count()
-            if changes(base, val):
-                return StabilityCertificate(base, direction, k, VertexSet(mask), val)
-    return StabilityCertificate(base, direction, None, None, None)
+            if val != base:
+                for i, changes in [item for item in left if item[1](base, val)]:
+                    certs[i] = StabilityCertificate(base, directions[i], k, VertexSet(mask), val)
+                    left.remove((i, changes))
+    return tuple(certs)
+
+
+@functools.cache
+def _plain_sweep():
+    """``_plain_scan(g, *Direction)`` for every labeled graph of order 1..6,
+    in ``all_graphs(6)`` order, as ``stability_sweep`` gives the solved
+    certificates: scanned once per session, and only by slow tests."""
+    return tuple(_plain_scan(g, *Direction) for g in all_graphs(6))
 
 
 class TestStabilityExamples:
@@ -209,8 +225,7 @@ def _assert_seeded_certificates_unpruned():
     rng = random.Random(0x5CA9)
     for _ in range(40):
         g = random_graph(rng, rng.randint(7, 11))
-        for direction in Direction:
-            assert stability(g, direction) == _plain_scan(g, direction)
+        assert tuple(stability(g, d) for d in Direction) == _plain_scan(g, *Direction)
 
 
 class TestAgreementWithOracle:
@@ -246,8 +261,8 @@ class TestMinRule:
     def test_exhaustive_order_6(self):
         # where st_down == st_up >= 2 the first witness wins; some ties go each way
         raised_first = set()
-        for g, (cert, down, up), _ in stability_sweep():
-            assert cert == _plain_scan(g, Direction.ANY)
+        for (_, (cert, down, up), _), (plain, _, _) in zip(stability_sweep(), _plain_sweep()):
+            assert cert == plain
             if cert.value >= 2 and down.value == up.value:
                 raised_first.add(cert.new_gamma_i > cert.base_gamma_i)
         assert raised_first == {False, True}
@@ -256,7 +271,7 @@ class TestMinRule:
         rng = random.Random(0xA41)
         for _ in range(300):
             g = random_graph(rng, rng.randint(7, 14))
-            assert stability(g) == _plain_scan(g, Direction.ANY)
+            assert (stability(g),) == _plain_scan(g, Direction.ANY)
 
     @pytest.mark.parametrize(
         "text,down,up,first",
@@ -363,7 +378,7 @@ class TestPruningRules:
         # the cap binds: uncapped, book(5) takes 129 solves, and 1,848 here
         solves = _count_solves(monkeypatch)
         g = book(5)
-        assert stability(g, Direction.INCREASE) == _plain_scan(g, Direction.INCREASE)
+        assert (stability(g, Direction.INCREASE),) == _plain_scan(g, Direction.INCREASE)
         assert len(solves) > 1_000
 
     def test_decrease_from_gamma_i_one_removes_everything(self):
@@ -471,8 +486,8 @@ class TestNoGoodRule:
 
     @pytest.mark.slow
     def test_exhaustive_order_6(self):
-        for g, (_, _, up), _ in stability_sweep():
-            assert up == _plain_scan(g, Direction.INCREASE)
+        for (_, (_, _, up), _), (_, _, plain) in zip(stability_sweep(), _plain_sweep()):
+            assert up == plain
 
     @pytest.mark.parametrize(
         "g,base,value,witness,new,picks",
@@ -576,14 +591,14 @@ class TestDecreaseSearch:
 
     @pytest.mark.slow
     def test_exhaustive_order_6(self):
-        for g, (_, down, _), _ in stability_sweep():
-            assert down == _plain_scan(g, Direction.DECREASE)
+        for (_, (_, down, _), _), (_, plain, _) in zip(stability_sweep(), _plain_sweep()):
+            assert down == plain
 
     def test_seeded_order_7_to_13(self):
         rng = random.Random(0xDEC5)
         for _ in range(300):
             g = random_graph(rng, rng.randint(7, 13))
-            assert stability(g, Direction.DECREASE) == _plain_scan(g, Direction.DECREASE)
+            assert (stability(g, Direction.DECREASE),) == _plain_scan(g, Direction.DECREASE)
 
     @pytest.mark.parametrize(
         "n,p,seed",
@@ -591,7 +606,7 @@ class TestDecreaseSearch:
     )
     def test_seeded_sparse(self, n, p, seed):
         g = random_graph(random.Random(seed), n, p)
-        assert stability(g, Direction.DECREASE) == _plain_scan(g, Direction.DECREASE)
+        assert (stability(g, Direction.DECREASE),) == _plain_scan(g, Direction.DECREASE)
 
     @pytest.mark.slow
     def test_left_out_search_exhaustive_order_6(self):
@@ -654,7 +669,7 @@ class TestDecreaseSearch:
         expected = StabilityCertificate(1, Direction.DECREASE, g.order, VertexSet(g.full_mask), 0)
         assert cert == expected
         if g.order <= 13:
-            assert _plain_scan(g, Direction.DECREASE) == expected
+            assert _plain_scan(g, Direction.DECREASE) == (expected,)
         else:  # the plain scan visits all 2^n - 1 removals here; the searched one has no shortcut
             assert _searched_decrease(g) == expected
 
