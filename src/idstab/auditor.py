@@ -937,22 +937,19 @@ class AuditReport:
     def violation_count(self) -> int:
         return sum(block["counts"][VIOLATED] for block in self.claims)
 
-    def _document(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        document = {
             "schema_version": 1,
             "mode": self.mode,
             "corpus": self.corpus,
             "claims": self.claims,
             "stats": self.stats,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self._document(), indent=2)
+        return json.dumps(document, indent=2)
 
     def write(self, fh: TextIO) -> None:
-        """Stream ``to_json()`` and a newline to *fh*."""
-        json.dump(self._document(), fh, indent=2)
-        fh.write("\n")
+        """Write ``to_json()`` and a newline to *fh*."""
+        fh.write(self.to_json() + "\n")
 
 
 def _resolve_claims(claim_ids: Iterable[str], kind: str) -> list[Claim]:

@@ -227,12 +227,19 @@ def _increase_scan(closed: list[int], full: int, base: int, stop: int):
 
     Pair j is bit j of every mask, the j-th pair learned.  ``in_d[v]`` and
     ``in_r[v]`` hold the pairs whose D or R holds v, and ``reach[v]`` and
-    ``above[v]`` the pairs with a D or R member at or above v.  A node takes
-    its next pick below ``end`` and carries ``met`` and ``killed`` (module
-    docstring) and the chosen mask; ``skipped`` is ``killed`` widened by the
-    vertices the loop passes.  The sets before ``stop`` are walked as the
-    blocks that leave its member path at its j-th member, taking a lower
-    one.
+    ``above[v]`` the pairs with a D or R member at or above v.  A node
+    carries ``met`` and ``killed`` (module docstring) and the chosen mask;
+    ``skipped`` is ``killed`` widened by the vertices the loop passes.
+
+    At the size of ``stop``, ``bound`` is ``stop`` (0 at every other size),
+    and each leaf is checked against it before the pairs: the scan ends,
+    with no answer, at the first leaf that is not before ``stop``.  Leaves
+    are met in lexicographic order, so no later leaf is before ``stop``
+    either.  A leaf that the cut or the last-pick filter skips is ruled out
+    by a known pair, so a walk over only the sets before ``stop`` would not
+    solve it either.  The scan thus solves exactly the sets before ``stop``
+    that no known pair rules out, in lexicographic order, learns the same
+    pairs as such a walk and returns the same witness.
     """
     n = full.bit_length()
     in_d = [0] * n
@@ -242,26 +249,30 @@ def _increase_scan(closed: list[int], full: int, base: int, stop: int):
     ds = []  # D of each pair, as a mask
     alive = 0
 
-    def rec(start: int, end: int, left: int, met: int, killed: int, chosen: int):
+    def rec(start: int, left: int, met: int, killed: int, chosen: int):
         nonlocal alive
         armed = alive & ~met & ~killed & ~above[start]
         if left > 1:
             skipped = killed
-            for v in range(start, end):
+            for v in range(start, n - left + 1):
                 if armed & ~reach[v]:
                     return None  # a leaf from here on misses an armed pair's D
-                found = rec(v + 1, n - left + 2, left - 1, met | in_d[v], skipped, chosen | 1 << v)
-                if found:
+                found = rec(v + 1, left - 1, met | in_d[v], skipped, chosen | 1 << v)
+                if found is not None:
                     return found
                 skipped |= in_r[v]
             return None
         # a last pick outside the lowest armed pair's D leaves that pair ruling out the leaf
         cands = ds[(armed & -armed).bit_length() - 1] if armed else full
-        cands &= -(1 << start) & ((1 << end) - 1)
+        cands &= -(1 << start)
         while cands:
             low = cands & -cands
             cands ^= low
             v = low.bit_length() - 1
+            mask = chosen | low
+            diff = mask ^ bound
+            if bound and not diff & -diff & mask:
+                return ()  # not before ``stop``, and no later leaf is
             ruled = alive & ~(met | in_d[v]) & ~(killed | above[v + 1])
             if ruled & armed:
                 continue
@@ -270,7 +281,6 @@ def _increase_scan(closed: list[int], full: int, base: int, stop: int):
                     ruled &= ~in_r[u]
                 if ruled:
                     continue
-            mask = chosen | low
             picks = _cover_picks(closed, full & ~mask, True)
             if picks.bit_count() > base:
                 return mask, picks.bit_count()
@@ -293,24 +303,10 @@ def _increase_scan(closed: list[int], full: int, base: int, stop: int):
 
     last = stop.bit_count() if stop else n
     for k in range(2 if stop else 1, last + 1):
-        if k < last or not stop:
-            found = rec(0, n - k + 1, k, 0, 0, 0)
-            if found:
-                return found
-            continue
-        start = met = killed = chosen = 0
-        for s in iter_bits(stop):
-            found = rec(start, s, k - chosen.bit_count(), met, killed, chosen)
-            if found:
-                return found
-            chosen |= 1 << s
-            start = s + 1
-            met = killed = 0  # read afresh: pairs learned in the block may touch them
-            for u in range(start):
-                if chosen >> u & 1:
-                    met |= in_d[u]
-                else:
-                    killed |= in_r[u]
+        bound = stop if k == last else 0  # the leaves must come before it
+        found = rec(0, k, 0, 0, 0)
+        if found is not None:
+            return found or None
     return None
 
 

@@ -73,8 +73,7 @@ def _count_solves(monkeypatch):
 
 def _subset_masks(n, k):
     """The k-subsets of range(n) as masks, in lexicographic order."""
-    for combo in combinations(range(n), k):
-        yield sum(1 << v for v in combo)
+    return map(sum, combinations([1 << v for v in range(n)], k))
 
 
 def _plain_scan(g, *directions):
@@ -398,9 +397,11 @@ class TestPruningRules:
 
 def _parent_increase_scan(closed, full, base, stop):
     """``_increase_scan`` as a plain loop: every k-subset in lexicographic
-    order, checked against a list of the pairs learned so far.  It reads the
-    cap and the removal solve off the stability module, so a test can patch
-    either."""
+    order, checked against a list of the pairs learned so far.  Bounded by
+    ``stop``, it ends at the size of ``stop`` at the first subset that is not
+    before it, checked before the pairs, as the scan's leaf check ends it.
+    It reads the cap and the removal solve off the stability module, so a
+    test can patch either."""
     n = full.bit_length()
     pairs = []
     limit = stability_module.LEARNED_PAIR_CAP
@@ -457,7 +458,9 @@ def _assert_scans_agree(universes, g, down):
 class TestFrozenParentScan:
     """The constraint walk solves exactly the removals of a plain scan that
     checks each subset against every pair learned so far, in the same
-    order, so it learns the same pairs and returns the same witness."""
+    order, so it learns the same pairs and returns the same witness.
+    Bounded by a decrease witness, both end at the same leaf check: the
+    first subset of its size that is not before it."""
 
     @pytest.mark.slow
     def test_exhaustive_order_6(self, monkeypatch):
