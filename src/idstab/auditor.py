@@ -81,7 +81,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
 from . import oracles, solver, stability
-from .codec import decode_graph6, encode_graph6, graph6_edge_mask, graph6_lines
+from .codec import decode_graph6, encode_graph6, graph6_edge_mask, graph6_lines, read_text
 from .core import (
     MAX_ORDER,
     Graph,
@@ -761,11 +761,7 @@ class Graph6Corpus(_GraphCorpus):
     def from_file(cls, path: str | Path) -> "Graph6Corpus":
         """The graph6 lines of *path*, checked as every corpus's lines are
         when it is built, so a malformed line fails before any audit work."""
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise BadCorpusSource(f"cannot read corpus {path}: {exc}") from None
-        return cls(graph6_lines(text, f"corpus {path}"), f"graph6 file {path}")
+        return cls(graph6_lines(read_text(path), f"corpus {path}"), f"graph6 file {path}")
 
     def describe(self) -> str:
         return f"{self.label} ({len(self.graphs)} graphs)"
@@ -937,7 +933,8 @@ class AuditReport:
     def violation_count(self) -> int:
         return sum(block["counts"][VIOLATED] for block in self.claims)
 
-    def to_json(self) -> str:
+    def _chunks(self) -> Iterator[str]:
+        """The report's one JSON document, encoded piece by piece."""
         document = {
             "schema_version": 1,
             "mode": self.mode,
@@ -945,11 +942,17 @@ class AuditReport:
             "claims": self.claims,
             "stats": self.stats,
         }
-        return json.dumps(document, indent=2)
+        return json.JSONEncoder(indent=2).iterencode(document)
+
+    def to_json(self) -> str:
+        """The report as one JSON string: the pieces ``write`` streams."""
+        return "".join(self._chunks())
 
     def write(self, fh: TextIO) -> None:
-        """Write ``to_json()`` and a newline to *fh*."""
-        fh.write(self.to_json() + "\n")
+        """Write ``to_json()`` and a newline to *fh*, each piece as it is
+        encoded, so no copy of the whole text is held."""
+        fh.writelines(self._chunks())
+        fh.write("\n")
 
 
 def _resolve_claims(claim_ids: Iterable[str], kind: str) -> list[Claim]:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import auditor, ops
-from .codec import decode_graph6, emit_edgelist, encode_graph6, graph6_lines, parse_edgelist
+from .codec import decode_graph6, emit_edgelist, encode_graph6, graph6_lines, parse_edgelist, read_text
 from .core import MAX_ORDER, Graph, complement
 from .errors import IdstabError, InternalAuditError, SpecInvalid
 from .families import cycle, generate, parse_family_spec, path
@@ -30,20 +30,11 @@ def _emit_graph(g: Graph, fmt: str) -> None:
         sys.stdout.write(emit_edgelist(g))
 
 
-def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    try:
-        return Path(source).read_text()
-    except OSError as exc:
-        raise IdstabError(f"cannot read {source}: {exc}") from None
-
-
 def _read_graphs(source: str, fmt: str | None) -> list[Graph]:
     """The graphs in *source*.  With no *fmt* the format is sniffed: an
     edge-list header starts with a digit, which is never a valid graph6 byte.
     """
-    text = _read_text(source)
+    text = read_text(source, sys.stdin if source == "-" else None)
     if fmt is None:
         fmt = "edgelist" if text.lstrip()[:1].isdigit() else "graph6"
     if fmt == "edgelist":

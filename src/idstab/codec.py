@@ -10,9 +10,13 @@ function, ``graph6_edge_mask``.  The payload is the graph's
 group reversed (graph6 writes pair p-th, most significant bit first), so
 ``graph6_edge_mask`` reads a line's mask without building the graph; audits
 key isomorphism classes by it, and ``decode_graph6`` builds the graph from it.
+``read_text`` is the one reader of input files, for graph6 and edge lists.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
+from typing import TextIO
 
 from .core import MAX_ORDER, Graph, build_graph, edge_mask, mask_graph
 from .errors import (
@@ -90,6 +94,16 @@ def graph6_lines(text: str, source: str) -> tuple[str, ...]:
     if not lines:
         raise BadCorpusSource(f"{source} holds no graphs")
     return lines
+
+
+def read_text(source: str | Path, stream: TextIO | None = None) -> str:
+    """The UTF-8 text of the file *source*, or of *stream* (named *source*)
+    when one is given: the one reader of every input file.  A file that
+    cannot be opened or decoded raises ``BadCorpusSource``."""
+    try:
+        return Path(source).read_text("utf-8") if stream is None else stream.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BadCorpusSource(f"cannot read {source}: {exc}") from None
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -50,7 +50,7 @@ class CorpusTooLarge(IdstabError):
 
 
 class BadCorpusSource(IdstabError):
-    """The corpus cannot be read, is empty, or does not fit the claims."""
+    """An input file cannot be read, or a corpus is empty or does not fit the claims."""
 
 
 class InternalAuditError(IdstabError):

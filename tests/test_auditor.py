@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -378,6 +380,9 @@ class TestRunAudit:
         f.write_text("\n")
         with pytest.raises(errors.BadCorpusSource):
             Graph6Corpus.from_file(f)
+        f.write_bytes(b"\xff\xfe")  # not UTF-8: a bare UnicodeDecodeError before
+        with pytest.raises(errors.BadCorpusSource, match="cannot read"):
+            Graph6Corpus.from_file(f)
 
     def test_malformed_corpora_fail_at_construction(self):
         with pytest.raises(errors.BadCorpusSource, match="need a graph corpus, not a FamilyCorpus"):
@@ -456,6 +461,41 @@ class TestRunAudit:
         assert ("C25", "friend:1") in strict_viol
         assert ("C23", "star:1") in strict_viol
         assert all(b["counts"]["violated"] == 0 for b in restricted.claims)
+
+
+class _Sink(io.TextIOBase):
+    """A text stream that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+class TestReportWrite:
+    def test_write_holds_no_copy_of_the_text(self):
+        # the whole text in one string (as ``to_json() + "\n"`` builds it) costs its length
+        violation = {
+            "instance": "F?~vw",
+            "lhs": 2,
+            "rhs": 1,
+            "witness": {"st_witness": [0, 1], "gamma_i_checks": [["F?~vw", 2], ["D?{", 1]]},
+            "oracle": "full",
+        }
+        block = {"claim": "C2", "counts": {"holds": 0, "violated": 5_000, "inapplicable": 0}}
+        block["violations"] = [dict(violation, lhs=i) for i in range(5_000)]
+        report = auditor.AuditReport("strict", "synthetic", [block], {"instances": 5_000})
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            report.write(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars == len(report.to_json()) + 1 > 2_000_000
+        assert peak < sink.chars / 10
 
 
 class TestMemoBound:

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_module(*argv):
+    """``python -m idstab *argv`` in a process of its own."""
+    src = str(Path(idstab.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, "-m", "idstab", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 class TestGen:
     def test_graph6(self, capsys):
         code, out, _ = run(capsys, "gen", "path:7")
@@ -36,16 +46,7 @@ class TestGen:
         assert code == 2 and "error" in err
 
     def test_python_dash_m(self):
-        src = str(Path(idstab.__file__).resolve().parents[1])
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        done = subprocess.run(
-            [sys.executable, "-m", "idstab", "gen", "path:3"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_module("gen", "path:3")
         assert (done.returncode, done.stdout, done.stderr) == (0, "Bg\n", "")
 
 
@@ -466,3 +467,39 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["table", "paths"])  # --max-n missing
     assert err.value.code == 2
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is an input error, as a missing one is: one
+    ``error: cannot read`` line and exit code 2, not a traceback and the
+    exit code 1 of an audit with violations."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma-i", "--in", "{f}"],
+            ["op", "join", "path:2", "{f}"],
+            ["audit", "--claims", "C2", "--corpus", "{f}"],
+        ],
+    )
+    def test_file(self, capsys, tmp_path, argv):
+        f = tmp_path / "bad.g6"
+        f.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, *(arg.format(f=f) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {f}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["gamma-i"], ["op", "union", "-", "path:2"]])
+    def test_stdin(self, capsys, monkeypatch, argv):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read -: ") and err.count("\n") == 1
+
+    def test_corpus_in_a_process(self, tmp_path):
+        f = tmp_path / "bad.g6"
+        f.write_bytes(b"\xff\xfe")
+        done = run_module("audit", "--claims", "all", "--corpus", str(f))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith(f"error: cannot read {f}: ") and done.stderr.count("\n") == 1
